@@ -46,12 +46,6 @@ bool FloodingSchemeBase::node_caches(NodeId node, DataId data) const {
   return state(node).entries.contains(data);
 }
 
-std::uint64_t FloodingSchemeBase::evictions() const {
-  std::uint64_t total = 0;
-  for (const NodeState& ns : nodes_) total += ns.evictions;
-  return total;
-}
-
 bool FloodingSchemeBase::check_invariants(const DataRegistry& registry) const {
   for (NodeId node = 0; node < node_count(); ++node) {
     const NodeState& ns = state(node);
@@ -116,7 +110,7 @@ bool FloodingSchemeBase::try_cache(SimServices& services, NodeId node,
       if (ns.buffer.fits(item.size)) break;
       ns.buffer.erase(victim);
       ns.entries.erase(victim);
-      ++ns.evictions;
+      ++evictions_;
       services.count_replacement(1);
     }
   }

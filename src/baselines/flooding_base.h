@@ -39,14 +39,6 @@ class FloodingSchemeBase : public Scheme {
  public:
   explicit FloodingSchemeBase(FloodingConfig config);
 
-  /// Every per-event hook touches only the involved nodes' NodeState (plus
-  /// read-only services), so the flooding family runs in the sharded
-  /// engine's parallel bound phase. The eviction counter is per-node for
-  /// the same reason — no hook writes state shared across nodes.
-  SchemeConcurrency concurrency() const override {
-    return SchemeConcurrency::kNodeLocal;
-  }
-
   void on_data_generated(SimServices& services, const DataItem& item) override;
   void on_query(SimServices& services, const Query& query) override;
   void on_contact(SimServices& services, NodeId a, NodeId b,
@@ -58,7 +50,7 @@ class FloodingSchemeBase : public Scheme {
 
   /// Introspection for tests.
   bool node_caches(NodeId node, DataId data) const;
-  std::uint64_t evictions() const;
+  std::uint64_t evictions() const { return evictions_; }
 
   /// Structural invariants (buffer/entry accounting); see
   /// NclCachingScheme::check_invariants for the contract.
@@ -90,7 +82,6 @@ class FloodingSchemeBase : public Scheme {
     std::unordered_set<QueryId> seen_queries;
     std::unordered_set<QueryId> responded;
     std::deque<QueryId> seen_order;
-    std::uint64_t evictions = 0;
   };
 
   NodeState& state(NodeId node) { return nodes_.at(static_cast<std::size_t>(node)); }
@@ -155,6 +146,7 @@ class FloodingSchemeBase : public Scheme {
 
   FloodingConfig config_;
   std::vector<NodeState> nodes_;
+  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace dtn

@@ -39,9 +39,6 @@ constexpr std::array<const char*, kCounterCount> kCounterNames = {
     "contact_workspace_reuses",
     "bundle_pool_hits",
     "sim_bytes_not_allocated",
-    "shard_epochs",
-    "shard_cross_contacts",
-    "shard_intra_contacts",
     "daemon_contacts_ingested",
     "daemon_edge_updates",
     "daemon_roots_repaired",

@@ -65,9 +65,6 @@ enum class Counter : int {
   kContactWorkspaceReuses,      ///< contact workspaces reused without realloc
   kBundlePoolHits,              ///< bundle slots recycled from the free list
   kSimBytesNotAllocated,        ///< bytes the legacy per-contact path allocated
-  kShardEpochs,                 ///< bound-weave epochs (parallel flushes)
-  kShardCrossContacts,          ///< scheme-visible contacts spanning shards
-  kShardIntraContacts,          ///< scheme-visible contacts within one shard
   kDaemonContactsIngested,      ///< contacts fed into the daemon estimator
   kDaemonEdgeUpdates,           ///< drifted edge rates applied to the graph
   kDaemonRootsRepaired,         ///< path tables rebuilt by incremental repair

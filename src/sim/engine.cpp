@@ -2,15 +2,17 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/instrument.h"
 #include "graph/contact_graph.h"
-#include "sim/engine_detail.h"
 
 namespace dtn {
-namespace detail {
+namespace {
 
+/// Throws std::invalid_argument on any out-of-range SimConfig field.
 void validate_sim_config(const SimConfig& config) {
   if (config.bandwidth_per_second <= 0) {
     throw std::invalid_argument("bandwidth must be positive");
@@ -28,9 +30,6 @@ void validate_sim_config(const SimConfig& config) {
   if (config.threads < 0) {
     throw std::invalid_argument("threads must be >= 0");
   }
-  if (config.shards < 1) {
-    throw std::invalid_argument("shards must be >= 1");
-  }
   for (const auto& d : config.node_downtime) {
     if (d.node < 0 || d.to < d.from) {
       throw std::invalid_argument("invalid downtime interval");
@@ -38,7 +37,36 @@ void validate_sim_config(const SimConfig& config) {
   }
 }
 
-}  // namespace detail
+/// Per-node sorted downtime intervals for O(log n) lookups.
+class DowntimeIndex {
+ public:
+  DowntimeIndex(const std::vector<SimConfig::Downtime>& downtimes,
+                NodeId node_count) {
+    intervals_.resize(
+        static_cast<std::size_t>(std::max<NodeId>(node_count, 1)));
+    for (const auto& d : downtimes) {
+      if (d.node < node_count) {
+        intervals_[static_cast<std::size_t>(d.node)].push_back({d.from, d.to});
+      }
+    }
+    for (auto& list : intervals_) std::sort(list.begin(), list.end());
+  }
+
+  bool down(NodeId node, Time when) const {
+    const auto& list = intervals_[static_cast<std::size_t>(node)];
+    // Last interval starting at or before `when`.
+    auto it = std::upper_bound(list.begin(), list.end(),
+                               std::make_pair(when, kNever));
+    if (it == list.begin()) return false;
+    --it;
+    return when < it->second;
+  }
+
+ private:
+  std::vector<std::vector<std::pair<Time, Time>>> intervals_;
+};
+
+}  // namespace
 
 std::vector<SimConfig::Downtime> random_downtimes(NodeId node_count,
                                                   Time duration,
@@ -68,10 +96,6 @@ std::vector<SimConfig::Downtime> random_downtimes(NodeId node_count,
 
 RunResult run_simulation(const ContactTrace& trace, const Workload& workload,
                          Scheme& scheme, const SimConfig& config) {
-  if (config.shards > 1) {
-    return run_simulation_sharded(trace.events(), trace.node_count(),
-                                  trace.end_time(), workload, scheme, config);
-  }
   traceio::VectorContactCursor contacts(trace.events());
   return run_simulation(contacts, trace.node_count(), trace.end_time(),
                         workload, scheme, config);
@@ -80,14 +104,7 @@ RunResult run_simulation(const ContactTrace& trace, const Workload& workload,
 RunResult run_simulation(traceio::ContactCursor& contacts, NodeId node_count,
                          Time trace_end_hint, const Workload& workload,
                          Scheme& scheme, const SimConfig& config) {
-  if (config.shards > 1) {
-    // The sharded planner needs the whole timeline up front; streaming
-    // runs keep O(io-buffer) memory only at shards == 1.
-    const std::vector<ContactEvent> events = traceio::drain(contacts);
-    return run_simulation_sharded(events, node_count, trace_end_hint,
-                                  workload, scheme, config);
-  }
-  detail::validate_sim_config(config);
+  validate_sim_config(config);
   DTN_SCOPED_TIMER(kSimulation);
 
   RunResult result;
@@ -95,7 +112,7 @@ RunResult run_simulation(traceio::ContactCursor& contacts, NodeId node_count,
   // Failure injection uses its own stream so enabling it does not perturb
   // the scheme's random decisions.
   Rng failure_rng(config.seed ^ 0xFA11FA11FA11FA11ULL);
-  const detail::DowntimeIndex downtime(config.node_downtime, node_count);
+  const DowntimeIndex downtime(config.node_downtime, node_count);
   SimServices services(workload.registry(), rng, result.metrics);
   result.metrics.set_data_count(workload.data_count());
 

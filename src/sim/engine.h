@@ -63,15 +63,6 @@ struct SimConfig {
   /// every value; this is purely a resource knob.
   int threads = 0;
 
-  /// Number of event-loop shards for the bound-weave engine (sim/shard.h,
-  /// DESIGN.md §12). 1 = the classic serial loop; K > 1 partitions the
-  /// nodes into K shards whose intra-shard events run concurrently on the
-  /// thread pool between synchronization points, with cross-shard contacts
-  /// and global scheme events woven in serially. Output is byte-identical
-  /// for every value of shards and threads (tests/shard_test.cpp); like
-  /// `threads`, this is purely a resource knob.
-  int shards = 1;
-
   /// Path-table construction engine. kFast is the production default;
   /// kReference re-runs the legacy allocating construction. The two are
   /// bit-identical (tests/path_golden_test.cpp), so this knob exists only
@@ -141,21 +132,5 @@ RunResult run_simulation(const ContactTrace& trace, const Workload& workload,
 RunResult run_simulation(traceio::ContactCursor& contacts, NodeId node_count,
                          Time trace_end_hint, const Workload& workload,
                          Scheme& scheme, const SimConfig& config);
-
-/// The sharded bound-weave engine (DESIGN.md §12). Both run_simulation
-/// overloads dispatch here when config.shards > 1; tests call it directly
-/// to force the sharded machinery for any shard count, including 1. Plans
-/// the whole timeline up front (failure filtering, partition, global
-/// sequence numbers), then alternates parallel bound phases over intra-
-/// shard events with serial weaves applying cross-shard contacts,
-/// maintenance ticks and global-scheme events in canonical sequence order.
-/// Byte-identical to the serial engine for every shards/threads value.
-/// Requires the materialized contact vector (the cursor overload drains
-/// first), so memory is O(contacts) — the streaming guarantee holds only
-/// for shards == 1.
-RunResult run_simulation_sharded(const std::vector<ContactEvent>& contacts,
-                                 NodeId node_count, Time trace_end_hint,
-                                 const Workload& workload, Scheme& scheme,
-                                 const SimConfig& config);
 
 }  // namespace dtn

@@ -84,70 +84,4 @@ double MetricsCollector::replacement_overhead() const {
          static_cast<double>(data_count_);
 }
 
-void MetricEventLog::query_issued(std::uint64_t seq, const Query& query) {
-  Entry e;
-  e.seq = seq;
-  e.kind = Entry::Kind::kQueryIssued;
-  e.query = query;
-  entries_.push_back(e);
-}
-
-void MetricEventLog::delivery(std::uint64_t seq, const Query& query,
-                              Time when) {
-  Entry e;
-  e.seq = seq;
-  e.kind = Entry::Kind::kDelivery;
-  e.query = query;
-  e.when = when;
-  entries_.push_back(e);
-}
-
-void MetricEventLog::bytes_transferred(std::uint64_t seq, Bytes bytes) {
-  Entry e;
-  e.seq = seq;
-  e.kind = Entry::Kind::kBytes;
-  e.bytes = bytes;
-  entries_.push_back(e);
-}
-
-void MetricEventLog::replacement(std::uint64_t seq, std::size_t items) {
-  Entry e;
-  e.seq = seq;
-  e.kind = Entry::Kind::kReplacement;
-  e.items = items;
-  entries_.push_back(e);
-}
-
-void MetricEventLog::replay_into(std::vector<MetricEventLog>& logs,
-                                 MetricsCollector& metrics) {
-  std::vector<std::size_t> next(logs.size(), 0);
-  for (;;) {
-    std::size_t pick = logs.size();
-    for (std::size_t i = 0; i < logs.size(); ++i) {
-      if (next[i] == logs[i].entries_.size()) continue;
-      if (pick == logs.size() ||
-          logs[i].entries_[next[i]].seq < logs[pick].entries_[next[pick]].seq) {
-        pick = i;
-      }
-    }
-    if (pick == logs.size()) break;
-    const Entry& e = logs[pick].entries_[next[pick]++];
-    switch (e.kind) {
-      case Entry::Kind::kQueryIssued:
-        metrics.on_query_issued(e.query);
-        break;
-      case Entry::Kind::kDelivery:
-        metrics.on_delivery(e.query, e.when);
-        break;
-      case Entry::Kind::kBytes:
-        metrics.on_bytes_transferred(e.bytes);
-        break;
-      case Entry::Kind::kReplacement:
-        metrics.on_replacement(e.items);
-        break;
-    }
-  }
-  for (MetricEventLog& log : logs) log.entries_.clear();
-}
-
 }  // namespace dtn

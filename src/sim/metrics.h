@@ -89,48 +89,4 @@ class MetricsCollector {
   std::size_t data_count_ = 0;
 };
 
-/// Deferred metric events, recorded by bound-phase shards of the sharded
-/// engine (sim/shard.h, DESIGN.md §12) instead of mutating the shared
-/// MetricsCollector from worker threads. Every entry carries the global
-/// timeline sequence number of the event that produced it; at each weave
-/// the engine merges all shard logs by that sequence and replays them into
-/// the collector, so delivery dedup and the floating-point delay folds see
-/// events in exactly the order the serial engine would have produced.
-class MetricEventLog {
- public:
-  struct Entry {
-    enum class Kind : std::uint8_t {
-      kQueryIssued,
-      kDelivery,
-      kBytes,
-      kReplacement,
-    };
-    std::uint64_t seq = 0;
-    Kind kind = Kind::kQueryIssued;
-    Query query;            ///< kQueryIssued / kDelivery
-    Time when = 0.0;        ///< kDelivery
-    Bytes bytes = 0;        ///< kBytes
-    std::size_t items = 0;  ///< kReplacement
-  };
-
-  void query_issued(std::uint64_t seq, const Query& query);
-  void delivery(std::uint64_t seq, const Query& query, Time when);
-  void bytes_transferred(std::uint64_t seq, Bytes bytes);
-  void replacement(std::uint64_t seq, std::size_t items);
-
-  bool empty() const { return entries_.empty(); }
-  const std::vector<Entry>& entries() const { return entries_; }
-
-  /// Merges every log by ascending sequence number into `metrics` and
-  /// clears them (capacity retained for the next epoch). Each sequence
-  /// number lives in exactly one log — events are owned by one shard — and
-  /// a log is internally sorted by construction, so the k-way front-merge
-  /// reproduces the serial engine's exact event order.
-  static void replay_into(std::vector<MetricEventLog>& logs,
-                          MetricsCollector& metrics);
-
- private:
-  std::vector<Entry> entries_;
-};
-
 }  // namespace dtn

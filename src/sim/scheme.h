@@ -6,8 +6,8 @@
 // apples: identical trace, identical workload, identical link budgets.
 #pragma once
 
-#include <cstdint>
 #include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "common/types.h"
@@ -21,16 +21,6 @@ namespace dtn {
 /// Engine-owned context passed to every hook. Provides the clock, the data
 /// registry, the periodically refreshed opportunistic-path tables, a
 /// deterministic RNG stream and the metrics sink.
-///
-/// The sharded engine (sim/shard.h, DESIGN.md §12) constructs one
-/// SimServices per shard for the parallel bound phase: those instances
-/// share the maintenance-built path tables through a read-only view
-/// (set_paths_view), have their RNG repointed to the owner node's derived
-/// stream before every hook, and route the metric mutators into a per-shard
-/// MetricEventLog (set_event_log) instead of the shared collector, tagged
-/// with the event's global sequence number for seq-ordered replay at the
-/// weave. The serial engine and the weave use the plain single-instance
-/// configuration, where every mutator hits the collector directly.
 class SimServices {
  public:
   SimServices(const DataRegistry& registry, Rng& rng, MetricsCollector& metrics)
@@ -44,55 +34,26 @@ class SimServices {
   /// All-pairs shortest opportunistic paths, recomputed from the online
   /// rate estimates at every maintenance tick. Empty before the first tick
   /// (schemes should treat unknown weights as 0).
-  const AllPairsPaths& paths() const {
-    return paths_view_ != nullptr ? *paths_view_ : paths_;
-  }
+  const AllPairsPaths& paths() const { return paths_; }
 
   /// Weight helper tolerating the pre-maintenance empty state.
   double path_weight(NodeId from, NodeId to) const {
-    const AllPairsPaths& p = paths();
-    if (p.empty()) return from == to ? 1.0 : 0.0;
-    return p.weight(from, to);
+    if (paths_.empty()) return from == to ? 1.0 : 0.0;
+    return paths_.weight(from, to);
   }
 
   /// A data copy for `query` reached the requester at the current time.
-  void deliver(const Query& query) {
-    if (event_log_ != nullptr) {
-      event_log_->delivery(event_seq_, query, now_);
-    } else {
-      metrics_->on_delivery(query, now_);
-    }
-  }
+  void deliver(const Query& query) { metrics_->on_delivery(query, now_); }
 
   /// Bandwidth accounting (the engine does not see scheme transfers).
-  void count_bytes(Bytes bytes) {
-    if (event_log_ != nullptr) {
-      event_log_->bytes_transferred(event_seq_, bytes);
-    } else {
-      metrics_->on_bytes_transferred(bytes);
-    }
-  }
+  void count_bytes(Bytes bytes) { metrics_->on_bytes_transferred(bytes); }
 
   /// Cache-replacement accounting: `items` data items moved or dropped.
-  void count_replacement(std::size_t items) {
-    if (event_log_ != nullptr) {
-      event_log_->replacement(event_seq_, items);
-    } else {
-      metrics_->on_replacement(items);
-    }
-  }
-
-  /// Engine-internal direct sink access; bypasses the event log, so scheme
-  /// code must use deliver/count_bytes/count_replacement instead.
-  MetricsCollector& metrics() { return *metrics_; }
+  void count_replacement(std::size_t items) { metrics_->on_replacement(items); }
 
   // Engine-side mutators.
   void set_now(Time now) { now_ = now; }
   void set_paths(AllPairsPaths paths) { paths_ = std::move(paths); }
-  void set_paths_view(const AllPairsPaths* view) { paths_view_ = view; }
-  void set_rng(Rng* rng) { rng_ = rng; }
-  void set_event_log(MetricEventLog* log) { event_log_ = log; }
-  void set_event_seq(std::uint64_t seq) { event_seq_ = seq; }
 
  private:
   Time now_ = 0.0;
@@ -100,28 +61,10 @@ class SimServices {
   Rng* rng_;
   MetricsCollector* metrics_;
   AllPairsPaths paths_;
-  const AllPairsPaths* paths_view_ = nullptr;
-  MetricEventLog* event_log_ = nullptr;
-  std::uint64_t event_seq_ = 0;
 };
 
-/// How a scheme's hooks may be driven by the sharded bound-weave engine
-/// (DESIGN.md §12).
-enum class SchemeConcurrency {
-  /// Hooks may read or write state spanning arbitrary nodes. The sharded
-  /// engine serializes every scheme-visible event of such a scheme into
-  /// the weave, where it runs on the same global RNG stream and in the
-  /// same order as under the serial engine.
-  kGlobal,
-  /// on_contact touches only the two nodes in contact, on_query /
-  /// on_data_generated only the issuing node, plus read-only shared
-  /// context (paths, registry, clock). Such hooks may run concurrently in
-  /// the bound phase on different shards. Contract: metric output goes
-  /// through deliver/count_bytes/count_replacement only (never
-  /// services.metrics()), and randomness comes from services.rng(), which
-  /// the sharded engine points at the owner node's derived stream.
-  kNodeLocal,
-};
+/// Kept only because perfbench/harness.cpp overrides Scheme::concurrency().
+enum class SchemeConcurrency { kGlobal };
 
 /// Base class for all data-access schemes.
 class Scheme {
@@ -130,11 +73,6 @@ class Scheme {
 
   virtual std::string name() const = 0;
 
-  /// Concurrency declaration for the sharded engine. Conservative default:
-  /// treat the scheme as global (fully serialized into the weave). Schemes
-  /// whose per-event hooks are node-local override this to unlock the
-  /// parallel bound phase; on_start/on_maintenance/on_end always run
-  /// serially at barriers either way.
   virtual SchemeConcurrency concurrency() const {
     return SchemeConcurrency::kGlobal;
   }

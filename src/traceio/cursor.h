@@ -9,7 +9,6 @@
 // materialized and streamed runs are the same code path and bit-identical.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,28 +46,6 @@ class VectorContactCursor final : public ContactCursor {
  private:
   const std::vector<ContactEvent>* events_;
   std::size_t index_ = 0;
-};
-
-/// Cursor over a subset of a parent vector, selected by index list (e.g. a
-/// shard's intra-shard feed from shard_contact_feeds, sim/shard.h). The
-/// indices must be sorted if the subset is to honor the cursor ordering
-/// contract. Owns neither; both must outlive the cursor.
-class SubsetContactCursor final : public ContactCursor {
- public:
-  SubsetContactCursor(const std::vector<ContactEvent>& events,
-                      const std::vector<std::uint32_t>& indices)
-      : events_(&events), indices_(&indices) {}
-
-  bool next(ContactEvent& out) override {
-    if (pos_ == indices_->size()) return false;
-    out = (*events_)[(*indices_)[pos_++]];
-    return true;
-  }
-
- private:
-  const std::vector<ContactEvent>* events_;
-  const std::vector<std::uint32_t>* indices_;
-  std::size_t pos_ = 0;
 };
 
 /// Cursor streaming records straight out of a .dtntrace file in O(1)

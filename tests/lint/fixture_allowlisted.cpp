@@ -1,5 +1,5 @@
 // Lint fixture: banned constructs that fixture_allowlist.txt suppresses.
-// NEVER compiled — tools/lint_determinism.py --self-test asserts that these
+// NEVER compiled — `dtnlint --self-test tests/lint` asserts that these
 // hits fire WITHOUT the allowlist and are silent WITH it.
 #include <chrono>
 #include <vector>

@@ -1,6 +1,7 @@
 // Lint fixture: every banned construct in one file. NEVER compiled — this
-// file exists so tools/lint_determinism.py --self-test can assert that each
-// rule fires. Each block below must trip exactly the rule named above it.
+// file exists so `dtnlint --self-test tests/lint` can assert that each
+// legacy rule fires. Each block below must trip exactly the rule named
+// above it.
 #include <chrono>
 #include <cstdlib>
 #include <ctime>

@@ -1,5 +1,5 @@
 // Lint fixture: constructs that LOOK like banned ones but are fine. NEVER
-// compiled — tools/lint_determinism.py --self-test asserts that nothing in
+// compiled — `dtnlint --self-test tests/lint` asserts that nothing in
 // this file is flagged (the false-positive regression suite of the lint).
 #include <algorithm>
 #include <map>

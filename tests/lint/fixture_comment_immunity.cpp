@@ -1,9 +1,9 @@
 // Lint fixture: every banned construct below appears ONLY inside comments,
 // string/char literals, raw strings, or preprocessor lines. NEVER compiled.
-// The lexer-based lint must report nothing here; the retired line-regex
-// implementation false-positived on several of these (most famously banned
-// tokens quoted in comments and strings — which is exactly how this tree's
-// own documentation talks about the rules).
+// `dtnlint --self-test tests/lint` asserts that it reports nothing here;
+// the retired line-regex implementation false-positived on several of these
+// (most famously banned tokens quoted in comments and strings — which is
+// exactly how this tree's own documentation talks about the rules).
 #include <string>
 
 namespace fixture {

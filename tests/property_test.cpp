@@ -19,11 +19,6 @@
 //    mini-traces and experiment configs — bit-identical metrics (the
 //    randomized counterpart of tests/engine_golden_test.cpp's pinned
 //    matrix);
-//  * the shard partitioner (sim/shard.h) on randomized mini-traces — the
-//    plan is a true partition (every node in exactly one shard, every
-//    contact owned by exactly one feed or the cross-shard weave) and the
-//    published epoch bound never exceeds the brute-force minimum gap
-//    between consecutive cross-shard contacts;
 //  * opportunistic path tables on random rate graphs — weights are
 //    monotone non-increasing along every parent chain (the invariant the
 //    sparse engine's frontier pruning is safe by);
@@ -47,7 +42,6 @@
 #include "graph/opportunistic_path.h"
 #include "graph/sparse_metric.h"
 #include "net/buffer.h"
-#include "sim/shard.h"
 #include "tests/proptest.h"
 #include "trace/synthetic.h"
 
@@ -352,95 +346,6 @@ TEST(Property, FastEngineMatchesReferenceOnRandomMiniTraces) {
     expect_stats(fast.queries_satisfied, ref.queries_satisfied);
     expect_stats(fast.gigabytes_transferred, ref.gigabytes_transferred);
     expect_stats(fast.duplicate_deliveries, ref.duplicate_deliveries);
-  });
-}
-
-TEST(Property, ShardPlanPartitionsNodesAndContacts) {
-  // The bound-weave engine's correctness rests on the plan being a true
-  // partition: a node on two shards would run its scheme state from two
-  // threads, and a contact in two feeds (or in a feed AND the weave) would
-  // be simulated twice. Randomized traces and shard counts, checked
-  // against brute force.
-  run_property("shard_plan_partition", 30, [](Rng& rng, int) {
-    SyntheticTraceConfig tc;
-    tc.node_count = static_cast<NodeId>(rng.uniform_int(6, 40));
-    tc.duration = days(rng.uniform(0.25, 1.0));
-    tc.target_total_contacts =
-        static_cast<double>(tc.node_count) *
-        static_cast<double>(rng.uniform_int(10, 80));
-    tc.community_count =
-        rng.bernoulli(0.5) ? static_cast<int>(rng.uniform_int(2, 5)) : 0;
-    tc.seed = rng();
-    const ContactTrace trace = generate_trace(tc);
-    const std::vector<ContactEvent>& contacts = trace.events();
-
-    const int shards = static_cast<int>(rng.uniform_int(1, 8));
-    const ShardPlan plan = build_shard_plan(contacts, tc.node_count, shards);
-
-    // Every node lands on exactly one shard, and that shard exists. The
-    // loads must account for every placed node's contact volume.
-    ASSERT_EQ(plan.shard_count, shards);
-    ASSERT_EQ(plan.node_shard.size(), static_cast<std::size_t>(tc.node_count));
-    for (NodeId n = 0; n < tc.node_count; ++n) {
-      ASSERT_GE(plan.shard_of(n), 0);
-      ASSERT_LT(plan.shard_of(n), shards);
-    }
-
-    // Every contact is owned exactly once: cross-shard contacts belong to
-    // the weave and appear in no feed; intra-shard contacts appear in
-    // exactly one feed — the shard both endpoints live on.
-    const auto feeds = shard_contact_feeds(plan, contacts);
-    ASSERT_EQ(feeds.size(), static_cast<std::size_t>(shards));
-    std::vector<int> owners(contacts.size(), 0);
-    for (int s = 0; s < shards; ++s) {
-      std::uint32_t prev = 0;
-      bool first = true;
-      for (const std::uint32_t idx : feeds[static_cast<std::size_t>(s)]) {
-        ASSERT_LT(idx, contacts.size());
-        if (!first) {
-          ASSERT_GE(idx, prev);  // feeds preserve trace order
-        }
-        prev = idx;
-        first = false;
-        ++owners[idx];
-        const ContactEvent& e = contacts[idx];
-        ASSERT_EQ(plan.shard_of(e.a), s);
-        ASSERT_EQ(plan.shard_of(e.b), s);
-      }
-    }
-    std::size_t intra = 0;
-    std::size_t cross = 0;
-    for (std::size_t i = 0; i < contacts.size(); ++i) {
-      if (plan.cross(contacts[i])) {
-        ASSERT_EQ(owners[i], 0);
-        ++cross;
-      } else {
-        ASSERT_EQ(owners[i], 1);
-        ++intra;
-      }
-    }
-    ASSERT_EQ(plan.intra_contacts, intra);
-    ASSERT_EQ(plan.cross_contacts, cross);
-    ASSERT_EQ(intra + cross, contacts.size());
-
-    // The published epoch bound may never promise more slack than the true
-    // minimum gap between consecutive cross-shard contact starts: an
-    // over-long bound would let shards advance past an unapplied
-    // cross-shard interaction.
-    Time min_gap = kNever;
-    Time prev_start = kNever;
-    for (const ContactEvent& e : contacts) {
-      if (!plan.cross(e)) continue;
-      if (prev_start != kNever) {
-        min_gap = std::min(min_gap, e.start - prev_start);
-      }
-      prev_start = e.start;
-    }
-    if (min_gap == kNever) {
-      ASSERT_EQ(plan.epoch_bound, kNever);
-    } else {
-      ASSERT_LE(plan.epoch_bound, min_gap);
-    }
   });
 }
 

@@ -6,17 +6,16 @@ Usage:
   python3 tools/dtnlint --json PATH         also write a findings artifact
                                             (schema_version 1; '-' = stdout)
   python3 tools/dtnlint --rules a,b         run a subset of rules
-  python3 tools/dtnlint --legacy            run only the seven re-hosted
-                                            lint_determinism rules
+  python3 tools/dtnlint --legacy            run only the seven legacy
+                                            determinism rules
   python3 tools/dtnlint --list-rules        print rule ids and exit
   python3 tools/dtnlint --self-test DIR     run the fixture self-test
-                                            (tests/lint/fixtures/dtnlint)
+                                            over DIR (tests/lint)
   python3 tools/dtnlint --allowlist PATH    override tools/lint_allowlist.txt
 
 On a full-tree run (no explicit FILE arguments) the allowlist itself is
 audited: an entry whose rule ran but that suppressed nothing is reported
-as a `stale-allowlist` finding. `--no-audit-allowlist` disables this (used
-by the lint_determinism.py shim, which runs only the legacy rule subset).
+as a `stale-allowlist` finding. `--no-audit-allowlist` disables this.
 
 Exit status: 0 clean, 1 findings (or self-test failure), 2 usage error.
 """
@@ -79,7 +78,7 @@ def main(argv: list[str]) -> int:
         elif arg == "--self-test":
             i += 1
             if i >= len(argv):
-                print("dtnlint: --self-test needs a fixture directory",
+                print("dtnlint: --self-test needs the lint fixture directory",
                       file=sys.stderr)
                 return 2
             self_test_dir = argv[i]

@@ -96,8 +96,8 @@ class Rule:
 
     rule_id: str = ""
     message: str = ""
-    #: legacy rules came from lint_determinism.py; the compat shim runs
-    #: exactly the legacy set.
+    #: the seven line-regex determinism rules that predate the flow rules;
+    #: `--legacy` runs exactly this set.
     legacy: bool = False
 
     def applies_to(self, rel_path: str) -> bool:

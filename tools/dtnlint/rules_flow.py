@@ -604,8 +604,8 @@ class DaemonSnapshotGuardRule(Rule):
 
 # ---------------------------------------------------------------------------
 # hot-loop-alloc: allocating-container construction inside loop bodies on
-# the engine fast paths. Generalizes the PR 5 vector-in-loop rule (which
-# stays for the legacy shim) to every allocating std container and to
+# the engine fast paths. Generalizes the legacy vector-in-loop rule (which
+# stays in the legacy set) to every allocating std container and to
 # src/sim/, with real scope accuracy: only declarations of owning objects
 # in loop bodies fire — references, pointers, and containers hoisted out
 # of the loop do not. The src/graph/ scope also covers the sparse metric

@@ -1,13 +1,13 @@
-"""The seven PR 2/PR 5 determinism-lint rules, re-hosted on the shared
-lexer and structural parser.
+"""The seven legacy determinism-lint rules, re-hosted on the shared lexer
+and structural parser.
 
-Behaviour is a superset-accurate re-implementation of the old line-regex
-rules in tools/lint_determinism.py with the regex failure modes removed:
-nothing here can fire inside a comment, a string/char literal, or a
-preprocessor line (the lexer never surfaces them), and the scope-based
-rules (unordered-fold, vector-in-loop) use real brace structure instead of
-brace-counting heuristics. tools/lint_determinism.py is now a thin CLI
-shim that runs exactly this set (Rule.legacy == True).
+Behaviour is a superset-accurate re-implementation of the original
+line-regex rules with the regex failure modes removed: nothing here can
+fire inside a comment, a string/char literal, or a preprocessor line (the
+lexer never surfaces them), and the scope-based rules (unordered-fold,
+vector-in-loop) use real brace structure instead of brace-counting
+heuristics. `dtnlint --legacy` runs exactly this set (Rule.legacy == True);
+`dtnlint --self-test` checks it against tests/lint/fixture_*.cpp.
 """
 
 from __future__ import annotations
@@ -217,8 +217,8 @@ class UnorderedFoldRule(Rule):
 
 # ---------------------------------------------------------------------------
 # vector-in-loop: kept with its exact legacy scope (std::vector declared in
-# a loop body, src/graph/ only) for the lint_determinism.py shim and its
-# allowlist entries. dtnlint's hot-loop-alloc (rules_flow.py) generalizes
+# a loop body, src/graph/ only) for its allowlist entries and legacy
+# fixtures. dtnlint's hot-loop-alloc (rules_flow.py) generalizes
 # this to more containers and src/sim/ with the same scope machinery.
 
 def container_decls_in_loops(tu: TranslationUnit, type_words: set[str]):

@@ -1,16 +1,25 @@
 """dtnlint --self-test: prove every rule catches its seeded violations and
 stays silent on the matching clean fixture.
 
-Fixture contract (tests/lint/fixtures/dtnlint/): for every non-legacy rule
-`some-rule` there is a `some_rule_bad.cpp` and a `some_rule_good.cpp`.
+Run as `dtnlint --self-test tests/lint`. Fixture contract:
 
-  * bad fixture: at least one seeded violation of that rule, and — run
-    under the FULL rule set — every finding it produces belongs to that
-    rule (a bad fixture may not smuggle violations of other rules, or a
-    regression in those would hide here).
-  * good fixture: zero findings under the full rule set. Each good
-    fixture repeats its rule's trigger constructs inside comments and
-    string literals, so comment/string immunity is re-proven per rule.
+  * Per-rule fixtures (tests/lint/fixtures/dtnlint/): for every non-legacy
+    rule `some-rule` there is a `some_rule_bad.cpp` and a
+    `some_rule_good.cpp`.
+      - bad fixture: at least one seeded violation of that rule, and — run
+        under the FULL rule set — every finding it produces belongs to
+        that rule (a bad fixture may not smuggle violations of other
+        rules, or a regression in those would hide here).
+      - good fixture: zero findings under the full rule set. Each good
+        fixture repeats its rule's trigger constructs inside comments and
+        string literals, so comment/string immunity is re-proven per rule.
+  * Legacy fixtures (tests/lint/fixture_*.cpp), run under the seven legacy
+    rules only:
+      - fixture_banned.cpp trips every legacy rule;
+      - fixture_clean.cpp and fixture_comment_immunity.cpp trip none;
+      - fixture_allowlisted.cpp is fully suppressed by
+        fixture_allowlist.txt, every entry of which suppresses something,
+        and still fires without it.
 
 The allowlist machinery is self-tested too: a synthetic entry must
 suppress a bad-fixture finding, and a synthetic entry matching nothing
@@ -28,8 +37,53 @@ def _flow_rules():
     return [r for r in engine.all_rules() if not r.legacy]
 
 
-def run(fixture_dir: Path) -> int:
+def _legacy_failures(lint_dir: Path) -> list[str]:
+    rules = engine.legacy_rules()
+    banned = lint_dir / "fixture_banned.cpp"
+    clean = lint_dir / "fixture_clean.cpp"
+    immune = lint_dir / "fixture_comment_immunity.cpp"
+    allowlisted = lint_dir / "fixture_allowlisted.cpp"
+    fixture_allowlist = lint_dir / "fixture_allowlist.txt"
+    missing = [f"missing fixture {f}"
+               for f in (banned, clean, immune, allowlisted, fixture_allowlist)
+               if not f.exists()]
+    if missing:
+        return missing
+
     failures: list[str] = []
+    tripped = {f.rule for f in engine.lint_paths([banned], rules, []).findings}
+    for rule in rules:
+        if rule.rule_id not in tripped:
+            failures.append(
+                f"{banned.name} did not trip legacy rule {rule.rule_id!r}")
+
+    for clean_fixture in (clean, immune):
+        for f in engine.lint_paths([clean_fixture], rules, []).findings:
+            failures.append(
+                f"{clean_fixture.name}:{f.line}: false positive {f.rule!r}: "
+                f"{f.snippet}")
+
+    # One banned hit per fixture-allowlist entry: with the list loaded
+    # everything is suppressed and every entry suppresses something; without
+    # it, something fires.
+    entries = engine.load_allowlist(fixture_allowlist)
+    for f in engine.lint_paths([allowlisted], rules, entries).findings:
+        failures.append(
+            f"{fixture_allowlist.name} failed to suppress {f.rule!r} at "
+            f"{allowlisted.name}:{f.line}")
+    for e in entries:
+        if e.hits == 0:
+            failures.append(
+                f"{fixture_allowlist.name} entry {e.path}:{e.rule} "
+                f"suppressed nothing (stale)")
+    if not engine.lint_paths([allowlisted], rules, []).findings:
+        failures.append(f"{allowlisted.name} contains no hits at all")
+    return failures
+
+
+def run(lint_dir: Path) -> int:
+    failures: list[str] = []
+    fixture_dir = lint_dir / "fixtures" / "dtnlint"
     if not fixture_dir.is_dir():
         print(f"dtnlint self-test: no fixture directory {fixture_dir}")
         return 1
@@ -100,10 +154,13 @@ def run(fixture_dir: Path) -> int:
         failures.append("no bad fixture produced findings for the "
                         "allowlist self-test")
 
+    failures += _legacy_failures(lint_dir)
+
     if failures:
         for f in failures:
             print(f"dtnlint self-test FAIL: {f}")
         return 1
     print(f"dtnlint self-test: OK ({len(flow)} rules x good/bad fixtures, "
+          f"{len(engine.legacy_rules())} legacy rules x legacy fixtures, "
           f"allowlist suppression + staleness audit)")
     return 0

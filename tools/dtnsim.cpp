@@ -9,6 +9,8 @@
 //   dtnsim --trace infocom06 --scheme ncl --k 5 --tl-hours 3
 //   dtnsim --trace path/to/contacts.csv --scheme ncl,nocache --csv
 //   dtnsim --trace rwp --nodes 40 --days 2 --scheme ncl --miss-prob 0.2
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -52,7 +54,6 @@ struct CliOptions {
   bool csv = false;
   bool stats = false;
   int threads = 0;
-  int shards = 1;
   std::string metric_engine = "fast";
   int landmarks = 0;
   std::string landmark_strategy = "uniform";
@@ -88,9 +89,6 @@ struct CliOptions {
       "                   after the run (no-op in DTN_INSTRUMENT=OFF builds)\n"
       "  --threads T      worker threads (0 = all cores, 1 = serial);\n"
       "                   results are identical for every value\n"
-      "  --shards K       event-loop shards for the bound-weave engine\n"
-      "                   (default 1 = classic serial loop); results are\n"
-      "                   identical for every value\n"
       "  --metric-engine E  NCL metric engine: fast|reference|sparse\n"
       "                   (default fast; sparse is the landmark-sampled\n"
       "                   scale tier, DESIGN.md §14)\n"
@@ -114,6 +112,21 @@ std::vector<std::string> split_commas(const std::string& text) {
   return parts;
 }
 
+/// Parses the whole of `text` as a T; anything else (empty, trailing
+/// garbage, out of range) exits 2 naming the flag.
+template <typename T>
+T parse_number(const std::string& flag, const char* text) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || ptr == text) {
+    std::fprintf(stderr, "%s: expected a number, got '%s'\n", flag.c_str(),
+                 text);
+    std::exit(2);
+  }
+  return value;
+}
+
 CliOptions parse(int argc, char** argv) {
   CliOptions options;
   auto next_value = [&](int& i) -> const char* {
@@ -129,62 +142,57 @@ CliOptions parse(int argc, char** argv) {
     } else if (flag == "--no-trace-cache") {
       options.no_trace_cache = true;
     } else if (flag == "--days") {
-      options.days = std::atof(next_value(i));
+      options.days = parse_number<double>(flag, next_value(i));
     } else if (flag == "--nodes") {
-      options.nodes = std::atoi(next_value(i));
+      options.nodes = parse_number<int>(flag, next_value(i));
     } else if (flag == "--scheme") {
       options.schemes = split_commas(next_value(i));
     } else if (flag == "--tl-hours") {
-      options.tl_hours = std::atof(next_value(i));
+      options.tl_hours = parse_number<double>(flag, next_value(i));
     } else if (flag == "--size-mb") {
-      options.size_mb = std::atof(next_value(i));
+      options.size_mb = parse_number<double>(flag, next_value(i));
     } else if (flag == "--k") {
-      options.k = std::atoi(next_value(i));
+      options.k = parse_number<int>(flag, next_value(i));
     } else if (flag == "--reps") {
-      options.reps = std::atoi(next_value(i));
+      options.reps = parse_number<int>(flag, next_value(i));
     } else if (flag == "--seed") {
-      options.seed = std::strtoull(next_value(i), nullptr, 10);
+      options.seed = parse_number<std::uint64_t>(flag, next_value(i));
     } else if (flag == "--zipf") {
-      options.zipf = std::atof(next_value(i));
+      options.zipf = parse_number<double>(flag, next_value(i));
     } else if (flag == "--response") {
       options.response = next_value(i);
     } else if (flag == "--strategy") {
       options.strategy = next_value(i);
     } else if (flag == "--miss-prob") {
-      options.miss_prob = std::atof(next_value(i));
+      options.miss_prob = parse_number<double>(flag, next_value(i));
     } else if (flag == "--dynamic-ncl") {
       options.dynamic_ncl = true;
     } else if (flag == "--threads") {
-      options.threads = std::atoi(next_value(i));
+      options.threads = parse_number<int>(flag, next_value(i));
       if (options.threads < 0) {
         std::fprintf(stderr, "--threads must be >= 0 (0 = all cores)\n");
-        std::exit(2);
-      }
-    } else if (flag == "--shards") {
-      options.shards = std::atoi(next_value(i));
-      if (options.shards < 1) {
-        std::fprintf(stderr, "--shards must be >= 1\n");
         std::exit(2);
       }
     } else if (flag == "--metric-engine") {
       options.metric_engine = next_value(i);
     } else if (flag == "--landmarks") {
-      options.landmarks = std::atoi(next_value(i));
+      options.landmarks = parse_number<int>(flag, next_value(i));
     } else if (flag == "--landmark-strategy") {
       options.landmark_strategy = next_value(i);
     } else if (flag == "--weight-floor") {
-      options.weight_floor = std::atof(next_value(i));
+      options.weight_floor = parse_number<double>(flag, next_value(i));
       if (options.weight_floor < 0.0 || options.weight_floor >= 1.0) {
         std::fprintf(stderr, "--weight-floor must be in [0, 1)\n");
         std::exit(2);
       }
     } else if (flag == "--metric-seed") {
-      options.metric_seed = std::strtoull(next_value(i), nullptr, 10);
+      options.metric_seed = parse_number<std::uint64_t>(flag, next_value(i));
     } else if (flag == "--csv") {
       options.csv = true;
     } else if (flag == "--stats") {
       options.stats = true;
     } else {
+      std::fprintf(stderr, "unknown option '%s'\n", flag.c_str());
       usage(argv[0]);
     }
   }
@@ -284,7 +292,6 @@ int main(int argc, char** argv) {
       std::max(hours(1), config.avg_lifetime / 7.0);
   config.sim.contact_miss_prob = options.miss_prob;
   config.sim.threads = options.threads;
-  config.sim.shards = options.shards;
 
   try {
     config.sim.metric_engine =
@@ -324,6 +331,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Config validation (repetitions, K, ...) happens inside the run.
+  std::vector<ExperimentResult> results;
+  try {
+    results = run_comparison(trace, kinds, config);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
+
   const TraceSummary summary = summarize(*trace);
   if (!options.csv) {
     std::printf("trace %s: %d nodes, %zu contacts, %.1f days; T_L=%s, "
@@ -336,7 +352,7 @@ int main(int argc, char** argv) {
 
   TextTable table({"scheme", "success_ratio", "delay_hours", "copies_per_item",
                    "queries", "replacement_overhead"});
-  for (const ExperimentResult& r : run_comparison(trace, kinds, config)) {
+  for (const ExperimentResult& r : results) {
     table.begin_row();
     table.add_cell(r.scheme);
     table.add_number(r.success_ratio.mean(), 4);

@@ -2,18 +2,17 @@
 # Staged verification pipeline. Every stage is recorded; the script prints a
 # per-stage summary table at the end and exits non-zero if ANY stage failed.
 #
-#   tools/verify.sh                full: tier-1 + lint + dtnlint + clang-tidy + TSan/ASan/UBSan
+#   tools/verify.sh                full: tier-1 + dtnlint + clang-tidy + TSan/ASan/UBSan
 #   tools/verify.sh --fast         skip the sanitizer rebuilds (local iteration)
 #   tools/verify.sh --no-tsan      legacy flag: skip only the TSan stage
 #   tools/verify.sh --stage NAME   run exactly one stage (CI matrix jobs);
-#                                  NAME in tier-1|lint|dtnlint|clang-tidy|tsan|asan|ubsan
+#                                  NAME in tier-1|dtnlint|clang-tidy|tsan|asan|ubsan
 #
 # Stages (see "Verification matrix" in README.md for what each one catches):
 #   tier-1      release build with -Werror + the full ctest suite
-#   lint        tools/lint_determinism.py over src/ + its fixture self-test
-#   dtnlint     the flow-aware static-analysis engine (tools/dtnlint): all
-#               rules over src/ + tools/*.cpp with the allowlist staleness
-#               audit, plus its per-rule good/bad fixture self-test
+#   dtnlint     the static-analysis engine (tools/dtnlint): all rules over
+#               src/ + tools/*.cpp with the allowlist staleness audit, plus
+#               its fixture self-test (per-rule good/bad + legacy fixtures)
 #   clang-tidy  .clang-tidy over every TU (skipped when clang-tidy is absent)
 #   tsan        -fsanitize=thread over the parallel-layer tests
 #   asan        -fsanitize=address over the full ctest suite
@@ -45,8 +44,8 @@ while [[ $# -gt 0 ]]; do
 done
 
 case "$only_stage" in
-  ""|tier-1|lint|dtnlint|clang-tidy|tsan|asan|ubsan) ;;
-  *) echo "unknown stage '$only_stage' (tier-1|lint|dtnlint|clang-tidy|tsan|asan|ubsan)" >&2
+  ""|tier-1|dtnlint|clang-tidy|tsan|asan|ubsan) ;;
+  *) echo "unknown stage '$only_stage' (tier-1|dtnlint|clang-tidy|tsan|asan|ubsan)" >&2
      exit 2 ;;
 esac
 
@@ -114,13 +113,8 @@ stage_tier1() {
   ctest --test-dir build --output-on-failure -j"$test_jobs"
 }
 
-stage_lint() {
-  python3 tools/lint_determinism.py || return 1
-  python3 tools/lint_determinism.py --self-test tests/lint
-}
-
 stage_dtnlint() {
-  python3 tools/dtnlint --self-test tests/lint/fixtures/dtnlint || return 1
+  python3 tools/dtnlint --self-test tests/lint || return 1
   python3 tools/dtnlint --audit-allowlist
 }
 
@@ -137,21 +131,13 @@ stage_tsan() {
   # The tests that hammer the thread pool: proving "parallel == serial
   # bit-for-bit" is only meaningful if the parallel path is also race-free.
   sanitizer_stage thread build-tsan \
-    'ResolveThreads|ParallelFor|ParallelMap|ParallelReduce|DeriveSeed|ThreadPool|Determinism|Sweep|PathGolden|EngineGolden|GoldenFixture|Shard|Daemon'
+    'ResolveThreads|ParallelFor|ParallelMap|ParallelReduce|DeriveSeed|ThreadPool|Determinism|Sweep|PathGolden|EngineGolden|GoldenFixture|Daemon'
 }
 
 stage_asan() { sanitizer_stage address build-asan; }
 stage_ubsan() { sanitizer_stage undefined build-ubsan; }
 
 run_stage "tier-1" stage_tier1
-
-if wanted "lint"; then
-  if command -v python3 >/dev/null 2>&1; then
-    run_stage "lint" stage_lint
-  else
-    record "lint" "SKIP (no python3)"
-  fi
-fi
 
 if wanted "dtnlint"; then
   if command -v python3 >/dev/null 2>&1; then
