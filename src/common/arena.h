@@ -16,9 +16,9 @@
 //    intrusive per-node chain link while a slot is live. Double release is
 //    a DTN_CHECK abort, not silent corruption (tests/check_test.cpp).
 //
-// Both classes are deliberately not thread-safe: one simulation run is one
-// thread (parallelism lives at the sweep/repetition/all-pairs layer), and
-// the pools are owned per scheme instance.
+// Both classes are deliberately not thread-safe: one scheme's run is one
+// thread at a time (parallelism lives at the sweep, (repetition x scheme)
+// cell and all-pairs layers), and the pools are owned per scheme instance.
 #pragma once
 
 #include <cstddef>

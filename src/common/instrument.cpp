@@ -1,6 +1,8 @@
 #include "common/instrument.h"
 
+#include <algorithm>
 #include <array>
+#include <mutex>
 
 #include "common/table.h"
 
@@ -67,15 +69,91 @@ constexpr std::array<const char*, kTimerCount> kTimerNames = {
     "sparse_metrics",
 };
 
-struct Registry {
+/// One thread's counters and timers. Only the owning thread writes them
+/// (a relaxed load and store, no read-modify-write); snapshot() reads them
+/// from any thread. The alignment keeps two threads' slots off one cache
+/// line, so the per-root Dijkstra workers never contend on a counter.
+struct alignas(64) Slot {
   std::array<std::atomic<std::uint64_t>, kCounterCount> counters{};
   std::array<std::atomic<std::uint64_t>, kTimerCount> timer_nanos{};
   std::array<std::atomic<std::uint64_t>, kTimerCount> timer_calls{};
 };
 
+/// Plain totals: what exited threads left behind, and the reset() baseline.
+struct Totals {
+  std::array<std::uint64_t, kCounterCount> counters{};
+  std::array<std::uint64_t, kTimerCount> timer_nanos{};
+  std::array<std::uint64_t, kTimerCount> timer_calls{};
+
+  void add(const Slot& slot) {
+    for (std::size_t i = 0; i < kCounterCount; ++i) {
+      counters[i] += slot.counters[i].load(std::memory_order_relaxed);
+    }
+    for (std::size_t i = 0; i < kTimerCount; ++i) {
+      timer_nanos[i] += slot.timer_nanos[i].load(std::memory_order_relaxed);
+      timer_calls[i] += slot.timer_calls[i].load(std::memory_order_relaxed);
+    }
+  }
+};
+
+struct Registry {
+  std::mutex mutex;
+  std::vector<Slot*> live;  ///< one per thread that has counted and not exited
+  Totals exited;            ///< slots of threads that have exited
+  Totals baseline;          ///< everything counted before the last reset()
+
+  /// Everything counted so far, reset() or not. Caller holds `mutex`.
+  Totals totals_locked() const {
+    Totals t = exited;
+    for (const Slot* slot : live) t.add(*slot);
+    return t;
+  }
+};
+
+/// Never destroyed: pool workers can exit during static destruction (the
+/// global pool is itself a static), and each folds its slot in here.
 Registry& registry() {
-  static Registry instance;
-  return instance;
+  static Registry* const instance = new Registry;
+  return *instance;
+}
+
+/// This thread's slot: registered on the thread's first count, folded into
+/// the exited totals when the thread exits.
+struct SlotOwner {
+  SlotOwner() {
+    Registry& r = registry();
+    const std::lock_guard<std::mutex> lock(r.mutex);
+    r.live.push_back(&slot);
+  }
+  SlotOwner(const SlotOwner&) = delete;
+  SlotOwner& operator=(const SlotOwner&) = delete;
+  ~SlotOwner() {
+    Registry& r = registry();
+    const std::lock_guard<std::mutex> lock(r.mutex);
+    r.exited.add(slot);
+    r.live.erase(std::find(r.live.begin(), r.live.end(), &slot));
+  }
+
+  Slot slot;
+};
+
+// The hot path reads only this trivially initialized pointer; the owner,
+// whose destructor does the fold, is constructed on the first count.
+thread_local Slot* tls_slot = nullptr;
+
+Slot& this_thread_slot() {
+  if (tls_slot == nullptr) {
+    thread_local SlotOwner owner;
+    tls_slot = &owner.slot;
+  }
+  return *tls_slot;
+}
+
+/// Owner-only increment: no other thread writes this slot, so a relaxed
+/// load and store cannot lose an update.
+void bump(std::atomic<std::uint64_t>& cell, std::uint64_t n) {
+  cell.store(cell.load(std::memory_order_relaxed) + n,
+             std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -89,16 +167,13 @@ const char* timer_name(Timer t) {
 }
 
 void add(Counter c, std::uint64_t n) {
-  registry().counters[static_cast<std::size_t>(c)].fetch_add(
-      n, std::memory_order_relaxed);
+  bump(this_thread_slot().counters[static_cast<std::size_t>(c)], n);
 }
 
 void add_time(Timer t, std::uint64_t nanos) {
-  auto& r = registry();
-  r.timer_nanos[static_cast<std::size_t>(t)].fetch_add(
-      nanos, std::memory_order_relaxed);
-  r.timer_calls[static_cast<std::size_t>(t)].fetch_add(
-      1, std::memory_order_relaxed);
+  Slot& slot = this_thread_slot();
+  bump(slot.timer_nanos[static_cast<std::size_t>(t)], nanos);
+  bump(slot.timer_calls[static_cast<std::size_t>(t)], 1);
 }
 
 bool enabled() {
@@ -165,27 +240,35 @@ std::string StageStats::to_string() const {
 }
 
 StageStats snapshot() {
-  const Registry& r = registry();
+  Registry& r = registry();
+  Totals t;
+  Totals base;
+  {
+    const std::lock_guard<std::mutex> lock(r.mutex);
+    t = r.totals_locked();
+    base = r.baseline;
+  }
   StageStats stats;
   stats.counters.reserve(kCounterCount);
   for (std::size_t i = 0; i < kCounterCount; ++i) {
     stats.counters.push_back(
-        {kCounterNames[i], r.counters[i].load(std::memory_order_relaxed)});
+        {kCounterNames[i], t.counters[i] - base.counters[i]});
   }
   stats.timers.reserve(kTimerCount);
   for (std::size_t i = 0; i < kTimerCount; ++i) {
-    stats.timers.push_back(
-        {kTimerNames[i], r.timer_calls[i].load(std::memory_order_relaxed),
-         r.timer_nanos[i].load(std::memory_order_relaxed)});
+    stats.timers.push_back({kTimerNames[i],
+                            t.timer_calls[i] - base.timer_calls[i],
+                            t.timer_nanos[i] - base.timer_nanos[i]});
   }
   return stats;
 }
 
 void reset() {
+  // Slots belong to their threads, so reset() moves the baseline instead
+  // of zeroing them.
   Registry& r = registry();
-  for (auto& c : r.counters) c.store(0, std::memory_order_relaxed);
-  for (auto& t : r.timer_nanos) t.store(0, std::memory_order_relaxed);
-  for (auto& t : r.timer_calls) t.store(0, std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> lock(r.mutex);
+  r.baseline = r.totals_locked();
 }
 
 }  // namespace dtn::instrument

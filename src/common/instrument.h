@@ -15,9 +15,12 @@
 //  * Observation never feeds back: nothing in the simulator reads a counter
 //    or a timer, so instrumentation cannot perturb determinism — ctest
 //    output is byte-identical with DTN_INSTRUMENT=ON and OFF.
-//  * Thread-safe by construction: counters are relaxed atomics, safe to
-//    bump from inside parallel_for workers; totals are exact because
-//    increments are atomic, only their interleaving is unordered.
+//  * One slot per thread: each thread counts into its own cache-line-
+//    aligned slot, which only it writes. snapshot() sums the live slots
+//    and the totals of threads that have exited, so counts made inside
+//    parallel_for workers are exact, and no two workers share a counter's
+//    cache line (a shared atomic kept the per-root path build from scaling
+//    past one thread; DESIGN.md §7).
 //  * Zero overhead when off: building with -DDTN_INSTRUMENT=OFF (which
 //    defines DTN_INSTRUMENT_OFF) compiles the DTN_COUNT / DTN_SCOPED_TIMER
 //    macros to nothing. The registry API below stays available so tools
@@ -52,7 +55,7 @@ enum class Counter : int {
   kReplacementItemsPooled,      ///< items pooled across all exchanges
   kBufferEvictions,             ///< cache entries evicted or dropped
   kContactsProcessed,           ///< contact events handed to a scheme
-  kMaintenanceTicks,            ///< periodic maintenance invocations
+  kMaintenanceTicks,            ///< maintenance ticks handed to a scheme
   kExperimentRepetitions,       ///< experiment repetitions completed
   kSweepCells,                  ///< sweep grid cells completed
   kTraceContactsDecoded,        ///< contacts decoded by trace readers
@@ -80,7 +83,7 @@ enum class Counter : int {
 /// Wall-time stages. timer_name gives the stable JSON identifiers.
 enum class Timer : int {
   kSimulation,        ///< run_simulation, end to end
-  kMaintenance,       ///< per maintenance tick (AllPairs rebuild + scheme)
+  kMaintenance,       ///< per tick handed to a scheme (hooks + sampling)
   kContacts,          ///< per contact event handed to the scheme
   kAllPairs,          ///< AllPairsPaths construction
   kDijkstra,          ///< one compute_opportunistic_paths call
@@ -88,7 +91,7 @@ enum class Timer : int {
   kCalibrateHorizon,  ///< adaptive horizon bisection
   kKnapsack,          ///< solve_knapsack (Eq. 7 DP)
   kReplacementPlan,   ///< plan_replacement (Algorithm 1)
-  kExperiment,        ///< run_experiment, end to end
+  kExperiment,        ///< run_experiment / run_comparison, end to end
   kSweep,             ///< run_sweep over the whole grid
   kTraceLoad,         ///< load_trace_any, end to end (parse or cache load)
   kDaemonRepair,      ///< one daemon repair batch (drift scan -> publish)
@@ -99,7 +102,7 @@ enum class Timer : int {
 const char* counter_name(Counter c);
 const char* timer_name(Timer t);
 
-/// Adds n to a counter. Relaxed atomic: safe from any thread.
+/// Adds n to a counter. Safe from any thread: it adds to its own slot.
 void add(Counter c, std::uint64_t n);
 
 /// Records one timed interval of `nanos` against a stage timer.
@@ -137,10 +140,11 @@ struct StageStats {
   std::string to_string() const;
 };
 
-/// Copies the current registry.
+/// Every thread's counts since the last reset(), exited threads included.
 StageStats snapshot();
 
-/// Zeroes every counter and timer (test/bench isolation).
+/// Zeroes every counter and timer, for live and exited threads alike
+/// (test/bench isolation).
 void reset();
 
 /// RAII wall-clock timer. Construct-to-destruct time is charged to the

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/instrument.h"
-#include "common/parallel.h"
 #include "baselines/bundle_cache.h"
 #include "baselines/cache_data.h"
 #include "baselines/no_cache.h"
@@ -115,98 +114,108 @@ std::unique_ptr<Scheme> make_scheme(SchemeKind kind,
   throw std::logic_error("unknown scheme kind");
 }
 
-ExperimentResult run_experiment(const ContactTrace& trace, SchemeKind kind,
-                                const ExperimentConfig& config,
-                                const WarmupContext* warmup) {
+namespace {
+
+/// Runs every kind over config.repetitions repetitions as the lanes of one
+/// simulation: each repetition draws its workload and buffers once, and its
+/// schemes share that repetition's contact stream and path tables. Results
+/// come back in `kinds` order, each folded in repetition order, so they are
+/// bit-identical to running each kind alone at any thread count.
+std::vector<ExperimentResult> run_cells(const ContactTrace& trace,
+                                        const std::vector<SchemeKind>& kinds,
+                                        const ExperimentConfig& config,
+                                        const WarmupContext& warmup) {
   if (config.repetitions < 1) throw std::invalid_argument("repetitions >= 1");
   DTN_SCOPED_TIMER(kExperiment);
 
-  ExperimentResult result;
-  result.scheme = scheme_kind_name(kind);
-
   const Time warmup_end = trace.start_time() + trace.duration() / 2.0;
+  const NclSelection ncls = select_ncls(warmup.graph, warmup.horizon,
+                                        config.ncl_count, config.sim.max_hops,
+                                        config.sim.threads,
+                                        config.sim.metric_engine,
+                                        config.sim.sparse_metric);
+
+  // Everything a replay touches is built here, on the calling thread.
+  // Each repetition derives its own seeds from the rep index.
+  const std::size_t reps = static_cast<std::size_t>(config.repetitions);
+  std::vector<Workload> workloads;
+  workloads.reserve(reps);
+  std::vector<std::unique_ptr<Scheme>> schemes;
+  schemes.reserve(reps * kinds.size());
+  std::vector<SimLane> lanes(reps);
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    const std::uint64_t rep_seed =
+        config.seed + 0x9E3779B9ULL * static_cast<std::uint64_t>(rep + 1);
+
+    WorkloadConfig wc;
+    wc.start = warmup_end;
+    wc.end = trace.end_time();
+    wc.avg_lifetime = config.avg_lifetime;
+    wc.generation_prob = config.generation_prob;
+    wc.avg_size = config.avg_data_size;
+    wc.zipf_exponent = config.zipf_exponent;
+    wc.query_constraint_factor = config.query_constraint_factor;
+    wc.seed = rep_seed;
+    workloads.push_back(generate_workload(wc, trace.node_count()));
+
+    const std::vector<Bytes> buffers = draw_buffer_capacities(
+        config, trace.node_count(), rep_seed ^ 0xB0FFu);
+    SimLane& lane = lanes[rep];
+    lane.workload = &workloads.back();
+    lane.seed = rep_seed ^ 0x51Au;
+    for (SchemeKind kind : kinds) {
+      schemes.push_back(make_scheme(kind, config, ncls, buffers));
+      lane.schemes.push_back(schemes.back().get());
+    }
+  }
+
+  SimConfig sc = config.sim;
+  sc.path_horizon = warmup.horizon;
+  const std::vector<std::vector<RunResult>> runs =
+      run_simulation(trace, lanes, sc);
+
+  std::vector<ExperimentResult> results(kinds.size());
+  for (std::size_t k = 0; k < kinds.size(); ++k) {
+    ExperimentResult& result = results[k];
+    result.scheme = scheme_kind_name(kinds[k]);
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      const MetricsCollector& m = runs[rep][k].metrics;
+      const double success_ratio = m.success_ratio();
+      const bool has_delay = m.queries_satisfied() > 0;
+      const double delay_hours = has_delay ? m.mean_delay() / 3600.0 : 0.0;
+      // Fold only sane repetition outcomes: one NaN here would silently
+      // poison every aggregated statistic of the experiment.
+      DTN_CHECK_PROB(success_ratio);
+      DTN_CHECK_FINITE(delay_hours);
+      DTN_CHECK_FINITE(m.mean_copies());
+      DTN_CHECK_FINITE(m.replacement_overhead());
+      result.success_ratio.add(success_ratio);
+      if (has_delay) result.delay_hours.add(delay_hours);
+      result.copies_per_item.add(m.mean_copies());
+      result.replacement_overhead.add(m.replacement_overhead());
+      result.queries_issued.add(static_cast<double>(m.queries_issued()));
+      result.queries_satisfied.add(static_cast<double>(m.queries_satisfied()));
+      result.gigabytes_transferred.add(
+          static_cast<double>(m.bytes_transferred()) / 1e9);
+      result.duplicate_deliveries.add(
+          static_cast<double>(m.duplicate_deliveries()));
+      DTN_COUNT(kExperimentRepetitions);
+    }
+  }
+  return results;
+}
+
+}  // namespace
+
+ExperimentResult run_experiment(const ContactTrace& trace, SchemeKind kind,
+                                const ExperimentConfig& config,
+                                const WarmupContext* warmup) {
   std::optional<WarmupContext> local;
   if (warmup == nullptr) {
     local.emplace(make_warmup_context(trace, config));
     warmup = &*local;
   }
-  const ContactGraph& graph = warmup->graph;
-  const Time horizon = warmup->horizon;
-  const NclSelection ncls = select_ncls(graph, horizon, config.ncl_count,
-                                        config.sim.max_hops,
-                                        config.sim.threads,
-                                        config.sim.metric_engine,
-                                        config.sim.sparse_metric);
-
-  // Repetitions are independent (each derives its own seeds from the rep
-  // index), so they run on the thread pool; the fold below accumulates the
-  // per-rep outcomes in rep order, keeping the aggregated statistics
-  // bit-identical to the serial path for every thread count.
-  struct RepOutcome {
-    double success_ratio, delay_hours, copies, replacement;
-    double issued, satisfied, gigabytes, duplicates;
-    bool has_delay;
-  };
-  const std::size_t reps = static_cast<std::size_t>(config.repetitions);
-  const std::vector<RepOutcome> outcomes = parallel_map(
-      config.sim.threads, reps, [&](std::size_t rep) {
-        const std::uint64_t rep_seed =
-            config.seed + 0x9E3779B9ULL * static_cast<std::uint64_t>(rep + 1);
-
-        WorkloadConfig wc;
-        wc.start = warmup_end;
-        wc.end = trace.end_time();
-        wc.avg_lifetime = config.avg_lifetime;
-        wc.generation_prob = config.generation_prob;
-        wc.avg_size = config.avg_data_size;
-        wc.zipf_exponent = config.zipf_exponent;
-        wc.query_constraint_factor = config.query_constraint_factor;
-        wc.seed = rep_seed;
-        const Workload workload = generate_workload(wc, trace.node_count());
-
-        std::vector<Bytes> buffers = draw_buffer_capacities(
-            config, trace.node_count(), rep_seed ^ 0xB0FFu);
-        std::unique_ptr<Scheme> scheme =
-            make_scheme(kind, config, ncls, std::move(buffers));
-
-        SimConfig sc = config.sim;
-        sc.path_horizon = horizon;
-        sc.seed = rep_seed ^ 0x51Au;
-        const RunResult run = run_simulation(trace, workload, *scheme, sc);
-
-        RepOutcome o;
-        o.success_ratio = run.metrics.success_ratio();
-        o.has_delay = run.metrics.queries_satisfied() > 0;
-        o.delay_hours = o.has_delay ? run.metrics.mean_delay() / 3600.0 : 0.0;
-        o.copies = run.metrics.mean_copies();
-        o.replacement = run.metrics.replacement_overhead();
-        o.issued = static_cast<double>(run.metrics.queries_issued());
-        o.satisfied = static_cast<double>(run.metrics.queries_satisfied());
-        o.gigabytes =
-            static_cast<double>(run.metrics.bytes_transferred()) / 1e9;
-        o.duplicates =
-            static_cast<double>(run.metrics.duplicate_deliveries());
-        DTN_COUNT(kExperimentRepetitions);
-        return o;
-      });
-
-  for (const RepOutcome& o : outcomes) {
-    // Fold only sane repetition outcomes: one NaN here would silently
-    // poison every aggregated statistic of the experiment.
-    DTN_CHECK_PROB(o.success_ratio);
-    DTN_CHECK_FINITE(o.delay_hours);
-    DTN_CHECK_FINITE(o.copies);
-    DTN_CHECK_FINITE(o.replacement);
-    result.success_ratio.add(o.success_ratio);
-    if (o.has_delay) result.delay_hours.add(o.delay_hours);
-    result.copies_per_item.add(o.copies);
-    result.replacement_overhead.add(o.replacement);
-    result.queries_issued.add(o.issued);
-    result.queries_satisfied.add(o.satisfied);
-    result.gigabytes_transferred.add(o.gigabytes);
-    result.duplicate_deliveries.add(o.duplicates);
-  }
-  return result;
+  return std::move(run_cells(trace, {kind}, config, *warmup).front());
 }
 
 ExperimentResult run_experiment(
@@ -220,12 +229,8 @@ std::vector<ExperimentResult> run_comparison(
     const ContactTrace& trace, const std::vector<SchemeKind>& kinds,
     const ExperimentConfig& config) {
   const WarmupContext warmup = make_warmup_context(trace, config);
-  std::vector<ExperimentResult> results;
-  results.reserve(kinds.size());
-  for (SchemeKind kind : kinds) {
-    results.push_back(run_experiment(trace, kind, config, &warmup));
-  }
-  return results;
+  if (kinds.empty()) return {};
+  return run_cells(trace, kinds, config, warmup);
 }
 
 std::vector<ExperimentResult> run_comparison(

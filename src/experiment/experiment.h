@@ -128,9 +128,11 @@ ExperimentResult run_experiment(
     const std::shared_ptr<const ContactTrace>& trace, SchemeKind kind,
     const ExperimentConfig& config);
 
-/// Convenience: run several schemes on the same trace and identical
-/// workloads. The warm-up context is computed once and shared across
-/// schemes.
+/// Runs several schemes on the same trace and identical workloads. The
+/// warm-up context, the NCL selection and each repetition's workload,
+/// buffers and per-tick path tables are computed once and shared across
+/// schemes; the (repetition x scheme) cells replay on the thread pool.
+/// Results equal run_experiment's for each kind, at every thread count.
 std::vector<ExperimentResult> run_comparison(
     const ContactTrace& trace, const std::vector<SchemeKind>& kinds,
     const ExperimentConfig& config);

@@ -1,12 +1,15 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <deque>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/instrument.h"
+#include "common/parallel.h"
 #include "graph/contact_graph.h"
 
 namespace dtn {
@@ -94,127 +97,315 @@ std::vector<SimConfig::Downtime> random_downtimes(NodeId node_count,
   return result;
 }
 
+namespace {
+
+/// A lane's queue ends after a tick or at this many events, whichever comes
+/// first. Bounding it keeps a lane's memory flat between far-apart ticks;
+/// the value changes no output.
+constexpr std::size_t kLaneQueueEvents = 4096;
+
+/// One event the schemes of a lane must see, in timeline order.
+struct LaneEvent {
+  enum class Kind : std::uint8_t { kTick, kWork, kContact };
+  Kind kind = Kind::kTick;
+  NodeId a = kNoNode;  ///< contact endpoints
+  NodeId b = kNoNode;
+  Time time = 0.0;
+  /// Contact link budget in bytes, or the workload event index.
+  std::int64_t value = 0;
+};
+
+/// One repetition's contact stream: failure injection, rate estimation and
+/// the path table of each tick, computed once for all its schemes.
+class Lane {
+ public:
+  Lane(traceio::ContactCursor& contacts, Time trace_end_hint,
+       const Workload& workload, std::uint64_t seed, NodeId node_count,
+       const SimConfig& config)
+      : contacts_(&contacts),
+        workload_(&workload),
+        // Failure injection uses its own stream so enabling it does not
+        // perturb the schemes' random decisions.
+        failure_rng_(seed ^ 0xFA11FA11FA11FA11ULL),
+        estimator_(std::max<NodeId>(node_count, 2), config.rate_decay),
+        trace_end_hint_(trace_end_hint) {
+    // One-event lookahead over the contact stream; O(1) contact memory.
+    has_pending_ = contacts_->next(pending_);
+    latest_contact_end_ = has_pending_ ? pending_.end() : 0.0;
+    // The data-access phase starts at the first workload event; maintenance
+    // ticks start there too (the administrator has already selected NCLs
+    // from warm-up data before the schemes were constructed).
+    const auto& work = workload.events();
+    phase_start_ = work.empty() ? trace_end_hint : work.front().time;
+    next_maintenance_ = phase_start_;
+    queue_.reserve(kLaneQueueEvents);
+  }
+
+  const Workload& workload() const { return *workload_; }
+  const std::vector<LaneEvent>& queue() const { return queue_; }
+  const std::shared_ptr<const AllPairsPaths>& paths() const { return paths_; }
+
+  /// True once the stream is consumed: the current queue is the last.
+  bool exhausted() const { return exhausted_; }
+
+  /// When the final sampling happens (on_end).
+  Time end_time() const {
+    return std::max({trace_end_hint_, latest_contact_end_, phase_start_});
+  }
+
+  /// Replaces the queue with the next stretch of the timeline: up to and
+  /// including the next tick, or kLaneQueueEvents events. A tick builds its
+  /// table here, on the calling thread, so the per-root build can use the
+  /// pool.
+  void fill(const DowntimeIndex& downtime, const SimConfig& config) {
+    queue_.clear();
+    const auto& work = workload_->events();
+    while (has_pending_ || wi_ < work.size()) {
+      const Time t_contact = has_pending_ ? pending_.start : kNever;
+      const Time t_work = wi_ < work.size() ? work[wi_].time : kNever;
+      const Time t_next = std::min(t_contact, t_work);
+
+      // A tick due before the next event ends the queue.
+      if (next_maintenance_ <= t_next && next_maintenance_ != kNever) {
+        paths_ = std::make_shared<const AllPairsPaths>(
+            estimator_.snapshot(next_maintenance_,
+                                config.min_contacts_for_rate),
+            config.path_horizon, config.max_hops, config.threads,
+            config.path_engine);
+        queue_.push_back({LaneEvent::Kind::kTick, kNoNode, kNoNode,
+                          next_maintenance_, 0});
+        started_ = true;
+        next_maintenance_ += config.maintenance_interval;
+        return;
+      }
+
+      // Workload events take precedence at equal times so that data exists
+      // before a same-instant contact can push it.
+      if (t_work <= t_contact) {
+        queue_.push_back({LaneEvent::Kind::kWork, kNoNode, kNoNode, t_work,
+                          static_cast<std::int64_t>(wi_++)});
+      } else {
+        const ContactEvent e = pending_;
+        has_pending_ = contacts_->next(pending_);
+        if (has_pending_) {
+          // Cursor contract: contacts arrive in start-time order (a trace is
+          // sorted by construction; a corrupt stream must not be folded in).
+          DTN_CHECK_GE(pending_.start, e.start);
+          latest_contact_end_ = std::max(latest_contact_end_, pending_.end());
+        }
+        // Failure injection: missed contacts and down nodes never happen, as
+        // far as anyone (including the rate estimator) can tell.
+        if (config.contact_miss_prob > 0.0 &&
+            failure_rng_.bernoulli(config.contact_miss_prob)) {
+          continue;
+        }
+        if (downtime.down(e.a, e.start) || downtime.down(e.b, e.start)) {
+          continue;
+        }
+        estimator_.record_contact(e.a, e.b, e.start);
+        if (e.start >= phase_start_ && started_) {
+          queue_.push_back(
+              {LaneEvent::Kind::kContact, e.a, e.b, e.start,
+               static_cast<Bytes>(
+                   e.duration *
+                   static_cast<double>(config.bandwidth_per_second))});
+        }
+      }
+      if (queue_.size() == kLaneQueueEvents) return;
+    }
+    exhausted_ = true;
+  }
+
+ private:
+  traceio::ContactCursor* contacts_;
+  const Workload* workload_;
+  Rng failure_rng_;
+  RateEstimator estimator_;
+  Time trace_end_hint_;
+  ContactEvent pending_;
+  bool has_pending_ = false;
+  Time latest_contact_end_ = 0.0;
+  Time phase_start_ = 0.0;
+  Time next_maintenance_ = 0.0;
+  bool started_ = false;
+  bool exhausted_ = false;
+  std::size_t wi_ = 0;  ///< next workload event
+  /// The newest tick's table. The lane's schemes hold the previous one
+  /// until they replay the tick, so at most two tables are alive per lane.
+  std::shared_ptr<const AllPairsPaths> paths_;
+  std::vector<LaneEvent> queue_;
+};
+
+/// One (lane, scheme) pair: the scheme's own RNG stream, metrics and
+/// services, fed by the lane's queues.
+class Cell {
+ public:
+  Cell(const Lane& lane, Scheme& scheme, RunResult& result, std::uint64_t seed)
+      : lane_(&lane),
+        scheme_(&scheme),
+        result_(&result),
+        rng_(seed),
+        services_(lane.workload().registry(), rng_, result.metrics) {
+    result.metrics.set_data_count(lane.workload().data_count());
+  }
+
+  Cell(const Cell&) = delete;
+  Cell& operator=(const Cell&) = delete;
+
+  /// True once on_end has run.
+  bool done() const { return done_; }
+
+  /// Replays the lane's current queue, then on_end after the last one.
+  void replay() {
+    const Workload& workload = lane_->workload();
+    for (const LaneEvent& e : lane_->queue()) {
+      switch (e.kind) {
+        case LaneEvent::Kind::kTick:
+          tick(e.time);
+          break;
+        case LaneEvent::Kind::kWork: {
+          const WorkloadEvent& w =
+              workload.events()[static_cast<std::size_t>(e.value)];
+          services_.set_now(e.time);
+          if (w.kind == WorkloadEvent::Kind::kDataGenerated) {
+            scheme_->on_data_generated(services_,
+                                       workload.registry().get(w.data));
+          } else {
+            result_->metrics.on_query_issued(w.query);
+            scheme_->on_query(services_, w.query);
+          }
+          break;
+        }
+        case LaneEvent::Kind::kContact: {
+          DTN_SCOPED_TIMER(kContacts);
+          DTN_COUNT(kContactsProcessed);
+          services_.set_now(e.time);
+          LinkBudget budget(e.value);
+          scheme_->on_contact(services_, e.a, e.b, budget);
+          ++result_->contacts_processed;
+          break;
+        }
+      }
+    }
+    if (lane_->exhausted()) {
+      // Final maintenance/sampling at the end of the timeline.
+      services_.set_now(lane_->end_time());
+      scheme_->on_end(services_);
+      done_ = true;
+    }
+  }
+
+ private:
+  void tick(Time now) {
+    DTN_SCOPED_TIMER(kMaintenance);
+    DTN_COUNT(kMaintenanceTicks);
+    services_.set_now(now);
+    services_.set_paths(lane_->paths());
+    if (!started_) {
+      scheme_->on_start(services_);
+      started_ = true;
+    }
+    scheme_->on_maintenance(services_);
+    const std::size_t alive = lane_->workload().registry().alive_count(now);
+    if (alive > 0) {
+      result_->metrics.sample_copy_count(
+          static_cast<double>(scheme_->cached_copies(now)) /
+          static_cast<double>(alive));
+    }
+    ++result_->maintenance_ticks;
+  }
+
+  const Lane* lane_;
+  Scheme* scheme_;
+  RunResult* result_;
+  Rng rng_;
+  SimServices services_;
+  bool started_ = false;
+  bool done_ = false;
+};
+
+/// The one event loop. Each round fills every unfinished lane's queue on the
+/// calling thread, then replays all unfinished cells on the pool. A cell's
+/// hooks run in timeline order, exactly as if its scheme ran alone.
+std::vector<std::vector<RunResult>> run_lanes(
+    const std::vector<traceio::ContactCursor*>& cursors, NodeId node_count,
+    Time trace_end_hint, const std::vector<SimLane>& lanes,
+    const SimConfig& config) {
+  validate_sim_config(config);
+  for (const SimLane& lane : lanes) {
+    if (lane.workload == nullptr) {
+      throw std::invalid_argument("simulation lane without a workload");
+    }
+    for (const Scheme* scheme : lane.schemes) {
+      if (scheme == nullptr) {
+        throw std::invalid_argument("simulation lane with a null scheme");
+      }
+    }
+  }
+  DTN_SCOPED_TIMER(kSimulation);
+
+  const DowntimeIndex downtime(config.node_downtime, node_count);
+  std::vector<std::vector<RunResult>> results(lanes.size());
+  // Cells point into lanes and results, so neither may move.
+  std::deque<Lane> lane_state;
+  std::deque<Cell> cells;
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    if (lanes[l].schemes.empty()) continue;
+    const Lane& lane =
+        lane_state.emplace_back(*cursors[l], trace_end_hint,
+                                *lanes[l].workload, lanes[l].seed, node_count,
+                                config);
+    results[l].resize(lanes[l].schemes.size());
+    for (std::size_t i = 0; i < lanes[l].schemes.size(); ++i) {
+      cells.emplace_back(lane, *lanes[l].schemes[i], results[l][i],
+                         lanes[l].seed);
+    }
+  }
+
+  std::vector<Cell*> round;
+  round.reserve(cells.size());
+  for (;;) {
+    round.clear();
+    for (Cell& cell : cells) {
+      if (!cell.done()) round.push_back(&cell);
+    }
+    if (round.empty()) break;
+    for (Lane& lane : lane_state) {
+      if (!lane.exhausted()) lane.fill(downtime, config);
+    }
+    parallel_for(config.threads, round.size(),
+                 [&](std::size_t i) { round[i]->replay(); });
+  }
+  return results;
+}
+
+}  // namespace
+
 RunResult run_simulation(const ContactTrace& trace, const Workload& workload,
                          Scheme& scheme, const SimConfig& config) {
-  traceio::VectorContactCursor contacts(trace.events());
-  return run_simulation(contacts, trace.node_count(), trace.end_time(),
-                        workload, scheme, config);
+  return std::move(
+      run_simulation(trace, {SimLane{&workload, {&scheme}, config.seed}},
+                     config)[0][0]);
 }
 
 RunResult run_simulation(traceio::ContactCursor& contacts, NodeId node_count,
                          Time trace_end_hint, const Workload& workload,
                          Scheme& scheme, const SimConfig& config) {
-  validate_sim_config(config);
-  DTN_SCOPED_TIMER(kSimulation);
+  return std::move(run_lanes({&contacts}, node_count, trace_end_hint,
+                             {SimLane{&workload, {&scheme}, config.seed}},
+                             config)[0][0]);
+}
 
-  RunResult result;
-  Rng rng(config.seed);
-  // Failure injection uses its own stream so enabling it does not perturb
-  // the scheme's random decisions.
-  Rng failure_rng(config.seed ^ 0xFA11FA11FA11FA11ULL);
-  const DowntimeIndex downtime(config.node_downtime, node_count);
-  SimServices services(workload.registry(), rng, result.metrics);
-  result.metrics.set_data_count(workload.data_count());
-
-  RateEstimator estimator(std::max<NodeId>(node_count, 2),
-                          config.rate_decay);
-
-  const auto& work = workload.events();
-
-  // One-event lookahead over the contact stream; O(1) contact memory.
-  ContactEvent pending;
-  bool has_pending = contacts.next(pending);
-  Time latest_contact_end = has_pending ? pending.end() : 0.0;
-
-  // The data-access phase starts at the first workload event; maintenance
-  // ticks start there too (the administrator has already selected NCLs from
-  // warm-up data before the scheme was constructed).
-  const Time phase_start = work.empty() ? trace_end_hint : work.front().time;
-  Time next_maintenance = phase_start;
-  bool started = false;
-
-  auto run_maintenance = [&](Time now) {
-    DTN_SCOPED_TIMER(kMaintenance);
-    DTN_COUNT(kMaintenanceTicks);
-    services.set_now(now);
-    services.set_paths(AllPairsPaths(
-        estimator.snapshot(now, config.min_contacts_for_rate),
-        config.path_horizon, config.max_hops, config.threads,
-        config.path_engine));
-    if (!started) {
-      scheme.on_start(services);
-      started = true;
-    }
-    scheme.on_maintenance(services);
-    const std::size_t alive = workload.registry().alive_count(now);
-    if (alive > 0) {
-      result.metrics.sample_copy_count(
-          static_cast<double>(scheme.cached_copies(now)) /
-          static_cast<double>(alive));
-    }
-    ++result.maintenance_ticks;
-  };
-
-  std::size_t wi = 0;  // next workload event
-  while (has_pending || wi < work.size()) {
-    const Time t_contact = has_pending ? pending.start : kNever;
-    const Time t_work = wi < work.size() ? work[wi].time : kNever;
-    const Time t_next = std::min(t_contact, t_work);
-
-    // Fire any maintenance ticks due before the next event.
-    while (next_maintenance <= t_next && next_maintenance != kNever) {
-      run_maintenance(next_maintenance);
-      next_maintenance += config.maintenance_interval;
-    }
-
-    // Workload events take precedence at equal times so that data exists
-    // before a same-instant contact can push it.
-    if (t_work <= t_contact) {
-      const WorkloadEvent& e = work[wi++];
-      services.set_now(e.time);
-      if (e.kind == WorkloadEvent::Kind::kDataGenerated) {
-        scheme.on_data_generated(services, workload.registry().get(e.data));
-      } else {
-        result.metrics.on_query_issued(e.query);
-        scheme.on_query(services, e.query);
-      }
-    } else {
-      const ContactEvent e = pending;
-      has_pending = contacts.next(pending);
-      if (has_pending) {
-        // Cursor contract: contacts arrive in start-time order (a trace is
-        // sorted by construction; a corrupt stream must not be folded in).
-        DTN_CHECK_GE(pending.start, e.start);
-        latest_contact_end = std::max(latest_contact_end, pending.end());
-      }
-      // Failure injection: missed contacts and down nodes never happen, as
-      // far as anyone (including the rate estimator) can tell.
-      if (config.contact_miss_prob > 0.0 &&
-          failure_rng.bernoulli(config.contact_miss_prob)) {
-        continue;
-      }
-      if (downtime.down(e.a, e.start) || downtime.down(e.b, e.start)) {
-        continue;
-      }
-      estimator.record_contact(e.a, e.b, e.start);
-      if (e.start >= phase_start && started) {
-        DTN_SCOPED_TIMER(kContacts);
-        DTN_COUNT(kContactsProcessed);
-        services.set_now(e.start);
-        LinkBudget budget(static_cast<Bytes>(
-            e.duration * static_cast<double>(config.bandwidth_per_second)));
-        scheme.on_contact(services, e.a, e.b, budget);
-        ++result.contacts_processed;
-      }
-    }
-  }
-
-  // Final maintenance/sampling at the end of the timeline.
-  const Time end_time =
-      std::max({trace_end_hint, latest_contact_end, phase_start});
-  services.set_now(end_time);
-  scheme.on_end(services);
-  return result;
+std::vector<std::vector<RunResult>> run_simulation(
+    const ContactTrace& trace, const std::vector<SimLane>& lanes,
+    const SimConfig& config) {
+  std::vector<traceio::VectorContactCursor> streams(
+      lanes.size(), traceio::VectorContactCursor(trace.events()));
+  std::vector<traceio::ContactCursor*> cursors;
+  cursors.reserve(streams.size());
+  for (auto& stream : streams) cursors.push_back(&stream);
+  return run_lanes(cursors, trace.node_count(), trace.end_time(), lanes,
+                   config);
 }
 
 }  // namespace dtn

@@ -1,10 +1,18 @@
 // The discrete-event simulation engine.
 //
-// Drives a Scheme over the merged timeline of trace contacts and workload
+// Drives schemes over the merged timeline of trace contacts and workload
 // events. Contact rates are estimated online from the very beginning of the
 // trace (warm-up included); at every maintenance tick the engine refreshes
 // the all-pairs opportunistic path tables from the current estimates and
 // samples the caching-overhead metric.
+//
+// The tables depend only on the contact stream, the failure injection and
+// the tick grid, never on the scheme. So a run is organised in lanes (one
+// per repetition): a lane reads its contact stream and builds each tick's
+// tables once, and every scheme of the lane receives the same immutable
+// table. Between ticks the lane queues the events its schemes must see, and
+// each (lane, scheme) cell replays the queue as one thread-pool task. A
+// cell sees exactly the hook sequence of a one-scheme run (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
@@ -55,12 +63,14 @@ struct SimConfig {
   Time rate_decay = 0.0;
 
   /// Seed for the scheme-visible RNG stream (workload has its own seed).
+  /// The multi-lane run_simulation takes each lane's seed instead.
   std::uint64_t seed = 7;
 
   /// Thread count for the embarrassingly parallel substrate work (per-root
-  /// path tables at maintenance ticks, NCL metric computation). 0 =
-  /// hardware_concurrency, 1 = fully serial. Results are bit-identical for
-  /// every value; this is purely a resource knob.
+  /// path tables at maintenance ticks, NCL metric computation, the
+  /// (lane, scheme) cell replays). 0 = hardware_concurrency, 1 = fully
+  /// serial. Results are bit-identical for every value; this is purely a
+  /// resource knob.
   int threads = 0;
 
   /// Path-table construction engine. kFast is the production default;
@@ -120,6 +130,25 @@ struct RunResult {
 RunResult run_simulation(const ContactTrace& trace, const Workload& workload,
                          Scheme& scheme, const SimConfig& config);
 
+/// One repetition of a multi-scheme run: every scheme in `schemes` sees
+/// `workload` on the same contact stream, the same failure injection and
+/// the same per-tick path tables. `seed` replaces SimConfig::seed for the
+/// lane (failure stream and each scheme's RNG stream). Scheme instances
+/// must be distinct across all lanes.
+struct SimLane {
+  const Workload* workload = nullptr;
+  std::vector<Scheme*> schemes;
+  std::uint64_t seed = 0;
+};
+
+/// Runs every lane over the trace. results[l][i] is bit-identical to the
+/// one-scheme run of lanes[l].schemes[i] with config.seed = lanes[l].seed,
+/// for every thread count (config.threads sizes both the per-root table
+/// builds and the cell replays).
+std::vector<std::vector<RunResult>> run_simulation(
+    const ContactTrace& trace, const std::vector<SimLane>& lanes,
+    const SimConfig& config);
+
 /// Streaming form: consumes contacts from a cursor (traceio/cursor.h)
 /// instead of a materialized vector, so a multi-GB .dtntrace runs in
 /// O(io-buffer) memory. `contacts` must emit events sorted by start time
@@ -127,8 +156,9 @@ RunResult run_simulation(const ContactTrace& trace, const Workload& workload,
 /// the trace's end time when known (a BinaryFileContactCursor's
 /// meta().end_time) — the engine also tracks the latest contact end seen,
 /// so 0 is safe and only shifts the final sampling instant for cursors
-/// whose last contact is not the latest-ending one. The ContactTrace
-/// overload delegates here; both paths are bit-identical.
+/// whose last contact is not the latest-ending one. All three overloads
+/// run the same event loop; the ContactTrace forms read the trace through
+/// a VectorContactCursor, so every path is bit-identical.
 RunResult run_simulation(traceio::ContactCursor& contacts, NodeId node_count,
                          Time trace_end_hint, const Workload& workload,
                          Scheme& scheme, const SimConfig& config);

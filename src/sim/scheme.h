@@ -6,6 +6,7 @@
 // apples: identical trace, identical workload, identical link budgets.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -20,7 +21,9 @@ namespace dtn {
 
 /// Engine-owned context passed to every hook. Provides the clock, the data
 /// registry, the periodically refreshed opportunistic-path tables, a
-/// deterministic RNG stream and the metrics sink.
+/// deterministic RNG stream and the metrics sink. Each scheme run has its
+/// own SimServices; the path tables behind it are shared read-only by every
+/// scheme of the same repetition (sim/engine.h, SimLane).
 class SimServices {
  public:
   SimServices(const DataRegistry& registry, Rng& rng, MetricsCollector& metrics)
@@ -34,12 +37,16 @@ class SimServices {
   /// All-pairs shortest opportunistic paths, recomputed from the online
   /// rate estimates at every maintenance tick. Empty before the first tick
   /// (schemes should treat unknown weights as 0).
-  const AllPairsPaths& paths() const { return paths_; }
+  const AllPairsPaths& paths() const {
+    if (paths_) return *paths_;
+    static const AllPairsPaths kNoPaths;
+    return kNoPaths;
+  }
 
   /// Weight helper tolerating the pre-maintenance empty state.
   double path_weight(NodeId from, NodeId to) const {
-    if (paths_.empty()) return from == to ? 1.0 : 0.0;
-    return paths_.weight(from, to);
+    if (!paths_ || paths_->empty()) return from == to ? 1.0 : 0.0;
+    return paths_->weight(from, to);
   }
 
   /// A data copy for `query` reached the requester at the current time.
@@ -53,20 +60,27 @@ class SimServices {
 
   // Engine-side mutators.
   void set_now(Time now) { now_ = now; }
-  void set_paths(AllPairsPaths paths) { paths_ = std::move(paths); }
+  void set_paths(std::shared_ptr<const AllPairsPaths> paths) {
+    paths_ = std::move(paths);
+  }
 
  private:
   Time now_ = 0.0;
   const DataRegistry* registry_;
   Rng* rng_;
   MetricsCollector* metrics_;
-  AllPairsPaths paths_;
+  std::shared_ptr<const AllPairsPaths> paths_;
 };
 
 /// Kept only because perfbench/harness.cpp overrides Scheme::concurrency().
 enum class SchemeConcurrency { kGlobal };
 
 /// Base class for all data-access schemes.
+///
+/// The engine may run the hooks of different Scheme instances at the same
+/// time (one thread-pool task per scheme run, sim/engine.h), so an instance
+/// must not share mutable state with another instance. Hooks of one
+/// instance are always called one at a time, in timeline order.
 class Scheme {
  public:
   virtual ~Scheme() = default;

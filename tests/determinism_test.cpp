@@ -166,6 +166,37 @@ TEST(Determinism, ExperimentRepetitionsMatchAcrossThreadCounts) {
             threaded.queries_satisfied.mean());
   EXPECT_EQ(serial.gigabytes_transferred.mean(),
             threaded.gigabytes_transferred.mean());
+
+  // All five schemes as (repetition x scheme) cells on the pool, sharing
+  // each repetition's path tables.
+  const std::vector<SchemeKind> kinds = {
+      SchemeKind::kNclCache, SchemeKind::kNoCache, SchemeKind::kRandomCache,
+      SchemeKind::kCacheData, SchemeKind::kBundleCache};
+  config.sim.threads = 1;
+  const std::vector<ExperimentResult> serial_all =
+      run_comparison(trace, kinds, config);
+  config.sim.threads = 8;
+  const std::vector<ExperimentResult> threaded_all =
+      run_comparison(trace, kinds, config);
+  ASSERT_EQ(serial_all.size(), kinds.size());
+  ASSERT_EQ(threaded_all.size(), kinds.size());
+  // The NCL cell of the comparison is the run_experiment cell above.
+  EXPECT_EQ(serial_all[0].success_ratio.mean(), serial.success_ratio.mean());
+  EXPECT_EQ(serial_all[0].delay_hours.mean(), serial.delay_hours.mean());
+  for (std::size_t k = 0; k < kinds.size(); ++k) {
+    const ExperimentResult& a = serial_all[k];
+    const ExperimentResult& b = threaded_all[k];
+    EXPECT_EQ(a.scheme, b.scheme);
+    EXPECT_EQ(a.success_ratio.mean(), b.success_ratio.mean());
+    EXPECT_EQ(a.success_ratio.stddev(), b.success_ratio.stddev());
+    EXPECT_EQ(a.delay_hours.mean(), b.delay_hours.mean());
+    EXPECT_EQ(a.copies_per_item.mean(), b.copies_per_item.mean());
+    EXPECT_EQ(a.replacement_overhead.mean(), b.replacement_overhead.mean());
+    EXPECT_EQ(a.queries_issued.mean(), b.queries_issued.mean());
+    EXPECT_EQ(a.queries_satisfied.mean(), b.queries_satisfied.mean());
+    EXPECT_EQ(a.gigabytes_transferred.mean(), b.gigabytes_transferred.mean());
+    EXPECT_EQ(a.duplicate_deliveries.mean(), b.duplicate_deliveries.mean());
+  }
 }
 
 TEST(Determinism, ProgressIsMonotoneAndCompleteUnderThreads) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "experiment/experiment.h"
@@ -23,21 +25,41 @@ class RecordingScheme : public Scheme {
   void on_start(SimServices& services) override {
     start_count++;
     start_time = services.now();
+    calls.push_back({"start", services.now()});
   }
   void on_maintenance(SimServices& services) override {
     maintenance_times.push_back(services.now());
     paths_available = !services.paths().empty();
+    // The table's full weight matrix, folded in a fixed order: equal sums
+    // mean the scheme saw the same table.
+    double weights = 0.0;
+    const AllPairsPaths& paths = services.paths();
+    for (NodeId from = 0; from < paths.node_count(); ++from) {
+      for (NodeId to = 0; to < paths.node_count(); ++to) {
+        weights += paths.weight(from, to);
+      }
+    }
+    calls.push_back({"maintenance", services.now(), kNoNode, kNoNode, 0,
+                     weights});
   }
   void on_data_generated(SimServices& services, const DataItem& item) override {
     data_events.push_back({services.now(), item.id});
+    calls.push_back({"data", services.now(), item.source, kNoNode, item.size});
   }
   void on_query(SimServices& services, const Query& query) override {
     query_times.push_back(services.now());
+    calls.push_back({"query", services.now(), query.requester});
     if (deliver_immediately) services.deliver(query);
   }
   void on_contact(SimServices& services, NodeId a, NodeId b,
                   LinkBudget& budget) override {
     contacts.push_back({services.now(), a, b, budget.capacity()});
+    // One draw per contact pins the scheme's RNG stream.
+    calls.push_back({"contact", services.now(), a, b, budget.capacity(),
+                     services.rng().uniform()});
+  }
+  void on_end(SimServices& services) override {
+    calls.push_back({"end", services.now()});
   }
   std::size_t cached_copies(Time) const override { return fake_copies; }
 
@@ -46,6 +68,17 @@ class RecordingScheme : public Scheme {
     NodeId a, b;
     Bytes budget;
   };
+  /// One hook call, with everything the engine handed it.
+  struct Call {
+    std::string hook;
+    Time when = 0.0;
+    NodeId a = kNoNode;
+    NodeId b = kNoNode;
+    Bytes bytes = 0;
+    double value = 0.0;
+    bool operator==(const Call&) const = default;
+  };
+  std::vector<Call> calls;
   int start_count = 0;
   Time start_time = -1.0;
   bool paths_available = false;
@@ -308,6 +341,187 @@ TEST(Engine, InvalidConfigsThrow) {
   EXPECT_THROW(run_simulation(simple_trace(), simple_workload(1000.0, 2000.0),
                               scheme, c),
                std::invalid_argument);
+}
+
+/// Every MetricsCollector output and engine count of two runs.
+void expect_same_run(const RunResult& lane, const RunResult& solo) {
+  EXPECT_EQ(lane.contacts_processed, solo.contacts_processed);
+  EXPECT_EQ(lane.maintenance_ticks, solo.maintenance_ticks);
+  const MetricsCollector& x = lane.metrics;
+  const MetricsCollector& y = solo.metrics;
+  EXPECT_EQ(x.queries_issued(), y.queries_issued());
+  EXPECT_EQ(x.queries_satisfied(), y.queries_satisfied());
+  EXPECT_EQ(x.duplicate_deliveries(), y.duplicate_deliveries());
+  EXPECT_EQ(x.success_ratio(), y.success_ratio());
+  EXPECT_EQ(x.mean_delay(), y.mean_delay());
+  EXPECT_EQ(x.delay_stats().count(), y.delay_stats().count());
+  EXPECT_EQ(x.delay_stats().variance(), y.delay_stats().variance());
+  EXPECT_EQ(x.delay_stats().min(), y.delay_stats().min());
+  EXPECT_EQ(x.delay_stats().max(), y.delay_stats().max());
+  for (double q : {0.0, 0.5, 0.9, 1.0}) {
+    EXPECT_EQ(x.delay_percentile(q), y.delay_percentile(q));
+  }
+  EXPECT_EQ(x.mean_copies(), y.mean_copies());
+  EXPECT_EQ(x.bytes_transferred(), y.bytes_transferred());
+  EXPECT_EQ(x.replacement_overhead(), y.replacement_overhead());
+}
+
+struct LaneSpec {
+  const Workload* workload;
+  std::uint64_t seed;
+};
+using SchemeFactory =
+    std::function<std::unique_ptr<Scheme>(std::size_t lane, std::size_t i)>;
+
+/// Runs `specs` as lanes of `per_lane` schemes each, then every (lane,
+/// scheme) alone with config.seed = the lane's seed, at threads 1 and 4, and
+/// checks that each cell matches its solo run — for RecordingSchemes down
+/// to the full call log.
+void expect_lanes_match_solo_runs(const ContactTrace& trace,
+                                  const std::vector<LaneSpec>& specs,
+                                  std::size_t per_lane, SimConfig config,
+                                  const SchemeFactory& make) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    config.threads = threads;
+    std::vector<std::unique_ptr<Scheme>> owned;
+    std::vector<SimLane> lanes;
+    for (std::size_t l = 0; l < specs.size(); ++l) {
+      SimLane lane{specs[l].workload, {}, specs[l].seed};
+      for (std::size_t i = 0; i < per_lane; ++i) {
+        owned.push_back(make(l, i));
+        lane.schemes.push_back(owned.back().get());
+      }
+      lanes.push_back(std::move(lane));
+    }
+    const std::vector<std::vector<RunResult>> results =
+        run_simulation(trace, lanes, config);
+
+    ASSERT_EQ(results.size(), specs.size());
+    for (std::size_t l = 0; l < specs.size(); ++l) {
+      ASSERT_EQ(results[l].size(), per_lane);
+      for (std::size_t i = 0; i < per_lane; ++i) {
+        SCOPED_TRACE("lane " + std::to_string(l) + ", scheme " +
+                     std::to_string(i));
+        const std::unique_ptr<Scheme> solo = make(l, i);
+        SimConfig solo_config = config;
+        solo_config.seed = specs[l].seed;
+        const RunResult alone =
+            run_simulation(trace, *specs[l].workload, *solo, solo_config);
+        expect_same_run(results[l][i], alone);
+        const auto* recorded =
+            dynamic_cast<const RecordingScheme*>(lanes[l].schemes[i]);
+        if (recorded != nullptr) {
+          const auto& solo_calls =
+              dynamic_cast<const RecordingScheme&>(*solo).calls;
+          ASSERT_EQ(recorded->calls.size(), solo_calls.size());
+          EXPECT_TRUE(recorded->calls == solo_calls);
+        }
+      }
+    }
+  }
+}
+
+/// Recording schemes that differ within a lane: half deliver every query
+/// at once, and each reports its own copy count.
+std::unique_ptr<Scheme> make_recorder(std::size_t, std::size_t i) {
+  auto scheme = std::make_unique<RecordingScheme>();
+  scheme->deliver_immediately = i % 2 == 0;
+  scheme->fake_copies = i + 1;
+  return scheme;
+}
+
+ContactTrace lane_trace(double contacts) {
+  SyntheticTraceConfig tc;
+  tc.node_count = 12;
+  tc.duration = days(2);
+  tc.target_total_contacts = contacts;
+  tc.seed = 21;
+  return generate_trace(tc);
+}
+
+/// A workload over the trace's second half; `seed` also moves its first
+/// event, and so the lane's tick grid.
+Workload lane_workload(const ContactTrace& trace, std::uint64_t seed) {
+  WorkloadConfig wc;
+  wc.start = trace.start_time() + trace.duration() / 2.0;
+  wc.end = trace.end_time();
+  wc.avg_lifetime = hours(6);
+  wc.avg_size = megabits(20);
+  wc.seed = seed;
+  return generate_workload(wc, trace.node_count());
+}
+
+TEST(Engine, LanesReproduceSoloRunsUnderFailureInjection) {
+  const ContactTrace trace = simple_trace();
+  // Different first workload events: the lanes tick at 1000, 1500, ... and
+  // at 1250, 1750, ...
+  const Workload early = simple_workload(1000.0, 2000.0);
+  const Workload late = simple_workload(1250.0, 2000.0);
+  SimConfig config = test_config();
+  config.contact_miss_prob = 0.1;
+  config.node_downtime = {{1, 900.0, 1300.0}, {3, 1600.0, 1800.0}};
+  expect_lanes_match_solo_runs(trace, {{&early, 11}, {&late, 12}}, 3, config,
+                               make_recorder);
+}
+
+TEST(Engine, LanesReproduceSoloRunsOfEverySchemeWithDynamicNcl) {
+  const ContactTrace trace = lane_trace(4000);
+  const Workload first = lane_workload(trace, 1);
+  const Workload second = lane_workload(trace, 2);
+  ASSERT_NE(first.events().front().time, second.events().front().time);
+
+  ExperimentConfig config;
+  config.ncl_count = 3;
+  config.dynamic_ncl = true;
+  config.buffer_min = megabits(40);
+  config.buffer_max = megabits(120);
+  config.auto_horizon = false;
+  config.sim.path_horizon = hours(4);
+  config.sim.maintenance_interval = hours(3);
+  config.sim.contact_miss_prob = 0.1;
+  const WarmupContext warmup = make_warmup_context(trace, config);
+  const NclSelection ncls =
+      select_ncls(warmup.graph, warmup.horizon, config.ncl_count,
+                  config.sim.max_hops, 1);
+  const std::vector<SchemeKind> kinds = {
+      SchemeKind::kNclCache, SchemeKind::kNoCache, SchemeKind::kRandomCache,
+      SchemeKind::kCacheData, SchemeKind::kBundleCache};
+  const SchemeFactory make = [&](std::size_t lane, std::size_t i) {
+    return make_scheme(kinds[i], config, ncls,
+                       draw_buffer_capacities(config, trace.node_count(),
+                                              lane + 5));
+  };
+  expect_lanes_match_solo_runs(trace, {{&first, 31}, {&second, 32}},
+                               kinds.size(), config.sim, make);
+}
+
+TEST(Engine, LanesReproduceSoloRunsAcrossQueueBoundaries) {
+  // One tick at the start of the data phase, then thousands of contacts:
+  // the lanes cut their queues between ticks.
+  const ContactTrace trace = lane_trace(12000);
+  const Workload first = lane_workload(trace, 3);
+  const Workload second = lane_workload(trace, 4);
+  SimConfig config = test_config();
+  config.maintenance_interval = days(30);
+  RecordingScheme probe;
+  const RunResult run = run_simulation(trace, first, probe, config);
+  ASSERT_EQ(run.maintenance_ticks, 1u);
+  ASSERT_GT(run.contacts_processed, 4096u);
+  // Independent of the queues: every data-phase contact and every workload
+  // event reaches the scheme, in order.
+  std::vector<Time> data_phase;
+  for (const ContactEvent& e : trace.events()) {
+    if (e.start >= first.events().front().time) data_phase.push_back(e.start);
+  }
+  ASSERT_EQ(probe.contacts.size(), data_phase.size());
+  for (std::size_t i = 0; i < data_phase.size(); ++i) {
+    EXPECT_EQ(probe.contacts[i].when, data_phase[i]);
+  }
+  EXPECT_EQ(probe.data_events.size() + probe.query_times.size(),
+            first.events().size());
+  expect_lanes_match_solo_runs(trace, {{&first, 41}, {&second, 42}}, 2,
+                               config, make_recorder);
 }
 
 TEST(MetricsCollector, LateDeliveryDoesNotCount) {

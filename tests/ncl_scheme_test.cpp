@@ -20,7 +20,7 @@ class NclSchemeTest : public testing::Test {
     graph.set_rate(0, 1, 1.0 / 600.0);
     graph.set_rate(1, 2, 1.0 / 600.0);
     graph.set_rate(2, 3, 1.0 / 600.0);
-    services_.set_paths(AllPairsPaths(graph, hours(1)));
+    services_.set_paths(std::make_shared<const AllPairsPaths>(graph, hours(1)));
     services_.set_now(0.0);
   }
 

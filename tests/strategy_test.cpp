@@ -17,7 +17,7 @@ class StrategyTest : public testing::Test {
     graph.set_rate(0, 1, 1.0 / 600.0);
     graph.set_rate(1, 2, 1.0 / 600.0);
     graph.set_rate(2, 3, 1.0 / 600.0);
-    services_.set_paths(AllPairsPaths(graph, hours(1)));
+    services_.set_paths(std::make_shared<const AllPairsPaths>(graph, hours(1)));
     services_.set_now(0.0);
   }
 
@@ -181,7 +181,7 @@ TEST_F(StrategyTest, PathWeightResponseWithEmptyPathsNeverResponds) {
   c.response_mode = ResponseMode::kPathWeight;
   NclCachingScheme scheme(c);
   // Replace paths with an empty table set (pre-maintenance state).
-  services_.set_paths(AllPairsPaths{});
+  services_.set_paths(std::make_shared<const AllPairsPaths>());
   const DataItem item = add_data(3);
   scheme.on_data_generated(services_, item);
   const Query q = make_query(0, item.id);

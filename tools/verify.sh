@@ -130,8 +130,10 @@ stage_clang_tidy() {
 stage_tsan() {
   # The tests that hammer the thread pool: proving "parallel == serial
   # bit-for-bit" is only meaningful if the parallel path is also race-free.
+  # Engine covers the lane replay's cells, Instrument the per-thread
+  # registry.
   sanitizer_stage thread build-tsan \
-    'ResolveThreads|ParallelFor|ParallelMap|ParallelReduce|DeriveSeed|ThreadPool|Determinism|Sweep|PathGolden|EngineGolden|GoldenFixture|Daemon'
+    'ResolveThreads|ParallelFor|ParallelMap|ParallelReduce|DeriveSeed|ThreadPool|Determinism|Sweep|PathGolden|EngineGolden|GoldenFixture|Daemon|Engine|Instrument'
 }
 
 stage_asan() { sanitizer_stage address build-asan; }
