@@ -1,6 +1,6 @@
 // Serving-daemon bench (src/daemon/, DESIGN.md §13): the same contact
 // replay processed two ways — the daemon's incremental path-table repair
-// (drift scan -> reverse edge->roots index + one-step endpoint test ->
+// (drift scan -> parent-pointer tree scan + one-step endpoint test ->
 // re-run only stale roots) and a rebuild-everything strawman that answers
 // every batch boundary with a fresh full AllPairsPaths build from the same
 // estimator. The work unit is contacts ingested; both sides run serial

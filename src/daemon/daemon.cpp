@@ -205,6 +205,17 @@ std::vector<NodeId> Daemon::affected_roots(
   std::vector<std::uint8_t> flagged(static_cast<std::size_t>(n), 0);
   PathWorkspace ws;
 
+  // Tree-membership test against root r's CURRENT table: every reachable
+  // non-root entry stores its final hop (node, next_hop), so r's tree uses
+  // the undirected edge (u, v) iff one endpoint is the other's parent.
+  const auto tree_uses = [](const PathTable& table, NodeId u, NodeId v) {
+    const auto parent_is = [&](NodeId node, NodeId parent) {
+      const PathTable::Entry& e = table.entry(node);
+      return e.hops > 0 && e.weight > 0.0 && e.next_hop == parent;
+    };
+    return parent_is(u, v) || parent_is(v, u);
+  };
+
   // One-step endpoint test against root r's CURRENT table: can the edge
   // (from -> to) at new_rate enter r's tree? The first adoption of a
   // changed edge extends a chain that avoids it — i.e. the unchanged
@@ -227,25 +238,21 @@ std::vector<NodeId> Daemon::affected_roots(
   };
 
   for (const EdgeChange& change : changes) {
-    if (const std::vector<NodeId>* roots =
-            index_.roots_using(change.u, change.v)) {
-      for (const NodeId r : *roots) {
-        flagged[static_cast<std::size_t>(r)] = 1;
+    // Any change can alter a tree that uses the edge. Rate decreases need
+    // nothing more: every candidate through the edge got strictly worse,
+    // so relaxations that lost before still lose.
+    const bool increase = change.new_rate > change.old_rate;
+    for (NodeId r = 0; r < n; ++r) {
+      std::uint8_t& flag = flagged[static_cast<std::size_t>(r)];
+      if (flag) continue;
+      const PathTable& table = tables_[static_cast<std::size_t>(r)];
+      if (tree_uses(table, change.u, change.v) ||
+          (increase &&
+           (adoption_possible(table, change.u, change.v, change.new_rate) ||
+            adoption_possible(table, change.v, change.u, change.new_rate)))) {
+        flag = 1;
       }
     }
-    if (change.new_rate > change.old_rate) {
-      for (NodeId r = 0; r < n; ++r) {
-        if (flagged[static_cast<std::size_t>(r)]) continue;
-        const PathTable& table = tables_[static_cast<std::size_t>(r)];
-        if (adoption_possible(table, change.u, change.v, change.new_rate) ||
-            adoption_possible(table, change.v, change.u, change.new_rate)) {
-          flagged[static_cast<std::size_t>(r)] = 1;
-        }
-      }
-    }
-    // Rate decreases need no extra scan: every candidate through the edge
-    // got strictly worse, so only trees already using it (flagged via the
-    // reverse index above) can change.
   }
 
   std::vector<NodeId> roots;
@@ -272,7 +279,7 @@ void Daemon::repair(Time batch_time) {
     return;
   }
 
-  // Detect stale roots against the OLD tables/index, then apply the rate
+  // Detect stale roots against the OLD tables, then apply the rate
   // updates and re-run exactly those roots with the production engine.
   std::vector<NodeId> roots = affected_roots(changes);
   for (const EdgeChange& change : changes) {
@@ -297,7 +304,6 @@ void Daemon::repair(Time batch_time) {
       const std::size_t r = static_cast<std::size_t>(roots[i]);
       tables_[r] = std::move(repaired[i]);
       metric_[r] = metric_of_root(roots[i]);
-      index_.update_root(roots[i], tables_[r]);
     }
     stats_.roots_repaired += roots.size();
     DTN_COUNT_N(kDaemonRootsRepaired, roots.size());
@@ -351,7 +357,6 @@ void Daemon::full_build(Time batch_time) {
   for (NodeId r = 0; r < n; ++r) {
     metric_[static_cast<std::size_t>(r)] = metric_of_root(r);
   }
-  index_.rebuild(tables_);
   stats_.roots_repaired += static_cast<std::uint64_t>(n);
   DTN_COUNT_N(kDaemonRootsRepaired, static_cast<std::size_t>(n));
 

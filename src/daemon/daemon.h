@@ -13,8 +13,9 @@
 // candidate is strictly increasing in every chain rate, so
 //   * a rate DECREASE can only change tables whose tree uses the edge —
 //     every candidate through the edge got strictly worse, so relaxations
-//     that lost before still lose. The reverse EdgeRootsIndex enumerates
-//     exactly those roots.
+//     that lost before still lose. A scan of the parent pointers the
+//     tables already store finds exactly those roots: root r's tree uses
+//     (u, v) iff u's next hop is v or v's next hop is u in r's table.
 //   * a rate INCREASE (or a brand-new edge) can additionally pull the edge
 //     into a tree, but only by one of its endpoints adopting it as the
 //     final hop — and the first adoption relaxes from a chain that avoids
@@ -22,7 +23,8 @@
 //     that one-step candidate against the endpoint's current weight is
 //     therefore a sound stale-root detector (>= flags conservatively).
 // Repaired roots re-run the exact kFast single-root construction a full
-// rebuild would run, so repaired tables are bit-identical to a rebuild;
+// rebuild would run, on the global thread pool by default, so repaired
+// tables are bit-identical to a rebuild for every thread count;
 // with `audit` on, every repair batch is DTN_CHECKed for settled-weight
 // equality against a fresh PathEngine::kReference all-pairs build.
 //
@@ -46,7 +48,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "daemon/edge_index.h"
 #include "daemon/rate_estimator.h"
 #include "graph/all_pairs.h"
 #include "graph/contact_graph.h"
@@ -79,10 +80,11 @@ struct DaemonConfig {
   /// seconds of stream time.
   Time repair_interval = hours(1.0);
 
-  /// Repair parallelism (0 = hardware, 1 = serial). Repaired tables are
-  /// written into per-root slots, so results are bit-identical for every
-  /// value — the daemon_test determinism suite pins this.
-  int threads = 1;
+  /// Parallelism of warm start and repair (0 = all cores, 1 = serial).
+  /// Repaired tables are written into per-root slots, so results are
+  /// bit-identical for every value — the daemon_test determinism suite
+  /// pins this.
+  int threads = 0;
 
   /// Audit mode: after every repair batch, build a fresh
   /// PathEngine::kReference all-pairs table set and DTN_CHECK settled-
@@ -210,7 +212,6 @@ class Daemon {
   ContactGraph graph_;
   std::vector<PathTable> tables_;
   std::vector<double> metric_;
-  EdgeRootsIndex index_;
 
   std::vector<std::uint8_t> dirty_flags_;   ///< per pair index
   std::vector<std::size_t> dirty_pairs_;    ///< insertion order; sorted at scan

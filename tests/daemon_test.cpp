@@ -1,16 +1,17 @@
 // Serving daemon suite (src/daemon/, DESIGN.md §13).
 //
 // The headline contract is equivalence: a daemon that repairs its path
-// tables incrementally (reverse edge->roots index + one-step endpoint
+// tables incrementally (parent-pointer tree scan + one-step endpoint
 // drift detector + per-root re-runs) must end every batch with tables
 // bit-identical to a from-scratch PathEngine::kReference rebuild of its
 // own graph — across drift thresholds, traces, and thread counts. The
-// suite pins that from four directions: estimator unit behavior, reverse
-// index consistency, the audit-equivalence matrix (3 thresholds x 2
-// traces, EXPECT_EQ on every settled weight plus the NCL set), and
-// byte-identical ingest->query script output across runs and thread
-// counts. A TSan-facing test runs query threads concurrently with the
-// ingest loop: readers must see only whole published snapshots.
+// suite pins that from four directions: estimator unit behavior, the
+// per-batch count of roots the scan selects, the audit-equivalence matrix
+// (3 thresholds x 2 traces, EXPECT_EQ on every settled weight plus the
+// NCL set), and byte-identical ingest->query script output across runs
+// and thread counts. A TSan-facing test runs query threads concurrently
+// with the ingest loop at both repair paths (serial and pool): readers
+// must see only whole published snapshots.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +23,6 @@
 #include <vector>
 
 #include "daemon/daemon.h"
-#include "daemon/edge_index.h"
 #include "daemon/rate_estimator.h"
 #include "daemon/script.h"
 #include "graph/all_pairs.h"
@@ -35,7 +35,6 @@ namespace {
 
 using daemon::Daemon;
 using daemon::DaemonConfig;
-using daemon::EdgeRootsIndex;
 using daemon::EwmaRateEstimator;
 using daemon::ReplayFeed;
 
@@ -173,84 +172,6 @@ TEST(EwmaRateEstimator, WarmStartEqualsIncrementalFeed) {
   }
 }
 
-// ---- EdgeRootsIndex ----------------------------------------------------
-
-TEST(EdgeRootsIndex, MatchesBruteForceScanOfTables) {
-  const ContactTrace trace = small_trace(11);
-  const ContactGraph graph = build_contact_graph(trace, -1.0, 2);
-  const AllPairsPaths paths(graph, hours(1.0), 8, 1);
-  std::vector<PathTable> tables;
-  for (NodeId r = 0; r < paths.node_count(); ++r) {
-    tables.push_back(paths.table(r));
-  }
-  EdgeRootsIndex index;
-  index.rebuild(tables);
-
-  // Every (u, v): the indexed root list must equal the roots whose table
-  // records u or v as the other's parent.
-  const NodeId n = graph.node_count();
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = u + 1; v < n; ++v) {
-      std::vector<NodeId> expect;
-      for (NodeId r = 0; r < n; ++r) {
-        const PathTable& t = tables[static_cast<std::size_t>(r)];
-        bool uses = false;
-        for (NodeId node = 0; node < n; ++node) {
-          const PathTable::Entry& e = t.entry(node);
-          if (e.hops == 0 || e.weight <= 0.0) continue;
-          if ((node == u && e.next_hop == v) ||
-              (node == v && e.next_hop == u)) {
-            uses = true;
-          }
-        }
-        if (uses) expect.push_back(r);
-      }
-      const std::vector<NodeId>* got = index.roots_using(u, v);
-      if (expect.empty()) {
-        EXPECT_EQ(got, nullptr);
-      } else {
-        ASSERT_NE(got, nullptr);
-        EXPECT_EQ(*got, expect);
-      }
-    }
-  }
-}
-
-TEST(EdgeRootsIndex, UpdateRootKeepsIndexInSync) {
-  const ContactTrace trace = small_trace(13);
-  ContactGraph graph = build_contact_graph(trace, -1.0, 2);
-  const AllPairsPaths before(graph, hours(1.0), 8, 1);
-  std::vector<PathTable> tables;
-  for (NodeId r = 0; r < before.node_count(); ++r) {
-    tables.push_back(before.table(r));
-  }
-  EdgeRootsIndex incremental;
-  incremental.rebuild(tables);
-
-  // Perturb the graph, recompute one root, update only that root.
-  ASSERT_GT(graph.node_count(), 3);
-  graph.set_rate(0, 1, graph.rate(0, 1) > 0.0 ? graph.rate(0, 1) * 4.0
-                                              : 1.0 / 600.0);
-  tables[2] = compute_opportunistic_paths(graph, 2, hours(1.0), 8);
-  incremental.update_root(2, tables[2]);
-
-  EdgeRootsIndex fresh;
-  fresh.rebuild(tables);
-  const NodeId n = graph.node_count();
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = u + 1; v < n; ++v) {
-      const std::vector<NodeId>* a = incremental.roots_using(u, v);
-      const std::vector<NodeId>* b = fresh.roots_using(u, v);
-      if (a == nullptr || b == nullptr) {
-        EXPECT_EQ(a == nullptr, b == nullptr);
-      } else {
-        EXPECT_EQ(*a, *b);
-      }
-    }
-  }
-  EXPECT_EQ(incremental.edge_count(), fresh.edge_count());
-}
-
 // ---- incremental repair equivalence (the acceptance matrix) ------------
 
 /// Replays `trace` (second half live, first half warm) through a daemon,
@@ -343,6 +264,58 @@ TEST(DaemonRepair, NewlyConnectedComponentIsDiscovered) {
                 reference.table(r).weight(node));
     }
   }
+}
+
+struct BatchCounts {
+  std::vector<std::uint64_t> roots;  ///< roots_repaired per repair batch
+  std::vector<std::uint64_t> edges;  ///< edge_updates per repair batch
+};
+
+/// Warm-starts on the first half of `trace`, replays the second half at
+/// drift 0.5 and records what every repair batch repaired. At that drift
+/// few edges change per batch, so most batches flag only part of the
+/// roots, and some flag none although an edge changed.
+BatchCounts per_batch_counts(const ContactTrace& trace) {
+  DaemonConfig config = test_config();
+  config.drift_threshold = 0.5;
+  Daemon d(trace.node_count(), config);
+  const std::size_t split = trace.size() / 2;
+  std::vector<ContactEvent> warm(trace.events().begin(),
+                                 trace.events().begin() +
+                                     static_cast<std::ptrdiff_t>(split));
+  d.warm_start(ContactTrace(trace.node_count(), warm, "warm"));
+
+  BatchCounts counts;
+  const auto step = [&](const auto& feed) {
+    const Daemon::Stats before = d.stats();
+    feed();
+    const Daemon::Stats& after = d.stats();
+    if (after.repair_batches == before.repair_batches) return;
+    counts.roots.push_back(after.roots_repaired - before.roots_repaired);
+    counts.edges.push_back(after.edge_updates - before.edge_updates);
+  };
+  for (std::size_t i = split; i < trace.size(); ++i) {
+    step([&] { d.ingest(trace.events()[i]); });
+  }
+  step([&] { d.repair_now(); });
+  return counts;
+}
+
+TEST(DaemonRepair, RootSelectionMatchesRecordedPerBatchCounts) {
+  // Recorded with the reverse edge->roots index the parent-pointer scan
+  // replaced: the scan must flag exactly the roots the index flagged.
+  const BatchCounts a = per_batch_counts(small_trace(3));
+  EXPECT_EQ(a.roots, (std::vector<std::uint64_t>{10, 19, 0, 0, 13, 17, 19,
+                                                 17, 20, 19, 19, 7}));
+  EXPECT_EQ(a.edges,
+            (std::vector<std::uint64_t>{6, 3, 1, 1, 6, 8, 4, 3, 8, 6, 5, 7}));
+
+  const BatchCounts b = per_batch_counts(small_trace(29, 16, 3.0));
+  EXPECT_EQ(b.roots, (std::vector<std::uint64_t>{0, 4, 8, 14, 15, 3, 0, 13, 4,
+                                                 5, 10, 2, 16, 0, 15, 14, 0,
+                                                 11}));
+  EXPECT_EQ(b.edges, (std::vector<std::uint64_t>{0, 2, 2, 5, 4, 1, 0, 2, 2, 2,
+                                                 5, 2, 6, 1, 3, 4, 0, 3}));
 }
 
 /// Contact stream for the expiry tests: pair 0-1 meets three times early
@@ -569,10 +542,13 @@ TEST(ReplayFeed, AdvanceBoundaryIsExclusiveAndPushbackHolds) {
 
 // ---- concurrent readers (the TSan contract) ----------------------------
 
-TEST(DaemonConcurrency, QueriesRaceFreeAgainstIngestAndRepair) {
+/// Four reader threads query while the writer replays the last three
+/// quarters of the trace with repair at `threads`.
+void expect_queries_race_free(int threads) {
   const ContactTrace trace = small_trace(43, 16, 2.0);
   DaemonConfig config = test_config();
   config.repair_interval = hours(1.0);  // many publishes during the replay
+  config.threads = threads;
   Daemon d(trace.node_count(), config);
   const std::size_t split = trace.size() / 4;
   std::vector<ContactEvent> warm(trace.events().begin(),
@@ -617,8 +593,13 @@ TEST(DaemonConcurrency, QueriesRaceFreeAgainstIngestAndRepair) {
   stop.store(true, std::memory_order_release);
   for (std::thread& reader : readers) reader.join();
 
-  EXPECT_GT(queries.load(), 0u);
+  EXPECT_GT(queries.load(), 0u) << "threads " << threads;
   EXPECT_GT(d.snapshot()->epoch, 1u);  // the replay actually published
+}
+
+TEST(DaemonConcurrency, QueriesRaceFreeAgainstIngestAndRepair) {
+  expect_queries_race_free(1);  // serial repair on the writer thread
+  expect_queries_race_free(0);  // repair on the global pool
 }
 
 }  // namespace

@@ -17,10 +17,11 @@
 // checks and is registered in ctest.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,7 @@
 #include "trace/synthetic.h"
 #include "traceio/cache.h"
 #include "traceio/cursor.h"
+#include "parse_number.h"
 
 using namespace dtn;
 
@@ -50,7 +52,8 @@ namespace {
       "  --expiry SECS      decay estimates of silent pairs and drop their\n"
       "                     edges after SECS of stream-time silence\n"
       "                     [0 = rates persist forever]\n"
-      "  --threads N        repair parallelism (0 = hardware) [1]\n"
+      "  --threads N        warm-start and repair parallelism\n"
+      "                     (0 = all cores) [0]\n"
       "  --audit            check every repair batch vs reference rebuild\n"
       "  --stats            print daemon counters at exit\n"
       "  --json PATH        also write the counters as JSON\n"
@@ -84,21 +87,25 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--script") {
       options.script_path = value(i);
     } else if (arg == "--warm-frac") {
-      options.warm_frac = std::atof(value(i));
+      options.warm_frac = parse_number<double>(arg, value(i));
+      if (!(options.warm_frac >= 0.0 && options.warm_frac <= 1.0)) {
+        std::fprintf(stderr, "dtnd: --warm-frac must be in [0, 1]\n");
+        std::exit(2);
+      }
     } else if (arg == "--horizon") {
-      options.config.horizon = std::atof(value(i));
+      options.config.horizon = parse_number<double>(arg, value(i));
     } else if (arg == "--max-hops") {
-      options.config.max_hops = std::atoi(value(i));
+      options.config.max_hops = parse_number<int>(arg, value(i));
     } else if (arg == "--drift") {
-      options.config.drift_threshold = std::atof(value(i));
+      options.config.drift_threshold = parse_number<double>(arg, value(i));
     } else if (arg == "--interval") {
-      options.config.repair_interval = std::atof(value(i));
+      options.config.repair_interval = parse_number<double>(arg, value(i));
     } else if (arg == "--alpha") {
-      options.config.ewma_alpha = std::atof(value(i));
+      options.config.ewma_alpha = parse_number<double>(arg, value(i));
     } else if (arg == "--expiry") {
-      options.config.rate_expiry = std::atof(value(i));
+      options.config.rate_expiry = parse_number<double>(arg, value(i));
     } else if (arg == "--threads") {
-      options.config.threads = std::atoi(value(i));
+      options.config.threads = parse_number<int>(arg, value(i));
     } else if (arg == "--audit") {
       options.config.audit = true;
     } else if (arg == "--stats") {
@@ -168,10 +175,9 @@ void print_stats(const daemon::Daemon& daemon) {
       static_cast<unsigned long long>(s.audit_rebuilds));
 }
 
-/// Warm prefix / replay suffix split at `warm_frac` of the contact count.
+/// Warm prefix / replay suffix split at `warm_frac` (in [0, 1]) of the
+/// contact count.
 std::size_t warm_split(const ContactTrace& trace, double warm_frac) {
-  if (warm_frac <= 0.0) return 0;
-  if (warm_frac >= 1.0) return trace.size();
   return static_cast<std::size_t>(warm_frac *
                                   static_cast<double>(trace.size()));
 }
@@ -182,7 +188,15 @@ int run(const Options& options) {
     std::fprintf(stderr, "dtnd: trace has fewer than 2 nodes\n");
     return 1;
   }
-  daemon::Daemon daemon(trace.node_count(), options.config);
+  // The daemon validates its config; a bad value is a usage error.
+  std::optional<daemon::Daemon> constructed;
+  try {
+    constructed.emplace(trace.node_count(), options.config);
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "dtnd: %s\n", error.what());
+    return 2;
+  }
+  daemon::Daemon& daemon = *constructed;
 
   const std::size_t split = warm_split(trace, options.warm_frac);
   std::vector<ContactEvent> warm(trace.events().begin(),
@@ -278,6 +292,7 @@ bool self_test() {
   daemon::DaemonConfig config;
   config.horizon = hours(1.0);
   config.repair_interval = hours(2.0);
+  config.threads = 1;
   config.audit = true;  // every batch cross-checked against kReference
 
   // Byte-identical output across runs and thread counts.

@@ -9,11 +9,9 @@
 //   dtnsim --trace infocom06 --scheme ncl --k 5 --tl-hours 3
 //   dtnsim --trace path/to/contacts.csv --scheme ncl,nocache --csv
 //   dtnsim --trace rwp --nodes 40 --days 2 --scheme ncl --miss-prob 0.2
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -29,6 +27,7 @@
 #include "trace/mobility.h"
 #include "trace/synthetic.h"
 #include "traceio/cache.h"
+#include "parse_number.h"
 
 using namespace dtn;
 
@@ -110,21 +109,6 @@ std::vector<std::string> split_commas(const std::string& text) {
     if (!part.empty()) parts.push_back(part);
   }
   return parts;
-}
-
-/// Parses the whole of `text` as a T; anything else (empty, trailing
-/// garbage, out of range) exits 2 naming the flag.
-template <typename T>
-T parse_number(const std::string& flag, const char* text) {
-  T value{};
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc() || ptr != end || ptr == text) {
-    std::fprintf(stderr, "%s: expected a number, got '%s'\n", flag.c_str(),
-                 text);
-    std::exit(2);
-  }
-  return value;
 }
 
 CliOptions parse(int argc, char** argv) {
