@@ -20,7 +20,6 @@
 // Maintenance is configured out of the measured window so path-table
 // rebuilds (bench_paths' job) do not dilute the scheme ratio.
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -41,20 +40,8 @@ volatile double g_sink = 0.0;
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --min-speedup is this bench's own flag; BenchArgs::parse aborts on
-  // anything it does not know, so strip it before delegating.
-  double min_speedup = 0.0;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
-      min_speedup = std::atof(argv[++i]);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  const auto args = bench::BenchArgs::parse(
-      static_cast<int>(passthrough.size()), passthrough.data());
+  const double min_speedup = bench::take_min_speedup(argc, argv);
+  const auto args = bench::BenchArgs::parse(argc, argv);
   bench::print_header("simulator engine");
   bench::JsonReport report("bench_engine", args);
 

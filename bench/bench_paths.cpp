@@ -11,7 +11,6 @@
 // gated by tools/bench_compare.py on ns per path table / per parent-chain
 // walk against bench/baselines/bench_paths.json.
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "bench/bench_json.h"
@@ -43,20 +42,8 @@ volatile double g_sink = 0.0;
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --min-speedup is this bench's own flag; BenchArgs::parse aborts on
-  // anything it does not know, so strip it before delegating.
-  double min_speedup = 0.0;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
-      min_speedup = std::atof(argv[++i]);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  const auto args = bench::BenchArgs::parse(
-      static_cast<int>(passthrough.size()), passthrough.data());
+  const double min_speedup = bench::take_min_speedup(argc, argv);
+  const auto args = bench::BenchArgs::parse(argc, argv);
   bench::print_header("path engine");
   bench::JsonReport report("bench_paths", args);
 

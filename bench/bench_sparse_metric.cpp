@@ -16,7 +16,6 @@
 // RSS (peak_rss_bytes counter) next to the O(n^2) table footprint the
 // sparse tier avoids.
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "bench/bench_json.h"
@@ -49,20 +48,8 @@ std::uint64_t peak_rss_bytes() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --min-speedup is this bench's own flag; BenchArgs::parse aborts on
-  // anything it does not know, so strip it before delegating.
-  double min_speedup = 0.0;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
-      min_speedup = std::atof(argv[++i]);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  const auto args = bench::BenchArgs::parse(
-      static_cast<int>(passthrough.size()), passthrough.data());
+  const double min_speedup = bench::take_min_speedup(argc, argv);
+  const auto args = bench::BenchArgs::parse(argc, argv);
   bench::print_header("sparse NCL metric engine");
   bench::JsonReport report("bench_sparse_metric", args);
 

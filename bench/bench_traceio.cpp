@@ -7,7 +7,6 @@
 // gated by tools/bench_compare.py on ns per decoded contact.
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -30,20 +29,8 @@ volatile std::size_t g_sink = 0;
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --min-speedup is this bench's own flag; BenchArgs::parse aborts on
-  // anything it does not know, so strip it before delegating.
-  double min_speedup = 0.0;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
-      min_speedup = std::atof(argv[++i]);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  const auto args = bench::BenchArgs::parse(
-      static_cast<int>(passthrough.size()), passthrough.data());
+  const double min_speedup = bench::take_min_speedup(argc, argv);
+  const auto args = bench::BenchArgs::parse(argc, argv);
   bench::print_header("trace ingestion");
   bench::JsonReport report("bench_traceio", args);
 

@@ -3,10 +3,13 @@
 // plus the --json flag selecting machine-readable output (bench_json.h).
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+
+#include "tools/parse_number.h"
 
 namespace dtn::bench {
 
@@ -44,6 +47,35 @@ struct BenchArgs {
     return args;
   }
 };
+
+/// Removes "--min-speedup X" from argv, since BenchArgs::parse rejects
+/// flags it does not know, and returns X: the ratio floor a gated bench
+/// enforces as its exit status (0, the default, turns the gate off). X must
+/// be a whole finite number >= 0 (tools/parse_number.h's rule); a missing
+/// or malformed value exits 2.
+inline double take_min_speedup(int& argc, char** argv) {
+  const std::string flag = "--min-speedup";
+  double floor = 0.0;
+  int kept = 1;
+  for (int i = 1; i < argc; ++i) {
+    if (argv[i] != flag) {
+      argv[kept++] = argv[i];
+      continue;
+    }
+    if (i + 1 == argc) {
+      std::fprintf(stderr, "%s: missing value\n", flag.c_str());
+      std::exit(2);
+    }
+    floor = parse_number<double>(flag, argv[++i]);
+    if (!std::isfinite(floor) || floor < 0.0) {
+      std::fprintf(stderr, "%s: expected a finite number >= 0, got '%s'\n",
+                   flag.c_str(), argv[i]);
+      std::exit(2);
+    }
+  }
+  argc = kept;
+  return floor;
+}
 
 inline void print_header(const std::string& title) {
   std::printf("==== %s ====\n", title.c_str());

@@ -2,7 +2,7 @@
 //
 // Everything else in this tree is batch: load a trace, build all-pairs
 // Eq. 3 tables once, run, exit. The Daemon has a *lifetime*: it ingests
-// contacts one at a time (traceio::ContactCursor is the natural feed),
+// contacts one at a time (dtnd replays them from a ReplayFeed, script.h),
 // maintains per-pair meeting-rate estimates online (EwmaRateEstimator),
 // and keeps the path tables continuously correct through **incremental
 // repair** — when an edge's estimated rate drifts past a configurable

@@ -59,8 +59,8 @@ std::size_t EwmaRateEstimator::record(NodeId i, NodeId j, Time when) {
   Cell& cell = cells_[index];
   if (cell.count > 0) {
     const Time gap = when - cell.last;
-    // The cursor contract guarantees global time order, which implies
-    // per-pair order; a negative gap means the feed is corrupt.
+    // Callers feed contacts in global time order, which implies per-pair
+    // order; a negative gap means the feed is corrupt.
     DTN_CHECK_GE(gap, 0.0);
     if (gap > 0.0) {
       cell.gap_sum += gap;

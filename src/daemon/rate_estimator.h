@@ -81,7 +81,8 @@ class EwmaRateEstimator {
   Time watermark() const { return watermark_; }
 
   /// Records one contact between i and j at time `when`. Contacts must
-  /// arrive in non-decreasing time order (the cursor contract); i != j.
+  /// arrive in non-decreasing time order, as in a ContactTrace
+  /// (Daemon::ingest checks it); i != j.
   /// Returns the flat pair index (stable identifier for dirty tracking).
   std::size_t record(NodeId i, NodeId j, Time when);
 

@@ -32,27 +32,12 @@ std::string stamp(const QueryInfo& info) {
 
 }  // namespace
 
-bool ReplayFeed::peek(ContactEvent& out) {
-  if (!has_pending_) {
-    if (done_ || !cursor_->next(pending_)) {
-      done_ = true;
-      return false;
-    }
-    has_pending_ = true;
-  }
-  out = pending_;
-  return true;
-}
-
 std::size_t ReplayFeed::advance_until(Daemon& daemon, Time limit) {
-  std::size_t ingested = 0;
-  ContactEvent event;
-  while (peek(event) && event.start < limit) {
-    daemon.ingest(event);
-    has_pending_ = false;
-    ++ingested;
+  const std::size_t first = next_;
+  while (next_ < contacts_->size() && (*contacts_)[next_].start < limit) {
+    daemon.ingest((*contacts_)[next_++]);
   }
-  return ingested;
+  return next_ - first;
 }
 
 std::size_t ReplayFeed::drain(Daemon& daemon) {

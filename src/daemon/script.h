@@ -1,7 +1,8 @@
 // Deterministic ingest/query scripting for the daemon.
 //
 // dtnd (and the daemon tests) drive a Daemon from two inputs: a contact
-// feed (any traceio::ContactCursor) and a query script. The script is the
+// feed (an in-memory, start-time-sorted contact vector, replayed one
+// Daemon::ingest at a time) and a query script. The script is the
 // replayed clock — `advance <t>` pulls the feed up to stream time t, the
 // query commands interrogate the daemon in between — so one script run is
 // a pure function of (trace bytes, script bytes, config) and its output
@@ -10,20 +11,20 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <vector>
 
 #include "common/types.h"
 #include "daemon/daemon.h"
-#include "traceio/cursor.h"
+#include "trace/contact_event.h"
 
 namespace dtn::daemon {
 
-/// One-slot-pushback adapter over a pull cursor: advance_until() must stop
-/// *before* the first contact at or past the limit, but a cursor can only
-/// tell us by handing that contact over — so it is parked here until the
-/// clock catches up.
+/// A replay position in a contact vector. The vector is not owned and must
+/// outlive the feed; the Daemon checks its order as it ingests.
 class ReplayFeed {
  public:
-  explicit ReplayFeed(traceio::ContactCursor& cursor) : cursor_(&cursor) {}
+  explicit ReplayFeed(const std::vector<ContactEvent>& contacts)
+      : contacts_(&contacts) {}
 
   /// Ingests every remaining contact with start < limit; returns how many.
   std::size_t advance_until(Daemon& daemon, Time limit);
@@ -31,15 +32,11 @@ class ReplayFeed {
   /// Ingests everything left in the feed; returns how many.
   std::size_t drain(Daemon& daemon);
 
-  bool exhausted() const { return done_ && !has_pending_; }
+  bool exhausted() const { return next_ == contacts_->size(); }
 
  private:
-  bool peek(ContactEvent& out);
-
-  traceio::ContactCursor* cursor_;
-  ContactEvent pending_{};
-  bool has_pending_ = false;
-  bool done_ = false;
+  const std::vector<ContactEvent>* contacts_;
+  std::size_t next_ = 0;
 };
 
 /// Executes `script` line by line against the daemon, writing one output

@@ -47,11 +47,6 @@ const PathTable& AllPairsPaths::table(NodeId root) const {
   return tables_[static_cast<std::size_t>(root)];
 }
 
-std::size_t AllPairsPaths::table_bytes() const {
-  const std::size_t n = tables_.size();
-  return n * n * sizeof(PathTable::Entry);
-}
-
 double AllPairsPaths::weight(NodeId from, NodeId to) const {
   if (from == to) return 1.0;
   return table(to).weight(from);

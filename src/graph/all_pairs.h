@@ -45,11 +45,6 @@ class AllPairsPaths {
   /// (used for p_CR(T_q - t_0)). Falls back to 0 when unreachable.
   double weight_at(NodeId from, NodeId to, Time budget) const;
 
-  /// Heap bytes held by the materialized tables: n² path entries. This is
-  /// the O(n²) footprint the sparse metric tier (DESIGN.md §14) avoids —
-  /// bench_sparse_metric reports it next to the sparse engine's peak RSS.
-  std::size_t table_bytes() const;
-
   /// Batched weight_at: evaluates every (from, to) pair at `budget` into
   /// `out[i]` (resized to match). One destination table, one scratch chain,
   /// one hypoexp workspace for the whole sweep — this is the form

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
 #include "common/instrument.h"
 #include "common/parallel.h"
 #include "graph/contact_graph.h"
@@ -119,24 +118,22 @@ struct LaneEvent {
 /// the path table of each tick, computed once for all its schemes.
 class Lane {
  public:
-  Lane(traceio::ContactCursor& contacts, Time trace_end_hint,
-       const Workload& workload, std::uint64_t seed, NodeId node_count,
-       const SimConfig& config)
-      : contacts_(&contacts),
+  Lane(const ContactTrace& trace, const Workload& workload,
+       std::uint64_t seed, const SimConfig& config)
+      : contacts_(&trace.events()),
         workload_(&workload),
         // Failure injection uses its own stream so enabling it does not
         // perturb the schemes' random decisions.
         failure_rng_(seed ^ 0xFA11FA11FA11FA11ULL),
-        estimator_(std::max<NodeId>(node_count, 2), config.rate_decay),
-        trace_end_hint_(trace_end_hint) {
-    // One-event lookahead over the contact stream; O(1) contact memory.
-    has_pending_ = contacts_->next(pending_);
-    latest_contact_end_ = has_pending_ ? pending_.end() : 0.0;
+        estimator_(std::max<NodeId>(trace.node_count(), 2),
+                   config.rate_decay) {
     // The data-access phase starts at the first workload event; maintenance
     // ticks start there too (the administrator has already selected NCLs
     // from warm-up data before the schemes were constructed).
     const auto& work = workload.events();
-    phase_start_ = work.empty() ? trace_end_hint : work.front().time;
+    const Time trace_end = trace.end_time();
+    phase_start_ = work.empty() ? trace_end : work.front().time;
+    end_time_ = std::max(trace_end, phase_start_);
     next_maintenance_ = phase_start_;
     queue_.reserve(kLaneQueueEvents);
   }
@@ -148,10 +145,9 @@ class Lane {
   /// True once the stream is consumed: the current queue is the last.
   bool exhausted() const { return exhausted_; }
 
-  /// When the final sampling happens (on_end).
-  Time end_time() const {
-    return std::max({trace_end_hint_, latest_contact_end_, phase_start_});
-  }
+  /// When the final sampling happens (on_end): the latest contact end, or
+  /// the phase start if the data phase begins after the trace.
+  Time end_time() const { return end_time_; }
 
   /// Replaces the queue with the next stretch of the timeline: up to and
   /// including the next tick, or kLaneQueueEvents events. A tick builds its
@@ -160,8 +156,10 @@ class Lane {
   void fill(const DowntimeIndex& downtime, const SimConfig& config) {
     queue_.clear();
     const auto& work = workload_->events();
-    while (has_pending_ || wi_ < work.size()) {
-      const Time t_contact = has_pending_ ? pending_.start : kNever;
+    const auto& contacts = *contacts_;
+    while (ci_ < contacts.size() || wi_ < work.size()) {
+      const Time t_contact =
+          ci_ < contacts.size() ? contacts[ci_].start : kNever;
       const Time t_work = wi_ < work.size() ? work[wi_].time : kNever;
       const Time t_next = std::min(t_contact, t_work);
 
@@ -185,14 +183,7 @@ class Lane {
         queue_.push_back({LaneEvent::Kind::kWork, kNoNode, kNoNode, t_work,
                           static_cast<std::int64_t>(wi_++)});
       } else {
-        const ContactEvent e = pending_;
-        has_pending_ = contacts_->next(pending_);
-        if (has_pending_) {
-          // Cursor contract: contacts arrive in start-time order (a trace is
-          // sorted by construction; a corrupt stream must not be folded in).
-          DTN_CHECK_GE(pending_.start, e.start);
-          latest_contact_end_ = std::max(latest_contact_end_, pending_.end());
-        }
+        const ContactEvent& e = contacts[ci_++];
         // Failure injection: missed contacts and down nodes never happen, as
         // far as anyone (including the rate estimator) can tell.
         if (config.contact_miss_prob > 0.0 &&
@@ -217,18 +208,16 @@ class Lane {
   }
 
  private:
-  traceio::ContactCursor* contacts_;
+  const std::vector<ContactEvent>* contacts_;  ///< sorted (ContactTrace)
   const Workload* workload_;
   Rng failure_rng_;
   RateEstimator estimator_;
-  Time trace_end_hint_;
-  ContactEvent pending_;
-  bool has_pending_ = false;
-  Time latest_contact_end_ = 0.0;
   Time phase_start_ = 0.0;
+  Time end_time_ = 0.0;
   Time next_maintenance_ = 0.0;
   bool started_ = false;
   bool exhausted_ = false;
+  std::size_t ci_ = 0;  ///< next contact
   std::size_t wi_ = 0;  ///< next workload event
   /// The newest tick's table. The lane's schemes hold the previous one
   /// until they replay the tick, so at most two tables are alive per lane.
@@ -324,12 +313,13 @@ class Cell {
   bool done_ = false;
 };
 
+}  // namespace
+
 /// The one event loop. Each round fills every unfinished lane's queue on the
 /// calling thread, then replays all unfinished cells on the pool. A cell's
 /// hooks run in timeline order, exactly as if its scheme ran alone.
-std::vector<std::vector<RunResult>> run_lanes(
-    const std::vector<traceio::ContactCursor*>& cursors, NodeId node_count,
-    Time trace_end_hint, const std::vector<SimLane>& lanes,
+std::vector<std::vector<RunResult>> run_simulation(
+    const ContactTrace& trace, const std::vector<SimLane>& lanes,
     const SimConfig& config) {
   validate_sim_config(config);
   for (const SimLane& lane : lanes) {
@@ -344,17 +334,15 @@ std::vector<std::vector<RunResult>> run_lanes(
   }
   DTN_SCOPED_TIMER(kSimulation);
 
-  const DowntimeIndex downtime(config.node_downtime, node_count);
+  const DowntimeIndex downtime(config.node_downtime, trace.node_count());
   std::vector<std::vector<RunResult>> results(lanes.size());
   // Cells point into lanes and results, so neither may move.
   std::deque<Lane> lane_state;
   std::deque<Cell> cells;
   for (std::size_t l = 0; l < lanes.size(); ++l) {
     if (lanes[l].schemes.empty()) continue;
-    const Lane& lane =
-        lane_state.emplace_back(*cursors[l], trace_end_hint,
-                                *lanes[l].workload, lanes[l].seed, node_count,
-                                config);
+    const Lane& lane = lane_state.emplace_back(trace, *lanes[l].workload,
+                                               lanes[l].seed, config);
     results[l].resize(lanes[l].schemes.size());
     for (std::size_t i = 0; i < lanes[l].schemes.size(); ++i) {
       cells.emplace_back(lane, *lanes[l].schemes[i], results[l][i],
@@ -379,33 +367,11 @@ std::vector<std::vector<RunResult>> run_lanes(
   return results;
 }
 
-}  // namespace
-
 RunResult run_simulation(const ContactTrace& trace, const Workload& workload,
                          Scheme& scheme, const SimConfig& config) {
   return std::move(
       run_simulation(trace, {SimLane{&workload, {&scheme}, config.seed}},
                      config)[0][0]);
-}
-
-RunResult run_simulation(traceio::ContactCursor& contacts, NodeId node_count,
-                         Time trace_end_hint, const Workload& workload,
-                         Scheme& scheme, const SimConfig& config) {
-  return std::move(run_lanes({&contacts}, node_count, trace_end_hint,
-                             {SimLane{&workload, {&scheme}, config.seed}},
-                             config)[0][0]);
-}
-
-std::vector<std::vector<RunResult>> run_simulation(
-    const ContactTrace& trace, const std::vector<SimLane>& lanes,
-    const SimConfig& config) {
-  std::vector<traceio::VectorContactCursor> streams(
-      lanes.size(), traceio::VectorContactCursor(trace.events()));
-  std::vector<traceio::ContactCursor*> cursors;
-  cursors.reserve(streams.size());
-  for (auto& stream : streams) cursors.push_back(&stream);
-  return run_lanes(cursors, trace.node_count(), trace.end_time(), lanes,
-                   config);
 }
 
 }  // namespace dtn

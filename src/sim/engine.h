@@ -6,13 +6,15 @@
 // the all-pairs opportunistic path tables from the current estimates and
 // samples the caching-overhead metric.
 //
-// The tables depend only on the contact stream, the failure injection and
-// the tick grid, never on the scheme. So a run is organised in lanes (one
-// per repetition): a lane reads its contact stream and builds each tick's
-// tables once, and every scheme of the lane receives the same immutable
-// table. Between ticks the lane queues the events its schemes must see, and
-// each (lane, scheme) cell replays the queue as one thread-pool task. A
-// cell sees exactly the hook sequence of a one-scheme run (DESIGN.md §12).
+// The tables depend only on the contacts, the failure injection and the
+// tick grid, never on the scheme. So a run is organised in lanes (one per
+// repetition): a lane walks the trace's sorted contact vector by index and
+// builds each tick's tables once, and every scheme of the lane receives the
+// same immutable table. Between ticks the lane queues the events its
+// schemes must see, and each (lane, scheme) cell replays the queue as one
+// thread-pool task. A cell sees exactly the hook sequence of a one-scheme
+// run (DESIGN.md §12). The final sampling (on_end) happens at the latest
+// contact end, or at the first workload event if that is later.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +25,6 @@
 #include "sim/metrics.h"
 #include "sim/scheme.h"
 #include "trace/trace.h"
-#include "traceio/cursor.h"
 #include "workload/workload.h"
 
 namespace dtn {
@@ -148,19 +149,5 @@ struct SimLane {
 std::vector<std::vector<RunResult>> run_simulation(
     const ContactTrace& trace, const std::vector<SimLane>& lanes,
     const SimConfig& config);
-
-/// Streaming form: consumes contacts from a cursor (traceio/cursor.h)
-/// instead of a materialized vector, so a multi-GB .dtntrace runs in
-/// O(io-buffer) memory. `contacts` must emit events sorted by start time
-/// (DTN_CHECK-enforced); `node_count` bounds node ids; `trace_end_hint` is
-/// the trace's end time when known (a BinaryFileContactCursor's
-/// meta().end_time) — the engine also tracks the latest contact end seen,
-/// so 0 is safe and only shifts the final sampling instant for cursors
-/// whose last contact is not the latest-ending one. All three overloads
-/// run the same event loop; the ContactTrace forms read the trace through
-/// a VectorContactCursor, so every path is bit-identical.
-RunResult run_simulation(traceio::ContactCursor& contacts, NodeId node_count,
-                         Time trace_end_hint, const Workload& workload,
-                         Scheme& scheme, const SimConfig& config);
 
 }  // namespace dtn

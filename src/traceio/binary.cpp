@@ -203,42 +203,22 @@ BinaryTraceMeta read_binary_header(std::istream& in,
   return meta;
 }
 
-// ---- incremental decoder ----
+namespace {
 
-struct BinaryDecoder::Impl {
-  std::istream& in;
-  std::string source_name;
-  BinaryTraceMeta meta;
+/// Buffered reader over the record payload that follows the header. Every
+/// byte it hands out is folded into the payload checksum.
+class PayloadReader {
+ public:
+  PayloadReader(std::istream& in, const std::string& source_name)
+      : in_(in), source_name_(source_name), buffer_(kIoBufferSize) {}
 
-  std::vector<char> buffer = std::vector<char>(kIoBufferSize);
-  std::size_t buffer_pos = 0;
-  std::size_t buffer_len = 0;
-
-  std::uint64_t checksum = kFnvOffset;
-  std::uint64_t decoded = 0;
-  std::uint64_t prev_start_bits = 0;
-  std::uint64_t prev_duration_bits = 0;
-  NodeId prev_a = 0;
-  ContactEvent prev_event;
-  bool finished = false;
-
-  Impl(std::istream& stream, std::string source)
-      : in(stream), source_name(std::move(source)) {}
-
-  bool fill() {
-    in.read(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-    buffer_len = static_cast<std::size_t>(in.gcount());
-    buffer_pos = 0;
-    DTN_COUNT_N(kTraceBytesRead, buffer_len);
-    return buffer_len > 0;
-  }
+  std::uint64_t checksum() const { return checksum_; }
 
   bool read_byte(std::uint8_t& out) {
-    if (buffer_pos == buffer_len && !fill()) return false;
-    const std::uint8_t byte =
-        static_cast<std::uint8_t>(buffer[buffer_pos++]);
-    checksum ^= byte;
-    checksum *= 0x100000001b3ull;
+    if (pos_ == len_ && !fill()) return false;
+    const auto byte = static_cast<std::uint8_t>(buffer_[pos_++]);
+    checksum_ ^= byte;
+    checksum_ *= 0x100000001b3ull;
     out = byte;
     return true;
   }
@@ -248,88 +228,96 @@ struct BinaryDecoder::Impl {
     for (int shift = 0; shift < 64; shift += 7) {
       std::uint8_t byte = 0;
       if (!read_byte(byte)) {
-        binary_error(source_name, "truncated record payload");
+        binary_error(source_name_, "truncated record payload");
       }
       value |= static_cast<std::uint64_t>(byte & 0x7fu) << shift;
       if ((byte & 0x80u) == 0) return value;
     }
-    binary_error(source_name, "overlong varint in record payload");
+    binary_error(source_name_, "overlong varint in record payload");
   }
 
-  void finish() {
-    if (checksum != meta.payload_checksum) {
-      binary_error(source_name, "payload checksum mismatch (corrupt file)");
-    }
-    // The payload must end exactly with the last record.
-    std::uint8_t extra = 0;
-    if (read_byte(extra)) {
-      binary_error(source_name, "trailing bytes after the last record");
-    }
-    finished = true;
+ private:
+  bool fill() {
+    in_.read(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+    len_ = static_cast<std::size_t>(in_.gcount());
+    pos_ = 0;
+    DTN_COUNT_N(kTraceBytesRead, len_);
+    return len_ > 0;
   }
+
+  std::istream& in_;
+  const std::string& source_name_;
+  std::vector<char> buffer_;
+  std::size_t pos_ = 0;
+  std::size_t len_ = 0;
+  std::uint64_t checksum_ = kFnvOffset;
 };
 
-BinaryDecoder::BinaryDecoder(std::istream& in, std::string source_name)
-    : impl_(std::make_unique<Impl>(in, std::move(source_name))) {
-  impl_->meta = read_binary_header(in, impl_->source_name);
-  if (impl_->meta.contact_count == 0) impl_->finish();
+/// Decodes the meta.contact_count records that follow the header. Each
+/// record must name nodes in [0, N), carry a non-negative duration and not
+/// sort before its predecessor; then the payload checksum must match and
+/// the payload must end with the last record. Throws on any violation.
+std::vector<ContactEvent> decode_records(std::istream& in,
+                                         const std::string& source_name,
+                                         const BinaryTraceMeta& meta) {
+  PayloadReader reader(in, source_name);
+  std::vector<ContactEvent> events;
+  events.reserve(static_cast<std::size_t>(meta.contact_count));
+  std::uint64_t prev_start_bits = 0;
+  std::uint64_t prev_duration_bits = 0;
+  NodeId prev_a = 0;
+  for (std::uint64_t i = 0; i < meta.contact_count; ++i) {
+    const std::uint64_t start_bits =
+        prev_start_bits ^ bswap64(reader.read_varint());
+    const std::uint64_t duration_bits =
+        prev_duration_bits ^ bswap64(reader.read_varint());
+    const std::int64_t a_delta = zigzag_decode(reader.read_varint());
+    const std::uint64_t b_gap = reader.read_varint();
+
+    ContactEvent e;
+    e.start = std::bit_cast<Time>(start_bits);
+    e.duration = std::bit_cast<Time>(duration_bits);
+    // a = prev_a + a_delta and b = a + 1 + b_gap must land in [0, N). The
+    // deltas are untrusted, so the bounds are checked before the additions.
+    const std::int64_t n = meta.node_count;
+    if (a_delta < -std::int64_t{prev_a} || a_delta >= n - prev_a) {
+      binary_error(source_name, "record references node outside [0, N)");
+    }
+    e.a = static_cast<NodeId>(prev_a + a_delta);
+    if (b_gap >= static_cast<std::uint64_t>(n - e.a - 1)) {
+      binary_error(source_name, "record references node outside [0, N)");
+    }
+    e.b = static_cast<NodeId>(e.a + 1 + static_cast<std::int64_t>(b_gap));
+    if (e.duration < 0.0) {
+      binary_error(source_name, "record carries a negative duration");
+    }
+    if (!events.empty() && ContactEventOrder{}(e, events.back())) {
+      binary_error(source_name, "records are not sorted by start time");
+    }
+
+    prev_start_bits = start_bits;
+    prev_duration_bits = duration_bits;
+    prev_a = e.a;
+    events.push_back(e);
+    DTN_COUNT(kTraceContactsDecoded);
+  }
+  if (reader.checksum() != meta.payload_checksum) {
+    binary_error(source_name, "payload checksum mismatch (corrupt file)");
+  }
+  std::uint8_t extra = 0;
+  if (reader.read_byte(extra)) {
+    binary_error(source_name, "trailing bytes after the last record");
+  }
+  return events;
 }
 
-BinaryDecoder::~BinaryDecoder() = default;
-
-const BinaryTraceMeta& BinaryDecoder::meta() const { return impl_->meta; }
-
-bool BinaryDecoder::next(ContactEvent& out) {
-  Impl& d = *impl_;
-  if (d.decoded == d.meta.contact_count) return false;
-
-  const std::uint64_t start_bits =
-      d.prev_start_bits ^ bswap64(d.read_varint());
-  const std::uint64_t duration_bits =
-      d.prev_duration_bits ^ bswap64(d.read_varint());
-  const std::int64_t a = static_cast<std::int64_t>(d.prev_a) +
-                         zigzag_decode(d.read_varint());
-  const std::uint64_t b_delta = d.read_varint();
-
-  ContactEvent e;
-  e.start = std::bit_cast<Time>(start_bits);
-  e.duration = std::bit_cast<Time>(duration_bits);
-  if (a < 0 || a >= d.meta.node_count) {
-    binary_error(d.source_name, "record references node outside [0, N)");
-  }
-  e.a = static_cast<NodeId>(a);
-  const std::int64_t b = a + 1 + static_cast<std::int64_t>(b_delta);
-  if (b >= d.meta.node_count) {
-    binary_error(d.source_name, "record references node outside [0, N)");
-  }
-  e.b = static_cast<NodeId>(b);
-  if (e.duration < 0.0) {
-    binary_error(d.source_name, "record carries a negative duration");
-  }
-  if (d.decoded > 0 && ContactEventOrder{}(e, d.prev_event)) {
-    binary_error(d.source_name, "records are not sorted by start time");
-  }
-
-  d.prev_start_bits = start_bits;
-  d.prev_duration_bits = duration_bits;
-  d.prev_a = e.a;
-  d.prev_event = e;
-  ++d.decoded;
-  DTN_COUNT(kTraceContactsDecoded);
-  if (d.decoded == d.meta.contact_count) d.finish();
-  out = e;
-  return true;
-}
+}  // namespace
 
 ContactTrace read_trace_binary(std::istream& in,
                                const std::string& source_name,
                                NodeId min_node_count) {
-  BinaryDecoder decoder(in, source_name);
-  const BinaryTraceMeta& meta = decoder.meta();
-  std::vector<ContactEvent> events;
-  events.reserve(static_cast<std::size_t>(meta.contact_count));
-  ContactEvent e;
-  while (decoder.next(e)) events.push_back(e);
+  const BinaryTraceMeta meta = read_binary_header(in, source_name);
+  std::vector<ContactEvent> events = decode_records(in, source_name, meta);
   const NodeId node_count = std::max(min_node_count, meta.node_count);
   try {
     return ContactTrace(node_count, std::move(events), meta.name);

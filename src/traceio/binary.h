@@ -2,9 +2,9 @@
 //
 // Re-parsing a multi-hundred-thousand-contact text trace through iostreams
 // for every sweep costs orders of magnitude more than the simulation's own
-// per-contact work; this format is the parse-once half of the subsystem's
-// "parse once, stream everywhere" contract (DESIGN.md §8). Layout, all
-// fixed-width fields little-endian regardless of host byte order:
+// per-contact work; this format lets a trace be parsed once and then
+// loaded from its sidecar (DESIGN.md §8). Layout, all fixed-width fields
+// little-endian regardless of host byte order:
 //
 //   offset size field
 //   0      8    magic "DTNTRACE"
@@ -42,7 +42,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 
 #include "trace/trace.h"
@@ -64,7 +63,7 @@ std::uint64_t fnv1a(const void* data, std::size_t size,
 std::uint64_t fnv1a_file(const std::string& path);
 
 /// Everything the header says about a binary trace, available without
-/// decoding a single record — the metadata a streaming consumer needs.
+/// decoding a single record (the sidecar freshness check reads only this).
 struct BinaryTraceMeta {
   std::uint32_t version = 0;
   NodeId node_count = 0;
@@ -91,32 +90,6 @@ void save_trace_binary(const ContactTrace& trace, const std::string& path,
 /// the first record. `source_name` contextualizes errors.
 BinaryTraceMeta read_binary_header(std::istream& in,
                                    const std::string& source_name);
-
-/// Incremental record decoder: pulls one contact at a time from a stream
-/// whose header was already consumed, verifying sort order as it goes and
-/// the payload checksum + record count once the last record was read. This
-/// is the O(window)-memory engine behind both load_trace_binary and
-/// BinaryFileContactCursor (cursor.h).
-class BinaryDecoder {
- public:
-  /// Reads the header; throws on any validation failure.
-  BinaryDecoder(std::istream& in, std::string source_name);
-  ~BinaryDecoder();
-
-  BinaryDecoder(const BinaryDecoder&) = delete;
-  BinaryDecoder& operator=(const BinaryDecoder&) = delete;
-
-  const BinaryTraceMeta& meta() const;
-
-  /// Decodes the next contact into `out`; false once all contact_count
-  /// records were produced (at which point checksum and trailing-byte
-  /// validation have already run). Throws on corruption.
-  bool next(ContactEvent& out);
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
 
 /// Loads a whole binary trace (header + all records, fully validated).
 /// `min_node_count` mirrors the text loaders.

@@ -151,9 +151,4 @@ ContactTrace load_trace_any(const std::string& path,
   return trace;
 }
 
-std::shared_ptr<const ContactTrace> load_trace_shared(
-    const std::string& path, const LoadOptions& options) {
-  return std::make_shared<const ContactTrace>(load_trace_any(path, options));
-}
-
 }  // namespace dtn::traceio

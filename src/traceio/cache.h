@@ -19,7 +19,6 @@
 // tools/lint_allowlist.txt).
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "trace/trace.h"
@@ -49,12 +48,6 @@ struct LoadOptions {
 /// unreadable/undetectable/corrupt input.
 ContactTrace load_trace_any(const std::string& path,
                             const LoadOptions& options = {});
-
-/// load_trace_any into a shared immutable trace: the form the experiment /
-/// sweep layer shares across repetitions and grid cells (one parse, many
-/// consumers; see run_sweep's shared_ptr overload).
-std::shared_ptr<const ContactTrace> load_trace_shared(
-    const std::string& path, const LoadOptions& options = {});
 
 /// The sidecar path for a text trace: `<path>.dtntrace`.
 std::string sidecar_path(const std::string& path);

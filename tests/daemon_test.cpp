@@ -28,7 +28,6 @@
 #include "graph/all_pairs.h"
 #include "graph/ncl.h"
 #include "trace/synthetic.h"
-#include "traceio/cursor.h"
 
 namespace dtn {
 namespace {
@@ -483,8 +482,7 @@ std::string run_scripted(const ContactTrace& trace, int threads) {
                                      static_cast<std::ptrdiff_t>(split),
                                  trace.events().end());
   d.warm_start(ContactTrace(trace.node_count(), warm, "warm"));
-  traceio::VectorContactCursor cursor(live);
-  ReplayFeed feed(cursor);
+  ReplayFeed feed(live);
   std::istringstream script(
       "# replayed-clock query mix\n"
       "ncl 4\n"
@@ -510,8 +508,7 @@ TEST(DaemonScript, ByteIdenticalAcrossRunsAndThreadCounts) {
 TEST(DaemonScript, MalformedCommandThrowsWithLineNumber) {
   const ContactTrace trace = small_trace(37, 8, 1.0);
   Daemon d(trace.node_count(), test_config());
-  traceio::VectorContactCursor cursor(trace.events());
-  ReplayFeed feed(cursor);
+  ReplayFeed feed(trace.events());
   std::istringstream script("ncl 2\nbogus 1 2\n");
   std::ostringstream out;
   try {
@@ -529,12 +526,11 @@ TEST(ReplayFeed, AdvanceBoundaryIsExclusiveAndPushbackHolds) {
   events.push_back({200.0, 10.0, 0, 2});  // duplicate timestamp
   events.push_back({300.0, 10.0, 2, 3});
   Daemon d(4, test_config());
-  traceio::VectorContactCursor cursor(events);
-  ReplayFeed feed(cursor);
+  ReplayFeed feed(events);
   EXPECT_EQ(feed.advance_until(d, 100.0), 0u);  // strict: start < limit
   EXPECT_EQ(feed.advance_until(d, 200.0), 1u);
   EXPECT_EQ(feed.advance_until(d, 201.0), 2u);  // both duplicates
-  EXPECT_FALSE(feed.exhausted());               // 300 parked in the slot
+  EXPECT_FALSE(feed.exhausted());               // 300 held for the next call
   EXPECT_EQ(feed.drain(d), 1u);
   EXPECT_TRUE(feed.exhausted());
   EXPECT_EQ(d.stats().contacts_ingested, 4u);

@@ -11,7 +11,6 @@
 #include "graph/ncl.h"
 #include "sim/link_budget.h"
 #include "trace/synthetic.h"
-#include "traceio/cursor.h"
 #include "workload/workload.h"
 
 namespace dtn {
@@ -170,105 +169,30 @@ TEST(Engine, AllDataPhaseContactsDelivered) {
   EXPECT_EQ(scheme.contacts.size(), 11u);
 }
 
-TEST(Engine, StreamingCursorBitIdenticalToMaterialized) {
-  // The ContactTrace overload delegates to the cursor overload, so a
-  // VectorContactCursor-fed run must reproduce every hook invocation —
-  // same contacts in the same order with the same link budgets, same
-  // maintenance ticks, same query delivery times.
-  const ContactTrace trace = simple_trace();
-  const Workload workload = simple_workload(1000.0, 2000.0);
+TEST(Engine, OnEndRunsAtLatestContactEnd) {
+  // A long contact early in the trace ends after the last contact: the
+  // final sampling instant is the latest contact end, not the last start
+  // nor the last contact's end.
+  std::vector<ContactEvent> events = simple_trace().events();
+  events.push_back({150.0, 10000.0, 0, 3});
+  const ContactTrace trace(4, events, "long-contact");
+  ASSERT_DOUBLE_EQ(trace.end_time(), 10150.0);
+  ASSERT_LT(trace.events().back().end(), trace.end_time());
 
-  RecordingScheme materialized;
-  const RunResult from_trace =
-      run_simulation(trace, workload, materialized, test_config());
-
-  RecordingScheme streamed;
-  traceio::VectorContactCursor cursor(trace.events());
-  const RunResult from_cursor =
-      run_simulation(cursor, trace.node_count(), trace.end_time(), workload,
-                     streamed, test_config());
-
-  EXPECT_EQ(from_cursor.contacts_processed, from_trace.contacts_processed);
-  EXPECT_EQ(from_cursor.maintenance_ticks, from_trace.maintenance_ticks);
-  ASSERT_EQ(streamed.contacts.size(), materialized.contacts.size());
-  for (std::size_t i = 0; i < streamed.contacts.size(); ++i) {
-    EXPECT_EQ(streamed.contacts[i].when, materialized.contacts[i].when);
-    EXPECT_EQ(streamed.contacts[i].a, materialized.contacts[i].a);
-    EXPECT_EQ(streamed.contacts[i].b, materialized.contacts[i].b);
-    EXPECT_EQ(streamed.contacts[i].budget, materialized.contacts[i].budget);
-  }
-  EXPECT_EQ(streamed.maintenance_times, materialized.maintenance_times);
-  EXPECT_EQ(streamed.query_times, materialized.query_times);
-}
-
-TEST(Engine, StreamingCursorZeroEndHintProcessesAllContacts) {
-  // trace_end_hint = 0 is documented safe: the engine tracks the latest
-  // contact end itself, so no contact is dropped.
-  const ContactTrace trace = simple_trace();
-  const Workload workload = simple_workload(1000.0, 2000.0);
   RecordingScheme scheme;
-  traceio::VectorContactCursor cursor(trace.events());
-  const RunResult result = run_simulation(cursor, trace.node_count(),
-                                          /*trace_end_hint=*/0.0, workload,
-                                          scheme, test_config());
-  EXPECT_EQ(result.contacts_processed, 11u);
-}
+  run_simulation(trace, simple_workload(1000.0, 2000.0), scheme,
+                 test_config());
+  ASSERT_FALSE(scheme.calls.empty());
+  EXPECT_EQ(scheme.calls.back(),
+            (RecordingScheme::Call{"end", trace.end_time()}));
 
-TEST(Engine, StreamingCursorMatchesMaterializedForNclScheme) {
-  // The production path: the full NCL caching scheme (fast engine) fed
-  // from a cursor versus from a materialized trace must produce identical
-  // metrics — the streaming ingestion layer is invisible to the scheme.
-  SyntheticTraceConfig tc;
-  tc.node_count = 15;
-  tc.duration = days(1);
-  tc.target_total_contacts = 1500;
-  tc.seed = 9;
-  const ContactTrace trace = generate_trace(tc);
-
-  ExperimentConfig config;
-  config.ncl_count = 2;
-  config.auto_horizon = false;
-  config.sim.path_horizon = hours(2);
-  config.sim.maintenance_interval = hours(12);
-  config.seed = 5;
-
-  const WarmupContext warmup = make_warmup_context(trace, config);
-  const NclSelection ncls =
-      select_ncls(warmup.graph, warmup.horizon, config.ncl_count,
-                  config.sim.max_hops, config.sim.threads);
-  WorkloadConfig wc;
-  wc.start = trace.start_time() + trace.duration() / 2.0;
-  wc.end = trace.end_time();
-  wc.avg_lifetime = config.avg_lifetime;
-  wc.generation_prob = config.generation_prob;
-  wc.avg_size = config.avg_data_size;
-  wc.seed = config.seed;
-  const Workload workload = generate_workload(wc, trace.node_count());
-  const std::vector<Bytes> buffers =
-      draw_buffer_capacities(config, trace.node_count(), config.seed);
-  SimConfig sc = config.sim;
-  sc.path_horizon = warmup.horizon;
-
-  std::unique_ptr<Scheme> scheme_trace =
-      make_scheme(SchemeKind::kNclCache, config, ncls, buffers);
-  const RunResult from_trace =
-      run_simulation(trace, workload, *scheme_trace, sc);
-
-  std::unique_ptr<Scheme> scheme_cursor =
-      make_scheme(SchemeKind::kNclCache, config, ncls, buffers);
-  traceio::VectorContactCursor cursor(trace.events());
-  const RunResult from_cursor =
-      run_simulation(cursor, trace.node_count(), trace.end_time(), workload,
-                     *scheme_cursor, sc);
-
-  EXPECT_EQ(from_cursor.contacts_processed, from_trace.contacts_processed);
-  EXPECT_EQ(from_cursor.metrics.success_ratio(),
-            from_trace.metrics.success_ratio());
-  EXPECT_EQ(from_cursor.metrics.mean_delay(), from_trace.metrics.mean_delay());
-  EXPECT_EQ(from_cursor.metrics.queries_satisfied(),
-            from_trace.metrics.queries_satisfied());
-  EXPECT_EQ(from_cursor.metrics.duplicate_deliveries(),
-            from_trace.metrics.duplicate_deliveries());
+  // A data phase that starts after the trace ends moves on_end to the
+  // phase start.
+  RecordingScheme late;
+  run_simulation(trace, simple_workload(20000.0, 21000.0), late,
+                 test_config());
+  ASSERT_FALSE(late.calls.empty());
+  EXPECT_EQ(late.calls.back(), (RecordingScheme::Call{"end", 20000.0}));
 }
 
 TEST(Engine, LinkBudgetFromDurationAndBandwidth) {

@@ -1,26 +1,24 @@
 // Tests for the trace ingestion subsystem (src/traceio/): golden fixture
-// parses for every reader, lossless .dtntrace round-trips, corruption
-// rejection, streaming-cursor/materialized-vector equivalence (including
-// through the simulation engine), the transparent sidecar cache, and the
+// parses for every reader, lossless .dtntrace round-trips (including the
+// degenerate empty, single-contact and duplicate-timestamp shapes),
+// corruption rejection, the transparent sidecar cache, and the
 // shared-trace sweep determinism contract.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
-#include "baselines/no_cache.h"
 #include "common/instrument.h"
 #include "experiment/sweep.h"
-#include "sim/engine.h"
 #include "trace/synthetic.h"
 #include "trace/trace_io.h"
 #include "traceio/binary.h"
 #include "traceio/cache.h"
-#include "traceio/cursor.h"
 #include "traceio/reader.h"
-#include "workload/workload.h"
 
 namespace dtn {
 namespace {
@@ -261,105 +259,103 @@ TEST(TraceioBinary, RejectsCorruptionEverywhere) {
   expect_rejected(bad_payload, "flipped payload bit");
 }
 
-// ---- streaming cursor -------------------------------------------------
-
-TEST(TraceioCursor, FileCursorStreamsTheExactEventSequence) {
-  ScratchDir dir("cursor");
-  const ContactTrace trace = awkward_trace();
-  const std::string path = dir.file("t.dtntrace");
-  traceio::save_trace_binary(trace, path);
-
-  traceio::BinaryFileContactCursor cursor(path);
-  EXPECT_EQ(cursor.meta().contact_count, trace.size());
-  EXPECT_EQ(traceio::drain(cursor), trace.events());
-}
-
-TEST(TraceioCursor, EngineRunsIdenticallyFromVectorAndFileCursor) {
-  SyntheticTraceConfig config;
-  config.node_count = 12;
-  config.duration = days(4);
-  config.target_total_contacts = 800;
-  config.seed = 11;
-  const ContactTrace trace = generate_trace(config);
-
-  WorkloadConfig wc;
-  wc.start = trace.start_time() + trace.duration() / 2.0;
-  wc.end = trace.end_time();
-  wc.avg_lifetime = days(1);
-  wc.seed = 5;
-  const Workload workload = generate_workload(wc, trace.node_count());
-
-  SimConfig sim;
-  sim.maintenance_interval = hours(12);
-  auto scheme_config = [&] {
-    FloodingConfig fc;
-    fc.buffer_capacity.assign(static_cast<std::size_t>(trace.node_count()),
-                              megabits(400));
-    return fc;
+/// One encoded record from its raw fields (binary.h: XOR-ed start and
+/// duration bits, zigzag a delta, b - a - 1).
+std::string record_bytes(std::uint64_t start_xor, std::uint64_t duration_xor,
+                         std::int64_t a_delta, std::uint64_t b_gap) {
+  auto varint = [](std::uint64_t v) {
+    std::string out;
+    for (; v >= 0x80u; v >>= 7) out.push_back(static_cast<char>(v | 0x80u));
+    out.push_back(static_cast<char>(v));
+    return out;
   };
-
-  NoCacheScheme from_vector(scheme_config());
-  const RunResult vector_run =
-      run_simulation(trace, workload, from_vector, sim);
-
-  ScratchDir dir("engine");
-  const std::string path = dir.file("t.dtntrace");
-  traceio::save_trace_binary(trace, path);
-  traceio::BinaryFileContactCursor cursor(path);
-  NoCacheScheme from_cursor(scheme_config());
-  const RunResult cursor_run =
-      run_simulation(cursor, trace.node_count(), cursor.meta().end_time,
-                     workload, from_cursor, sim);
-
-  EXPECT_EQ(cursor_run.contacts_processed, vector_run.contacts_processed);
-  EXPECT_EQ(cursor_run.maintenance_ticks, vector_run.maintenance_ticks);
-  EXPECT_EQ(cursor_run.metrics.queries_issued(),
-            vector_run.metrics.queries_issued());
-  EXPECT_EQ(cursor_run.metrics.queries_satisfied(),
-            vector_run.metrics.queries_satisfied());
-  EXPECT_EQ(cursor_run.metrics.success_ratio(),
-            vector_run.metrics.success_ratio());
-  EXPECT_EQ(cursor_run.metrics.bytes_transferred(),
-            vector_run.metrics.bytes_transferred());
+  auto byteswap = [](std::uint64_t v) {
+    std::uint64_t out = 0;
+    for (int i = 0; i < 8; ++i, v >>= 8) out = (out << 8) | (v & 0xffu);
+    return out;
+  };
+  const auto zigzag = static_cast<std::uint64_t>((a_delta << 1) ^
+                                                 (a_delta >> 63));
+  return varint(byteswap(start_xor)) + varint(byteswap(duration_xor)) +
+         varint(zigzag) + varint(b_gap);
 }
 
-// The daemon (src/daemon/) consumes cursors directly — no materialized
-// ContactTrace in between — so the degenerate shapes a long-running feed
-// can take must hold at the cursor layer itself.
+TEST(TraceioBinary, RejectsEveryMalformedRecord) {
+  // The header of an empty 10-node trace, patched to announce `count`
+  // records and the payload's true checksum, so that only the named record
+  // check can reject the file.
+  std::ostringstream header_out;
+  traceio::write_trace_binary(ContactTrace(10, {}, "raw"), header_out);
+  auto with_payload = [&](std::uint64_t count, const std::string& payload) {
+    std::string bytes = header_out.str();
+    const std::uint64_t checksum =
+        traceio::fnv1a(payload.data(), payload.size());
+    for (int i = 0; i < 8; ++i) {
+      bytes[24 + i] = static_cast<char>((count >> (8 * i)) & 0xffu);
+      bytes[64 + i] = static_cast<char>((checksum >> (8 * i)) & 0xffu);
+    }
+    return bytes + payload;
+  };
+  const std::uint64_t minus_one = std::bit_cast<std::uint64_t>(-1.0);
+  const struct {
+    std::uint64_t count;
+    std::string payload;
+    const char* error;
+  } cases[] = {
+      {1, std::string(10, '\xff'), "overlong varint"},
+      {1, record_bytes(0, 0, -1, 0), "node outside [0, N)"},   // a = -1
+      {1, record_bytes(0, 0, 0, 20), "node outside [0, N)"},   // b = 21
+      // Deltas large enough to overflow a signed 64-bit addition, and a
+      // gap that wraps to -3 (b = 3 < a = 5).
+      {2, record_bytes(0, 0, 1, 0) + record_bytes(0, 0, INT64_MAX, 0),
+       "node outside [0, N)"},
+      {1, record_bytes(0, 0, 1, INT64_MAX), "node outside [0, N)"},
+      {1, record_bytes(0, 0, 5, UINT64_MAX - 2), "node outside [0, N)"},
+      {1, record_bytes(0, minus_one, 0, 0), "negative duration"},
+      {2, record_bytes(0, 0, 1, 0) + record_bytes(0, 0, -1, 0),
+       "not sorted"},  // (1, 2) then (0, 1) at the same instant
+  };
+  for (const auto& c : cases) {
+    std::istringstream in(with_payload(c.count, c.payload));
+    try {
+      traceio::read_trace_binary(in, "raw.dtntrace");
+      ADD_FAILURE() << "accepted a record that should fail: " << c.error;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(c.error), std::string::npos)
+          << error.what();
+    }
+  }
+}
 
-TEST(TraceioCursor, EmptyTraceYieldsNoEventsAndEndsCleanly) {
+/// write_trace_binary then read_trace_binary, in memory.
+ContactTrace binary_round_trip(const ContactTrace& trace) {
+  std::ostringstream out;
+  traceio::write_trace_binary(trace, out);
+  std::istringstream in(out.str());
+  return traceio::read_trace_binary(in, "mem.dtntrace");
+}
+
+TEST(TraceioBinary, EmptyTraceRoundTrips) {
   const ContactTrace empty(4, {}, "empty");
-  traceio::VectorContactCursor vec(empty.events());
-  EXPECT_TRUE(traceio::drain(vec).empty());
-
-  ScratchDir dir("empty");
-  const std::string path = dir.file("empty.dtntrace");
-  traceio::save_trace_binary(empty, path);
-  traceio::BinaryFileContactCursor cursor(path);
-  EXPECT_EQ(cursor.meta().contact_count, 0u);
-  EXPECT_EQ(cursor.meta().node_count, 4);
-  ContactEvent event;
-  EXPECT_FALSE(cursor.next(event));
-  EXPECT_FALSE(cursor.next(event));  // end-of-stream is sticky
+  const ContactTrace back = binary_round_trip(empty);
+  EXPECT_TRUE(back.empty());
+  EXPECT_EQ(back.node_count(), 4);
+  EXPECT_EQ(back.name(), "empty");
 }
 
-TEST(TraceioCursor, SingleContactTraceStreamsExactlyOnce) {
+TEST(TraceioBinary, SingleContactTraceRoundTrips) {
   std::vector<ContactEvent> events;
   events.push_back({42.5, 7.0, 1, 3});
   const ContactTrace one(5, events, "one");
-  ScratchDir dir("single");
-  const std::string path = dir.file("single.dtntrace");
-  traceio::save_trace_binary(one, path);
-  traceio::BinaryFileContactCursor cursor(path);
-  ContactEvent event;
-  ASSERT_TRUE(cursor.next(event));
-  EXPECT_EQ(event, one.events()[0]);
-  EXPECT_FALSE(cursor.next(event));
+  const ContactTrace back = binary_round_trip(one);
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back.events()[0], one.events()[0]);
+  EXPECT_EQ(back.node_count(), 5);
 }
 
-TEST(TraceioCursor, DuplicateTimestampsStreamInCanonicalPairOrder) {
+TEST(TraceioBinary, DuplicateTimestampsRoundTripInCanonicalPairOrder) {
   // Several contacts at the same instant (one crowded room): the binary
-  // writer stores them in ContactEventOrder and the cursor must hand them
+  // writer stores them in ContactEventOrder and the decoder must hand them
   // back in exactly that order — the daemon's estimator treats a repeated
   // (pair, time) as one physical meeting, which only works if duplicates
   // arrive adjacent, not shuffled.
@@ -370,14 +366,10 @@ TEST(TraceioCursor, DuplicateTimestampsStreamInCanonicalPairOrder) {
   events.push_back({100.0, 5.0, 1, 2});
   events.push_back({250.0, 5.0, 0, 1});
   const ContactTrace trace(4, events, "dups");  // ctor sorts canonically
-  ScratchDir dir("dups");
-  const std::string path = dir.file("dups.dtntrace");
-  traceio::save_trace_binary(trace, path);
-  traceio::BinaryFileContactCursor cursor(path);
-  const std::vector<ContactEvent> streamed = traceio::drain(cursor);
-  ASSERT_EQ(streamed.size(), 5u);
-  EXPECT_EQ(streamed, trace.events());
-  EXPECT_EQ(streamed[0], streamed[1]);  // the duplicate survived intact
+  const ContactTrace back = binary_round_trip(trace);
+  ASSERT_EQ(back.size(), 5u);
+  EXPECT_EQ(back.events(), trace.events());
+  EXPECT_EQ(back.events()[0], back.events()[1]);  // the duplicate survived
 }
 
 TEST(TraceioStrict, CsvRejectsOutOfOrderContactsOnlyInStrictMode) {

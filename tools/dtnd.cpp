@@ -29,7 +29,6 @@
 #include "daemon/script.h"
 #include "trace/synthetic.h"
 #include "traceio/cache.h"
-#include "traceio/cursor.h"
 #include "parse_number.h"
 
 using namespace dtn;
@@ -209,8 +208,7 @@ int run(const Options& options) {
     daemon.warm_start(
         ContactTrace(trace.node_count(), std::move(warm), "warm"));
   }
-  traceio::VectorContactCursor cursor(live);
-  daemon::ReplayFeed feed(cursor);
+  daemon::ReplayFeed feed(live);
 
   if (options.script_path.empty()) {
     const std::size_t n = feed.drain(daemon);
@@ -273,8 +271,7 @@ std::string replay_output(const ContactTrace& trace,
                                      static_cast<std::ptrdiff_t>(split),
                                  trace.events().end());
   daemon.warm_start(ContactTrace(trace.node_count(), std::move(warm), "warm"));
-  traceio::VectorContactCursor cursor(live);
-  daemon::ReplayFeed feed(cursor);
+  daemon::ReplayFeed feed(live);
   std::istringstream script(script_text);
   std::ostringstream out;
   daemon::run_script(daemon, feed, script, out);

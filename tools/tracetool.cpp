@@ -27,7 +27,6 @@
 #include "trace/trace_io.h"
 #include "traceio/binary.h"
 #include "traceio/cache.h"
-#include "traceio/cursor.h"
 #include "traceio/reader.h"
 
 using namespace dtn;
@@ -434,14 +433,6 @@ int run_self_test() {
   std::ostringstream scale_csv2;
   write_trace_csv(scale_back, scale_csv2);
   TT_CHECK(scale_csv.str() == scale_csv2.str());
-
-  // Streaming cursor == materialized vector.
-  std::istringstream bin_in2(bin.str());
-  traceio::BinaryDecoder decoder(bin_in2, "selftest.dtntrace");
-  ContactEvent event;
-  std::vector<ContactEvent> streamed;
-  while (decoder.next(event)) streamed.push_back(event);
-  TT_CHECK(streamed == trace.events());
 
   std::printf("tracetool self-test: OK\n");
   return 0;
