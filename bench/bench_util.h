@@ -6,15 +6,29 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "tools/parse_number.h"
 
 namespace dtn::bench {
 
+/// parse_number<T> (tools/parse_number.h's whole-token rule), then exits 2
+/// with a message unless the value is finite and at least `min`.
+template <typename T>
+T parse_at_least(const std::string& flag, const char* text, T min) {
+  const T value = parse_number<T>(flag, text);
+  if (!std::isfinite(static_cast<double>(value)) || value < min) {
+    std::fprintf(stderr, "%s: expected a finite number >= %g, got '%s'\n",
+                 flag.c_str(), static_cast<double>(min), text);
+    std::exit(2);
+  }
+  return value;
+}
+
 /// Parses "--reps N" and "--days D" style flags; unknown flags abort with
-/// a usage message so typos do not silently run the default.
+/// a usage message so typos do not silently run the default. A malformed
+/// or out-of-range number (reps < 1, threads < 0, days negative or not
+/// finite) exits 2 with a message.
 struct BenchArgs {
   int reps = 2;
   double days = 0.0;  ///< 0 = bench-specific default
@@ -25,15 +39,16 @@ struct BenchArgs {
   static BenchArgs parse(int argc, char** argv) {
     BenchArgs args;
     for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-        args.reps = std::atoi(argv[++i]);
-      } else if (std::strcmp(argv[i], "--days") == 0 && i + 1 < argc) {
-        args.days = std::atof(argv[++i]);
-      } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-        args.threads = std::atoi(argv[++i]);
-      } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+      const std::string flag = argv[i];
+      if (flag == "--reps" && i + 1 < argc) {
+        args.reps = parse_at_least(flag, argv[++i], 1);
+      } else if (flag == "--days" && i + 1 < argc) {
+        args.days = parse_at_least(flag, argv[++i], 0.0);
+      } else if (flag == "--threads" && i + 1 < argc) {
+        args.threads = parse_at_least(flag, argv[++i], 0);
+      } else if (flag == "--json" && i + 1 < argc) {
         args.json = argv[++i];
-      } else if (std::strcmp(argv[i], "--fast") == 0) {
+      } else if (flag == "--fast") {
         args.fast = true;
       } else {
         std::fprintf(
@@ -66,12 +81,7 @@ inline double take_min_speedup(int& argc, char** argv) {
       std::fprintf(stderr, "%s: missing value\n", flag.c_str());
       std::exit(2);
     }
-    floor = parse_number<double>(flag, argv[++i]);
-    if (!std::isfinite(floor) || floor < 0.0) {
-      std::fprintf(stderr, "%s: expected a finite number >= 0, got '%s'\n",
-                   flag.c_str(), argv[i]);
-      std::exit(2);
-    }
+    floor = parse_at_least(flag, argv[++i], 0.0);
   }
   argc = kept;
   return floor;

@@ -47,8 +47,6 @@ constexpr std::array<const char*, kCounterCount> kCounterNames = {
     "daemon_snapshots_published",
     "daemon_audit_rebuilds",
     "daemon_queries",
-    "dijkstra_pruned",
-    "sparse_landmark_tables",
     "peak_rss_bytes",
 };
 
@@ -66,7 +64,6 @@ constexpr std::array<const char*, kTimerCount> kTimerNames = {
     "sweep",
     "trace_load",
     "daemon_repair",
-    "sparse_metrics",
 };
 
 /// One thread's counters and timers. Only the owning thread writes them

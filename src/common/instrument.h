@@ -74,8 +74,6 @@ enum class Counter : int {
   kDaemonSnapshotsPublished,    ///< read-snapshot swaps (epoch increments)
   kDaemonAuditRebuilds,         ///< audit-mode full kReference rebuilds
   kDaemonQueries,               ///< daemon queries answered from a snapshot
-  kDijkstraPruned,              ///< frontier candidates dropped below the floor
-  kSparseLandmarkTables,        ///< landmark single-source builds (kSparse)
   kPeakRssBytes,                ///< peak resident set sampled by benches
   kCount
 };
@@ -95,7 +93,6 @@ enum class Timer : int {
   kSweep,             ///< run_sweep over the whole grid
   kTraceLoad,         ///< load_trace_any, end to end (parse or cache load)
   kDaemonRepair,      ///< one daemon repair batch (drift scan -> publish)
-  kSparseMetrics,     ///< sparse_ncl_metrics (landmark + pruned builds)
   kCount
 };
 

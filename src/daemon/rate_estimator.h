@@ -47,8 +47,7 @@ struct PairRateSummary {
 /// would drive the rate to +inf.
 ///
 /// Storage is dense upper-triangular like the batch RateEstimator: O(n^2/2)
-/// small structs, the right trade for the trace scales this tree targets
-/// (the million-node tier is the sparse-metric ROADMAP item, not this one).
+/// small structs, the right trade for the paper's traces (41–275 nodes).
 /// Decay/expiry (expiry > 0): without it, a pair that stops meeting keeps
 /// its last EWMA rate forever — dead links stay attractive in the contact
 /// graph indefinitely. With an expiry E, the estimate of a silent pair

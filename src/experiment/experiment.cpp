@@ -36,8 +36,7 @@ Time effective_horizon(const ContactGraph& graph,
                        const ExperimentConfig& config) {
   if (!config.auto_horizon) return config.sim.path_horizon;
   return calibrate_horizon(graph, config.horizon_target_median, minutes(1),
-                           days(90), config.sim.max_hops, config.sim.threads,
-                           config.sim.metric_engine, config.sim.sparse_metric);
+                           days(90), config.sim.max_hops, config.sim.threads);
 }
 
 WarmupContext make_warmup_context(const ContactTrace& trace,
@@ -53,8 +52,7 @@ NclSelection warmup_ncl_selection(const ContactTrace& trace,
   const ContactGraph graph = warmup_graph(trace, config);
   return select_ncls(graph, effective_horizon(graph, config),
                      config.ncl_count, config.sim.max_hops,
-                     config.sim.threads, config.sim.metric_engine,
-                     config.sim.sparse_metric);
+                     config.sim.threads);
 }
 
 std::vector<Bytes> draw_buffer_capacities(const ExperimentConfig& config,
@@ -131,9 +129,7 @@ std::vector<ExperimentResult> run_cells(const ContactTrace& trace,
   const Time warmup_end = trace.start_time() + trace.duration() / 2.0;
   const NclSelection ncls = select_ncls(warmup.graph, warmup.horizon,
                                         config.ncl_count, config.sim.max_hops,
-                                        config.sim.threads,
-                                        config.sim.metric_engine,
-                                        config.sim.sparse_metric);
+                                        config.sim.threads);
 
   // Everything a replay touches is built here, on the calling thread.
   // Each repetition derives its own seeds from the rep index.

@@ -37,20 +37,6 @@ std::vector<double> ncl_metrics(const ContactGraph& graph, Time horizon,
   return metrics;
 }
 
-std::vector<double> ncl_metrics(const ContactGraph& graph, Time horizon,
-                                int max_hops, int threads, MetricEngine engine,
-                                const SparseMetricConfig& sparse) {
-  switch (engine) {
-    case MetricEngine::kFast:
-      return ncl_metrics(graph, horizon, max_hops, threads);
-    case MetricEngine::kReference:
-      return reference_ncl_metrics(graph, horizon, max_hops, threads);
-    case MetricEngine::kSparse:
-      return sparse_ncl_metrics(graph, horizon, max_hops, threads, sparse);
-  }
-  return ncl_metrics(graph, horizon, max_hops, threads);
-}
-
 bool NclSelection::is_central(NodeId node) const {
   return central_index(node) >= 0;
 }
@@ -62,13 +48,12 @@ int NclSelection::central_index(NodeId node) const {
   return -1;
 }
 
-namespace {
-
-/// Shared ranking step: fills central_nodes from selection.metric with the
-/// deterministic metric-descending / id-ascending order. One implementation
-/// for every engine keeps the degenerate-sparse bit-identity argument local
-/// to the metric vector.
-void rank_central_nodes(NclSelection& selection, int k) {
+NclSelection select_ncls(const ContactGraph& graph, Time horizon, int k,
+                         int max_hops, int threads, MetricEngine,
+                         const SparseMetricConfig&) {
+  if (k < 1) throw std::invalid_argument("k must be >= 1");
+  NclSelection selection;
+  selection.metric = ncl_metrics(graph, horizon, max_hops, threads);
   std::vector<NodeId> order(selection.metric.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
@@ -81,42 +66,12 @@ void rank_central_nodes(NclSelection& selection, int k) {
                                                  order.size());
   selection.central_nodes.assign(order.begin(),
                                  order.begin() + static_cast<std::ptrdiff_t>(take));
-}
-
-}  // namespace
-
-NclSelection select_ncls(const ContactGraph& graph, Time horizon, int k,
-                         int max_hops, int threads) {
-  if (k < 1) throw std::invalid_argument("k must be >= 1");
-  NclSelection selection;
-  selection.metric = ncl_metrics(graph, horizon, max_hops, threads);
-  rank_central_nodes(selection, k);
-  return selection;
-}
-
-NclSelection select_ncls(const ContactGraph& graph, Time horizon, int k,
-                         int max_hops, int threads, MetricEngine engine,
-                         const SparseMetricConfig& sparse) {
-  if (k < 1) throw std::invalid_argument("k must be >= 1");
-  NclSelection selection;
-  selection.metric = ncl_metrics(graph, horizon, max_hops, threads, engine,
-                                 sparse);
-  rank_central_nodes(selection, k);
   return selection;
 }
 
 Time calibrate_horizon(const ContactGraph& graph, double target_median,
                        Time min_horizon, Time max_horizon, int max_hops,
                        int threads) {
-  return calibrate_horizon(graph, target_median, min_horizon, max_horizon,
-                           max_hops, threads, MetricEngine::kFast,
-                           SparseMetricConfig{});
-}
-
-Time calibrate_horizon(const ContactGraph& graph, double target_median,
-                       Time min_horizon, Time max_horizon, int max_hops,
-                       int threads, MetricEngine engine,
-                       const SparseMetricConfig& sparse) {
   if (!(target_median > 0.0) || target_median >= 1.0) {
     throw std::invalid_argument("target_median must be in (0, 1)");
   }
@@ -125,8 +80,7 @@ Time calibrate_horizon(const ContactGraph& graph, double target_median,
   }
   DTN_SCOPED_TIMER(kCalibrateHorizon);
   auto median_metric = [&](Time horizon) {
-    std::vector<double> m =
-        ncl_metrics(graph, horizon, max_hops, threads, engine, sparse);
+    std::vector<double> m = ncl_metrics(graph, horizon, max_hops, threads);
     if (m.empty()) return 0.0;
     std::nth_element(m.begin(), m.begin() + static_cast<std::ptrdiff_t>(m.size() / 2),
                      m.end());

@@ -13,9 +13,14 @@
 #include "common/types.h"
 #include "graph/contact_graph.h"
 #include "graph/opportunistic_path.h"
-#include "graph/sparse_metric.h"
 
 namespace dtn {
+
+/// Kept only because perfbench/harness.cpp passes it to select_ncls.
+enum class MetricEngine { kFast };
+
+/// Kept only because perfbench/harness.cpp passes it to select_ncls.
+struct SparseMetricConfig {};
 
 /// NCL metric C_i for every node (Eq. 3). Because contacts are symmetric,
 /// p_ji = p_ij, so one single-source computation per node suffices. The
@@ -24,14 +29,6 @@ namespace dtn {
 /// written to its own index, so results are identical for any thread count.
 std::vector<double> ncl_metrics(const ContactGraph& graph, Time horizon,
                                 int max_hops = 8, int threads = 0);
-
-/// Engine-dispatching form: kFast and kReference are exact, kSparse applies
-/// the landmark-sampled + frontier-pruned approximation in `sparse`
-/// (DESIGN.md §14). A degenerate sparse config (all landmarks, zero floor)
-/// is bit-identical to kFast.
-std::vector<double> ncl_metrics(const ContactGraph& graph, Time horizon,
-                                int max_hops, int threads, MetricEngine engine,
-                                const SparseMetricConfig& sparse = {});
 
 /// The outcome of NCL selection.
 struct NclSelection {
@@ -46,15 +43,12 @@ struct NclSelection {
 };
 
 /// Selects the top `k` nodes by NCL metric. Ties break towards the lower
-/// node id for determinism.
+/// node id for determinism. The two trailing parameters are ignored; they
+/// are kept only because perfbench/harness.cpp passes them.
 NclSelection select_ncls(const ContactGraph& graph, Time horizon, int k,
-                         int max_hops = 8, int threads = 0);
-
-/// Engine-dispatching form; same ordering and tie-break rule for every
-/// engine, so a degenerate sparse config selects identical central nodes.
-NclSelection select_ncls(const ContactGraph& graph, Time horizon, int k,
-                         int max_hops, int threads, MetricEngine engine,
-                         const SparseMetricConfig& sparse = {});
+                         int max_hops = 8, int threads = 0,
+                         MetricEngine = MetricEngine::kFast,
+                         const SparseMetricConfig& = {});
 
 /// Adaptive choice of the time budget T (Sec. IV-B): "inappropriate values
 /// of T will make C_i close to 0 or 1 ... different values of T are used
@@ -66,13 +60,5 @@ Time calibrate_horizon(const ContactGraph& graph,
                        Time min_horizon = 60.0,
                        Time max_horizon = 90.0 * 86400.0,
                        int max_hops = 8, int threads = 0);
-
-/// Engine-dispatching form: bisects on the median of the chosen engine's
-/// metric vector, so a sparse deployment calibrates against the same
-/// approximation it will serve.
-Time calibrate_horizon(const ContactGraph& graph, double target_median,
-                       Time min_horizon, Time max_horizon, int max_hops,
-                       int threads, MetricEngine engine,
-                       const SparseMetricConfig& sparse = {});
 
 }  // namespace dtn

@@ -96,11 +96,8 @@ void materialize_prefix(const std::vector<PathTable::Entry>& entries,
 
 PathTable run_fast_dijkstra(const ContactGraph& graph, NodeId root,
                             Time horizon, int max_hops, PathWorkspace& ws,
-                            const EdgeExpTable* edge_exp,
-                            double weight_floor) {
+                            const EdgeExpTable* edge_exp) {
   validate_dijkstra_args(graph, root, horizon, max_hops);
-  DTN_CHECK(weight_floor >= 0.0 && weight_floor < 1.0,
-            "weight floor must be in [0, 1)");
   const NodeId n = graph.node_count();
   DTN_SCOPED_TIMER(kDijkstra);
 
@@ -124,7 +121,6 @@ PathTable run_fast_dijkstra(const ContactGraph& graph, NodeId root,
   [[maybe_unused]] std::uint64_t settled_count = 0;
   [[maybe_unused]] std::uint64_t relaxations = 0;
   [[maybe_unused]] std::uint64_t bytes_not_allocated = 0;
-  [[maybe_unused]] std::uint64_t pruned = 0;
 
   while (!queue.empty()) {
     const auto [weight, u] = queue.top();
@@ -165,16 +161,6 @@ PathTable run_fast_dijkstra(const ContactGraph& graph, NodeId root,
       // algorithms (closed form / Erlang / uniformization), which disagree
       // by a few ulps when both weights saturate towards 1.
       DTN_CHECK_LE(candidate, eu.weight + 1e-9);
-      // Bounded-frontier pruning (DESIGN.md §14): appending hops only ever
-      // decreases the hypoexp weight, so once a candidate drops below the
-      // floor no extension of it can climb back above — dropping it here
-      // cannot disturb any entry whose final weight is >= the floor. The
-      // comparison is strict, so a zero floor never fires and the build is
-      // bit-identical to the unpruned one.
-      if (candidate < weight_floor) {
-        ++pruned;
-        continue;
-      }
       if (candidate > ev.weight) {
         ev.weight = candidate;
         ev.next_hop = u;
@@ -188,7 +174,6 @@ PathTable run_fast_dijkstra(const ContactGraph& graph, NodeId root,
   DTN_COUNT_N(kDijkstraRelaxations, relaxations);
   DTN_COUNT_N(kPathScratchReuses, relaxations);
   DTN_COUNT_N(kPathBytesNotAllocated, bytes_not_allocated);
-  DTN_COUNT_N(kDijkstraPruned, pruned);
   DTN_COUNT(kPathTablesBuilt);
   return PathTable(root, horizon, std::move(entries));
 }
@@ -214,7 +199,7 @@ EdgeExpTable build_edge_exp_table(const ContactGraph& graph, Time horizon) {
 PathTable compute_opportunistic_paths(const ContactGraph& graph, NodeId root,
                                       Time horizon, int max_hops,
                                       PathWorkspace& ws) {
-  return run_fast_dijkstra(graph, root, horizon, max_hops, ws, nullptr, 0.0);
+  return run_fast_dijkstra(graph, root, horizon, max_hops, ws, nullptr);
 }
 
 PathTable compute_opportunistic_paths(const ContactGraph& graph, NodeId root,
@@ -226,21 +211,7 @@ PathTable compute_opportunistic_paths(const ContactGraph& graph, NodeId root,
   DTN_CHECK(edge_exp.one_minus_exp.size() ==
                 static_cast<std::size_t>(graph.node_count()),
             "edge-exp table built for a different graph");
-  return run_fast_dijkstra(graph, root, horizon, max_hops, ws, &edge_exp, 0.0);
-}
-
-PathTable compute_opportunistic_paths_pruned(const ContactGraph& graph,
-                                             NodeId root, Time horizon,
-                                             int max_hops, PathWorkspace& ws,
-                                             const EdgeExpTable& edge_exp,
-                                             double weight_floor) {
-  DTN_CHECK(edge_exp.horizon == horizon,
-            "edge-exp table built for a different horizon");
-  DTN_CHECK(edge_exp.one_minus_exp.size() ==
-                static_cast<std::size_t>(graph.node_count()),
-            "edge-exp table built for a different graph");
-  return run_fast_dijkstra(graph, root, horizon, max_hops, ws, &edge_exp,
-                           weight_floor);
+  return run_fast_dijkstra(graph, root, horizon, max_hops, ws, &edge_exp);
 }
 
 PathTable compute_opportunistic_paths(const ContactGraph& graph, NodeId root,

@@ -134,19 +134,6 @@ PathTable compute_opportunistic_paths(const ContactGraph& graph, NodeId root,
                                       PathWorkspace& ws,
                                       const EdgeExpTable& edge_exp);
 
-/// Bounded-frontier form (MetricEngine::kSparse, DESIGN.md §14): candidates
-/// whose weight drops strictly below `weight_floor` are discarded instead of
-/// relaxed. Safe because appending a hop strictly decreases the hypoexp path
-/// weight (Eq. 2): a sub-floor partial path can never recover, so every
-/// entry whose exact weight is >= the floor is bit-identical to the unpruned
-/// build, and every other entry reads 0 (absolute error < weight_floor).
-/// A floor of 0 never prunes and reproduces the plain build bit-for-bit.
-PathTable compute_opportunistic_paths_pruned(const ContactGraph& graph,
-                                             NodeId root, Time horizon,
-                                             int max_hops, PathWorkspace& ws,
-                                             const EdgeExpTable& edge_exp,
-                                             double weight_floor);
-
 /// The legacy construction (PathEngine::kReference): embedded rate chains
 /// copied on every relaxation, allocating hypoexp evaluation. Kept as the
 /// bit-exactness oracle and the speedup denominator; not a production path.

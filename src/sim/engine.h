@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "common/types.h"
-#include "graph/sparse_metric.h"
+#include "graph/ncl.h"
 #include "sim/metrics.h"
 #include "sim/scheme.h"
 #include "trace/trace.h"
@@ -85,11 +85,8 @@ struct SimConfig {
   /// the event loop itself is shared.
   SimEngine sim_engine = SimEngine::kFast;
 
-  /// NCL-metric construction engine (graph/sparse_metric.h, DESIGN.md §14).
-  /// kFast is exact; kSparse applies the landmark-sampled + frontier-pruned
-  /// scale tier configured by `sparse_metric`. The degenerate sparse config
-  /// (all landmarks, zero floor) is bit-identical to kFast, so flipping
-  /// this knob with default SparseMetricConfig changes nothing.
+  /// Kept only because perfbench/harness.cpp passes both to select_ncls,
+  /// which ignores them.
   MetricEngine metric_engine = MetricEngine::kFast;
   SparseMetricConfig sparse_metric;
 

@@ -264,116 +264,4 @@ std::vector<SyntheticTraceConfig> all_presets() {
           ucsd_preset()};
 }
 
-namespace {
-
-void validate_scale(const ScaleSyntheticConfig& c) {
-  if (c.node_count < 2) throw std::invalid_argument("need at least 2 nodes");
-  if (c.community_count < 0) {
-    throw std::invalid_argument("negative community count");
-  }
-  if (!(c.mean_degree > 0.0)) {
-    throw std::invalid_argument("mean_degree must be positive");
-  }
-  if (!(c.intra_fraction >= 0.0) || c.intra_fraction > 1.0) {
-    throw std::invalid_argument("intra_fraction must be in [0, 1]");
-  }
-  if (!(c.min_rate_per_day > 0.0) || c.max_rate_per_day < c.min_rate_per_day) {
-    throw std::invalid_argument("invalid rate range");
-  }
-  if (c.duration <= 0.0 || c.mean_contact_duration <= 0.0) {
-    throw std::invalid_argument("duration parameters must be positive");
-  }
-}
-
-}  // namespace
-
-std::vector<ScaleEdge> scale_edge_list(const ScaleSyntheticConfig& config) {
-  validate_scale(config);
-  const NodeId n = config.node_count;
-  const int communities = config.community_count;
-  const auto target = static_cast<std::size_t>(
-      config.mean_degree * static_cast<double>(n) / 2.0);
-  const double log_min = std::log(config.min_rate_per_day);
-  const double log_max = std::log(config.max_rate_per_day);
-
-  std::vector<ScaleEdge> edges;
-  edges.reserve(target);
-  Rng rng(config.seed);
-  for (std::size_t e = 0; e < target; ++e) {
-    const NodeId u = static_cast<NodeId>(rng.uniform_int(0, n - 1));
-    NodeId v;
-    if (communities > 1 && rng.bernoulli(config.intra_fraction)) {
-      // Members of community c are {c, c + C, c + 2C, ...}: pick one.
-      const int c = community_of(u, communities);
-      const NodeId members = (n - 1 - c) / communities + 1;
-      v = static_cast<NodeId>(
-          c + communities * rng.uniform_int(0, members - 1));
-    } else {
-      v = static_cast<NodeId>(rng.uniform_int(0, n - 1));
-    }
-    // The rate draw happens even for rejected self-pairs so the stream
-    // position (and thus every later edge) does not depend on the rejection.
-    const double rate_per_day = std::exp(rng.uniform(log_min, log_max));
-    if (u == v) continue;
-    ScaleEdge edge;
-    edge.u = std::min(u, v);
-    edge.v = std::max(u, v);
-    edge.rate = rate_per_day / 86400.0;
-    edges.push_back(edge);
-  }
-  // Canonical order + dedup (first draw wins): the list is a set of
-  // undirected edges, independent of sampling order.
-  std::stable_sort(edges.begin(), edges.end(),
-                   [](const ScaleEdge& a, const ScaleEdge& b) {
-                     if (a.u != b.u) return a.u < b.u;
-                     return a.v < b.v;
-                   });
-  edges.erase(std::unique(edges.begin(), edges.end(),
-                          [](const ScaleEdge& a, const ScaleEdge& b) {
-                            return a.u == b.u && a.v == b.v;
-                          }),
-              edges.end());
-  return edges;
-}
-
-ContactTrace generate_scale_trace(const ScaleSyntheticConfig& config) {
-  const std::vector<ScaleEdge> edges = scale_edge_list(config);
-  // Independent stream from the edge sampler, so adding trace emission
-  // never perturbs the rate graph itself.
-  Rng rng(derive_seed(config.seed, 1));
-  std::vector<ContactEvent> events;
-  events.reserve(static_cast<std::size_t>(
-      static_cast<double>(edges.size()) *
-      (config.max_rate_per_day / 86400.0) * config.duration * 0.5));
-  for (const ScaleEdge& edge : edges) {
-    Time t = rng.exponential(edge.rate);
-    while (t < config.duration) {
-      ContactEvent ev;
-      ev.start = t;
-      ev.duration = rng.exponential(1.0 / config.mean_contact_duration);
-      ev.a = edge.u;
-      ev.b = edge.v;
-      events.push_back(ev);
-      t += rng.exponential(edge.rate);
-    }
-  }
-  return ContactTrace(config.node_count, std::move(events), config.name);
-}
-
-ScaleSyntheticConfig scale_preset(NodeId node_count) {
-  if (node_count < 2) throw std::invalid_argument("need at least 2 nodes");
-  ScaleSyntheticConfig c;
-  c.name = "synth-scale-" + std::to_string(node_count);
-  c.node_count = node_count;
-  c.community_count = std::max<NodeId>(1, node_count / 500);
-  c.mean_degree = 12.0;
-  c.intra_fraction = 0.85;
-  c.min_rate_per_day = 0.25;
-  c.max_rate_per_day = 8.0;
-  c.duration = days(3);
-  c.mean_contact_duration = 240.0;
-  c.seed = 0x5CA1E;
-  return c;
-}
-
 }  // namespace dtn

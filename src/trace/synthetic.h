@@ -101,52 +101,6 @@ class PairRates {
   std::vector<double> rates_;  // upper triangle, row-major
 };
 
-/// Community-structured contact process for the 10⁵–10⁶-node scale tier
-/// (DESIGN.md §14). The classic generator above enumerates all O(n²) node
-/// pairs, which is unusable past ~10⁴ nodes; this one samples a target
-/// number of *edges* directly — each edge picks a source uniformly, stays
-/// inside the source's round-robin community with probability
-/// `intra_fraction`, and draws a log-uniform meeting rate — so memory and
-/// work are O(n + edges). Deterministic in the seed.
-struct ScaleSyntheticConfig {
-  std::string name = "synth-scale";
-  NodeId node_count = 100000;
-  /// Round-robin communities (node % community_count); <= 1 disables
-  /// community structure.
-  int community_count = 200;
-  /// Average edges per node; edge target = node_count * mean_degree / 2.
-  double mean_degree = 12.0;
-  /// Probability a sampled edge stays within the source's community.
-  double intra_fraction = 0.85;
-  /// Per-edge meeting rates are log-uniform in [min, max] contacts/day.
-  double min_rate_per_day = 0.25;
-  double max_rate_per_day = 8.0;
-  /// Trace-emission window and contact-duration mean (generate_scale_trace
-  /// only; the rate graph itself is duration-free).
-  Time duration = days(3);
-  Time mean_contact_duration = 240.0;
-  std::uint64_t seed = 1;
-};
-
-/// One sampled undirected edge of the scale process.
-struct ScaleEdge {
-  NodeId u = kNoNode;
-  NodeId v = kNoNode;
-  double rate = 0.0;  ///< contacts per second
-};
-
-/// The deduplicated, (u, v)-sorted edge list of the process: the rate graph
-/// in O(edges) memory, without materializing any n² structure. u < v.
-std::vector<ScaleEdge> scale_edge_list(const ScaleSyntheticConfig& config);
-
-/// Materializes contact events by running an independent Poisson process on
-/// every sampled edge over `config.duration`. Deterministic in the seed.
-ContactTrace generate_scale_trace(const ScaleSyntheticConfig& config);
-
-/// Calibrated preset for a given node count: communities of ~500 nodes,
-/// mean degree 12, rates spanning 0.25–8 contacts/day.
-ScaleSyntheticConfig scale_preset(NodeId node_count);
-
 /// Calibrated presets mirroring paper Table I.
 SyntheticTraceConfig infocom05_preset();
 SyntheticTraceConfig infocom06_preset();

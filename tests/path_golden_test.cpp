@@ -7,7 +7,8 @@
 // a line-for-line transcription of the legacy allocating construction kept
 // alive as PathEngine::kReference — with EXPECT_EQ on raw doubles (no
 // tolerances) at every layer: single-source tables, all-pairs tables,
-// weight_at re-evaluations, batched weights_at, and a full sweep's CSV.
+// weight_at re-evaluations, batched weights_at, the Eq. 3 NCL metric, and a
+// full sweep's CSV.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -18,6 +19,7 @@
 #include "experiment/sweep.h"
 #include "graph/all_pairs.h"
 #include "graph/contact_graph.h"
+#include "graph/ncl.h"
 #include "graph/opportunistic_path.h"
 #include "trace/synthetic.h"
 
@@ -102,6 +104,41 @@ TEST(PathGolden, WeightAtAndBatchedWeightsAtBitIdentical) {
         const double scalar = fast.weight_at(from, to, budget);
         EXPECT_EQ(batched[static_cast<std::size_t>(from)], scalar);
         EXPECT_EQ(scalar, ref.weight_at(from, to, budget));
+      }
+    }
+  }
+}
+
+TEST(PathGolden, NclMetricsMatchReferenceFold) {
+  // Eq. 3 from its definition: node i's metric is the mean over j != i of
+  // the reference table's weight, summed in ascending j. ncl_metrics must
+  // reproduce that fold bit for bit at any thread count.
+  const struct {
+    std::uint64_t seed;
+    Time horizon;
+  } cases[] = {{3, hours(6)}, {11, minutes(20)}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.seed);
+    const ContactGraph graph = build_contact_graph(golden_trace(c.seed));
+    const NodeId n = graph.node_count();
+    std::vector<double> expected(static_cast<std::size_t>(n));
+    for (NodeId i = 0; i < n; ++i) {
+      const PathTable table =
+          compute_opportunistic_paths_reference(graph, i, c.horizon, 8);
+      double sum = 0.0;
+      for (NodeId j = 0; j < n; ++j) {
+        if (j != i) sum += table.weight(j);
+      }
+      expected[static_cast<std::size_t>(i)] =
+          sum / static_cast<double>(n - 1);
+    }
+    for (const int threads : {1, 8}) {
+      const std::vector<double> metrics =
+          ncl_metrics(graph, c.horizon, 8, threads);
+      ASSERT_EQ(metrics.size(), expected.size());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(metrics[i], expected[i]) << "node " << i << ", threads "
+                                           << threads;
       }
     }
   }

@@ -20,10 +20,8 @@
 //    randomized counterpart of tests/engine_golden_test.cpp's pinned
 //    matrix);
 //  * opportunistic path tables on random rate graphs — weights are
-//    monotone non-increasing along every parent chain (the invariant the
-//    sparse engine's frontier pruning is safe by);
-//  * the sparse NCL metric with an active weight floor vs the exact
-//    engine — per-node absolute error bounded by the floor.
+//    monotone non-increasing along every parent chain (the greedy
+//    max-probability construction depends on it).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,9 +36,7 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "experiment/experiment.h"
-#include "graph/ncl.h"
 #include "graph/opportunistic_path.h"
-#include "graph/sparse_metric.h"
 #include "net/buffer.h"
 #include "tests/proptest.h"
 #include "trace/synthetic.h"
@@ -349,8 +345,8 @@ TEST(Property, FastEngineMatchesReferenceOnRandomMiniTraces) {
   });
 }
 
-/// Random sparse rate graph with rates spanning ~3 decades, so some path
-/// weights land near any plausible pruning floor.
+/// Random sparse rate graph with rates spanning ~3 decades, so path
+/// weights spread across (0, 1).
 ContactGraph random_contact_graph(Rng& rng) {
   const NodeId n = static_cast<NodeId>(rng.uniform_int(6, 40));
   ContactGraph graph(n);
@@ -377,11 +373,11 @@ TEST(Property, PathWeightsMonotoneAlongParentChains) {
     for (NodeId node = 0; node < graph.node_count(); ++node) {
       if (node == root || !table.reachable(node)) continue;
       // Walk the parent chain to the root: each step towards the root
-      // drops one hypoexp stage, so the weight can only grow. This is
-      // the invariant MetricEngine::kSparse's frontier pruning is safe
-      // by — a sub-floor partial path can never recover. The 1e-9 slack
-      // is the engine's own relaxation tolerance (different hypoexp
-      // evaluation algorithms can disagree in the last ulps near 1).
+      // drops one hypoexp stage, so the weight can only grow. The greedy
+      // label-setting construction relies on this: a settled node's
+      // weight bounds every path extended from it. The 1e-9 slack is the
+      // engine's own relaxation tolerance (different hypoexp evaluation
+      // algorithms can disagree in the last ulps near 1).
       NodeId cur = node;
       int steps = 0;
       while (cur != root) {
@@ -392,28 +388,6 @@ TEST(Property, PathWeightsMonotoneAlongParentChains) {
         cur = parent;
         ASSERT_LE(++steps, max_hops);
       }
-    }
-  });
-}
-
-TEST(Property, SparseMetricErrorBoundedByWeightFloor) {
-  run_property("sparse_floor_error", 25, [](Rng& rng, int) {
-    const ContactGraph graph = random_contact_graph(rng);
-    const Time horizon = rng.uniform(600.0, 6.0 * 3600.0);
-    const int max_hops = static_cast<int>(rng.uniform_int(2, 6));
-    const std::vector<double> exact =
-        ncl_metrics(graph, horizon, max_hops, 1);
-
-    SparseMetricConfig config;  // every node a landmark: floor-only error
-    config.weight_floor = 0.05 * rng.uniform();
-    const std::vector<double> approx =
-        sparse_ncl_metrics(graph, horizon, max_hops, 1, config);
-    ASSERT_EQ(exact.size(), approx.size());
-    for (std::size_t i = 0; i < exact.size(); ++i) {
-      // Pruning only ever loses sub-floor weight, so the approximation
-      // sits below the exact metric, within the floor.
-      ASSERT_GE(exact[i] + 1e-12, approx[i]);
-      ASSERT_LE(exact[i] - approx[i], config.weight_floor + 1e-12);
     }
   });
 }

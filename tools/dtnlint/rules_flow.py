@@ -608,9 +608,9 @@ class DaemonSnapshotGuardRule(Rule):
 # stays in the legacy set) to every allocating std container and to
 # src/sim/, with real scope accuracy: only declarations of owning objects
 # in loop bodies fire — references, pointers, and containers hoisted out
-# of the loop do not. The src/graph/ scope also covers the sparse metric
-# engine (sparse_metric.cpp): its per-landmark Dijkstra loop must reuse
-# one PathWorkspace across all landmark roots, not construct per-root
+# of the loop do not. The src/graph/ scope covers every many-roots build
+# (all-pairs tables, the Eq. 3 NCL metric): its per-root Dijkstra loop
+# must reuse one PathWorkspace across roots, not construct per-root
 # frontier containers.
 
 _ALLOC_CONTAINERS = {
@@ -627,7 +627,7 @@ class HotLoopAllocRule(Rule):
         "allocating container constructed inside a loop body on an engine "
         "fast path; hoist it into a PathWorkspace / ContactWorkspace "
         "scratch that is reused across iterations (PR 5/6 contract, and "
-        "the sparse landmark loop reuses one workspace across roots: the "
+        "every many-roots build reuses one workspace across roots: the "
         "hot loops run allocation-free)"
     )
 

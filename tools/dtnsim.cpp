@@ -23,7 +23,6 @@
 #include "common/instrument.h"
 #include "common/table.h"
 #include "experiment/experiment.h"
-#include "graph/sparse_metric.h"
 #include "trace/mobility.h"
 #include "trace/synthetic.h"
 #include "traceio/cache.h"
@@ -53,11 +52,6 @@ struct CliOptions {
   bool csv = false;
   bool stats = false;
   int threads = 0;
-  std::string metric_engine = "fast";
-  int landmarks = 0;
-  std::string landmark_strategy = "uniform";
-  double weight_floor = 0.0;
-  std::uint64_t metric_seed = 1;
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -87,16 +81,7 @@ struct CliOptions {
       "  --stats          print stage timers and domain counters to stderr\n"
       "                   after the run (no-op in DTN_INSTRUMENT=OFF builds)\n"
       "  --threads T      worker threads (0 = all cores, 1 = serial);\n"
-      "                   results are identical for every value\n"
-      "  --metric-engine E  NCL metric engine: fast|reference|sparse\n"
-      "                   (default fast; sparse is the landmark-sampled\n"
-      "                   scale tier, DESIGN.md §14)\n"
-      "  --landmarks N    sparse engine: landmark root count (0 = all\n"
-      "                   nodes = exact; default 0)\n"
-      "  --landmark-strategy S  uniform|degree|rate (default uniform)\n"
-      "  --weight-floor F sparse engine: prune frontier candidates below\n"
-      "                   this path weight (default 0 = no pruning)\n"
-      "  --metric-seed S  seed for uniform landmark sampling (default 1)\n",
+      "                   results are identical for every value\n",
       argv0);
   std::exit(2);
 }
@@ -157,20 +142,6 @@ CliOptions parse(int argc, char** argv) {
         std::fprintf(stderr, "--threads must be >= 0 (0 = all cores)\n");
         std::exit(2);
       }
-    } else if (flag == "--metric-engine") {
-      options.metric_engine = next_value(i);
-    } else if (flag == "--landmarks") {
-      options.landmarks = parse_number<int>(flag, next_value(i));
-    } else if (flag == "--landmark-strategy") {
-      options.landmark_strategy = next_value(i);
-    } else if (flag == "--weight-floor") {
-      options.weight_floor = parse_number<double>(flag, next_value(i));
-      if (options.weight_floor < 0.0 || options.weight_floor >= 1.0) {
-        std::fprintf(stderr, "--weight-floor must be in [0, 1)\n");
-        std::exit(2);
-      }
-    } else if (flag == "--metric-seed") {
-      options.metric_seed = parse_number<std::uint64_t>(flag, next_value(i));
     } else if (flag == "--csv") {
       options.csv = true;
     } else if (flag == "--stats") {
@@ -276,19 +247,6 @@ int main(int argc, char** argv) {
       std::max(hours(1), config.avg_lifetime / 7.0);
   config.sim.contact_miss_prob = options.miss_prob;
   config.sim.threads = options.threads;
-
-  try {
-    config.sim.metric_engine =
-        metric_engine_from_string(options.metric_engine);
-    config.sim.sparse_metric.strategy =
-        landmark_strategy_from_string(options.landmark_strategy);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  config.sim.sparse_metric.landmark_count = options.landmarks;
-  config.sim.sparse_metric.weight_floor = options.weight_floor;
-  config.sim.sparse_metric.seed = options.metric_seed;
 
   if (options.response == "pathweight") {
     config.response_mode = ResponseMode::kPathWeight;

@@ -23,7 +23,6 @@
 
 #include "common/stats.h"
 #include "daemon/rate_estimator.h"
-#include "trace/synthetic.h"
 #include "trace/trace_io.h"
 #include "traceio/binary.h"
 #include "traceio/cache.h"
@@ -43,16 +42,11 @@ namespace {
       "  tracetool convert <in> <out>   convert between formats; the output\n"
       "                                 extension picks .dtntrace or CSV\n"
       "  tracetool validate <file>      strict parse, file:line diagnostics\n"
-      "  tracetool synth <out>          generate a community-structured\n"
-      "                                 scale trace (O(edges), DESIGN.md\n"
-      "                                 \xc2\xa7""14); extension picks the format\n"
       "  tracetool --self-test          run built-in round-trip checks\n"
       "options:\n"
       "  --format F   force the input format: csv|one|imote|binary\n"
       "  --cache      allow the .dtntrace sidecar cache (default: bypass)\n"
-      "  --strict     strict parsing for stats/convert (validate always is)\n"
-      "synth options (0 keeps the scale_preset value):\n"
-      "  --nodes N --communities C --degree D --days X --seed S\n");
+      "  --strict     strict parsing for stats/convert (validate always is)\n");
   std::exit(2);
 }
 
@@ -63,12 +57,6 @@ struct ToolOptions {
   bool use_cache = false;
   bool strict = false;
   bool pairs = false;
-  // synth knobs; 0 keeps the scale_preset default for that field.
-  NodeId synth_nodes = 10000;
-  int synth_communities = 0;
-  double synth_degree = 0.0;
-  double synth_days = 0.0;
-  std::uint64_t synth_seed = 0;
 };
 
 ToolOptions parse_args(int argc, char** argv) {
@@ -84,22 +72,6 @@ ToolOptions parse_args(int argc, char** argv) {
       options.strict = true;
     } else if (arg == "--pairs") {
       options.pairs = true;
-    } else if (arg == "--nodes") {
-      if (i + 1 >= argc) usage();
-      options.synth_nodes = static_cast<NodeId>(std::atol(argv[++i]));
-    } else if (arg == "--communities") {
-      if (i + 1 >= argc) usage();
-      options.synth_communities = std::atoi(argv[++i]);
-    } else if (arg == "--degree") {
-      if (i + 1 >= argc) usage();
-      options.synth_degree = std::atof(argv[++i]);
-    } else if (arg == "--days") {
-      if (i + 1 >= argc) usage();
-      options.synth_days = std::atof(argv[++i]);
-    } else if (arg == "--seed") {
-      if (i + 1 >= argc) usage();
-      options.synth_seed =
-          static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (arg == "--self-test") {
       options.command = "self-test";
     } else if (arg == "--help" || arg == "-h") {
@@ -151,11 +123,9 @@ void write_pair_rates(const ContactTrace& trace, std::ostream& out) {
 }
 
 /// Node-degree (distinct partners) and per-pair contact-rate distribution
-/// summaries. These are the two numbers the sparse metric engine is tuned
-/// by (DESIGN.md §14): the degree distribution bounds the Dijkstra ball a
-/// landmark explores, and the pair-rate distribution locates a weight
-/// floor that prunes noise pairs without touching the signal. Fixed
-/// formats and canonical pair order, so the bytes golden-test.
+/// summaries: how many neighbours each Dijkstra root relaxes, and how the
+/// edge rates behind Eq. 2 spread. Fixed formats and canonical pair order,
+/// so the bytes golden-test.
 void write_trace_distributions(const ContactTrace& trace, std::ostream& out) {
   std::vector<std::pair<NodeId, NodeId>> pairs;
   pairs.reserve(trace.events().size());
@@ -246,10 +216,11 @@ int cmd_stats(const ToolOptions& options) {
   return 0;
 }
 
-/// Writes `trace` to `out_path`, picking .dtntrace binary or CSV by the
-/// extension; returns true for binary.
-bool save_trace_by_extension(const ContactTrace& trace,
-                             const std::string& out_path) {
+int cmd_convert(const ToolOptions& options) {
+  if (options.paths.size() != 2) usage();
+  const std::string& in_path = options.paths[0];
+  const std::string& out_path = options.paths[1];
+  const ContactTrace trace = load(options, in_path);
   const bool binary_out =
       out_path.size() >= 9 &&
       out_path.compare(out_path.size() - 9, 9, ".dtntrace") == 0;
@@ -258,38 +229,9 @@ bool save_trace_by_extension(const ContactTrace& trace,
   } else {
     save_trace_csv(trace, out_path);
   }
-  return binary_out;
-}
-
-int cmd_convert(const ToolOptions& options) {
-  if (options.paths.size() != 2) usage();
-  const std::string& in_path = options.paths[0];
-  const std::string& out_path = options.paths[1];
-  const ContactTrace trace = load(options, in_path);
-  const bool binary_out = save_trace_by_extension(trace, out_path);
   std::printf("%s: %d nodes, %zu contacts -> %s (%s)\n", in_path.c_str(),
               trace.node_count(), trace.events().size(), out_path.c_str(),
               binary_out ? "binary" : "csv");
-  return 0;
-}
-
-int cmd_synth(const ToolOptions& options) {
-  if (options.paths.size() != 1) usage();
-  const std::string& out_path = options.paths[0];
-  ScaleSyntheticConfig config = scale_preset(options.synth_nodes);
-  if (options.synth_communities > 0) {
-    config.community_count = options.synth_communities;
-  }
-  if (options.synth_degree > 0.0) config.mean_degree = options.synth_degree;
-  if (options.synth_days > 0.0) config.duration = days(options.synth_days);
-  if (options.synth_seed != 0) config.seed = options.synth_seed;
-  const ContactTrace trace = generate_scale_trace(config);
-  const bool binary_out = save_trace_by_extension(trace, out_path);
-  std::printf(
-      "%s: %d nodes, %d communities, %zu contacts, %.2f days -> %s (%s)\n",
-      config.name.c_str(), trace.node_count(), config.community_count,
-      trace.events().size(), config.duration / 86400.0, out_path.c_str(),
-      binary_out ? "binary" : "csv");
   return 0;
 }
 
@@ -416,24 +358,6 @@ int run_self_test() {
       "max 632.195\n";
   TT_CHECK(dist_out.str() == dist_golden);
 
-  // synth path: the scale generator is deterministic in the seed and its
-  // CSV round-trips byte-identically.
-  ScaleSyntheticConfig scale = scale_preset(200);
-  scale.duration = days(0.5);
-  const ContactTrace scale_a = generate_scale_trace(scale);
-  const ContactTrace scale_b = generate_scale_trace(scale);
-  TT_CHECK(scale_a.node_count() == 200);
-  TT_CHECK(!scale_a.events().empty());
-  TT_CHECK(scale_a.events() == scale_b.events());
-  std::ostringstream scale_csv;
-  write_trace_csv(scale_a, scale_csv);
-  std::istringstream scale_csv_in(scale_csv.str());
-  const ContactTrace scale_back =
-      read_trace_csv(scale_csv_in, scale_a.name(), scale_a.node_count());
-  std::ostringstream scale_csv2;
-  write_trace_csv(scale_back, scale_csv2);
-  TT_CHECK(scale_csv.str() == scale_csv2.str());
-
   std::printf("tracetool self-test: OK\n");
   return 0;
 }
@@ -446,7 +370,6 @@ int main(int argc, char** argv) {
     if (options.command == "stats") return cmd_stats(options);
     if (options.command == "convert") return cmd_convert(options);
     if (options.command == "validate") return cmd_validate(options);
-    if (options.command == "synth") return cmd_synth(options);
     if (options.command == "self-test") return run_self_test();
   } catch (const std::exception& error) {
     std::fprintf(stderr, "tracetool: %s\n", error.what());
