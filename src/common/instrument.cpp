@@ -33,8 +33,6 @@ constexpr std::array<const char*, kCounterCount> kCounterNames = {
     "sweep_cells",
     "trace_contacts_decoded",
     "trace_bytes_read",
-    "trace_cache_hits",
-    "trace_cache_misses",
     "path_scratch_reuses",
     "path_bytes_not_allocated",
     "parent_chain_walks",

@@ -59,9 +59,7 @@ enum class Counter : int {
   kExperimentRepetitions,       ///< experiment repetitions completed
   kSweepCells,                  ///< sweep grid cells completed
   kTraceContactsDecoded,        ///< contacts decoded by trace readers
-  kTraceBytesRead,              ///< bytes consumed by trace ingestion
-  kTraceCacheHits,              ///< fresh .dtntrace sidecar loads
-  kTraceCacheMisses,            ///< text parses with caching enabled
+  kTraceBytesRead,              ///< bytes read from trace files
   kPathScratchReuses,           ///< relaxations served from workspace scratch
   kPathBytesNotAllocated,       ///< bytes the legacy per-relaxation copy used
   kParentChainWalks,            ///< rate chains materialized via next_hop walk
@@ -91,7 +89,7 @@ enum class Timer : int {
   kReplacementPlan,   ///< plan_replacement (Algorithm 1)
   kExperiment,        ///< run_experiment / run_comparison, end to end
   kSweep,             ///< run_sweep over the whole grid
-  kTraceLoad,         ///< load_trace_any, end to end (parse or cache load)
+  kTraceLoad,         ///< load_trace_any, end to end (read and parse)
   kDaemonRepair,      ///< one daemon repair batch (drift scan -> publish)
   kCount
 };

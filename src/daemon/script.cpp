@@ -1,13 +1,12 @@
 #include "daemon/script.h"
 
+#include <cmath>
 #include <cstdio>
-#include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
-#include "common/check.h"
+#include "common/scan.h"
 
 namespace dtn::daemon {
 namespace {
@@ -25,9 +24,10 @@ std::string stamp(const QueryInfo& info) {
   return "@" + std::to_string(info.epoch) + " lag=" + fmt(info.staleness);
 }
 
-[[noreturn]] void malformed(std::size_t line_no, const std::string& line) {
-  throw std::runtime_error("script line " + std::to_string(line_no) +
-                           ": malformed command: " + line);
+[[noreturn]] void script_error(std::size_t line_no, const std::string& why,
+                               std::string_view line) {
+  throw std::runtime_error("script line " + std::to_string(line_no) + ": " +
+                           why + ": " + std::string(line));
 }
 
 }  // namespace
@@ -44,50 +44,80 @@ std::size_t ReplayFeed::drain(Daemon& daemon) {
   return advance_until(daemon, kNever);
 }
 
-std::size_t run_script(Daemon& daemon, ReplayFeed& feed, std::istream& script,
-                       std::ostream& out) {
+std::size_t run_script(Daemon& daemon, ReplayFeed& feed,
+                       std::string_view script, std::ostream& out) {
   std::size_t executed = 0;
-  std::size_t line_no = 0;
-  std::string line;
-  while (std::getline(script, line)) {
-    ++line_no;
-    // Strip trailing CR so DOS-edited scripts behave identically.
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    std::istringstream words(line);
-    std::string cmd;
-    if (!(words >> cmd) || cmd[0] == '#') continue;
+  scan::LineWalker lines(script);
+  std::string_view line;
+  while (lines.next(line)) {
+    // No command takes more than three arguments, so a fifth word is
+    // always an error.
+    std::string_view words[5];
+    const std::size_t count = scan::split_words(line, words);
+    if (count == 0 || words[0].starts_with('#')) continue;
 
+    auto malformed = [&]() {
+      script_error(lines.line_no(), "malformed command", line);
+    };
+    auto expect_args = [&](std::size_t n) {
+      if (count != n + 1) malformed();
+    };
+    auto time_arg = [&](std::size_t i) {
+      Time t = 0.0;
+      if (!scan::number(words[i], t) || !std::isfinite(t)) malformed();
+      return t;
+    };
+    auto count_arg = [&](std::size_t i) {
+      int k = 0;
+      if (!scan::number(words[i], k) || k < 1) malformed();
+      return k;
+    };
+    auto node_arg = [&](std::size_t i) {
+      NodeId node = kNoNode;
+      if (!scan::number(words[i], node)) malformed();
+      if (node < 0 || node >= daemon.node_count()) {
+        script_error(lines.line_no(),
+                     "node " + std::to_string(node) + " outside [0, " +
+                         std::to_string(daemon.node_count()) + ")",
+                     line);
+      }
+      return node;
+    };
+
+    const std::string_view cmd = words[0];
     if (cmd == "advance") {
-      Time limit = 0.0;
-      if (!(words >> limit)) malformed(line_no, line);
+      expect_args(1);
+      const Time limit = time_arg(1);
       const std::size_t n = feed.advance_until(daemon, limit);
       out << "advance " << fmt(limit) << " -> ingested " << n << " t="
           << fmt(daemon.watermark()) << "\n";
     } else if (cmd == "drain") {
+      expect_args(0);
       const std::size_t n = feed.drain(daemon);
       out << "drain -> ingested " << n << "\n";
     } else if (cmd == "repair") {
+      expect_args(0);
       daemon.repair_now();
       out << "repair -> epoch " << daemon.snapshot()->epoch << "\n";
     } else if (cmd == "ncl") {
-      int k = 0;
-      if (!(words >> k) || k < 1) malformed(line_no, line);
+      expect_args(1);
+      const int k = count_arg(1);
       const NclAnswer answer = daemon.ncl_set(k);
       out << "ncl " << k << " " << stamp(answer.info) << " :";
       for (const NodeId node : answer.central) out << " " << node;
       out << "\n";
     } else if (cmd == "weight") {
-      NodeId src = kNoNode;
-      NodeId dst = kNoNode;
-      Time budget = 0.0;
-      if (!(words >> src >> dst >> budget)) malformed(line_no, line);
+      expect_args(3);
+      const NodeId src = node_arg(1);
+      const NodeId dst = node_arg(2);
+      const Time budget = time_arg(3);
       const WeightAnswer answer = daemon.path_weight(src, dst, budget);
       out << "weight " << src << " " << dst << " " << fmt(budget) << " "
           << stamp(answer.info) << " : " << fmt(answer.weight) << "\n";
     } else if (cmd == "place") {
-      NodeId src = kNoNode;
-      int k = 0;
-      if (!(words >> src >> k) || k < 1) malformed(line_no, line);
+      expect_args(2);
+      const NodeId src = node_arg(1);
+      const int k = count_arg(2);
       const PlacementAnswer answer = daemon.placement_for(src, k);
       out << "place " << src << " " << k << " " << stamp(answer.info) << " :";
       for (std::size_t i = 0; i < answer.ranked.size(); ++i) {
@@ -95,6 +125,7 @@ std::size_t run_script(Daemon& daemon, ReplayFeed& feed, std::istream& script,
       }
       out << "\n";
     } else if (cmd == "stats") {
+      expect_args(0);
       const Daemon::Stats& s = daemon.stats();
       out << "stats : contacts=" << s.contacts_ingested
           << " batches=" << s.repair_batches << " edges=" << s.edge_updates
@@ -102,7 +133,7 @@ std::size_t run_script(Daemon& daemon, ReplayFeed& feed, std::istream& script,
           << " audits=" << s.audit_rebuilds
           << " epochs=" << s.snapshots_published << "\n";
     } else {
-      malformed(line_no, line);
+      malformed();
     }
     ++executed;
   }

@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -40,7 +41,8 @@ class ReplayFeed {
 };
 
 /// Executes `script` line by line against the daemon, writing one output
-/// line per command to `out`. Commands ('#' starts a comment line):
+/// line per command to `out`. Lines and tokens follow common/scan.h's
+/// grammar. Commands ('#' starts a comment line):
 ///   advance <t>                  ingest feed contacts with start < t
 ///   drain                        ingest the rest of the feed
 ///   repair                       force a repair batch now
@@ -50,9 +52,10 @@ class ReplayFeed {
 ///   stats                        writer-side counters + current epoch
 /// Every query line is stamped `@<epoch> lag=<staleness>`. Doubles print
 /// with %.17g, so output is byte-identical across runs and thread counts.
-/// Returns the number of commands executed; throws std::runtime_error on a
-/// malformed line.
-std::size_t run_script(Daemon& daemon, ReplayFeed& feed, std::istream& script,
-                       std::ostream& out);
+/// Returns the number of commands executed; throws std::runtime_error
+/// naming the script line on a malformed command, a wrong argument count,
+/// a non-finite time, a count below 1 or a node outside [0, node_count).
+std::size_t run_script(Daemon& daemon, ReplayFeed& feed,
+                       std::string_view script, std::ostream& out);
 
 }  // namespace dtn::daemon

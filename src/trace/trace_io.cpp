@@ -1,12 +1,7 @@
 #include "trace/trace_io.h"
 
-#include <algorithm>
-#include <cmath>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
-
-#include "common/instrument.h"
 
 namespace dtn {
 
@@ -23,86 +18,6 @@ void save_trace_csv(const ContactTrace& trace, const std::string& path) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot open for writing: " + path);
   write_trace_csv(trace, out);
-}
-
-ContactTrace read_trace_csv(std::istream& in, std::string name,
-                            NodeId min_node_count,
-                            const CsvParseOptions& options) {
-  const std::string& source = options.source_name.empty()
-                                  ? name
-                                  : options.source_name;
-  // DTN_CHECK-style diagnostics: every rejected row names its exact source
-  // location and the violated invariant, so a malformed export fails loudly
-  // instead of silently skewing Table-1 statistics.
-  auto fail = [&](std::size_t line_no, const std::string& why,
-                  const std::string& text) -> void {
-    throw std::runtime_error(source + ":" + std::to_string(line_no) +
-                             ": trace CSV parse error: " + why +
-                             (text.empty() ? "" : " in line '" + text + "'"));
-  };
-
-  std::string line;
-  if (!std::getline(in, line)) {
-    throw std::runtime_error(source + ":1: trace CSV parse error: empty file");
-  }
-  // Tolerate but do not require the canonical header.
-  const bool header = line.rfind("start", 0) == 0;
-
-  std::vector<ContactEvent> events;
-  NodeId max_node = -1;
-  auto parse_line = [&](const std::string& text, std::size_t line_no) {
-    if (text.empty()) return;
-    DTN_COUNT_N(kTraceBytesRead, text.size() + 1);
-    std::istringstream cells(text);
-    ContactEvent e;
-    char c1 = 0, c2 = 0, c3 = 0;
-    if (!(cells >> e.start >> c1 >> e.duration >> c2 >> e.a >> c3 >> e.b) ||
-        c1 != ',' || c2 != ',' || c3 != ',') {
-      fail(line_no, "expected 'start,duration,a,b'", text);
-    }
-    if (options.strict) {
-      char extra = 0;
-      if (cells >> extra) {
-        fail(line_no, "trailing characters after the fourth field", text);
-      }
-    }
-    if (!std::isfinite(e.start) || !std::isfinite(e.duration)) {
-      fail(line_no, "non-finite start or duration", text);
-    }
-    if (options.strict && !events.empty() && e.start < events.back().start) {
-      fail(line_no, "contact start time goes backwards", text);
-    }
-    if (e.duration < 0.0) fail(line_no, "negative contact duration", text);
-    if (e.a < 0 || e.b < 0) fail(line_no, "negative node id", text);
-    if (e.a == e.b) fail(line_no, "self-contact (a == b)", text);
-    max_node = std::max({max_node, e.a, e.b});
-    events.push_back(e);
-    DTN_COUNT(kTraceContactsDecoded);
-  };
-
-  std::size_t line_no = 1;
-  if (!header) parse_line(line, line_no);
-  while (std::getline(in, line)) parse_line(line, ++line_no);
-
-  const NodeId node_count = std::max(min_node_count, max_node + 1);
-  return ContactTrace(node_count, std::move(events), std::move(name));
-}
-
-ContactTrace load_trace_csv(const std::string& path, NodeId min_node_count,
-                            const CsvParseOptions& options) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open trace file: " + path);
-  // Name the trace after the file's basename; errors carry the full path.
-  std::string name = path;
-  if (auto slash = name.find_last_of('/'); slash != std::string::npos) {
-    name = name.substr(slash + 1);
-  }
-  if (auto dot = name.find_last_of('.'); dot != std::string::npos) {
-    name = name.substr(0, dot);
-  }
-  CsvParseOptions file_options = options;
-  if (file_options.source_name.empty()) file_options.source_name = path;
-  return read_trace_csv(in, std::move(name), min_node_count, file_options);
 }
 
 }  // namespace dtn

@@ -1,12 +1,10 @@
-// CSV persistence for contact traces.
+// CSV output for contact traces.
 //
-// Format (one contact per line, header required):
+// Format (one contact per line, header first):
 //   start,duration,a,b
-// Times are seconds (floating point); node ids are 0-based integers.
-// Real traces (e.g. CRAWDAD exports) convert to this format trivially, so
-// the whole evaluation pipeline runs unchanged on real data. Heterogeneous
-// formats (ONE connectivity reports, iMote pairwise logs) and the compact
-// binary cache live one layer up, in src/traceio/.
+// Times are seconds, printed with 17 significant digits so they read back
+// exactly; node ids are 0-based integers. Reading this format, and the
+// other trace formats, lives one layer up in src/traceio/.
 #pragma once
 
 #include <iosfwd>
@@ -20,29 +18,5 @@ namespace dtn {
 /// failure.
 void write_trace_csv(const ContactTrace& trace, std::ostream& out);
 void save_trace_csv(const ContactTrace& trace, const std::string& path);
-
-struct CsvParseOptions {
-  /// Strict mode additionally rejects trailing fields / garbage after the
-  /// fourth column (tolerated otherwise for compatibility with exports that
-  /// carry extra columns) and rows whose start time goes backwards —
-  /// lenient parsing re-sorts, but a streaming consumer (the dtnd daemon
-  /// feed) never sees the file through ContactTrace, so validation must
-  /// catch disorder at the source. Used by `tracetool validate`.
-  bool strict = false;
-  /// Name used in "<source>:<line>: ..." parse errors; empty = the trace
-  /// name (useful when the trace name is a basename but errors should show
-  /// the full path).
-  std::string source_name;
-};
-
-/// Reads a trace. `node_count` of the result is max(node id) + 1 unless a
-/// larger `min_node_count` is given. Throws std::runtime_error on malformed
-/// input; every parse error carries "<source>:<line>" context.
-ContactTrace read_trace_csv(std::istream& in, std::string name = "trace",
-                            NodeId min_node_count = 0,
-                            const CsvParseOptions& options = {});
-ContactTrace load_trace_csv(const std::string& path,
-                            NodeId min_node_count = 0,
-                            const CsvParseOptions& options = {});
 
 }  // namespace dtn

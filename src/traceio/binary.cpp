@@ -1,10 +1,9 @@
 #include "traceio/binary.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
+#include <cmath>
 #include <fstream>
-#include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <vector>
@@ -16,7 +15,6 @@ namespace dtn::traceio {
 namespace {
 
 constexpr std::size_t kHeaderFixedSize = 76;
-constexpr std::size_t kIoBufferSize = 64 * 1024;
 
 [[noreturn]] void binary_error(const std::string& source,
                                const std::string& why) {
@@ -79,10 +77,10 @@ void append_varint(std::string& out, std::uint64_t v) {
 
 }  // namespace
 
-std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t seed) {
+std::uint64_t fnv1a(const void* data, std::size_t size) {
   constexpr std::uint64_t kPrime = 0x100000001b3ull;
   const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint64_t hash = seed;
+  std::uint64_t hash = 0xcbf29ce484222325ull;
   for (std::size_t i = 0; i < size; ++i) {
     hash ^= bytes[i];
     hash *= kPrime;
@@ -90,22 +88,7 @@ std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t seed) {
   return hash;
 }
 
-std::uint64_t fnv1a_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open for checksum: " + path);
-  std::array<char, kIoBufferSize> buffer;
-  std::uint64_t hash = kFnvOffset;
-  while (in) {
-    in.read(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-    hash = fnv1a(buffer.data(), static_cast<std::size_t>(in.gcount()), hash);
-  }
-  if (in.bad()) throw std::runtime_error("I/O error hashing: " + path);
-  return hash;
-}
-
-void write_trace_binary(const ContactTrace& trace, std::ostream& out,
-                        std::uint64_t source_size,
-                        std::uint64_t source_checksum) {
+void write_trace_binary(const ContactTrace& trace, std::ostream& out) {
   // Encode the payload first: the header carries its checksum.
   std::string payload;
   payload.reserve(trace.size() * 8);
@@ -138,8 +121,8 @@ void write_trace_binary(const ContactTrace& trace, std::ostream& out,
   append_u64(header, static_cast<std::uint64_t>(trace.size()));
   append_u64(header, std::bit_cast<std::uint64_t>(trace.start_time()));
   append_u64(header, std::bit_cast<std::uint64_t>(trace.end_time()));
-  append_u64(header, source_size);
-  append_u64(header, source_checksum);
+  append_u64(header, 0);  // reserved
+  append_u64(header, 0);  // reserved
   append_u64(header, fnv1a(payload.data(), payload.size()));
   append_u32(header, static_cast<std::uint32_t>(trace.name().size()));
   header.append(trace.name());
@@ -149,24 +132,20 @@ void write_trace_binary(const ContactTrace& trace, std::ostream& out,
   if (!out) throw std::runtime_error("failed writing binary trace");
 }
 
-void save_trace_binary(const ContactTrace& trace, const std::string& path,
-                       std::uint64_t source_size,
-                       std::uint64_t source_checksum) {
+void save_trace_binary(const ContactTrace& trace, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("cannot open for writing: " + path);
-  write_trace_binary(trace, out, source_size, source_checksum);
+  write_trace_binary(trace, out);
 }
 
-BinaryTraceMeta read_binary_header(std::istream& in,
+BinaryTraceMeta read_binary_header(std::string_view bytes,
                                    const std::string& source_name) {
-  std::array<unsigned char, kHeaderFixedSize> raw;
-  in.read(reinterpret_cast<char*>(raw.data()),
-          static_cast<std::streamsize>(raw.size()));
-  if (static_cast<std::size_t>(in.gcount()) != raw.size()) {
+  if (bytes.size() < kHeaderFixedSize) {
     binary_error(source_name, "truncated header");
   }
+  const auto* raw = reinterpret_cast<const unsigned char*>(bytes.data());
   if (!std::equal(kBinaryMagic, kBinaryMagic + sizeof(kBinaryMagic),
-                  raw.begin())) {
+                  bytes.begin())) {
     binary_error(source_name, "bad magic (not a .dtntrace file)");
   }
   BinaryTraceMeta meta;
@@ -187,96 +166,70 @@ BinaryTraceMeta read_binary_header(std::istream& in,
   meta.contact_count = read_u64(&raw[24]);
   meta.start_time = std::bit_cast<Time>(read_u64(&raw[32]));
   meta.end_time = std::bit_cast<Time>(read_u64(&raw[40]));
-  meta.source_size = read_u64(&raw[48]);
-  meta.source_checksum = read_u64(&raw[56]);
+  // raw[48..63]: reserved, ignored.
   meta.payload_checksum = read_u64(&raw[64]);
   const std::uint32_t name_length = read_u32(&raw[72]);
   if (name_length > 4096) {
     binary_error(source_name, "implausible trace name length");
   }
-  meta.name.resize(name_length);
-  in.read(meta.name.data(), static_cast<std::streamsize>(name_length));
-  if (static_cast<std::uint32_t>(in.gcount()) != name_length) {
+  if (bytes.size() - kHeaderFixedSize < name_length) {
     binary_error(source_name, "truncated trace name");
   }
-  DTN_COUNT_N(kTraceBytesRead, kHeaderFixedSize + name_length);
+  meta.name = bytes.substr(kHeaderFixedSize, name_length);
   return meta;
 }
 
 namespace {
 
-/// Buffered reader over the record payload that follows the header. Every
-/// byte it hands out is folded into the payload checksum.
-class PayloadReader {
- public:
-  PayloadReader(std::istream& in, const std::string& source_name)
-      : in_(in), source_name_(source_name), buffer_(kIoBufferSize) {}
-
-  std::uint64_t checksum() const { return checksum_; }
-
-  bool read_byte(std::uint8_t& out) {
-    if (pos_ == len_ && !fill()) return false;
-    const auto byte = static_cast<std::uint8_t>(buffer_[pos_++]);
-    checksum_ ^= byte;
-    checksum_ *= 0x100000001b3ull;
-    out = byte;
-    return true;
+/// Decodes the meta.contact_count records in `payload`. Each record must
+/// carry a finite start and a finite non-negative duration, name nodes in
+/// [0, N) and not sort before its predecessor; the payload checksum must
+/// match and the payload must end with the last record. Throws on any
+/// violation.
+std::vector<ContactEvent> decode_records(std::string_view payload,
+                                         const std::string& source_name,
+                                         const BinaryTraceMeta& meta) {
+  // Every record is at least four one-byte varints: a count the payload
+  // cannot hold is rejected before it sizes the allocation below.
+  if (meta.contact_count > payload.size() / 4) {
+    binary_error(source_name, "header declares " +
+                                  std::to_string(meta.contact_count) +
+                                  " contacts, more than the payload holds");
   }
-
-  std::uint64_t read_varint() {
+  if (fnv1a(payload.data(), payload.size()) != meta.payload_checksum) {
+    binary_error(source_name, "payload checksum mismatch (corrupt file)");
+  }
+  const auto* next = reinterpret_cast<const unsigned char*>(payload.data());
+  const auto* const end = next + payload.size();
+  auto read_varint = [&]() -> std::uint64_t {
     std::uint64_t value = 0;
     for (int shift = 0; shift < 64; shift += 7) {
-      std::uint8_t byte = 0;
-      if (!read_byte(byte)) {
-        binary_error(source_name_, "truncated record payload");
-      }
+      if (next == end) binary_error(source_name, "truncated record payload");
+      const std::uint8_t byte = *next++;
       value |= static_cast<std::uint64_t>(byte & 0x7fu) << shift;
       if ((byte & 0x80u) == 0) return value;
     }
-    binary_error(source_name_, "overlong varint in record payload");
-  }
+    binary_error(source_name, "overlong varint in record payload");
+  };
 
- private:
-  bool fill() {
-    in_.read(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-    len_ = static_cast<std::size_t>(in_.gcount());
-    pos_ = 0;
-    DTN_COUNT_N(kTraceBytesRead, len_);
-    return len_ > 0;
-  }
-
-  std::istream& in_;
-  const std::string& source_name_;
-  std::vector<char> buffer_;
-  std::size_t pos_ = 0;
-  std::size_t len_ = 0;
-  std::uint64_t checksum_ = kFnvOffset;
-};
-
-/// Decodes the meta.contact_count records that follow the header. Each
-/// record must name nodes in [0, N), carry a non-negative duration and not
-/// sort before its predecessor; then the payload checksum must match and
-/// the payload must end with the last record. Throws on any violation.
-std::vector<ContactEvent> decode_records(std::istream& in,
-                                         const std::string& source_name,
-                                         const BinaryTraceMeta& meta) {
-  PayloadReader reader(in, source_name);
   std::vector<ContactEvent> events;
   events.reserve(static_cast<std::size_t>(meta.contact_count));
   std::uint64_t prev_start_bits = 0;
   std::uint64_t prev_duration_bits = 0;
   NodeId prev_a = 0;
   for (std::uint64_t i = 0; i < meta.contact_count; ++i) {
-    const std::uint64_t start_bits =
-        prev_start_bits ^ bswap64(reader.read_varint());
+    const std::uint64_t start_bits = prev_start_bits ^ bswap64(read_varint());
     const std::uint64_t duration_bits =
-        prev_duration_bits ^ bswap64(reader.read_varint());
-    const std::int64_t a_delta = zigzag_decode(reader.read_varint());
-    const std::uint64_t b_gap = reader.read_varint();
+        prev_duration_bits ^ bswap64(read_varint());
+    const std::int64_t a_delta = zigzag_decode(read_varint());
+    const std::uint64_t b_gap = read_varint();
 
     ContactEvent e;
     e.start = std::bit_cast<Time>(start_bits);
     e.duration = std::bit_cast<Time>(duration_bits);
+    if (!std::isfinite(e.start) || !std::isfinite(e.duration)) {
+      binary_error(source_name, "record carries a non-finite time");
+    }
     // a = prev_a + a_delta and b = a + 1 + b_gap must land in [0, N). The
     // deltas are untrusted, so the bounds are checked before the additions.
     const std::int64_t n = meta.node_count;
@@ -301,11 +254,7 @@ std::vector<ContactEvent> decode_records(std::istream& in,
     events.push_back(e);
     DTN_COUNT(kTraceContactsDecoded);
   }
-  if (reader.checksum() != meta.payload_checksum) {
-    binary_error(source_name, "payload checksum mismatch (corrupt file)");
-  }
-  std::uint8_t extra = 0;
-  if (reader.read_byte(extra)) {
+  if (next != end) {
     binary_error(source_name, "trailing bytes after the last record");
   }
   return events;
@@ -313,24 +262,18 @@ std::vector<ContactEvent> decode_records(std::istream& in,
 
 }  // namespace
 
-ContactTrace read_trace_binary(std::istream& in,
+ContactTrace read_trace_binary(std::string_view bytes,
                                const std::string& source_name,
                                NodeId min_node_count) {
-  const BinaryTraceMeta meta = read_binary_header(in, source_name);
-  std::vector<ContactEvent> events = decode_records(in, source_name, meta);
+  const BinaryTraceMeta meta = read_binary_header(bytes, source_name);
+  std::vector<ContactEvent> events = decode_records(
+      bytes.substr(kHeaderFixedSize + meta.name.size()), source_name, meta);
   const NodeId node_count = std::max(min_node_count, meta.node_count);
   try {
     return ContactTrace(node_count, std::move(events), meta.name);
   } catch (const std::invalid_argument& error) {
     binary_error(source_name, error.what());
   }
-}
-
-ContactTrace load_trace_binary(const std::string& path,
-                               NodeId min_node_count) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open trace file: " + path);
-  return read_trace_binary(in, path, min_node_count);
 }
 
 }  // namespace dtn::traceio

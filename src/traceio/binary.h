@@ -1,9 +1,11 @@
 // The .dtntrace compact binary trace format (version 1).
 //
-// Re-parsing a multi-hundred-thousand-contact text trace through iostreams
-// for every sweep costs orders of magnitude more than the simulation's own
-// per-contact work; this format lets a trace be parsed once and then
-// loaded from its sidecar (DESIGN.md §8). Layout, all fixed-width fields
+// A lossless interchange format for contact traces: doubles travel as
+// IEEE-754 bit patterns, never through decimal text, so every value
+// (denormals, values that do not survive shortest-form printing)
+// round-trips exactly, and the delta-encoded records take fewer bytes than
+// the CSV rendering. `tracetool convert` writes it; load_trace_any reads it
+// by extension or magic (DESIGN.md §8). Layout, all fixed-width fields
 // little-endian regardless of host byte order:
 //
 //   offset size field
@@ -16,9 +18,8 @@
 //   24     8    contact_count (u64)
 //   32     8    start_time (f64 bit pattern)
 //   40     8    end_time (f64 bit pattern)
-//   48     8    source_size (u64): byte size of the text file this sidecar
-//               caches; 0 for standalone traces
-//   56     8    source_checksum (u64): FNV-1a of the text file's bytes
+//   48     16   reserved: written as zero and ignored on read (files from
+//               earlier writers may carry other values here)
 //   64     8    payload_checksum (u64): FNV-1a of the encoded records
 //   72     4    name_length (u32)
 //   76     n    trace name (UTF-8, no terminator)
@@ -36,13 +37,15 @@
 // XOR-of-bit-patterns round-trips doubles exactly (no float arithmetic on
 // the deltas), and sorted traces share high mantissa/exponent bits between
 // neighbours, so after the byte swap the varint usually fits in a few
-// bytes. Loaders verify magic, version, endianness, checksum, record count
-// and sort order; any mismatch throws (never a partial trace).
+// bytes. The decoder verifies magic, version, endianness, checksum, record
+// count, node range, finite non-negative times and sort order; any mismatch
+// throws (never a partial trace).
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "trace/trace.h"
 
@@ -53,50 +56,34 @@ inline constexpr char kBinaryMagic[8] = {'D', 'T', 'N', 'T',
 inline constexpr std::uint32_t kBinaryVersion = 1;
 inline constexpr std::uint32_t kEndianTag = 0x01020304u;
 
-/// 64-bit FNV-1a over a byte range, seedable for incremental use.
-inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-std::uint64_t fnv1a(const void* data, std::size_t size,
-                    std::uint64_t seed = kFnvOffset);
+/// 64-bit FNV-1a over a byte range (the payload checksum).
+std::uint64_t fnv1a(const void* data, std::size_t size);
 
-/// Streaming FNV-1a of a whole file. Throws std::runtime_error on I/O
-/// failure.
-std::uint64_t fnv1a_file(const std::string& path);
-
-/// Everything the header says about a binary trace, available without
-/// decoding a single record (the sidecar freshness check reads only this).
+/// Everything the header says about a binary trace.
 struct BinaryTraceMeta {
   std::uint32_t version = 0;
   NodeId node_count = 0;
   std::uint64_t contact_count = 0;
   Time start_time = 0.0;
   Time end_time = 0.0;
-  std::uint64_t source_size = 0;      ///< 0 = standalone (not a sidecar)
-  std::uint64_t source_checksum = 0;
   std::uint64_t payload_checksum = 0;
   std::string name;
 };
 
-/// Writes the trace in .dtntrace format. `source_size`/`source_checksum`
-/// describe the text file a sidecar caches (0/0 for standalone saves).
-/// Throws std::runtime_error on I/O failure.
-void write_trace_binary(const ContactTrace& trace, std::ostream& out,
-                        std::uint64_t source_size = 0,
-                        std::uint64_t source_checksum = 0);
-void save_trace_binary(const ContactTrace& trace, const std::string& path,
-                       std::uint64_t source_size = 0,
-                       std::uint64_t source_checksum = 0);
+/// Writes the trace in .dtntrace format. Throws std::runtime_error on I/O
+/// failure.
+void write_trace_binary(const ContactTrace& trace, std::ostream& out);
+void save_trace_binary(const ContactTrace& trace, const std::string& path);
 
-/// Reads and validates just the header, leaving the stream positioned at
-/// the first record. `source_name` contextualizes errors.
-BinaryTraceMeta read_binary_header(std::istream& in,
+/// Reads and validates just the header at the front of `bytes`.
+/// `source_name` contextualizes errors.
+BinaryTraceMeta read_binary_header(std::string_view bytes,
                                    const std::string& source_name);
 
-/// Loads a whole binary trace (header + all records, fully validated).
-/// `min_node_count` mirrors the text loaders.
-ContactTrace read_trace_binary(std::istream& in,
+/// Decodes a whole binary trace (header + all records, fully validated)
+/// from the file's bytes. `min_node_count` mirrors the text readers.
+ContactTrace read_trace_binary(std::string_view bytes,
                                const std::string& source_name,
-                               NodeId min_node_count = 0);
-ContactTrace load_trace_binary(const std::string& path,
                                NodeId min_node_count = 0);
 
 }  // namespace dtn::traceio

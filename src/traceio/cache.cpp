@@ -1,11 +1,8 @@
 #include "traceio/cache.h"
 
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
-#include <system_error>
+#include <string_view>
 
 #include "common/instrument.h"
 #include "traceio/binary.h"
@@ -13,142 +10,54 @@
 namespace dtn::traceio {
 namespace {
 
-namespace fs = std::filesystem;
-
-bool has_dtntrace_extension(const std::string& path) {
-  constexpr const char* kExt = ".dtntrace";
-  const std::size_t n = std::char_traits<char>::length(kExt);
-  return path.size() >= n && path.compare(path.size() - n, n, kExt) == 0;
-}
-
-/// First few KiB of a file, for format sniffing and magic detection.
-std::string read_head(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+/// The whole file, read once; every decoder parses this buffer in place.
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw std::runtime_error("cannot open trace file: " + path);
-  std::string head(4096, '\0');
-  in.read(head.data(), static_cast<std::streamsize>(head.size()));
-  head.resize(static_cast<std::size_t>(in.gcount()));
-  return head;
+  const std::streamoff size = in.tellg();
+  if (size < 0) throw std::runtime_error("cannot size trace file: " + path);
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  if (!in.read(bytes.data(), size)) {
+    throw std::runtime_error("I/O error reading: " + path);
+  }
+  DTN_COUNT_N(kTraceBytesRead, bytes.size());
+  return bytes;
 }
 
-bool starts_with_magic(const std::string& head) {
-  return head.size() >= sizeof(kBinaryMagic) &&
-         head.compare(0, sizeof(kBinaryMagic), kBinaryMagic,
-                      sizeof(kBinaryMagic)) == 0;
-}
-
-/// True when `sidecar` is a fresh cache of `source` (see header comment
-/// for the freshness rules). Never throws: any irregularity just means
-/// "not fresh" and the text is re-parsed.
-bool sidecar_fresh(const std::string& source, const std::string& sidecar) {
-  std::ifstream in(sidecar, std::ios::binary);
-  if (!in) return false;
-  BinaryTraceMeta meta;
-  try {
-    meta = read_binary_header(in, sidecar);
-  } catch (const std::exception&) {
-    return false;  // truncated/corrupt header: treat as stale
-  }
-  if (meta.source_size == 0 && meta.source_checksum == 0) {
-    return false;  // standalone .dtntrace, not a sidecar of this text file
-  }
-  std::error_code ec;
-  const std::uintmax_t source_size = fs::file_size(source, ec);
-  if (ec || source_size != meta.source_size) return false;
-
-  // Make-style fast path: a sidecar at least as new as its source is
-  // trusted without hashing. Observation-only (lint: fs-mtime allowlist) —
-  // the worst a wrong mtime can do is force the checksum fallback below or
-  // an extra re-parse of identical text.
-  std::error_code ec_source, ec_sidecar;
-  const fs::file_time_type source_mtime = fs::last_write_time(source, ec_source);
-  const fs::file_time_type sidecar_mtime =
-      fs::last_write_time(sidecar, ec_sidecar);
-  if (!ec_source && !ec_sidecar && sidecar_mtime >= source_mtime) return true;
-
-  // Touched but maybe unchanged: settle it by content.
-  try {
-    return fnv1a_file(source) == meta.source_checksum;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-ContactTrace parse_text(const std::string& path, const std::string& text,
-                        const TraceReader& reader,
-                        const TraceReadOptions& options) {
-  std::istringstream in(text);
-  return reader.read(in, trace_name_from_path(path), path, options);
+bool is_binary(const std::string& path, std::string_view bytes) {
+  return std::string_view(path).ends_with(".dtntrace") ||
+         bytes.starts_with(
+             std::string_view(kBinaryMagic, sizeof(kBinaryMagic)));
 }
 
 }  // namespace
 
-std::string sidecar_path(const std::string& path) {
-  return path + ".dtntrace";
-}
-
 ContactTrace load_trace_any(const std::string& path,
                             const LoadOptions& options) {
   DTN_SCOPED_TIMER(kTraceLoad);
-
-  if (options.format == "binary" ||
-      (options.format.empty() && has_dtntrace_extension(path))) {
-    return load_trace_binary(path, options.read.min_node_count);
-  }
-
   const TraceReader* reader = nullptr;
-  if (!options.format.empty()) {
+  if (!options.format.empty() && options.format != "binary") {
     reader = reader_for_format(options.format);
     if (reader == nullptr) {
       throw std::runtime_error("unknown trace format '" + options.format +
                                "' (csv, one, imote or binary)");
     }
-  } else {
-    const std::string head = read_head(path);
-    if (starts_with_magic(head)) {
-      return load_trace_binary(path, options.read.min_node_count);
+  }
+  const std::string bytes = read_file(path);
+  if (reader == nullptr) {
+    if (options.format == "binary" || is_binary(path, bytes)) {
+      return read_trace_binary(bytes, path, options.read.min_node_count);
     }
-    reader = detect_reader(head);
+    // Sniff the first few KiB only: enough for any header or first row.
+    reader = detect_reader(std::string_view(bytes).substr(0, 4096));
     if (reader == nullptr) {
       throw std::runtime_error(
           path + ": cannot detect trace format (not CSV, a ONE "
                  "connectivity report, an iMote contact log or .dtntrace)");
     }
   }
-
-  const std::string sidecar = sidecar_path(path);
-  if (options.cache == CachePolicy::kUse && sidecar_fresh(path, sidecar)) {
-    DTN_COUNT(kTraceCacheHits);
-    return load_trace_binary(sidecar, options.read.min_node_count);
-  }
-
-  // Parse once from an in-memory copy of the text: the same bytes feed the
-  // parser and the sidecar's source checksum, so the cache can never
-  // record a checksum for content other than what was parsed.
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open trace file: " + path);
-  std::ostringstream content;
-  content << in.rdbuf();
-  if (in.bad()) throw std::runtime_error("I/O error reading: " + path);
-  const std::string text = content.str();
-
-  ContactTrace trace = parse_text(path, text, *reader, options.read);
-  if (options.cache == CachePolicy::kUse ||
-      options.cache == CachePolicy::kRefresh) {
-    DTN_COUNT(kTraceCacheMisses);
-    try {
-      save_trace_binary(trace, sidecar, text.size(),
-                        fnv1a(text.data(), text.size()));
-    } catch (const std::exception& error) {
-      // Non-fatal: a read-only input directory just means no cache.
-      std::fprintf(stderr,
-                   "load_trace_any: cannot write sidecar %s: %s\n",
-                   sidecar.c_str(), error.what());
-      std::error_code ec;
-      fs::remove(sidecar, ec);  // never leave a half-written sidecar
-    }
-  }
-  return trace;
+  return reader->read(bytes, trace_name_from_path(path), path, options.read);
 }
 
 }  // namespace dtn::traceio

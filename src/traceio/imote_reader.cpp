@@ -20,15 +20,12 @@
 #include "traceio/reader.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <map>
-#include <istream>
-#include <sstream>
 #include <utility>
 
 #include "common/instrument.h"
+#include "common/scan.h"
 
 namespace dtn::traceio {
 namespace {
@@ -39,31 +36,28 @@ class ImoteReader final : public TraceReader {
  public:
   const char* format_name() const override { return "imote"; }
 
-  bool sniff(const std::string& head) const override {
+  bool sniff(std::string_view head) const override {
     // First non-comment line: >= 4 whitespace-separated numeric tokens and
     // no comma (CSV) or CONN keyword (ONE). Sniffed last, so this only has
     // to reject the other formats' shapes.
-    std::istringstream in(head);
-    std::string line;
-    while (std::getline(in, line)) {
+    scan::LineWalker lines(head);
+    std::string_view line;
+    while (lines.next(line)) {
       if (line.empty() || line[0] == '#') continue;
-      if (line.find(',') != std::string::npos) return false;
-      if (line.find("CONN") != std::string::npos) return false;
-      std::istringstream cells(line);
-      std::string token;
-      int numeric = 0;
-      while (cells >> token && numeric < 4) {
-        char* end = nullptr;
-        std::strtod(token.c_str(), &end);
-        if (end == nullptr || *end != '\0') return false;
-        ++numeric;
+      if (line.find(',') != std::string_view::npos) return false;
+      if (line.find("CONN") != std::string_view::npos) return false;
+      std::string_view words[4];
+      if (scan::split_words(line, words) < 4) return false;
+      double value = 0.0;
+      for (const std::string_view word : words) {
+        if (!scan::number(word, value)) return false;
       }
-      return numeric == 4;
+      return true;
     }
     return false;
   }
 
-  ContactTrace read(std::istream& in, const std::string& trace_name,
+  ContactTrace read(std::string_view text, const std::string& trace_name,
                     const std::string& source_name,
                     const TraceReadOptions& options) const override {
     struct Interval {
@@ -75,25 +69,25 @@ class ImoteReader final : public TraceReader {
         sightings;
     NodeIdMap ids;
     Time earliest = kNever;
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(in, line)) {
-      ++line_no;
+    scan::LineWalker lines(text);
+    std::string_view line;
+    while (lines.next(line)) {
+      const std::size_t line_no = lines.line_no();
       if (line.empty() || line[0] == '#') continue;
-      DTN_COUNT_N(kTraceBytesRead, line.size() + 1);
-      std::istringstream cells(line);
+      std::string_view words[4];
+      const std::size_t count = scan::split_words(line, words);
       std::int64_t a = 0, b = 0;
       Time start = 0.0, end = 0.0;
-      if (!(cells >> a >> b >> start >> end)) {
+      if (count < 4 || !scan::number(words[0], a) ||
+          !scan::number(words[1], b) || !scan::number(words[2], start) ||
+          !scan::number(words[3], end)) {
         parse_error(source_name, line_no, kFormat,
-                    "expected '<a> <b> <start> <end>' in line '" + line + "'");
+                    "expected '<a> <b> <start> <end>' in line '" +
+                        std::string(line) + "'");
       }
-      if (options.strict) {
-        std::string extra;
-        if (cells >> extra) {
-          parse_error(source_name, line_no, kFormat,
-                      "trailing characters after the fourth field");
-        }
+      if (options.strict && count > 4) {
+        parse_error(source_name, line_no, kFormat,
+                    "trailing characters after the fourth field");
       }
       if (!std::isfinite(start) || !std::isfinite(end)) {
         parse_error(source_name, line_no, kFormat, "non-finite timestamp");

@@ -12,46 +12,34 @@
 // Contacts still open at end-of-report close at the last timestamp seen
 // (the report simply stopped while the link was up). Non-CONN report lines
 // (ONE mixes event types when misconfigured) and `# comments` are skipped;
-// strict mode rejects them instead, along with duplicate `up` events and
-// `down` events without a matching `up` (tolerated otherwise, as real
-// reports truncated mid-run produce both).
+// strict mode rejects them instead, along with tokens after the link
+// state, duplicate `up` events and `down` events without a matching `up`
+// (tolerated otherwise, as real reports truncated mid-run produce both).
 #include "traceio/reader.h"
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <map>
-#include <sstream>
 #include <utility>
 
 #include "common/instrument.h"
+#include "common/scan.h"
 
 namespace dtn::traceio {
 namespace {
 
 constexpr const char* kFormat = "ONE connectivity report";
 
-bool parse_int(const std::string& token, std::int64_t& out) {
-  if (token.empty()) return false;
-  std::size_t pos = 0;
-  try {
-    out = std::stoll(token, &pos);
-  } catch (const std::exception&) {
-    return false;
-  }
-  return pos == token.size();
-}
-
 class OneReader final : public TraceReader {
  public:
   const char* format_name() const override { return "one"; }
 
-  bool sniff(const std::string& head) const override {
-    return head.find(" CONN ") != std::string::npos ||
-           head.find("\tCONN\t") != std::string::npos;
+  bool sniff(std::string_view head) const override {
+    return head.find(" CONN ") != std::string_view::npos ||
+           head.find("\tCONN\t") != std::string_view::npos;
   }
 
-  ContactTrace read(std::istream& in, const std::string& trace_name,
+  ContactTrace read(std::string_view text, const std::string& trace_name,
                     const std::string& source_name,
                     const TraceReadOptions& options) const override {
     struct RawContact {
@@ -65,37 +53,37 @@ class OneReader final : public TraceReader {
     Time last_time = 0.0;
     bool any_line = false;
 
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(in, line)) {
-      ++line_no;
+    scan::LineWalker lines(text);
+    std::string_view line;
+    while (lines.next(line)) {
+      const std::size_t line_no = lines.line_no();
       if (line.empty() || line[0] == '#') continue;
-      DTN_COUNT_N(kTraceBytesRead, line.size() + 1);
-      std::istringstream cells(line);
-      std::string time_token, kind, a_token, b_token, state;
-      cells >> time_token >> kind >> a_token >> b_token >> state;
-      if (kind != "CONN") {
+      std::string_view words[5];
+      const std::size_t count = scan::split_words(line, words);
+      if (words[1] != "CONN") {
         if (options.strict) {
           parse_error(source_name, line_no, kFormat,
                       "expected '<time> CONN <a> <b> up|down'");
         }
         continue;  // other ONE report event types are not contacts
       }
+      if (options.strict && count > 5) {
+        parse_error(source_name, line_no, kFormat,
+                    "trailing characters after the link state");
+      }
       any_line = true;
       Time when = 0.0;
-      try {
-        when = std::stod(time_token);
-      } catch (const std::exception&) {
+      if (!scan::number(words[0], when)) {
         parse_error(source_name, line_no, kFormat,
-                    "malformed timestamp '" + time_token + "'");
+                    "malformed timestamp '" + std::string(words[0]) + "'");
       }
       if (!std::isfinite(when)) {
         parse_error(source_name, line_no, kFormat, "non-finite timestamp");
       }
       std::int64_t a = 0, b = 0;
-      if (!parse_int(a_token, a) || !parse_int(b_token, b)) {
+      if (!scan::number(words[2], a) || !scan::number(words[3], b)) {
         parse_error(source_name, line_no, kFormat,
-                    "malformed host id in '" + line + "'");
+                    "malformed host id in '" + std::string(line) + "'");
       }
       if (a == b) {
         if (options.strict) {
@@ -106,6 +94,7 @@ class OneReader final : public TraceReader {
       last_time = std::max(last_time, when);
       const std::pair<std::int64_t, std::int64_t> key{std::min(a, b),
                                                       std::max(a, b)};
+      const std::string_view state = words[4];
       if (state == "up") {
         ids.note(a);
         ids.note(b);
@@ -135,7 +124,8 @@ class OneReader final : public TraceReader {
         open.erase(it);
       } else {
         parse_error(source_name, line_no, kFormat,
-                    "link state must be 'up' or 'down', got '" + state + "'");
+                    "link state must be 'up' or 'down', got '" +
+                        std::string(state) + "'");
       }
     }
     if (!any_line) {

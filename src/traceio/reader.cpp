@@ -1,6 +1,5 @@
 #include "traceio/reader.h"
 
-#include <sstream>
 #include <stdexcept>
 
 #include "common/check.h"
@@ -28,7 +27,7 @@ const TraceReader* reader_for_format(const std::string& format) {
   return nullptr;
 }
 
-const TraceReader* detect_reader(const std::string& head) {
+const TraceReader* detect_reader(std::string_view head) {
   for (const TraceReader* reader : readers()) {
     if (reader->sniff(head)) return reader;
   }

@@ -6,21 +6,23 @@
 // registry plus content sniffing make `load_trace_any` (cache.h) accept any
 // of them behind a single entry point. Concrete readers:
 //
-//   csv    the repo's native format: `start,duration,a,b` (trace/trace_io.h)
+//   csv    the repo's native format: `start,duration,a,b`
 //   one    ONE-simulator connectivity reports: `<time> CONN <a> <b> up|down`
 //   imote  CRAWDAD/Haggle-style pairwise iMote logs: `<a> <b> <start> <end>`
 //          with sparse raw device ids (remapped densely), duplicate/overlap
 //          merging and clock-offset normalization
 //
-// The versioned binary format (.dtntrace, binary.h) is deliberately not a
-// TraceReader: text readers are line-oriented and sniffable, the binary
-// loader is magic-tagged and owns the cache path.
+// Every reader parses the file's bytes in place through common/scan.h, so
+// all three share one line, field and number grammar. The versioned binary
+// format (.dtntrace, binary.h) is deliberately not a TraceReader: text
+// readers are line-oriented and sniffable, the binary decoder is
+// magic-tagged.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/trace.h"
@@ -29,19 +31,19 @@ namespace dtn::traceio {
 
 struct TraceReadOptions {
   /// `node_count` of the result is max(dense node id) + 1 unless a larger
-  /// value is given (mirrors read_trace_csv).
+  /// value is given.
   NodeId min_node_count = 0;
 
   /// Strict mode turns every tolerated irregularity (trailing fields,
-  /// non-CONN lines, duplicate `up` events, self-contacts, duplicate
-  /// intervals) into a parse error with file:line context. Used by
-  /// `tracetool validate`.
+  /// non-CONN lines, duplicate `up` events, self-contacts, CSV rows whose
+  /// start goes backwards) into a parse error with file:line context. Used
+  /// by `tracetool validate`.
   bool strict = false;
 };
 
 /// One on-disk trace format. Implementations are stateless and registered
-/// once in readers(); read() may be called concurrently from different
-/// streams.
+/// once in readers(); read() may be called concurrently on different
+/// buffers.
 class TraceReader {
  public:
   virtual ~TraceReader() = default;
@@ -51,12 +53,13 @@ class TraceReader {
 
   /// True when `head` (the first few KiB of the file) looks like this
   /// format. Sniffing is ordered and first-match (see detect_reader).
-  virtual bool sniff(const std::string& head) const = 0;
+  virtual bool sniff(std::string_view head) const = 0;
 
-  /// Parses the whole stream into a canonical trace. `source_name` is the
-  /// "<source>:<line>" context for parse errors; the trace is named
+  /// Parses a whole file's bytes into a canonical trace. `source_name` is
+  /// the "<source>:<line>" context for parse errors; the trace is named
   /// `trace_name`. Throws std::runtime_error on malformed input.
-  virtual ContactTrace read(std::istream& in, const std::string& trace_name,
+  virtual ContactTrace read(std::string_view text,
+                            const std::string& trace_name,
                             const std::string& source_name,
                             const TraceReadOptions& options) const = 0;
 };
@@ -69,15 +72,14 @@ const std::vector<const TraceReader*>& readers();
 const TraceReader* reader_for_format(const std::string& format);
 
 /// First reader whose sniff() accepts `head`; nullptr when none match.
-const TraceReader* detect_reader(const std::string& head);
+const TraceReader* detect_reader(std::string_view head);
 
 /// Throws the canonical "<source>:<line>: <format> parse error: <why>".
 [[noreturn]] void parse_error(const std::string& source_name,
                               std::size_t line_no, const std::string& format,
                               const std::string& why);
 
-/// Trace name for a file path: basename with the final extension stripped
-/// (the same rule load_trace_csv always used).
+/// Trace name for a file path: basename with the final extension stripped.
 std::string trace_name_from_path(const std::string& path);
 
 /// Deterministic raw-id -> dense-id remapping shared by the ONE and iMote

@@ -5,7 +5,7 @@
 # (reps < 1, threads < 0, days or floors negative or not finite), instead
 # of aborting, silently turning a gate off or reading a prefix of the token.
 #
-# Usage: cmake -DBENCH=path/to/bench_traceio
+# Usage: cmake -DBENCH=path/to/bench_daemon
 #              -DARGS_BENCH=path/to/bench_fig13_ncl_count
 #              -P tests/bench_bad_flags.cmake
 if(NOT BENCH OR NOT ARGS_BENCH)

@@ -483,14 +483,14 @@ std::string run_scripted(const ContactTrace& trace, int threads) {
                                  trace.events().end());
   d.warm_start(ContactTrace(trace.node_count(), warm, "warm"));
   ReplayFeed feed(live);
-  std::istringstream script(
+  const std::string script =
       "# replayed-clock query mix\n"
       "ncl 4\n"
       "advance 90000\n"
       "repair\n"
       "ncl 4\nweight 0 7 1800\nplace 3 4\n"
       "drain\nrepair\n"
-      "ncl 4\nweight 0 7 1800\nweight 2 2 1\nplace 3 4\nstats\n");
+      "ncl 4\nweight 0 7 1800\nweight 2 2 1\nplace 3 4\nstats\n";
   std::ostringstream out;
   daemon::run_script(d, feed, script, out);
   return out.str();
@@ -507,15 +507,21 @@ TEST(DaemonScript, ByteIdenticalAcrossRunsAndThreadCounts) {
 
 TEST(DaemonScript, MalformedCommandThrowsWithLineNumber) {
   const ContactTrace trace = small_trace(37, 8, 1.0);
-  Daemon d(trace.node_count(), test_config());
-  ReplayFeed feed(trace.events());
-  std::istringstream script("ncl 2\nbogus 1 2\n");
-  std::ostringstream out;
-  try {
-    daemon::run_script(d, feed, script, out);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("line 2"), std::string::npos);
+  // An unknown command, and node ids outside [0, 8) that would otherwise
+  // reach the daemon's range contracts.
+  for (const char* bad : {"bogus 1 2", "weight 0 99 3600", "place -1 2"}) {
+    SCOPED_TRACE(bad);
+    Daemon d(trace.node_count(), test_config());
+    ReplayFeed feed(trace.events());
+    std::ostringstream out;
+    try {
+      daemon::run_script(d, feed, "ncl 2\n" + std::string(bad) + "\n", out);
+      ADD_FAILURE() << "expected std::runtime_error";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("script line 2"),
+                std::string::npos)
+          << error.what();
+    }
   }
 }
 

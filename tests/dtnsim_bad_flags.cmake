@@ -9,12 +9,12 @@ endif()
 
 set(small --trace rwp --nodes 10 --days 0.5 --scheme nocache --threads 1)
 
-# The last five are deleted flags: a script that still passes one must
+# The last six are deleted flags: a script that still passes one must
 # fail instead of running.
 foreach(bad IN ITEMS "--reps 0" "--k 0" "--k abc" "--reps 2x" "--threads abc"
                      "--days abc" "--seed abc" "--seed -1" "--zipf 1.0.0"
                      "--shards 2" "--metric-engine fast" "--landmarks 0"
-                     "--weight-floor 0" "--metric-seed 1")
+                     "--weight-floor 0" "--metric-seed 1" "--no-trace-cache")
   separate_arguments(args UNIX_COMMAND "${bad}")
   execute_process(COMMAND ${DTNSIM} ${small} ${args}
                   RESULT_VARIABLE code OUTPUT_QUIET ERROR_VARIABLE err)

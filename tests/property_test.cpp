@@ -21,13 +21,20 @@
 //    matrix);
 //  * opportunistic path tables on random rate graphs — weights are
 //    monotone non-increasing along every parent chain (the greedy
-//    max-probability construction depends on it).
+//    max-probability construction depends on it);
+//  * seeded byte-, token- and line-level mutants of every untrusted input
+//    (the trace fixtures, a .dtntrace file, a dtnd script) either load a
+//    valid trace or fail with a std::runtime_error naming their source.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "cache/knapsack.h"
@@ -35,11 +42,16 @@
 #include "common/arena.h"
 #include "common/rng.h"
 #include "common/types.h"
+#include "daemon/daemon.h"
+#include "daemon/script.h"
 #include "experiment/experiment.h"
 #include "graph/opportunistic_path.h"
 #include "net/buffer.h"
 #include "tests/proptest.h"
 #include "trace/synthetic.h"
+#include "traceio/binary.h"
+#include "traceio/cache.h"
+#include "traceio/reader.h"
 
 namespace dtn {
 namespace {
@@ -390,6 +402,198 @@ TEST(Property, PathWeightsMonotoneAlongParentChains) {
       }
     }
   });
+}
+
+// ---- malformed untrusted input -----------------------------------------
+
+/// Bytes and tokens the mutator splices in: the separators and number
+/// shapes the shared text grammar (common/scan.h) decides on, and node ids
+/// outside the 6-node sample trace.
+const std::string kMutantBytes =
+    std::string("0123456789,.-+eEx #\t\r\n\xff") + '\0';
+const char* const kMutantTokens[] = {
+    "0x10", "40abc", "+1", "-1", "nan", "inf", "1e5", "3.5", "99",
+    "2147483647", "9223372036854775808", "", "up", "down", "CONN", "junk",
+    "#"};
+
+/// Applies one to four random edits to `bytes`. Text inputs also get
+/// token replacements (the most likely edit) and duplicated lines.
+std::string mutate(std::string bytes, Rng& rng, bool text) {
+  auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const int edits = static_cast<int>(rng.uniform_int(1, 4));
+  for (int k = 0; k < edits; ++k) {
+    if (bytes.empty()) bytes.push_back('0');
+    const std::size_t at = pick(bytes.size());
+    switch (rng.uniform_int(0, text ? 8 : 4)) {
+      case 0:
+        bytes[at] = static_cast<char>(bytes[at] ^ (1 << pick(8)));
+        break;
+      case 1:
+        bytes[at] = kMutantBytes[pick(kMutantBytes.size())];
+        break;
+      case 2:
+        bytes.insert(at, 1, kMutantBytes[pick(kMutantBytes.size())]);
+        break;
+      case 3:
+        bytes.erase(at, pick(8) + 1);
+        break;
+      case 4:
+        bytes.resize(at);
+        break;
+      case 5:
+      case 6:
+      case 7: {  // replace a token, each equally likely
+        const char* const separators = " \t,\r\n";
+        std::vector<std::pair<std::size_t, std::size_t>> tokens;
+        std::size_t first = bytes.find_first_not_of(separators);
+        while (first != std::string::npos) {
+          const std::size_t last =
+              std::min(bytes.find_first_of(separators, first), bytes.size());
+          tokens.emplace_back(first, last);
+          first = bytes.find_first_not_of(separators, last);
+        }
+        if (tokens.empty()) break;
+        const auto [from, to] = tokens[pick(tokens.size())];
+        bytes.replace(from, to - from,
+                      kMutantTokens[pick(std::size(kMutantTokens))]);
+        break;
+      }
+      default: {  // duplicate the line around `at`
+        const std::size_t before = bytes.rfind('\n', at);
+        const std::size_t first = before == std::string::npos ? 0 : before;
+        const std::size_t after = bytes.find('\n', at);
+        const std::size_t last =
+            after == std::string::npos ? bytes.size() : after;
+        bytes.insert(first, bytes.substr(first, last - first));
+        break;
+      }
+    }
+  }
+  return bytes;
+}
+
+/// Recomputes a mutated .dtntrace file's payload checksum, so that the
+/// record checks rather than the checksum meet the mutation.
+void reseal(std::string& bytes) {
+  constexpr std::size_t kHeader = 76;
+  if (bytes.size() < kHeader) return;
+  std::size_t name_length = 0;
+  for (int i = 3; i >= 0; --i) {
+    name_length = name_length << 8 | static_cast<unsigned char>(bytes[72 + i]);
+  }
+  if (name_length > bytes.size() - kHeader) return;
+  const std::size_t payload = kHeader + name_length;
+  const std::uint64_t checksum =
+      traceio::fnv1a(bytes.data() + payload, bytes.size() - payload);
+  for (int i = 0; i < 8; ++i) {
+    bytes[64 + i] = static_cast<char>((checksum >> (8 * i)) & 0xffu);
+  }
+}
+
+/// ContactTrace's invariants, plus finite times.
+void expect_valid_trace(const ContactTrace& trace) {
+  ASSERT_GE(trace.node_count(), 0);
+  const std::vector<ContactEvent>& events = trace.events();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const ContactEvent& e = events[i];
+    ASSERT_TRUE(0 <= e.a && e.a < e.b && e.b < trace.node_count()) << i;
+    ASSERT_TRUE(std::isfinite(e.start) && std::isfinite(e.duration)) << i;
+    ASSERT_GE(e.duration, 0.0) << i;
+    if (i > 0) {
+      ASSERT_FALSE(ContactEventOrder{}(e, events[i - 1])) << i;
+    }
+  }
+}
+
+/// Replays `script` against a daemon warm-started from the first half of
+/// `trace`, with the second half as its feed.
+void run_daemon_script(const ContactTrace& trace, const std::string& script) {
+  const auto split = trace.events().begin() +
+                     static_cast<std::ptrdiff_t>(trace.size() / 2);
+  daemon::DaemonConfig config;
+  config.threads = 1;
+  daemon::Daemon d(trace.node_count(), config);
+  d.warm_start(ContactTrace(
+      trace.node_count(),
+      std::vector<ContactEvent>(trace.events().begin(), split), "warm"));
+  const std::vector<ContactEvent> live(split, trace.events().end());
+  daemon::ReplayFeed feed(live);
+  std::ostringstream out;
+  daemon::run_script(d, feed, script, out);
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(Property, MalformedInputsFailWithLocation) {
+  const std::string fixtures = DTN_TRACE_FIXTURE_DIR;
+  const ContactTrace sample = traceio::load_trace_any(fixtures + "/sample.csv");
+  std::ostringstream binary;
+  traceio::write_trace_binary(sample, binary);
+  const struct {
+    const char* format;  // a reader's format name, "binary" or "script"
+    std::string seed;
+  } targets[] = {
+      {"csv", slurp(fixtures + "/sample.csv")},
+      {"one", slurp(fixtures + "/sample_one.txt")},
+      {"imote", slurp(fixtures + "/sample_imote.txt")},
+      {"binary", binary.str()},
+      {"script",
+       "# query mix over the 6-node sample trace\n"
+       "ncl 2\nadvance 900\nrepair\nweight 0 5 1800\nplace 2 3\n"
+       "drain\nrepair\nncl 3\nweight 1 4 600\nstats\n"},
+  };
+  constexpr std::size_t kTargets = std::size(targets);
+  std::size_t loaded[kTargets] = {};
+  std::size_t rejected[kTargets] = {};
+  std::size_t node_out_of_range = 0;
+
+  run_property("malformed_inputs", 2500, [&](Rng& rng, int i) {
+    const std::size_t t = static_cast<std::size_t>(i) % kTargets;
+    const std::string format = targets[t].format;
+    std::string input = mutate(targets[t].seed, rng, format != "binary");
+    if (format == "binary" && rng.bernoulli(0.5)) reseal(input);
+    const std::string source = "mutant." + format;
+    SCOPED_TRACE(::testing::Message()
+                 << source << ": " << ::testing::PrintToString(input));
+    try {
+      if (format == "script") {
+        run_daemon_script(sample, input);
+      } else if (format == "binary") {
+        expect_valid_trace(traceio::read_trace_binary(input, source));
+      } else {
+        traceio::TraceReadOptions options;
+        options.strict = rng.bernoulli(0.5);
+        expect_valid_trace(traceio::reader_for_format(format)->read(
+            input, "mutant", source, options));
+      }
+      ++loaded[t];
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      const std::string where =
+          format == "script" ? "script line " : source + ":";
+      EXPECT_EQ(what.rfind(where, 0), 0u) << what;
+      if (what.find("outside [0, 6)") != std::string::npos) {
+        ++node_out_of_range;
+      }
+      ++rejected[t];
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "not a std::runtime_error: " << error.what();
+    }
+  });
+  // Every seed both survives some mutants and loses to others, and some
+  // script mutants name a node the daemon does not have.
+  for (std::size_t t = 0; t < kTargets; ++t) {
+    EXPECT_GT(loaded[t], 0u) << targets[t].format;
+    EXPECT_GT(rejected[t], 0u) << targets[t].format;
+  }
+  EXPECT_GT(node_out_of_range, 0u);
 }
 
 }  // namespace

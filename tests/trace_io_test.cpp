@@ -1,3 +1,5 @@
+// The native CSV format: write_trace_csv (trace/trace_io.h) against the
+// CSV reader (src/traceio/csv_reader.cpp).
 #include "trace/trace_io.h"
 
 #include <gtest/gtest.h>
@@ -7,9 +9,31 @@
 #include <sstream>
 
 #include "trace/synthetic.h"
+#include "traceio/cache.h"
+#include "traceio/reader.h"
 
 namespace dtn {
 namespace {
+
+ContactTrace read_csv(const std::string& text, NodeId min_node_count = 0,
+                      bool strict = false,
+                      const std::string& source = "trace") {
+  traceio::TraceReadOptions options;
+  options.min_node_count = min_node_count;
+  options.strict = strict;
+  return traceio::reader_for_format("csv")->read(text, "trace", source,
+                                                 options);
+}
+
+std::string error_of(const std::string& text, bool strict = false,
+                     const std::string& source = "trace") {
+  try {
+    read_csv(text, 0, strict, source);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
 
 TEST(TraceIo, RoundTripThroughStream) {
   SyntheticTraceConfig c;
@@ -19,9 +43,9 @@ TEST(TraceIo, RoundTripThroughStream) {
   c.seed = 5;
   const ContactTrace original = generate_trace(c);
 
-  std::stringstream buffer;
+  std::ostringstream buffer;
   write_trace_csv(original, buffer);
-  const ContactTrace loaded = read_trace_csv(buffer, "roundtrip");
+  const ContactTrace loaded = read_csv(buffer.str());
 
   ASSERT_EQ(loaded.size(), original.size());
   EXPECT_EQ(loaded.node_count(), original.node_count());
@@ -31,46 +55,43 @@ TEST(TraceIo, RoundTripThroughStream) {
 }
 
 TEST(TraceIo, HeaderIsOptional) {
-  std::stringstream with_header("start,duration,a,b\n1.5,10,0,1\n");
-  std::stringstream without_header("1.5,10,0,1\n");
-  const ContactTrace a = read_trace_csv(with_header);
-  const ContactTrace b = read_trace_csv(without_header);
+  const ContactTrace a = read_csv("start,duration,a,b\n1.5,10,0,1\n");
+  const ContactTrace b = read_csv("1.5,10,0,1\n");
   ASSERT_EQ(a.size(), 1u);
   ASSERT_EQ(b.size(), 1u);
   EXPECT_EQ(a.events()[0], b.events()[0]);
 }
 
+TEST(TraceIo, CrlfAndBlanksAroundFieldsParse) {
+  const ContactTrace lf = read_csv("start,duration,a,b\n1.5,10,0,1\n3,4,1,2\n");
+  const ContactTrace crlf = read_csv(
+      "start,duration,a,b\r\n1.5 , 10,\t0 ,1\r\n\r\n 3,4 ,1,2\t\r\n");
+  EXPECT_EQ(crlf.events(), lf.events());
+  EXPECT_EQ(crlf.node_count(), lf.node_count());
+}
+
 TEST(TraceIo, NodeCountFromMaxId) {
-  std::stringstream in("0,5,2,7\n");
-  const ContactTrace t = read_trace_csv(in);
-  EXPECT_EQ(t.node_count(), 8);
+  EXPECT_EQ(read_csv("0,5,2,7\n").node_count(), 8);
 }
 
 TEST(TraceIo, MinNodeCountHonored) {
-  std::stringstream in("0,5,0,1\n");
-  const ContactTrace t = read_trace_csv(in, "t", 50);
-  EXPECT_EQ(t.node_count(), 50);
+  EXPECT_EQ(read_csv("0,5,0,1\n", 50).node_count(), 50);
 }
 
 TEST(TraceIo, MalformedLineThrows) {
-  std::stringstream in("start,duration,a,b\n1.5,10,0\n");
-  EXPECT_THROW(read_trace_csv(in), std::runtime_error);
+  EXPECT_THROW(read_csv("start,duration,a,b\n1.5,10,0\n"), std::runtime_error);
 }
 
 TEST(TraceIo, WrongSeparatorThrows) {
-  std::stringstream in("1.5;10;0;1\n");
-  EXPECT_THROW(read_trace_csv(in), std::runtime_error);
+  EXPECT_THROW(read_csv("1.5;10;0;1\n"), std::runtime_error);
 }
 
 TEST(TraceIo, EmptyStreamThrows) {
-  std::stringstream in("");
-  EXPECT_THROW(read_trace_csv(in), std::runtime_error);
+  EXPECT_THROW(read_csv(""), std::runtime_error);
 }
 
 TEST(TraceIo, BlankLinesIgnored) {
-  std::stringstream in("start,duration,a,b\n1,2,0,1\n\n3,4,1,2\n");
-  const ContactTrace t = read_trace_csv(in);
-  EXPECT_EQ(t.size(), 2u);
+  EXPECT_EQ(read_csv("start,duration,a,b\n1,2,0,1\n\n3,4,1,2\n").size(), 2u);
 }
 
 TEST(TraceIo, FileRoundTripAndNaming) {
@@ -82,64 +103,64 @@ TEST(TraceIo, FileRoundTripAndNaming) {
 
   const std::string path = testing::TempDir() + "/dtn_trace_io_test.csv";
   save_trace_csv(original, path);
-  const ContactTrace loaded = load_trace_csv(path);
+  const ContactTrace loaded = traceio::load_trace_any(path);
   EXPECT_EQ(loaded.name(), "dtn_trace_io_test");
   EXPECT_EQ(loaded.size(), original.size());
   std::remove(path.c_str());
 }
 
 TEST(TraceIo, LoadMissingFileThrows) {
-  EXPECT_THROW(load_trace_csv("/nonexistent/path/to/trace.csv"),
+  EXPECT_THROW(traceio::load_trace_any("/nonexistent/path/to/trace.csv"),
                std::runtime_error);
 }
 
 // ---- parse diagnostics (file:line context) and strict mode ------------
 
-std::string error_of(const std::string& text, const CsvParseOptions& options) {
-  std::stringstream in(text);
-  try {
-    read_trace_csv(in, "trace", 0, options);
-  } catch (const std::runtime_error& error) {
-    return error.what();
-  }
-  return "";
-}
-
 TEST(TraceIo, ParseErrorsCarrySourceAndLine) {
-  CsvParseOptions options;
-  options.source_name = "contacts.csv";
-  const std::string what =
-      error_of("start,duration,a,b\n1,2,0,1\n1.5,10,0\n", options);
+  const std::string what = error_of("start,duration,a,b\n1,2,0,1\n1.5,10,0\n",
+                                    false, "contacts.csv");
   EXPECT_NE(what.find("contacts.csv:3:"), std::string::npos) << what;
   EXPECT_NE(what.find("1.5,10,0"), std::string::npos) << what;
 }
 
-TEST(TraceIo, SourceNameDefaultsToTraceName) {
-  const std::string what = error_of("bogus line\n", {});
-  EXPECT_NE(what.find("trace:1:"), std::string::npos) << what;
+TEST(TraceIo, LoadErrorsNameTheFilePath) {
+  // The trace is named after the basename, but errors carry the full path.
+  const std::string path = testing::TempDir() + "/dtn_trace_io_bad.csv";
+  {
+    std::ofstream out(path);
+    out << "start,duration,a,b\nbogus line\n";
+  }
+  try {
+    traceio::load_trace_any(path);
+    ADD_FAILURE() << "malformed row must throw";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(path + ":2:"), std::string::npos)
+        << error.what();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(TraceIo, InvalidValuesRejectedWithContext) {
-  EXPECT_NE(error_of("1,-2,0,1\n", {}).find("negative contact duration"),
+  EXPECT_NE(error_of("1,-2,0,1\n").find("negative contact duration"),
             std::string::npos);
-  EXPECT_NE(error_of("1,2,3,3\n", {}).find("self-contact"),
+  EXPECT_NE(error_of("1,2,3,3\n").find("self-contact"), std::string::npos);
+  EXPECT_NE(error_of("1,2,-1,3\n").find("negative node id"),
             std::string::npos);
-  EXPECT_NE(error_of("1,2,-1,3\n", {}).find("negative node id"),
+  EXPECT_NE(error_of("nan,2,0,1\n").find("trace:1: trace CSV parse error: "
+                                         "non-finite start or duration"),
             std::string::npos);
-  // iostreams refuse "nan" outright, so it fails as a malformed field —
-  // the point is that it is rejected, with line context.
-  EXPECT_NE(error_of("nan,2,0,1\n", {}).find("trace:1:"), std::string::npos);
+  // node_count is max id + 1, which would overflow NodeId.
+  EXPECT_NE(error_of("0,5,0,2147483647\n").find("trace:1:"),
+            std::string::npos);
+  EXPECT_NE(error_of("0,5,0,2147483647\n").find("node id too large"),
+            std::string::npos);
 }
 
 TEST(TraceIo, StrictModeRejectsTrailingFields) {
   const std::string with_extra = "1,2,0,1,99\n";
-  std::stringstream tolerant(with_extra);
-  EXPECT_EQ(read_trace_csv(tolerant).size(), 1u);
+  EXPECT_EQ(read_csv(with_extra).size(), 1u);
 
-  CsvParseOptions strict;
-  strict.strict = true;
-  strict.source_name = "export.csv";
-  const std::string what = error_of(with_extra, strict);
+  const std::string what = error_of(with_extra, true, "export.csv");
   EXPECT_NE(what.find("export.csv:1:"), std::string::npos) << what;
   EXPECT_NE(what.find("trailing characters"), std::string::npos) << what;
 }

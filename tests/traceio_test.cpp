@@ -1,18 +1,17 @@
 // Tests for the trace ingestion subsystem (src/traceio/): golden fixture
 // parses for every reader, lossless .dtntrace round-trips (including the
 // degenerate empty, single-contact and duplicate-timestamp shapes),
-// corruption rejection, the transparent sidecar cache, and the
-// shared-trace sweep determinism contract.
+// corruption rejection, loads that write nothing, and the shared-trace
+// sweep determinism contract.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
-#include "common/instrument.h"
 #include "experiment/sweep.h"
 #include "trace/synthetic.h"
 #include "trace/trace_io.h"
@@ -41,12 +40,6 @@ std::string csv_bytes(const ContactTrace& trace) {
   return out.str();
 }
 
-traceio::LoadOptions bypass_cache() {
-  traceio::LoadOptions options;
-  options.cache = traceio::CachePolicy::kBypass;
-  return options;
-}
-
 /// Unique scratch directory per test, removed on destruction.
 struct ScratchDir {
   fs::path path;
@@ -69,7 +62,7 @@ struct ScratchDir {
 
 TEST(TraceioFixtures, CsvGoldenRoundTripsByteIdentical) {
   const std::string path = kFixtures + "/sample.csv";
-  const ContactTrace trace = traceio::load_trace_any(path, bypass_cache());
+  const ContactTrace trace = traceio::load_trace_any(path);
   EXPECT_EQ(trace.node_count(), 6);
   EXPECT_EQ(trace.size(), 12u);
   EXPECT_EQ(trace.name(), "sample");
@@ -80,7 +73,7 @@ TEST(TraceioFixtures, CsvGoldenRoundTripsByteIdentical) {
 
 TEST(TraceioFixtures, OneReportGolden) {
   const ContactTrace trace =
-      traceio::load_trace_any(kFixtures + "/sample_one.txt", bypass_cache());
+      traceio::load_trace_any(kFixtures + "/sample_one.txt");
   // Raw hosts {10, 20, 30, 40} -> dense {0, 1, 2, 3}; the link opened at
   // t=300 and never closed ends at the last timestamp seen (330).
   const std::vector<ContactEvent> expected = {
@@ -93,7 +86,7 @@ TEST(TraceioFixtures, OneReportGolden) {
 
 TEST(TraceioFixtures, ImoteLogGolden) {
   const ContactTrace trace =
-      traceio::load_trace_any(kFixtures + "/sample_imote.txt", bypass_cache());
+      traceio::load_trace_any(kFixtures + "/sample_imote.txt");
   // Devices {101, 105, 107, 109} -> {0, 1, 2, 3}; the two overlapping
   // (101, 105) sightings merge; the earliest start (1000) becomes t = 0.
   const std::vector<ContactEvent> expected = {
@@ -120,7 +113,7 @@ TEST(TraceioFixtures, FormatSniffingPicksTheRightReader) {
 }
 
 TEST(TraceioFixtures, ForcedFormatOverridesSniffing) {
-  traceio::LoadOptions options = bypass_cache();
+  traceio::LoadOptions options;
   options.format = "one";
   // A CSV file parsed as a ONE report must fail loudly, not silently.
   EXPECT_THROW(traceio::load_trace_any(kFixtures + "/sample.csv", options),
@@ -138,7 +131,7 @@ TEST(TraceioStrict, OneReaderRejectsIrregularitiesWithLineContext) {
   const auto* one = traceio::reader_for_format("one");
   ASSERT_NE(one, nullptr);
 
-  std::istringstream dup("1 CONN 1 2 up\n2 CONN 2 1 up\n3 CONN 1 2 down\n");
+  const std::string dup = "1 CONN 1 2 up\n2 CONN 2 1 up\n3 CONN 1 2 down\n";
   try {
     one->read(dup, "t", "dup.txt", strict);
     FAIL() << "duplicate up must throw in strict mode";
@@ -148,8 +141,7 @@ TEST(TraceioStrict, OneReaderRejectsIrregularitiesWithLineContext) {
   }
 
   // Tolerant mode keeps the earlier start instead.
-  std::istringstream dup2("1 CONN 1 2 up\n2 CONN 2 1 up\n3 CONN 1 2 down\n");
-  const ContactTrace trace = one->read(dup2, "t", "dup.txt", {});
+  const ContactTrace trace = one->read(dup, "t", "dup.txt", {});
   ASSERT_EQ(trace.size(), 1u);
   EXPECT_DOUBLE_EQ(trace.events()[0].start, 1.0);
   EXPECT_DOUBLE_EQ(trace.events()[0].duration, 2.0);
@@ -161,7 +153,7 @@ TEST(TraceioStrict, ImoteReaderRejectsTrailingColumnsWithLineContext) {
   const auto* imote = traceio::reader_for_format("imote");
   ASSERT_NE(imote, nullptr);
 
-  std::istringstream extra("1 2 10 20\n3 4 10 20 999\n");
+  const std::string extra = "1 2 10 20\n3 4 10 20 999\n";
   try {
     imote->read(extra, "t", "log.txt", strict);
     FAIL() << "trailing column must throw in strict mode";
@@ -170,8 +162,7 @@ TEST(TraceioStrict, ImoteReaderRejectsTrailingColumnsWithLineContext) {
         << error.what();
   }
   // Tolerated otherwise (real exports carry RSSI columns and the like).
-  std::istringstream extra2("1 2 10 20\n3 4 10 20 999\n");
-  EXPECT_EQ(imote->read(extra2, "t", "log.txt", {}).size(), 2u);
+  EXPECT_EQ(imote->read(extra, "t", "log.txt", {}).size(), 2u);
 }
 
 // ---- binary format ----------------------------------------------------
@@ -192,8 +183,8 @@ TEST(TraceioBinary, RoundTripPreservesEveryBit) {
   const ContactTrace trace = awkward_trace();
   std::ostringstream out;
   traceio::write_trace_binary(trace, out);
-  std::istringstream in(out.str());
-  const ContactTrace back = traceio::read_trace_binary(in, "mem.dtntrace");
+  const ContactTrace back =
+      traceio::read_trace_binary(out.str(), "mem.dtntrace");
   EXPECT_EQ(back.name(), trace.name());
   EXPECT_EQ(back.node_count(), trace.node_count());
   EXPECT_EQ(back.events(), trace.events());
@@ -201,11 +192,11 @@ TEST(TraceioBinary, RoundTripPreservesEveryBit) {
 
 TEST(TraceioBinary, CsvToBinaryToCsvIsByteIdentical) {
   const std::string path = kFixtures + "/sample.csv";
-  const ContactTrace parsed = traceio::load_trace_any(path, bypass_cache());
+  const ContactTrace parsed = traceio::load_trace_any(path);
   std::ostringstream binary;
   traceio::write_trace_binary(parsed, binary);
-  std::istringstream in(binary.str());
-  const ContactTrace back = traceio::read_trace_binary(in, "mem.dtntrace");
+  const ContactTrace back =
+      traceio::read_trace_binary(binary.str(), "mem.dtntrace");
   EXPECT_EQ(csv_bytes(back), slurp(path));
 }
 
@@ -213,16 +204,16 @@ TEST(TraceioBinary, HeaderMetadataMatchesTrace) {
   const ContactTrace trace = awkward_trace();
   std::ostringstream out;
   traceio::write_trace_binary(trace, out);
-  std::istringstream in(out.str());
   const traceio::BinaryTraceMeta meta =
-      traceio::read_binary_header(in, "mem.dtntrace");
+      traceio::read_binary_header(out.str(), "mem.dtntrace");
   EXPECT_EQ(meta.version, traceio::kBinaryVersion);
   EXPECT_EQ(meta.node_count, trace.node_count());
   EXPECT_EQ(meta.contact_count, trace.size());
   EXPECT_EQ(meta.name, "awkward");
   EXPECT_DOUBLE_EQ(meta.start_time, trace.start_time());
   EXPECT_DOUBLE_EQ(meta.end_time, trace.end_time());
-  EXPECT_EQ(meta.source_size, 0u);  // standalone, not a sidecar
+  // Bytes 48..63 are reserved and written as zero.
+  EXPECT_EQ(out.str().substr(48, 16), std::string(16, '\0'));
 }
 
 TEST(TraceioBinary, RejectsCorruptionEverywhere) {
@@ -230,9 +221,8 @@ TEST(TraceioBinary, RejectsCorruptionEverywhere) {
   traceio::write_trace_binary(awkward_trace(), out);
   const std::string good = out.str();
 
-  auto expect_rejected = [](std::string bytes, const char* what) {
-    std::istringstream in(bytes);
-    EXPECT_THROW(traceio::read_trace_binary(in, "corrupt.dtntrace"),
+  auto expect_rejected = [](const std::string& bytes, const char* what) {
+    EXPECT_THROW(traceio::read_trace_binary(bytes, "corrupt.dtntrace"),
                  std::runtime_error)
         << what;
   };
@@ -297,6 +287,7 @@ TEST(TraceioBinary, RejectsEveryMalformedRecord) {
     return bytes + payload;
   };
   const std::uint64_t minus_one = std::bit_cast<std::uint64_t>(-1.0);
+  const std::uint64_t nan = std::bit_cast<std::uint64_t>(std::nan(""));
   const struct {
     std::uint64_t count;
     std::string payload;
@@ -312,13 +303,19 @@ TEST(TraceioBinary, RejectsEveryMalformedRecord) {
       {1, record_bytes(0, 0, 1, INT64_MAX), "node outside [0, N)"},
       {1, record_bytes(0, 0, 5, UINT64_MAX - 2), "node outside [0, N)"},
       {1, record_bytes(0, minus_one, 0, 0), "negative duration"},
+      {1, record_bytes(nan, 0, 0, 0), "non-finite time"},
+      {1, record_bytes(0, nan, 0, 0), "non-finite time"},
+      // A count no payload this size can hold must fail before it sizes
+      // an allocation.
+      {std::uint64_t{1} << 40, record_bytes(0, 0, 0, 0),
+       "more than the payload holds"},
       {2, record_bytes(0, 0, 1, 0) + record_bytes(0, 0, -1, 0),
        "not sorted"},  // (1, 2) then (0, 1) at the same instant
   };
   for (const auto& c : cases) {
-    std::istringstream in(with_payload(c.count, c.payload));
     try {
-      traceio::read_trace_binary(in, "raw.dtntrace");
+      traceio::read_trace_binary(with_payload(c.count, c.payload),
+                                 "raw.dtntrace");
       ADD_FAILURE() << "accepted a record that should fail: " << c.error;
     } catch (const std::runtime_error& error) {
       EXPECT_NE(std::string(error.what()).find(c.error), std::string::npos)
@@ -331,8 +328,7 @@ TEST(TraceioBinary, RejectsEveryMalformedRecord) {
 ContactTrace binary_round_trip(const ContactTrace& trace) {
   std::ostringstream out;
   traceio::write_trace_binary(trace, out);
-  std::istringstream in(out.str());
-  return traceio::read_trace_binary(in, "mem.dtntrace");
+  return traceio::read_trace_binary(out.str(), "mem.dtntrace");
 }
 
 TEST(TraceioBinary, EmptyTraceRoundTrips) {
@@ -379,17 +375,17 @@ TEST(TraceioStrict, CsvRejectsOutOfOrderContactsOnlyInStrictMode) {
       "50.0,5.0,1,2\n";
   // Lenient parsing re-sorts (ContactTrace owns the order), so a shuffled
   // export still loads.
-  std::istringstream lenient_in(csv);
-  const ContactTrace sorted = read_trace_csv(lenient_in, "shuffled");
+  const auto* reader = traceio::reader_for_format("csv");
+  ASSERT_NE(reader, nullptr);
+  const ContactTrace sorted = reader->read(csv, "shuffled", "shuffled", {});
   ASSERT_EQ(sorted.size(), 2u);
   EXPECT_EQ(sorted.events()[0].start, 50.0);
   // Strict mode is the validation path for files a streaming consumer will
   // read without the re-sort: disorder must be a diagnosed error.
-  CsvParseOptions strict;
+  traceio::TraceReadOptions strict;
   strict.strict = true;
-  std::istringstream strict_in(csv);
   try {
-    read_trace_csv(strict_in, "shuffled", 0, strict);
+    reader->read(csv, "shuffled", "shuffled", strict);
     FAIL() << "out-of-order row must throw in strict mode";
   } catch (const std::runtime_error& error) {
     const std::string what = error.what();
@@ -398,82 +394,19 @@ TEST(TraceioStrict, CsvRejectsOutOfOrderContactsOnlyInStrictMode) {
   }
 }
 
-// ---- sidecar cache ----------------------------------------------------
+// ---- loads write nothing ----------------------------------------------
 
-TEST(TraceioCache, ColdParseWritesSidecarWarmLoadUsesIt) {
-  ScratchDir dir("cache");
+TEST(TraceioLoad, LeavesTheInputDirectoryUnchanged) {
+  ScratchDir dir("load");
   const std::string csv = dir.file("trace.csv");
-  save_trace_csv(traceio::load_trace_any(kFixtures + "/sample.csv",
-                                         bypass_cache()),
-                 csv);
-  const std::string sidecar = traceio::sidecar_path(csv);
-  ASSERT_FALSE(fs::exists(sidecar));
-
-  const auto before = instrument::snapshot();
-  const ContactTrace cold = traceio::load_trace_any(csv);
-  EXPECT_TRUE(fs::exists(sidecar));
-  const ContactTrace warm = traceio::load_trace_any(csv);
-  EXPECT_EQ(warm.events(), cold.events());
-  EXPECT_EQ(warm.node_count(), cold.node_count());
-  EXPECT_EQ(warm.name(), cold.name());
-
-  if (instrument::enabled()) {
-    const auto delta = instrument::snapshot().delta_since(before);
-    EXPECT_EQ(delta.counter("trace_cache_misses"), 1u);
-    EXPECT_EQ(delta.counter("trace_cache_hits"), 1u);
+  save_trace_csv(traceio::load_trace_any(kFixtures + "/sample.csv"), csv);
+  const ContactTrace trace = traceio::load_trace_any(csv);
+  EXPECT_EQ(trace.size(), 12u);
+  std::vector<std::string> entries;
+  for (const auto& entry : fs::directory_iterator(dir.path)) {
+    entries.push_back(entry.path().filename().string());
   }
-}
-
-TEST(TraceioCache, StaleSidecarIsReparsedAfterSourceEdit) {
-  ScratchDir dir("stale");
-  const std::string csv = dir.file("trace.csv");
-  {
-    std::ofstream out(csv);
-    out << "start,duration,a,b\n10,5,0,1\n";
-  }
-  const ContactTrace first = traceio::load_trace_any(csv);
-  EXPECT_EQ(first.size(), 1u);
-  ASSERT_TRUE(fs::exists(traceio::sidecar_path(csv)));
-
-  {
-    std::ofstream out(csv, std::ios::app);
-    out << "20,5,1,2\n";
-  }
-  const ContactTrace second = traceio::load_trace_any(csv);
-  EXPECT_EQ(second.size(), 2u);
-  EXPECT_EQ(second.node_count(), 3);
-}
-
-TEST(TraceioCache, BypassNeverTouchesDisk) {
-  ScratchDir dir("bypass");
-  const std::string csv = dir.file("trace.csv");
-  {
-    std::ofstream out(csv);
-    out << "start,duration,a,b\n10,5,0,1\n";
-  }
-  (void)traceio::load_trace_any(csv, bypass_cache());
-  EXPECT_FALSE(fs::exists(traceio::sidecar_path(csv)));
-}
-
-TEST(TraceioCache, CachedLoadFeedsTheSimulatorByteIdentically) {
-  // The acceptance contract: a dtnsim-style run from the binary cache is
-  // indistinguishable from one parsed from text.
-  SyntheticTraceConfig config;
-  config.node_count = 10;
-  config.duration = days(3);
-  config.target_total_contacts = 500;
-  config.seed = 21;
-  const ContactTrace generated = generate_trace(config);
-
-  ScratchDir dir("endtoend");
-  const std::string csv = dir.file("trace.csv");
-  save_trace_csv(generated, csv);
-
-  const ContactTrace from_text = traceio::load_trace_any(csv, bypass_cache());
-  const ContactTrace cached_cold = traceio::load_trace_any(csv);
-  const ContactTrace cached_warm = traceio::load_trace_any(csv);
-  EXPECT_EQ(csv_bytes(cached_warm), csv_bytes(from_text));
-  EXPECT_EQ(cached_cold.events(), cached_warm.events());
+  EXPECT_EQ(entries, std::vector<std::string>{"trace.csv"});
 }
 
 // ---- shared trace across sweeps --------------------------------------

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -214,15 +215,18 @@ int run(const Options& options) {
     const std::size_t n = feed.drain(daemon);
     daemon.repair_now();
     std::printf("drained %zu live contacts (after %zu warm)\n", n, split);
-  } else if (options.script_path == "-") {
-    daemon::run_script(daemon, feed, std::cin, std::cout);
   } else {
-    std::ifstream script(options.script_path);
-    if (!script) {
-      std::fprintf(stderr, "dtnd: cannot open script: %s\n",
-                   options.script_path.c_str());
-      return 1;
+    std::ifstream file;
+    if (options.script_path != "-") {
+      file.open(options.script_path);
+      if (!file) {
+        std::fprintf(stderr, "dtnd: cannot open script: %s\n",
+                     options.script_path.c_str());
+        return 1;
+      }
     }
+    std::istream& in = options.script_path == "-" ? std::cin : file;
+    const std::string script{std::istreambuf_iterator<char>(in), {}};
     daemon::run_script(daemon, feed, script, std::cout);
   }
 
@@ -272,9 +276,8 @@ std::string replay_output(const ContactTrace& trace,
                                  trace.events().end());
   daemon.warm_start(ContactTrace(trace.node_count(), std::move(warm), "warm"));
   daemon::ReplayFeed feed(live);
-  std::istringstream script(script_text);
   std::ostringstream out;
-  daemon::run_script(daemon, feed, script, out);
+  daemon::run_script(daemon, feed, script_text, out);
   return out.str();
 }
 

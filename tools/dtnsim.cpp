@@ -35,7 +35,6 @@ namespace {
 struct CliOptions {
   std::string trace = "mitreality";
   std::string trace_format;    // empty = sniff from content/extension
-  bool no_trace_cache = false;
   double days = 0.0;           // 0 = preset default
   int nodes = 40;              // rwp only
   std::vector<std::string> schemes{"all"};
@@ -62,7 +61,6 @@ struct CliOptions {
       "                   file (CSV, ONE report, iMote log or .dtntrace;\n"
       "                   format auto-detected)\n"
       "  --trace-format F force the trace file format: csv|one|imote|binary\n"
-      "  --no-trace-cache do not read or write the .dtntrace sidecar cache\n"
       "  --days D         limit/define the trace duration in days\n"
       "  --nodes N        node count (rwp trace only)\n"
       "  --scheme LIST    comma list of ncl,nocache,random,cachedata,bundle\n"
@@ -108,8 +106,6 @@ CliOptions parse(int argc, char** argv) {
       options.trace = next_value(i);
     } else if (flag == "--trace-format") {
       options.trace_format = next_value(i);
-    } else if (flag == "--no-trace-cache") {
-      options.no_trace_cache = true;
     } else if (flag == "--days") {
       options.days = parse_number<double>(flag, next_value(i));
     } else if (flag == "--nodes") {
@@ -190,8 +186,6 @@ ContactTrace build_trace(const CliOptions& options) {
   }
   traceio::LoadOptions load;
   load.format = options.trace_format;
-  load.cache = options.no_trace_cache ? traceio::CachePolicy::kBypass
-                                      : traceio::CachePolicy::kUse;
   return traceio::load_trace_any(options.trace, load);
 }
 

@@ -10,9 +10,8 @@
 //   --self-test            in-memory round-trip checks (registered in ctest)
 //
 // Input formats are sniffed from content (CSV, ONE connectivity report,
-// iMote pairwise log, .dtntrace binary); --format forces one. tracetool
-// never touches sidecar caches unless --cache is given, so it is safe to
-// point at read-only datasets.
+// iMote pairwise log, .dtntrace binary); --format forces one. Loading never
+// writes a file, so it is safe to point at read-only datasets.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -45,7 +44,6 @@ namespace {
       "  tracetool --self-test          run built-in round-trip checks\n"
       "options:\n"
       "  --format F   force the input format: csv|one|imote|binary\n"
-      "  --cache      allow the .dtntrace sidecar cache (default: bypass)\n"
       "  --strict     strict parsing for stats/convert (validate always is)\n");
   std::exit(2);
 }
@@ -54,7 +52,6 @@ struct ToolOptions {
   std::string command;
   std::vector<std::string> paths;
   std::string format;
-  bool use_cache = false;
   bool strict = false;
   bool pairs = false;
 };
@@ -66,8 +63,6 @@ ToolOptions parse_args(int argc, char** argv) {
     if (arg == "--format") {
       if (i + 1 >= argc) usage();
       options.format = argv[++i];
-    } else if (arg == "--cache") {
-      options.use_cache = true;
     } else if (arg == "--strict") {
       options.strict = true;
     } else if (arg == "--pairs") {
@@ -90,8 +85,6 @@ ContactTrace load(const ToolOptions& options, const std::string& path) {
   traceio::LoadOptions load_options;
   load_options.format = options.format;
   load_options.read.strict = options.strict;
-  load_options.cache = options.use_cache ? traceio::CachePolicy::kUse
-                                         : traceio::CachePolicy::kBypass;
   return traceio::load_trace_any(path, load_options);
 }
 
@@ -239,7 +232,6 @@ int cmd_validate(const ToolOptions& options) {
   if (options.paths.size() != 1) usage();
   ToolOptions strict = options;
   strict.strict = true;
-  strict.use_cache = false;  // validate must read the file itself
   const ContactTrace trace = load(strict, options.paths[0]);
   std::printf("%s: OK (%d nodes, %zu contacts, %.2f days)\n",
               options.paths[0].c_str(), trace.node_count(),
@@ -273,9 +265,12 @@ int run_self_test() {
   // CSV text round-trip: write, re-read, write again — byte-identical.
   std::ostringstream csv1;
   write_trace_csv(trace, csv1);
-  std::istringstream csv_in(csv1.str());
+  const traceio::TraceReader* csv = traceio::reader_for_format("csv");
+  TT_CHECK(csv != nullptr);
+  traceio::TraceReadOptions csv_options;
+  csv_options.min_node_count = trace.node_count();
   const ContactTrace csv_back =
-      read_trace_csv(csv_in, trace.name(), trace.node_count());
+      csv->read(csv1.str(), trace.name(), "selftest.csv", csv_options);
   std::ostringstream csv2;
   write_trace_csv(csv_back, csv2);
   TT_CHECK(csv1.str() == csv2.str());
@@ -283,9 +278,8 @@ int run_self_test() {
   // Binary round-trip preserves every field exactly.
   std::ostringstream bin;
   traceio::write_trace_binary(trace, bin);
-  std::istringstream bin_in(bin.str());
   const ContactTrace bin_back =
-      traceio::read_trace_binary(bin_in, "selftest.dtntrace");
+      traceio::read_trace_binary(bin.str(), "selftest.dtntrace");
   TT_CHECK(bin_back.name() == trace.name());
   TT_CHECK(bin_back.node_count() == trace.node_count());
   TT_CHECK(bin_back.events() == trace.events());
@@ -293,31 +287,30 @@ int run_self_test() {
   // A flipped payload byte must be rejected, not silently accepted.
   std::string corrupt = bin.str();
   corrupt.back() = static_cast<char>(corrupt.back() ^ 0x01);
-  std::istringstream corrupt_in(corrupt);
   bool threw = false;
   try {
-    traceio::read_trace_binary(corrupt_in, "corrupt.dtntrace");
+    traceio::read_trace_binary(corrupt, "corrupt.dtntrace");
   } catch (const std::exception&) {
     threw = true;
   }
   TT_CHECK(threw);
 
   // ONE connectivity report: up/down pairs become contacts.
-  std::istringstream one_in(
-      "0.0 CONN 7 3 up\n10.0 CONN 7 3 down\n5.0 CONN 3 9 up\n"
-      "25.0 CONN 3 9 down\n");
   const traceio::TraceReader* one = traceio::reader_for_format("one");
   TT_CHECK(one != nullptr);
-  const ContactTrace one_trace = one->read(one_in, "one", "one.txt", {});
+  const ContactTrace one_trace = one->read(
+      "0.0 CONN 7 3 up\n10.0 CONN 7 3 down\n5.0 CONN 3 9 up\n"
+      "25.0 CONN 3 9 down\n",
+      "one", "one.txt", {});
   TT_CHECK(one_trace.node_count() == 3);  // raw {3,7,9} -> dense {0,1,2}
   TT_CHECK(one_trace.events().size() == 2);
 
   // iMote log: overlapping sightings merge, clocks normalize to t=0.
-  std::istringstream imote_in("20 30 100 160\n20 30 150 200\n41 20 120 130\n");
   const traceio::TraceReader* imote = traceio::reader_for_format("imote");
   TT_CHECK(imote != nullptr);
-  const ContactTrace imote_trace =
-      imote->read(imote_in, "imote", "imote.txt", {});
+  const ContactTrace imote_trace = imote->read(
+      "20 30 100 160\n20 30 150 200\n41 20 120 130\n", "imote",
+      "imote.txt", {});
   TT_CHECK(imote_trace.events().size() == 2);
   TT_CHECK(imote_trace.start_time() == 0.0);
 
