@@ -9,9 +9,10 @@
 // The acceptance contract for the daemon is a >= 3x ingest+repair speedup
 // over the strawman in the converged-serving regime (most of the stream
 // already folded in, rates piecewise stable, drift rare); pass
-// `--min-speedup X` to enforce that ratio as the exit status — the
-// bench-smoke ctest entry and CI both do. The `--json` artifact is gated
-// by tools/bench_compare.py against bench/baselines/bench_daemon.json.
+// `--min-speedup X` to enforce that ratio as the exit status — CI's
+// bench-smoke job, the nightly run and tools/verify.sh --stage bench do.
+// The `--json` artifact is gated by tools/bench_compare.py against
+// bench/baselines/bench_daemon.json.
 //
 // Also reported: steady-state queries/sec against the final snapshot
 // (ncl/weight/placement mix) and the p99 per-batch repair latency of both

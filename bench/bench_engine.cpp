@@ -8,8 +8,8 @@
 //
 // The acceptance contract for the rewrite is that the fast engine clears
 // at least 2x the reference's contacts-per-second on the same host; pass
-// `--min-speedup X` to enforce that ratio as the exit status (the
-// bench-smoke ctest entry and the CI bench-smoke job both do). The
+// `--min-speedup X` to enforce that ratio as the exit status (CI's
+// bench-smoke job, the nightly run and tools/verify.sh --stage bench do). The
 // `--json` artifact is additionally gated by tools/bench_compare.py on ns
 // per contact against bench/baselines/bench_engine.json.
 //

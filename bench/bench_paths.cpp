@@ -6,10 +6,11 @@
 //
 // The acceptance contract for the engine rewrite is that the fast build is
 // at least 3x the reference on the same host; pass `--min-speedup X` to
-// enforce that ratio as the exit status (the bench-smoke ctest entry and
-// the CI bench-smoke job both do). The `--json` artifact is additionally
-// gated by tools/bench_compare.py on ns per path table / per parent-chain
-// walk against bench/baselines/bench_paths.json.
+// enforce that ratio as the exit status (CI's bench-smoke job, the nightly
+// run and tools/verify.sh --stage bench do). Either way the run refuses,
+// with exit 1, when the two engines' tables differ. The `--json` artifact
+// is additionally gated by tools/bench_compare.py on ns per path table /
+// per parent-chain walk against bench/baselines/bench_paths.json.
 #include <cstdio>
 #include <vector>
 
@@ -141,6 +142,23 @@ int main(int argc, char** argv) {
                 static_cast<double>(s.median_ns) / s.work_units_per_rep);
   }
   std::printf("all-pairs build speedup (reference / fast): %.2fx\n", speedup);
+
+  // Bit-identity is pinned by tests/path_golden_test.cpp; this cheap
+  // cross-check refuses to report a speedup for engines that diverged.
+  const AllPairsPaths reference(graph, horizon, max_hops, args.threads,
+                                PathEngine::kReference);
+  for (NodeId root = 0; root < graph.node_count(); ++root) {
+    for (NodeId node = 0; node < graph.node_count(); ++node) {
+      const PathTable::Entry& want = reference.table(root).entry(node);
+      const PathTable::Entry& got = paths.table(root).entry(node);
+      if (got.weight != want.weight || got.last_rate != want.last_rate ||
+          got.next_hop != want.next_hop || got.hops != want.hops) {
+        std::fprintf(stderr, "FAIL: engines diverged at root %d node %d\n",
+                     root, node);
+        return 1;
+      }
+    }
+  }
 
   if (!report.write_if_requested()) return 1;
   if (min_speedup > 0.0 && speedup < min_speedup) {

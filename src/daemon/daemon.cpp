@@ -13,13 +13,6 @@
 namespace dtn::daemon {
 namespace {
 
-/// Query-path scratch: queries run on arbitrary reader threads, so each
-/// thread keeps its own workspace (capacity only, never results).
-PathWorkspace& query_workspace() {
-  static thread_local PathWorkspace ws;
-  return ws;
-}
-
 /// Node order by metric descending, id ascending on ties — the exact
 /// select_ncls tie-break, applied to a stored metric vector.
 std::vector<NodeId> metric_order(const std::vector<double>& metric) {
@@ -203,7 +196,7 @@ std::vector<NodeId> Daemon::affected_roots(
     const std::vector<EdgeChange>& changes) {
   const NodeId n = graph_.node_count();
   std::vector<std::uint8_t> flagged(static_cast<std::size_t>(n), 0);
-  PathWorkspace ws;
+  PathWorkspace& ws = thread_path_workspace();
 
   // Tree-membership test against root r's CURRENT table: every reachable
   // non-root entry stores its final hop (node, next_hop), so r's tree uses
@@ -296,9 +289,9 @@ void Daemon::repair(Time batch_time) {
     const EdgeExpTable edge_exp = build_edge_exp_table(graph_, config_.horizon);
     std::vector<PathTable> repaired =
         parallel_map(config_.threads, roots.size(), [&](std::size_t i) {
-          static thread_local PathWorkspace ws;
-          return compute_opportunistic_paths(graph_, roots[i], config_.horizon,
-                                             config_.max_hops, ws, edge_exp);
+          return compute_opportunistic_paths(
+              graph_, roots[i], config_.horizon, config_.max_hops,
+              thread_path_workspace(), edge_exp);
         });
     for (std::size_t i = 0; i < roots.size(); ++i) {
       const std::size_t r = static_cast<std::size_t>(roots[i]);
@@ -348,10 +341,9 @@ void Daemon::full_build(Time batch_time) {
   const EdgeExpTable edge_exp = build_edge_exp_table(graph_, config_.horizon);
   tables_ = parallel_map(
       config_.threads, static_cast<std::size_t>(n), [&](std::size_t root) {
-        static thread_local PathWorkspace ws;
         return compute_opportunistic_paths(graph_, static_cast<NodeId>(root),
                                            config_.horizon, config_.max_hops,
-                                           ws, edge_exp);
+                                           thread_path_workspace(), edge_exp);
       });
   metric_.resize(static_cast<std::size_t>(n));
   for (NodeId r = 0; r < n; ++r) {
@@ -455,7 +447,7 @@ WeightAnswer Daemon::path_weight(NodeId src, NodeId dst, Time budget) const {
   const PathTable& table = snap->tables[static_cast<std::size_t>(dst)];
   const PathTable::Entry& entry = table.entry(src);
   if (entry.weight <= 0.0) return answer;
-  PathWorkspace& ws = query_workspace();
+  PathWorkspace& ws = thread_path_workspace();
   table.rates_to_root(src, ws.chain);
   answer.weight = hypoexp_cdf(ws.chain, budget, ws.hypoexp);
   DTN_CHECK_PROB(answer.weight);

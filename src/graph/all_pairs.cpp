@@ -8,18 +8,6 @@
 #include "graph/hypoexp.h"
 
 namespace dtn {
-namespace {
-
-/// One workspace per worker thread. parallel_map hands workers only the
-/// item index, so per-thread scratch lives in thread-local storage; a
-/// workspace carries capacity, never results, so reuse across roots (and
-/// across AllPairsPaths instances) cannot perturb the tables.
-PathWorkspace& thread_workspace() {
-  static thread_local PathWorkspace ws;
-  return ws;
-}
-
-}  // namespace
 
 AllPairsPaths::AllPairsPaths(const ContactGraph& graph, Time horizon,
                              int max_hops, int threads, PathEngine engine)
@@ -37,8 +25,8 @@ AllPairsPaths::AllPairsPaths(const ContactGraph& graph, Time horizon,
           graph, static_cast<NodeId>(root), horizon, max_hops);
     }
     return compute_opportunistic_paths(graph, static_cast<NodeId>(root),
-                                       horizon, max_hops, thread_workspace(),
-                                       edge_exp);
+                                       horizon, max_hops,
+                                       thread_path_workspace(), edge_exp);
   });
 }
 
@@ -56,7 +44,7 @@ double AllPairsPaths::weight_at(NodeId from, NodeId to, Time budget) const {
   if (from == to) return 1.0;
   const auto& entry = table(to).entry(from);
   if (entry.weight <= 0.0) return 0.0;
-  PathWorkspace& ws = thread_workspace();
+  PathWorkspace& ws = thread_path_workspace();
   table(to).rates_to_root(from, ws.chain);
   const double w = hypoexp_cdf(ws.chain, budget, ws.hypoexp);
   DTN_CHECK_PROB(w);
@@ -67,7 +55,7 @@ void AllPairsPaths::weights_at(const std::vector<NodeId>& from_list, NodeId to,
                                Time budget, std::vector<double>& out) const {
   out.resize(from_list.size());
   const PathTable& t = table(to);
-  PathWorkspace& ws = thread_workspace();
+  PathWorkspace& ws = thread_path_workspace();
   for (std::size_t i = 0; i < from_list.size(); ++i) {
     const NodeId from = from_list[i];
     if (from == to) {

@@ -176,113 +176,92 @@ double hypoexp_cdf(const std::vector<double>& rates, double t) {
   return hypoexp_cdf(rates, t, ws);
 }
 
-void HypoexpAppendEvaluator::reset(const double* prefix, std::size_t p,
-                                   double t) {
-  for (std::size_t i = 0; i < p; ++i) {
-    if (!(prefix[i] > 0.0)) {
-      throw std::invalid_argument("hypoexp rates must be > 0");
-    }
-  }
-  t_ = t;
-  p_ = p;
-  all_equal_ = true;
-  equal_value_ = p > 0 ? prefix[0] : 0.0;
-  for (std::size_t i = 1; i < p; ++i) {
-    if (prefix[i] != equal_value_) {
-      all_equal_ = false;
-      break;
-    }
-  }
-
-  sorted_.assign(prefix, prefix + p);
-  std::sort(sorted_.begin(), sorted_.end());
-  force_uniformization_ = false;
-  for (std::size_t i = 1; i < p; ++i) {
-    if ((sorted_[i] - sorted_[i - 1]) <= 1e-6 * sorted_[i]) {
-      // Any appended x keeps a near-equal adjacent pair: x either leaves
-      // this pair adjacent, or lands inside it, in which case the upper
-      // sub-gap sorted_[i] - x <= the original gap <= 1e-6 * sorted_[i].
-      force_uniformization_ = true;
-      break;
-    }
-  }
-
-  // Closed-form precomputation: only reachable when the prefix is strictly
-  // distinct and not near-equal (otherwise every eval dispatches to Erlang
-  // or uniformization), so the denominators below are bounded away from 0.
-  partial_.resize(p);
-  one_minus_exp_.resize(p);
-  if (force_uniformization_ || (all_equal_ && p >= 2)) return;
+bool HypoexpChainTable::near_on_insert(const Stage* chain, std::size_t p,
+                                       double x) {
+  bool has_below = false;
+  bool has_above = false;
+  double below = 0.0;
+  double above = 0.0;
   for (std::size_t k = 0; k < p; ++k) {
-    double coeff = 1.0;
-    for (std::size_t s = 0; s < p; ++s) {
-      if (s == k) continue;
-      coeff *= prefix[s] / (prefix[s] - prefix[k]);
+    const double rate = chain[k].rate;
+    if (rate < x) {
+      if (!has_below || rate > below) below = rate;
+      has_below = true;
+    } else {
+      if (!has_above || rate < above) above = rate;
+      has_above = true;
     }
-    partial_[k] = coeff;
-    one_minus_exp_[k] = 1.0 - std::exp(-prefix[k] * t);
   }
+  return (has_below && (x - below) <= 1e-6 * x) ||
+         (has_above && (above - x) <= 1e-6 * above);
 }
 
-double HypoexpAppendEvaluator::eval(const std::vector<double>& chain,
-                                    HypoexpWorkspace& ws) const {
-  return eval_impl(chain, ws, nullptr);
+void HypoexpChainTable::prepare(std::size_t slots, std::size_t max_stages,
+                                double t) {
+  t_ = t;
+  stride_ = max_stages;
+  chains_.resize(slots);
+  stages_.resize(slots * max_stages);
 }
 
-double HypoexpAppendEvaluator::eval(const std::vector<double>& chain,
-                                    HypoexpWorkspace& ws,
-                                    double one_minus_exp_x) const {
-  return eval_impl(chain, ws, &one_minus_exp_x);
+void HypoexpChainTable::set_empty(std::size_t s) { chains_[s] = Chain{}; }
+
+void HypoexpChainTable::extend(std::size_t child, std::size_t parent,
+                               double x, double one_minus_exp_x) {
+  if (!(x > 0.0)) throw std::invalid_argument("hypoexp rates must be > 0");
+  const Chain& from = chains_[parent];
+  const std::size_t p = from.size;
+  DTN_CHECK(p < stride_, "rate chain longer than the table's stride");
+  DTN_CHECK(child != parent, "a chain cannot extend itself");
+  const Stage* in = stages(parent);
+  Stage* out = stages_.data() + child * stride_;
+  Chain& to = chains_[child];
+  to.size = p + 1;
+  to.all_equal = from.all_equal && (p == 0 || x == in[0].rate);
+  to.near_equal = from.near_equal || near_on_insert(in, p, x);
+  std::copy(in, in + p, out);
+  out[p] = {x, 1.0, one_minus_exp_x};
+  // Partial products are read only by closed-form evals, which a chain
+  // with a near pair (and every chain extended from it) never reaches.
+  if (to.near_equal) return;
+  double coeff = 1.0;
+  for (std::size_t k = 0; k < p; ++k) {
+    out[k].partial = in[k].partial * (x / (x - in[k].rate));
+    coeff *= in[k].rate / (in[k].rate - x);
+  }
+  out[p].partial = coeff;
 }
 
-double HypoexpAppendEvaluator::eval_impl(const std::vector<double>& chain,
-                                         HypoexpWorkspace& ws,
-                                         const double* one_minus_exp_x) const {
-  const double x = chain.back();
+double HypoexpChainTable::eval(std::size_t s, double x, double one_minus_exp_x,
+                               HypoexpWorkspace& ws) const {
   if (!(x > 0.0)) throw std::invalid_argument("hypoexp rates must be > 0");
   if (t_ <= 0.0) return 0.0;
-  const std::size_t r = p_ + 1;
-  // 1 - e^{-x t}: the only exp the closed form needs per append. Callers
-  // with an EdgeExpTable hand in the precomputed value — the identical
-  // expression, so the identical double.
-  const double e_x =
-      one_minus_exp_x ? *one_minus_exp_x : 1.0 - std::exp(-x * t_);
+  const Chain& prefix = chains_[s];
+  const std::size_t p = prefix.size;
+  const Stage* in = stages(s);
 
   double result = 0.0;
-  if (r == 1) {
+  if (p == 0) {
     DTN_COUNT(kHypoexpSingleEvals);
-    result = std::clamp(e_x, 0.0, 1.0);
-  } else if (all_equal_ && x == equal_value_) {
-    result = erlang_cdf(static_cast<int>(r), equal_value_, t_);
-  } else if (force_uniformization_ ||
-             [&] {
-               // Near-equal probe by virtual insertion of x into the
-               // sorted prefix: only the two pairs adjacent to x can be
-               // new; every original pair is known not-near (else
-               // force_uniformization_). Same predicate, same bits, as
-               // sorting the full chain.
-               std::size_t j = 0;
-               while (j < p_ && sorted_[j] < x) ++j;
-               if (j > 0 && (x - sorted_[j - 1]) <= 1e-6 * x) return true;
-               if (j < p_ && (sorted_[j] - x) <= 1e-6 * sorted_[j]) return true;
-               return false;
-             }()) {
-    result = hypoexp_cdf_uniformization(chain, t_, ws);
+    result = std::clamp(one_minus_exp_x, 0.0, 1.0);
+  } else if (prefix.all_equal && x == in[0].rate) {
+    result = erlang_cdf(static_cast<int>(p + 1), x, t_);
+  } else if (prefix.near_equal || near_on_insert(in, p, x)) {
+    rates_.resize(p + 1);
+    for (std::size_t k = 0; k < p; ++k) rates_[k] = in[k].rate;
+    rates_[p] = x;
+    result = hypoexp_cdf_uniformization(rates_, t_, ws);
   } else {
     DTN_COUNT(kHypoexpClosedFormEvals);
-    // The legacy coefficient loop multiplies factors in index order, so
-    // for k < p the appended rate's factor x/(x - λ_k) is exactly the
-    // final multiplication — partial_[k] holds everything before it.
+    // The dispatcher's closed form over chain(s) + {x}, term by term: for
+    // k < p the appended rate's factor is the last one multiplied into C_k.
     double acc = 0.0;
-    for (std::size_t k = 0; k < p_; ++k) {
-      const double coeff = partial_[k] * (x / (x - chain[k]));
-      acc += coeff * one_minus_exp_[k];
-    }
     double coeff = 1.0;
-    for (std::size_t s = 0; s < p_; ++s) {
-      coeff *= chain[s] / (chain[s] - x);
+    for (std::size_t k = 0; k < p; ++k) {
+      acc += (in[k].partial * (x / (x - in[k].rate))) * in[k].one_minus_exp;
+      coeff *= in[k].rate / (in[k].rate - x);
     }
-    acc += coeff * e_x;
+    acc += coeff * one_minus_exp_x;
     DTN_CHECK_FINITE(acc);
     result = std::clamp(acc, 0.0, 1.0);
   }

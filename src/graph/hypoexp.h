@@ -14,6 +14,10 @@
 //                        (C_k blow up with alternating signs), so we fall
 //                        back to uniformization of the underlying
 //                        phase-type chain, which is unconditionally stable.
+//
+// Chains that grow one stage at a time, as the path engine's do, are
+// evaluated through HypoexpChainTable: it keeps each chain's closed-form
+// state and returns the dispatcher's exact bits without an exp() call.
 #pragma once
 
 #include <vector>
@@ -72,57 +76,82 @@ double hypoexp_cdf_uniformization(const std::vector<double>& rates, double t,
 /// Mean of the hypoexponential: sum of 1/rate.
 double hypoexp_mean(const std::vector<double>& rates);
 
-/// Incremental CDF evaluation for chains sharing a fixed prefix: after
-/// reset(prefix, t), eval(chain, ws) returns hypoexp_cdf(chain, t) for any
-/// chain = prefix + {x} — bit-identical to the dispatcher, per-eval cost
-/// O(r) instead of O(r²) + r exp() calls.
+/// Closed-form states of rate chains that grow one stage at a time, all at
+/// one time budget t. Slot s holds a chain λ_0..λ_{p-1}: extend derives the
+/// state of chain(parent) + {x} from the parent's state in O(p), and
+/// eval(s, x) returns hypoexp_cdf(chain(s) + {x}, t) with the dispatcher's
+/// exact bits in O(p) (uniformization keeps its own cost). Neither calls
+/// exp(): every stage's 1 - e^{-λ t} term is handed in once, when the stage
+/// is appended.
 ///
-/// This exploits the shape of the path engine's relaxation loop: all edges
-/// out of a settled node extend the *same* rate chain by one hop, and the
-/// legacy closed form's coefficient loop multiplies factors in index order,
-/// so for every retained stage k the appended rate contributes exactly the
-/// final factor x/(x - λ_k). Precomputing the prefix partial products and
-/// the 1 - e^{-λ_k t} terms therefore reproduces the identical sequence of
-/// floating-point operations — same values, same rounding — with the
-/// prefix work hoisted out of the per-edge path. Dispatch tiers are decided
-/// exactly as the dispatcher would: the Erlang check compares x against the
-/// prefix's common rate, and the near-equal probe inserts x into the
-/// pre-sorted prefix (a prefix that already has a near-equal or duplicate
-/// pair forces uniformization for every x, because inserting x either
-/// leaves that pair adjacent or splits it into two at-least-as-near pairs).
+/// Why the bits match. The dispatcher's closed form builds each stage's
+/// coefficient C_k = prod_{s != k} λ_s / (λ_s - λ_k) by multiplying the
+/// factors in index order, so appending x contributes exactly the final
+/// factor x / (x - λ_k) to every earlier C_k, and the new stage's
+/// coefficient is the index-order product prod_s λ_s / (λ_s - x). A state
+/// stores the running products and the 1 - e^{-λ_k t} terms, so eval and
+/// extend repeat the dispatcher's floating-point operations in its order.
+/// The dispatch tier is decided as the dispatcher decides it: Erlang when
+/// every rate equals x; uniformization when two rates of the sorted chain
+/// are near-equal. Inserting x into a sorted chain only creates the pairs
+/// it forms with its neighbours (the largest rate below x and the smallest
+/// at or above it), tested with the dispatcher's predicates. A chain that
+/// already holds a near pair keeps one for every x: x either leaves the
+/// pair adjacent or lands inside it, and the upper sub-gap is no wider than
+/// the original gap.
 ///
-/// Not thread-safe; one evaluator per thread (it lives in PathWorkspace).
-class HypoexpAppendEvaluator {
+/// Not thread-safe; one table per thread (it lives in PathWorkspace).
+class HypoexpChainTable {
  public:
-  /// Fixes the prefix (first `p` elements of `prefix`) and the time budget.
-  /// Throws std::invalid_argument when a prefix rate is not > 0, like
-  /// validate_rates would on the full chain.
-  void reset(const double* prefix, std::size_t p, double t);
+  /// Room for `slots` chains of at most `max_stages` stages at budget t.
+  /// Keeps its capacity across calls; a slot is undefined until set_empty
+  /// or extend writes it.
+  void prepare(std::size_t slots, std::size_t max_stages, double t);
 
-  /// CDF of the full chain at the reset-time budget. `chain` must be the
-  /// reset prefix plus the appended rate at chain.back(); `ws` is scratch
-  /// for the uniformization fallback.
-  double eval(const std::vector<double>& chain, HypoexpWorkspace& ws) const;
+  /// Slot `s` holds the empty chain.
+  void set_empty(std::size_t s);
 
-  /// Same, with the appended rate's 1 - e^{-x t} term supplied by the
-  /// caller (an EdgeExpTable row). `one_minus_exp_x` must equal
-  /// 1.0 - std::exp(-chain.back() * t) for the reset-time t — the exact
-  /// double, not an approximation — or the bit-identity promise is void.
-  double eval(const std::vector<double>& chain, HypoexpWorkspace& ws,
-              double one_minus_exp_x) const;
+  /// Slot `child` holds chain(parent) + {x}; chain(parent) must have fewer
+  /// than max_stages stages (DTN_CHECK). `one_minus_exp_x` must equal
+  /// 1.0 - std::exp(-x * t) — the exact double, as an EdgeExpTable stores
+  /// it — or the bit-identity promise is void. Throws
+  /// std::invalid_argument unless x > 0.
+  void extend(std::size_t child, std::size_t parent, double x,
+              double one_minus_exp_x);
+
+  /// hypoexp_cdf(chain(s) + {x}, t), bit for bit, with the same contract on
+  /// `one_minus_exp_x`. `ws` is scratch for the uniformization fallback.
+  /// Throws std::invalid_argument unless x > 0.
+  double eval(std::size_t s, double x, double one_minus_exp_x,
+              HypoexpWorkspace& ws) const;
 
  private:
-  double eval_impl(const std::vector<double>& chain, HypoexpWorkspace& ws,
-                   const double* one_minus_exp_x) const;
+  struct Stage {
+    double rate;           ///< λ_k, in chain order
+    double partial;        ///< C_k of the chain (closed-form chains only)
+    double one_minus_exp;  ///< 1 - e^{-λ_k t}
+  };
+  struct Chain {
+    std::size_t size = 0;
+    bool all_equal = true;    ///< every rate equals stage 0's
+    bool near_equal = false;  ///< two rates are near-equal or identical
+  };
+
+  const Stage* stages(std::size_t s) const {
+    return stages_.data() + s * stride_;
+  }
+
+  /// True when inserting x into chain[0..p) creates a near-equal pair: the
+  /// dispatcher's sorted-neighbour predicates, applied to x's neighbours in
+  /// sorted order. Only meaningful for a chain without a near pair of its
+  /// own.
+  static bool near_on_insert(const Stage* chain, std::size_t p, double x);
 
   double t_ = 0.0;
-  std::size_t p_ = 0;
-  bool all_equal_ = true;            ///< prefix rates all identical
-  double equal_value_ = 0.0;         ///< their common value (p >= 1)
-  bool force_uniformization_ = false;  ///< prefix alone is near-equal
-  std::vector<double> sorted_;         ///< prefix, ascending (probe input)
-  std::vector<double> partial_;        ///< per-k prefix coefficient products
-  std::vector<double> one_minus_exp_;  ///< per-k 1 - e^{-λ_k t}
+  std::size_t stride_ = 0;
+  std::vector<Chain> chains_;
+  std::vector<Stage> stages_;  ///< slot s owns [s * stride_, (s+1) * stride_)
+  mutable std::vector<double> rates_;  ///< eval's uniformization input
 };
 
 }  // namespace dtn

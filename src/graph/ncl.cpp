@@ -19,12 +19,9 @@ std::vector<double> ncl_metrics(const ContactGraph& graph, Time horizon,
   DTN_SCOPED_TIMER(kNclMetrics);
   const EdgeExpTable edge_exp = build_edge_exp_table(graph, horizon);
   parallel_for(threads, static_cast<std::size_t>(n), [&](std::size_t root) {
-    // Scratch carries capacity only, never results, so reusing it across
-    // roots (and across ncl_metrics calls) keeps the output bit-identical.
-    static thread_local PathWorkspace ws;
     const NodeId i = static_cast<NodeId>(root);
-    const PathTable table =
-        compute_opportunistic_paths(graph, i, horizon, max_hops, ws, edge_exp);
+    const PathTable table = compute_opportunistic_paths(
+        graph, i, horizon, max_hops, thread_path_workspace(), edge_exp);
     double sum = 0.0;
     for (NodeId j = 0; j < n; ++j) {
       if (j == i) continue;

@@ -58,15 +58,7 @@ std::vector<NodeId> PathTable::path_to_root(NodeId node) const {
 
 namespace {
 
-struct QueueItem {
-  double weight;
-  NodeId node;
-  bool operator<(const QueueItem& other) const {
-    // max-heap on weight, deterministic tie-break on node id
-    if (weight != other.weight) return weight < other.weight;
-    return node > other.node;
-  }
-};
+using QueueItem = PathWorkspace::QueueItem;
 
 void validate_dijkstra_args(const ContactGraph& graph, NodeId root,
                             Time horizon, int max_hops) {
@@ -75,23 +67,6 @@ void validate_dijkstra_args(const ContactGraph& graph, NodeId root,
   }
   if (!(horizon > 0.0)) throw std::invalid_argument("horizon must be > 0");
   if (max_hops < 1) throw std::invalid_argument("max_hops must be >= 1");
-}
-
-/// Fills chain[0..hops) with node's hop rates (root-adjacent hop first) by
-/// walking the parent chain, and leaves one extra slot at chain[hops] for
-/// the rate of the edge being relaxed. Same element order the legacy
-/// embedded-rates layout stored, so hypoexp_cdf sees identical input.
-void materialize_prefix(const std::vector<PathTable::Entry>& entries,
-                        NodeId node, int hops, std::vector<double>& chain) {
-  chain.resize(static_cast<std::size_t>(hops) + 1);
-  if (hops == 0) return;
-  DTN_COUNT(kParentChainWalks);
-  NodeId current = node;
-  for (int i = hops - 1; i >= 0; --i) {
-    const auto& e = entries[static_cast<std::size_t>(current)];
-    chain[static_cast<std::size_t>(i)] = e.last_rate;
-    current = e.next_hop;
-  }
 }
 
 PathTable run_fast_dijkstra(const ContactGraph& graph, NodeId root,
@@ -105,11 +80,20 @@ PathTable run_fast_dijkstra(const ContactGraph& graph, NodeId root,
   entries[static_cast<std::size_t>(root)].weight = 1.0;  // empty path
   entries[static_cast<std::size_t>(root)].next_hop = root;
 
-  std::priority_queue<QueueItem> queue;
-  queue.push({1.0, root});
+  // A settled node's chain state is derived from its parent's, so every
+  // settled node keeps one; a simple path has at most n - 1 hops, which
+  // bounds the stride whatever max_hops says.
+  ws.chains.prepare(static_cast<std::size_t>(n),
+                    std::min(static_cast<std::size_t>(max_hops),
+                             static_cast<std::size_t>(n - 1)),
+                    horizon);
+  ws.edge_term.resize(static_cast<std::size_t>(n));
   // uint8_t instead of vector<bool>: the settle test sits on every pop and
   // every relaxation, and byte loads beat bit extraction there.
-  std::vector<std::uint8_t> settled(static_cast<std::size_t>(n), 0);
+  ws.settled.assign(static_cast<std::size_t>(n), 0);
+  auto& heap = ws.heap;
+  heap.clear();
+  heap.push_back({1.0, root});
 
   // Counter totals are the observable contract, not per-call granularity:
   // accumulate locally and flush once per table, keeping atomic traffic
@@ -122,22 +106,28 @@ PathTable run_fast_dijkstra(const ContactGraph& graph, NodeId root,
   [[maybe_unused]] std::uint64_t relaxations = 0;
   [[maybe_unused]] std::uint64_t bytes_not_allocated = 0;
 
-  while (!queue.empty()) {
-    const auto [weight, u] = queue.top();
-    queue.pop();
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end());
+    const auto [weight, u] = heap.back();
+    heap.pop_back();
     auto& eu = entries[static_cast<std::size_t>(u)];
-    if (settled[static_cast<std::size_t>(u)]) continue;
+    if (ws.settled[static_cast<std::size_t>(u)]) continue;
     if (weight < eu.weight) continue;  // stale entry
-    settled[static_cast<std::size_t>(u)] = 1;
+    ws.settled[static_cast<std::size_t>(u)] = 1;
     ++settled_count;
     if (eu.hops >= max_hops) continue;
 
-    // u is settled, so its rate chain is final: materialize it once into
-    // the scratch prefix, fix the shared-prefix evaluator on it, and reuse
-    // both for every outgoing relaxation.
+    // u is settled, so its rate chain is final: its parent's chain plus
+    // the adopted edge. Derive its closed-form state once from the
+    // parent's and reuse it for every outgoing relaxation.
     const std::size_t prefix = static_cast<std::size_t>(eu.hops);
-    materialize_prefix(entries, u, eu.hops, ws.chain);
-    ws.append.reset(ws.chain.data(), prefix, horizon);
+    if (u == root) {
+      ws.chains.set_empty(static_cast<std::size_t>(u));
+    } else {
+      ws.chains.extend(static_cast<std::size_t>(u),
+                       static_cast<std::size_t>(eu.next_hop), eu.last_rate,
+                       ws.edge_term[static_cast<std::size_t>(u)]);
+    }
 
     const auto& neighbors = graph.neighbors(u);
     const std::vector<double>* exp_row =
@@ -146,14 +136,14 @@ PathTable run_fast_dijkstra(const ContactGraph& graph, NodeId root,
     for (std::size_t idx = 0; idx < neighbors.size(); ++idx) {
       const auto& nb = neighbors[idx];
       auto& ev = entries[static_cast<std::size_t>(nb.node)];
-      if (settled[static_cast<std::size_t>(nb.node)]) continue;
+      if (ws.settled[static_cast<std::size_t>(nb.node)]) continue;
       ++relaxations;
       // Bytes the legacy per-relaxation chain copy would have heap-allocated.
       bytes_not_allocated += (prefix + 1) * sizeof(double);
-      ws.chain[prefix] = nb.rate;
-      const double candidate =
-          exp_row ? ws.append.eval(ws.chain, ws.hypoexp, (*exp_row)[idx])
-                  : ws.append.eval(ws.chain, ws.hypoexp);
+      const double one_minus_exp =
+          exp_row ? (*exp_row)[idx] : 1.0 - std::exp(-nb.rate * horizon);
+      const double candidate = ws.chains.eval(
+          static_cast<std::size_t>(u), nb.rate, one_minus_exp, ws.hypoexp);
       DTN_CHECK_PROB(candidate);
       // Appending an exponential stage strictly decreases P(sum <= T); the
       // greedy exchange argument behind max-probability Dijkstra needs it.
@@ -166,7 +156,9 @@ PathTable run_fast_dijkstra(const ContactGraph& graph, NodeId root,
         ev.next_hop = u;
         ev.hops = eu.hops + 1;
         ev.last_rate = nb.rate;
-        queue.push({candidate, nb.node});
+        ws.edge_term[static_cast<std::size_t>(nb.node)] = one_minus_exp;
+        heap.push_back({candidate, nb.node});
+        std::push_heap(heap.begin(), heap.end());
       }
     }
   }
@@ -179,6 +171,11 @@ PathTable run_fast_dijkstra(const ContactGraph& graph, NodeId root,
 }
 
 }  // namespace
+
+PathWorkspace& thread_path_workspace() {
+  static thread_local PathWorkspace ws;
+  return ws;
+}
 
 EdgeExpTable build_edge_exp_table(const ContactGraph& graph, Time horizon) {
   EdgeExpTable table;
@@ -216,8 +213,8 @@ PathTable compute_opportunistic_paths(const ContactGraph& graph, NodeId root,
 
 PathTable compute_opportunistic_paths(const ContactGraph& graph, NodeId root,
                                       Time horizon, int max_hops) {
-  PathWorkspace ws;
-  return compute_opportunistic_paths(graph, root, horizon, max_hops, ws);
+  return compute_opportunistic_paths(graph, root, horizon, max_hops,
+                                     thread_path_workspace());
 }
 
 PathTable compute_opportunistic_paths_reference(const ContactGraph& graph,

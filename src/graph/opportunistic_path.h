@@ -12,14 +12,17 @@
 // it is exact on small graphs by comparison with brute-force enumeration.
 //
 // Memory layout (DESIGN.md §9): an entry stores only its final-stage rate
-// plus the parent pointer; the full hop-rate chain of any node is
-// materialized on demand by walking the parent chain into a caller-owned
-// scratch buffer. This keeps the all-pairs footprint at O(n²) doubles
-// (instead of O(n²·hops)) and makes the Dijkstra inner loop allocation-free
-// while producing bit-identical tables — the scratch buffer reproduces the
-// exact vector the embedded-rates layout used to hand hypoexp_cdf.
+// plus the parent pointer, which keeps the all-pairs footprint at O(n²)
+// doubles (instead of O(n²·hops)); rates_to_root walks the parent chain
+// when a caller needs a node's whole chain. The construction never walks:
+// a node's chain is its parent's plus one rate, so when a node settles the
+// kernel derives the closed-form state of its chain from its parent's
+// (HypoexpChainTable::extend, kept per settled node in the thread's
+// PathWorkspace) and evaluates every outgoing relaxation from it, with the
+// exact doubles hypoexp_cdf returns on the full chain.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/check.h"
@@ -39,16 +42,39 @@ enum class PathEngine {
   kReference,
 };
 
-/// Per-thread scratch for the path engine: the candidate rate chain being
-/// evaluated, the hypoexponential evaluator's buffers, and the shared-
-/// prefix closed-form evaluator. Reuse across calls (one workspace per
-/// thread) amortizes all allocations away; results never depend on the
-/// workspace's history.
+/// Per-thread scratch for the path engine and the weight re-evaluations.
+/// The kernel keeps, for every settled node, the closed-form state of its
+/// rate chain (`chains`, n slots of min(max_hops, n - 1) stages: a simple
+/// path has at most n - 1 hops) and, for every tentative node, the
+/// 1 - e^{-x T} term of the edge it adopted (`edge_term`), plus its heap
+/// and settled flags. `chain` and `hypoexp` serve rates_to_root and
+/// hypoexp_cdf. A workspace carries capacity, never results: reusing one
+/// across calls cannot change a table. Take it from thread_path_workspace()
+/// so each thread allocates it once; sharing one across concurrent calls is
+/// a data race.
 struct PathWorkspace {
+  struct QueueItem {
+    double weight;
+    NodeId node;
+    bool operator<(const QueueItem& other) const {
+      // max-heap on weight, deterministic tie-break on node id
+      if (weight != other.weight) return weight < other.weight;
+      return node > other.node;
+    }
+  };
+
   std::vector<double> chain;
   HypoexpWorkspace hypoexp;
-  HypoexpAppendEvaluator append;
+  HypoexpChainTable chains;
+  std::vector<double> edge_term;
+  std::vector<QueueItem> heap;
+  std::vector<std::uint8_t> settled;
 };
+
+/// The calling thread's workspace. Every table build and weight
+/// re-evaluation takes this one, so a thread allocates it once; a caller
+/// must not hold it across a call that takes it again.
+PathWorkspace& thread_path_workspace();
 
 /// Result of a single-source computation rooted at `root()`.
 class PathTable {
@@ -122,7 +148,7 @@ PathTable compute_opportunistic_paths(const ContactGraph& graph, NodeId root,
                                       Time horizon, int max_hops = 8);
 
 /// Workspace form: zero heap traffic in the relaxation loop once `ws` has
-/// warmed up. The allocating overload is a thin wrapper over this one.
+/// warmed up. The overload above runs this one on thread_path_workspace().
 PathTable compute_opportunistic_paths(const ContactGraph& graph, NodeId root,
                                       Time horizon, int max_hops,
                                       PathWorkspace& ws);

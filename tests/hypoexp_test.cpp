@@ -199,37 +199,65 @@ TEST_P(HypoexpCrossValidation, WorkspaceOverloadsAreBitIdentical) {
 }
 
 TEST_P(HypoexpCrossValidation, AppendEvaluatorMatchesDispatcherBitwise) {
-  // The shared-prefix evaluator promises hypoexp_cdf(prefix + {x}, t) with
-  // the dispatcher's exact bits, across every dispatch tier. Adversarial
-  // appends: a fresh rate (closed form), the prefix's own first rate
-  // (duplicate -> uniformization, or Erlang when the prefix is uniform),
-  // and a near-duplicate (near-equal probe -> uniformization).
+  // A HypoexpChainTable grown one rate at a time (each slot extended from
+  // the previous one) must evaluate every append to hypoexp_cdf's exact
+  // bits, across every dispatch tier. Adversarial appends at each length:
+  // a fresh rate (closed form), the chain's first rate (duplicate ->
+  // uniformization, or Erlang when the chain is uniform), 1e-9-relative
+  // neighbours of the first and last rates (near-equal probe ->
+  // uniformization) and, once the chain holds a near pair, a rate inside
+  // it. The chain grows by fresh rates, by repeats of its first rate or by
+  // a random mix that includes near-duplicates.
   Rng rng(3000 + static_cast<std::uint64_t>(GetParam()));
   HypoexpWorkspace ws;
-  HypoexpAppendEvaluator eval;
+  HypoexpChainTable table;
   for (int trial = 0; trial < 6; ++trial) {
-    const int p = static_cast<int>(rng.uniform_int(0, 5));
-    std::vector<double> chain;
-    for (int i = 0; i < p; ++i) chain.push_back(rng.uniform(0.05, 5.0));
-    if (p >= 2 && trial % 3 == 1) chain[1] = chain[0];  // duplicate prefix
-    if (p >= 2 && trial % 3 == 2) {
-      chain.assign(static_cast<std::size_t>(p), chain[0]);  // uniform prefix
-    }
+    const std::size_t len = 1 + static_cast<std::size_t>(rng.uniform_int(0, 6));
     const double t = rng.uniform(0.1, 5.0);
-    eval.reset(chain.data(), chain.size(), t);
+    const auto one_minus_exp = [t](double x) { return 1.0 - std::exp(-x * t); };
+    table.prepare(len + 1, len, t);
+    table.set_empty(0);
+    std::vector<double> chain;
+    double near_low = 0.0;  // lower rate of a near pair in the chain, if any
+    for (std::size_t i = 0;; ++i) {
+      std::vector<double> appends{rng.uniform(0.05, 5.0)};
+      if (!chain.empty()) {
+        appends.push_back(chain[0]);
+        appends.push_back(chain[0] * (1.0 + 1e-9));
+        appends.push_back(chain.back() * (1.0 - 1e-9));
+      }
+      if (near_low > 0.0) appends.push_back(near_low * (1.0 + 0.5e-9));
+      for (const double x : appends) {
+        chain.push_back(x);
+        EXPECT_EQ(table.eval(i, x, one_minus_exp(x), ws), hypoexp_cdf(chain, t))
+            << "p=" << i << " x=" << x << " t=" << t << " trial=" << trial;
+        chain.pop_back();
+      }
+      if (i == len) break;
 
-    std::vector<double> appends{rng.uniform(0.05, 5.0)};
-    if (p >= 1) {
-      appends.push_back(chain[0]);
-      appends.push_back(chain[0] * (1.0 + 1e-9));
-    }
-    for (const double x : appends) {
-      chain.push_back(x);
-      EXPECT_EQ(eval.eval(chain, ws), hypoexp_cdf(chain, t))
-          << "p=" << p << " x=" << x << " t=" << t;
-      chain.pop_back();
+      double next = appends[0];
+      if (!chain.empty() && trial % 3 == 1) next = chain[0];
+      if (!chain.empty() && trial % 3 == 2) {
+        const int pick = static_cast<int>(rng.uniform_int(0, 2));
+        if (pick == 1) next = chain[0];
+        if (pick == 2) {
+          next = chain.back() * (1.0 + 1e-9);
+          near_low = chain.back();
+        }
+      }
+      table.extend(i + 1, i, next, one_minus_exp(next));
+      chain.push_back(next);
     }
   }
+}
+
+TEST(HypoexpChainTable, RejectsNonPositiveRates) {
+  HypoexpWorkspace ws;
+  HypoexpChainTable table;
+  table.prepare(2, 1, 1.0);
+  table.set_empty(0);
+  EXPECT_THROW(table.extend(1, 0, 0.0, 0.0), std::invalid_argument);
+  EXPECT_THROW(table.eval(0, -1.0, 0.0, ws), std::invalid_argument);
 }
 
 }  // namespace

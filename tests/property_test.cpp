@@ -22,6 +22,9 @@
 //  * opportunistic path tables on random rate graphs — weights are
 //    monotone non-increasing along every parent chain (the greedy
 //    max-probability construction depends on it);
+//  * the production path kernel vs the reference construction on graphs
+//    drawn from a small rate pool (repeats, near-duplicates, distinct
+//    rates) — bit-identical tables, with every hypoexp tier reached;
 //  * seeded byte-, token- and line-level mutants of every untrusted input
 //    (the trace fixtures, a .dtntrace file, a dtnd script) either load a
 //    valid trace or fail with a std::runtime_error naming their source.
@@ -29,6 +32,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -40,6 +45,7 @@
 #include "cache/knapsack.h"
 #include "cache/replacement.h"
 #include "common/arena.h"
+#include "common/instrument.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "daemon/daemon.h"
@@ -402,6 +408,100 @@ TEST(Property, PathWeightsMonotoneAlongParentChains) {
       }
     }
   });
+}
+
+/// Random rate graph whose rates come from a small pool, so chains reach
+/// every hypoexp tier: each base rate comes with an exact repeat (Erlang
+/// chains) and 1e-9-relative neighbours base * (1 + 1e-9) and
+/// base * (1 + 2e-9) (near-equal pairs, and an append that lands inside
+/// one), while distinct bases give the closed form.
+ContactGraph pooled_rate_graph(Rng& rng) {
+  const NodeId n = static_cast<NodeId>(rng.uniform_int(6, 24));
+  std::vector<double> pool;
+  const int bases = static_cast<int>(rng.uniform_int(2, 4));
+  for (int b = 0; b < bases; ++b) {
+    const double base = std::exp(rng.uniform(std::log(1e-5), std::log(1e-2)));
+    pool.insert(pool.end(),
+                {base, base, base * (1.0 + 1e-9), base * (1.0 + 2e-9)});
+  }
+  ContactGraph graph(n);
+  const double edge_prob = 0.15 + 0.45 * rng.uniform();
+  for (NodeId i = 0; i < n; ++i) {
+    for (NodeId j = i + 1; j < n; ++j) {
+      if (rng.uniform() >= edge_prob) continue;
+      graph.set_rate(i, j,
+                     pool[static_cast<std::size_t>(rng.uniform_int(
+                         0, static_cast<std::int64_t>(pool.size()) - 1))]);
+    }
+  }
+  return graph;
+}
+
+std::uint64_t bits(double x) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &x, sizeof out);
+  return out;
+}
+
+TEST(Property, PathTablesMatchReferenceOnPooledRates) {
+  // The production kernel derives each settled node's closed-form state
+  // from its parent's; the reference re-evaluates every candidate chain
+  // with hypoexp_cdf. Every root's table, built with the shared edge-exp
+  // table as every many-roots build does and without it, must agree bit
+  // for bit, at hop caps 1-8 and at a cap no simple path reaches, on
+  // graphs built to hit all four dispatch tiers.
+  const std::vector<std::string> tiers{
+      "hypoexp_single_evals", "hypoexp_erlang_evals",
+      "hypoexp_closed_form_evals", "hypoexp_uniformization_evals"};
+  std::vector<std::uint64_t> fast_evals(tiers.size(), 0);
+  run_property("path_tables_pooled_rates", 30, [&](Rng& rng, int) {
+    const ContactGraph graph = pooled_rate_graph(rng);
+    const NodeId n = graph.node_count();
+    const Time horizon = rng.uniform(600.0, 6.0 * 3600.0);
+    const int caps[] = {static_cast<int>(rng.uniform_int(1, 8)),
+                        n + static_cast<int>(rng.uniform_int(0, 3))};
+    const EdgeExpTable edge_exp = build_edge_exp_table(graph, horizon);
+    for (const int max_hops : caps) {
+      std::vector<PathTable> fast;
+      const instrument::StageStats before = instrument::snapshot();
+      for (NodeId root = 0; root < n; ++root) {
+        fast.push_back(compute_opportunistic_paths(
+            graph, root, horizon, max_hops, thread_path_workspace(),
+            edge_exp));
+      }
+      const instrument::StageStats delta =
+          instrument::snapshot().delta_since(before);
+      for (std::size_t i = 0; i < tiers.size(); ++i) {
+        fast_evals[i] += delta.counter(tiers[i]);
+      }
+      for (NodeId root = 0; root < n; ++root) {
+        const PathTable reference =
+            compute_opportunistic_paths_reference(graph, root, horizon,
+                                                  max_hops);
+        const PathTable no_edge_table =
+            compute_opportunistic_paths(graph, root, horizon, max_hops);
+        const PathTable* built[] = {&fast[static_cast<std::size_t>(root)],
+                                    &no_edge_table};
+        for (const PathTable* table : built) {
+          for (NodeId node = 0; node < n; ++node) {
+            const PathTable::Entry& got = table->entry(node);
+            const PathTable::Entry& want = reference.entry(node);
+            ASSERT_EQ(bits(got.weight), bits(want.weight))
+                << "root " << root << " node " << node << " cap "
+                << max_hops;
+            ASSERT_EQ(bits(got.last_rate), bits(want.last_rate));
+            ASSERT_EQ(got.next_hop, want.next_hop);
+            ASSERT_EQ(got.hops, want.hops);
+          }
+        }
+      }
+    }
+  });
+  if (instrument::enabled()) {
+    for (std::size_t i = 0; i < tiers.size(); ++i) {
+      EXPECT_GT(fast_evals[i], 0u) << tiers[i] << " never reached";
+    }
+  }
 }
 
 // ---- malformed untrusted input -----------------------------------------

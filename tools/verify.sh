@@ -2,11 +2,13 @@
 # Staged verification pipeline. Every stage is recorded; the script prints a
 # per-stage summary table at the end and exits non-zero if ANY stage failed.
 #
-#   tools/verify.sh                full: tier-1 + dtnlint + clang-tidy + TSan/ASan/UBSan
-#   tools/verify.sh --fast         skip the sanitizer rebuilds (local iteration)
+#   tools/verify.sh                full: tier-1 + dtnlint + clang-tidy +
+#                                  TSan/ASan/UBSan + bench
+#   tools/verify.sh --fast         skip the sanitizer and bench rebuilds
+#                                  (local iteration)
 #   tools/verify.sh --no-tsan      legacy flag: skip only the TSan stage
-#   tools/verify.sh --stage NAME   run exactly one stage (CI matrix jobs);
-#                                  NAME in tier-1|dtnlint|clang-tidy|tsan|asan|ubsan
+#   tools/verify.sh --stage NAME   run exactly one stage (CI matrix jobs); NAME in
+#                                  tier-1|dtnlint|clang-tidy|tsan|asan|ubsan|bench
 #
 # Stages (see "Verification matrix" in README.md for what each one catches):
 #   tier-1      release build with -Werror + the full ctest suite
@@ -17,6 +19,11 @@
 #   tsan        -fsanitize=thread over the parallel-layer tests
 #   asan        -fsanitize=address over the full ctest suite
 #   ubsan       -fsanitize=undefined over the full ctest suite
+#   bench       Release build into build-bench/ + the same-host ratio gates
+#               ctest does not run (bench_paths 3x, bench_engine 2x,
+#               bench_daemon 3x), each passing when the best of three runs
+#               clears its floor; skipped, and reported as skipped, on a
+#               host with fewer than 2 cores (bench_min_cores)
 #
 # CI behavior: fully headless (never prompts, stdin unused). Parallelism
 # honors CMAKE_BUILD_PARALLEL_LEVEL / CTEST_PARALLEL_LEVEL when set (CI
@@ -44,10 +51,14 @@ while [[ $# -gt 0 ]]; do
 done
 
 case "$only_stage" in
-  ""|tier-1|dtnlint|clang-tidy|tsan|asan|ubsan) ;;
-  *) echo "unknown stage '$only_stage' (tier-1|dtnlint|clang-tidy|tsan|asan|ubsan)" >&2
+  ""|tier-1|dtnlint|clang-tidy|tsan|asan|ubsan|bench) ;;
+  *) echo "unknown stage '$only_stage' (tier-1|dtnlint|clang-tidy|tsan|asan|ubsan|bench)" >&2
      exit 2 ;;
 esac
+
+# A wall-clock ratio measured on a host with a single core mostly measures
+# whatever else runs there: the timed bench gets no core of its own.
+bench_min_cores=2
 
 # CI runners pin job parallelism via the standard CMake/CTest env knobs;
 # locally we use every core. Both tools also read these env vars natively,
@@ -139,6 +150,31 @@ stage_tsan() {
 stage_asan() { sanitizer_stage address build-asan; }
 stage_ubsan() { sanitizer_stage undefined build-ubsan; }
 
+bench_gate() {  # bench_gate <bench> <floor> <args...>: best of three runs
+  local bench="$1" floor="$2" run out
+  shift 2
+  for run in 1 2 3; do
+    out=$("build-bench/bench/$bench" "$@" --min-speedup "$floor" 2>&1) && {
+      echo "$bench: run $run cleared ${floor}x: $(grep -i 'speedup' <<<"$out" | tail -n 1)"
+      return 0
+    }
+    echo "$bench: run $run below ${floor}x or failed: $(tail -n 1 <<<"$out")"
+  done
+  return 1
+}
+
+stage_bench() {
+  cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null || return 1
+  cmake --build build-bench -j"$build_jobs" \
+    --target bench_paths bench_engine bench_daemon >/dev/null || return 1
+  local status=0
+  # The same configurations CI's bench-smoke job gates.
+  bench_gate bench_paths 3 --reps 3 || status=1
+  bench_gate bench_engine 2 --reps 3 || status=1
+  bench_gate bench_daemon 3 --fast --reps 3 || status=1
+  return "$status"
+}
+
 run_stage "tier-1" stage_tier1
 
 if wanted "dtnlint"; then
@@ -157,17 +193,18 @@ if wanted "clang-tidy"; then
   fi
 fi
 
-# --fast only suppresses sanitizer stages that were not explicitly
+# --fast only suppresses sanitizer and bench stages that were not explicitly
 # requested: `--stage asan --fast` still runs ASan.
-sanitizers_wanted=1
+rebuilds_wanted=1
 if [[ "$fast" == 1 && -z "$only_stage" ]]; then
   record "tsan" "SKIP (--fast)"
   record "asan" "SKIP (--fast)"
   record "ubsan" "SKIP (--fast)"
-  sanitizers_wanted=0
+  record "bench" "SKIP (--fast)"
+  rebuilds_wanted=0
 fi
 
-if [[ "$sanitizers_wanted" == 1 ]]; then
+if [[ "$rebuilds_wanted" == 1 ]]; then
   if wanted "tsan"; then
     if [[ "$run_tsan" == 0 ]]; then
       record "tsan" "SKIP (--no-tsan)"
@@ -190,6 +227,15 @@ if [[ "$sanitizers_wanted" == 1 ]]; then
     else
       record "ubsan" "SKIP (toolchain cannot link -fsanitize=undefined)"
     fi
+  fi
+fi
+
+if [[ "$rebuilds_wanted" == 1 ]] && wanted "bench"; then
+  host_cores=$(nproc)
+  if [[ "$host_cores" -lt "$bench_min_cores" ]]; then
+    record "bench" "SKIP (host has $host_cores core(s); the ratio gates need $bench_min_cores)"
+  else
+    run_stage "bench" stage_bench
   fi
 fi
 
