@@ -81,7 +81,9 @@ enum class Timer : int {
   kSimulation,        ///< run_simulation, end to end
   kMaintenance,       ///< per tick handed to a scheme (hooks + sampling)
   kContacts,          ///< per contact event handed to the scheme
-  kAllPairs,          ///< AllPairsPaths construction
+  kAllPairs,          ///< AllPairsPaths construction; not the simulator's
+                      ///< tick tables, whose roots run in its round batches
+                      ///< (they count in kDijkstra and kPathTablesBuilt)
   kDijkstra,          ///< one compute_opportunistic_paths call
   kNclMetrics,        ///< ncl_metrics (Eq. 3) over all roots
   kCalibrateHorizon,  ///< adaptive horizon bisection

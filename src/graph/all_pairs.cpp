@@ -1,6 +1,7 @@
 #include "graph/all_pairs.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "common/check.h"
 #include "common/instrument.h"
@@ -10,24 +11,50 @@
 namespace dtn {
 
 AllPairsPaths::AllPairsPaths(const ContactGraph& graph, Time horizon,
-                             int max_hops, int threads, PathEngine engine)
-    : horizon_(horizon) {
+                             int max_hops, int threads, PathEngine engine) {
   DTN_SCOPED_TIMER(kAllPairs);
-  const std::size_t n = static_cast<std::size_t>(graph.node_count());
-  // The 1 - e^{-rate * horizon} terms are shared by every root: one exp per
-  // edge here instead of one per relaxation per root.
-  const EdgeExpTable edge_exp =
-      engine == PathEngine::kFast ? build_edge_exp_table(graph, horizon)
-                                  : EdgeExpTable{};
-  tables_ = parallel_map(threads, n, [&](std::size_t root) {
-    if (engine == PathEngine::kReference) {
-      return compute_opportunistic_paths_reference(
-          graph, static_cast<NodeId>(root), horizon, max_hops);
-    }
-    return compute_opportunistic_paths(graph, static_cast<NodeId>(root),
-                                       horizon, max_hops,
-                                       thread_path_workspace(), edge_exp);
-  });
+  AllPairsBuild build(graph, horizon, max_hops, engine);
+  parallel_for(threads, build.root_count(),
+               [&](std::size_t root) { build.build_root(root); });
+  *this = std::move(build).finish();
+}
+
+AllPairsPaths::AllPairsPaths(Time horizon, std::vector<PathTable> tables)
+    : tables_(std::move(tables)), horizon_(horizon) {}
+
+AllPairsBuild::AllPairsBuild(const ContactGraph& graph, Time horizon,
+                             int max_hops, PathEngine engine)
+    : graph_(&graph),
+      horizon_(horizon),
+      max_hops_(max_hops),
+      engine_(engine),
+      // The 1 - e^{-rate * horizon} terms are shared by every root: one exp
+      // per edge here instead of one per relaxation per root.
+      edge_exp_(engine == PathEngine::kFast
+                    ? build_edge_exp_table(graph, horizon)
+                    : EdgeExpTable{}),
+      slots_(static_cast<std::size_t>(graph.node_count())) {}
+
+void AllPairsBuild::build_root(std::size_t root) {
+  DTN_CHECK(root < slots_.size(), "all-pairs build root out of range");
+  const NodeId id = static_cast<NodeId>(root);
+  if (engine_ == PathEngine::kReference) {
+    slots_[root].emplace(compute_opportunistic_paths_reference(
+        *graph_, id, horizon_, max_hops_));
+  } else {
+    slots_[root].emplace(compute_opportunistic_paths(
+        *graph_, id, horizon_, max_hops_, thread_path_workspace(), edge_exp_));
+  }
+}
+
+AllPairsPaths AllPairsBuild::finish() && {
+  std::vector<PathTable> tables;
+  tables.reserve(slots_.size());
+  for (std::optional<PathTable>& slot : slots_) {
+    DTN_CHECK(slot.has_value(), "all-pairs build finished with a root unbuilt");
+    tables.push_back(std::move(*slot));
+  }
+  return AllPairsPaths(horizon_, std::move(tables));
 }
 
 const PathTable& AllPairsPaths::table(NodeId root) const {

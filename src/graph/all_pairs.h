@@ -8,6 +8,8 @@
 // the probabilistic response (Sec. V-C).
 #pragma once
 
+#include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "common/types.h"
@@ -20,13 +22,13 @@ class AllPairsPaths {
  public:
   AllPairsPaths() = default;
 
-  /// Computes one PathTable per root. O(N) Dijkstra runs; the roots are
-  /// independent, so they run on the shared thread pool (`threads` follows
-  /// resolve_threads semantics: 0 = hardware_concurrency, 1 = serial).
-  /// Each table is written into its preallocated slot, so the result is
-  /// bit-identical for every thread count — and, by the golden test, for
-  /// either engine (`PathEngine::kReference` re-runs the legacy allocating
-  /// construction; production callers never pass it).
+  /// Computes one PathTable per root: runs an AllPairsBuild's roots on the
+  /// shared thread pool (`threads` follows resolve_threads semantics:
+  /// 0 = hardware_concurrency, 1 = serial). Each table is written into its
+  /// preallocated slot, so the result is bit-identical for every thread
+  /// count — and, by the golden test, for either engine
+  /// (`PathEngine::kReference` re-runs the legacy allocating construction;
+  /// production callers never pass it).
   AllPairsPaths(const ContactGraph& graph, Time horizon, int max_hops = 8,
                 int threads = 0, PathEngine engine = PathEngine::kFast);
 
@@ -54,8 +56,46 @@ class AllPairsPaths {
                   std::vector<double>& out) const;
 
  private:
+  friend class AllPairsBuild;
+  AllPairsPaths(Time horizon, std::vector<PathTable> tables);
+
   std::vector<PathTable> tables_;
   Time horizon_ = 0.0;
+};
+
+/// One all-pairs build, split into per-root tasks so that a caller can run
+/// them inside a larger pool batch: the simulator's lanes build a tick's
+/// roots beside their cells' replays (DESIGN.md §12). AllPairsPaths'
+/// constructor runs the same tasks as a batch of their own. The build reads
+/// `graph`, which must outlive it.
+class AllPairsBuild {
+ public:
+  /// Sizes one slot per root and, for the fast engine, computes the edge
+  /// 1 - e^{-rate * horizon} terms that every root shares.
+  AllPairsBuild(const ContactGraph& graph, Time horizon, int max_hops,
+                PathEngine engine);
+
+  // Pool tasks hold its address while they build roots.
+  AllPairsBuild(const AllPairsBuild&) = delete;
+  AllPairsBuild& operator=(const AllPairsBuild&) = delete;
+
+  std::size_t root_count() const { return slots_.size(); }
+
+  /// Builds `root`'s table into its slot on the calling thread's workspace.
+  /// Distinct roots may run concurrently: each reads only the graph and the
+  /// edge terms, and writes only its own slot.
+  void build_root(std::size_t root);
+
+  /// The tables, once every root is built (DTN_CHECK).
+  AllPairsPaths finish() &&;
+
+ private:
+  const ContactGraph* graph_;
+  Time horizon_;
+  int max_hops_;
+  PathEngine engine_;
+  EdgeExpTable edge_exp_;
+  std::vector<std::optional<PathTable>> slots_;
 };
 
 }  // namespace dtn

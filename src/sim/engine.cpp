@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/instrument.h"
 #include "common/parallel.h"
+#include "graph/all_pairs.h"
 #include "graph/contact_graph.h"
 
 namespace dtn {
@@ -98,7 +101,7 @@ std::vector<SimConfig::Downtime> random_downtimes(NodeId node_count,
 
 namespace {
 
-/// A lane's queue ends after a tick or at this many events, whichever comes
+/// A lane's queue ends before a tick or at this many events, whichever comes
 /// first. Bounding it keeps a lane's memory flat between far-apart ticks;
 /// the value changes no output.
 constexpr std::size_t kLaneQueueEvents = 4096;
@@ -115,7 +118,8 @@ struct LaneEvent {
 };
 
 /// One repetition's contact stream: failure injection, rate estimation and
-/// the path table of each tick, computed once for all its schemes.
+/// the path table of each tick, computed once for all its schemes. Cells
+/// hold its address, so it never moves.
 class Lane {
  public:
   Lane(const ContactTrace& trace, const Workload& workload,
@@ -138,6 +142,9 @@ class Lane {
     queue_.reserve(kLaneQueueEvents);
   }
 
+  Lane(const Lane&) = delete;
+  Lane& operator=(const Lane&) = delete;
+
   const Workload& workload() const { return *workload_; }
   const std::vector<LaneEvent>& queue() const { return queue_; }
   const std::shared_ptr<const AllPairsPaths>& paths() const { return paths_; }
@@ -149,12 +156,34 @@ class Lane {
   /// the phase start if the data phase begins after the trace.
   Time end_time() const { return end_time_; }
 
-  /// Replaces the queue with the next stretch of the timeline: up to and
-  /// including the next tick, or kLaneQueueEvents events. A tick builds its
-  /// table here, on the calling thread, so the per-root build can use the
-  /// pool.
+  /// Roots of the next tick's table, still to be built: 0 unless the last
+  /// fill stopped before a tick.
+  std::size_t pending_roots() const {
+    return pending_ ? pending_->root_count() : 0;
+  }
+
+  /// Builds one root of the next tick's table. A task of the round's batch,
+  /// beside the cells' replays: it reads only the pending graph and edge
+  /// terms, and writes only its own slot.
+  void build_root(std::size_t root) { pending_->build_root(root); }
+
+  /// Replaces the queue with the next stretch of the timeline. If the last
+  /// fill stopped before a tick, that tick's table (built by the batch in
+  /// between) is published and the tick opens the queue. The queue then
+  /// runs up to the next tick or kLaneQueueEvents events. At a tick it
+  /// snapshots the rate estimates and leaves the table's roots to the next
+  /// batch.
   void fill(const DowntimeIndex& downtime, const SimConfig& config) {
     queue_.clear();
+    if (pending_) {
+      paths_ = std::make_shared<const AllPairsPaths>(
+          std::move(*pending_).finish());
+      pending_.reset();
+      queue_.push_back({LaneEvent::Kind::kTick, kNoNode, kNoNode,
+                        next_maintenance_, 0});
+      started_ = true;
+      next_maintenance_ += config.maintenance_interval;
+    }
     const auto& work = workload_->events();
     const auto& contacts = *contacts_;
     while (ci_ < contacts.size() || wi_ < work.size()) {
@@ -165,15 +194,10 @@ class Lane {
 
       // A tick due before the next event ends the queue.
       if (next_maintenance_ <= t_next && next_maintenance_ != kNever) {
-        paths_ = std::make_shared<const AllPairsPaths>(
-            estimator_.snapshot(next_maintenance_,
-                                config.min_contacts_for_rate),
-            config.path_horizon, config.max_hops, config.threads,
-            config.path_engine);
-        queue_.push_back({LaneEvent::Kind::kTick, kNoNode, kNoNode,
-                          next_maintenance_, 0});
-        started_ = true;
-        next_maintenance_ += config.maintenance_interval;
+        pending_graph_ = estimator_.snapshot(next_maintenance_,
+                                             config.min_contacts_for_rate);
+        pending_.emplace(pending_graph_, config.path_horizon, config.max_hops,
+                         config.path_engine);
         return;
       }
 
@@ -204,6 +228,7 @@ class Lane {
       }
       if (queue_.size() == kLaneQueueEvents) return;
     }
+    DTN_CHECK(!pending_, "lane exhausted its stream with a table pending");
     exhausted_ = true;
   }
 
@@ -219,9 +244,14 @@ class Lane {
   bool exhausted_ = false;
   std::size_t ci_ = 0;  ///< next contact
   std::size_t wi_ = 0;  ///< next workload event
-  /// The newest tick's table. The lane's schemes hold the previous one
-  /// until they replay the tick, so at most two tables are alive per lane.
+  /// The table of the tick that opens the queue. While a batch runs, the
+  /// lane's schemes hold the previous one until they replay that tick, and
+  /// the next tick's table is being built: at most three per lane.
   std::shared_ptr<const AllPairsPaths> paths_;
+  /// The next tick's graph and build, between a fill that stops before the
+  /// tick and the fill that publishes it.
+  ContactGraph pending_graph_;
+  std::optional<AllPairsBuild> pending_;
   std::vector<LaneEvent> queue_;
 };
 
@@ -316,8 +346,10 @@ class Cell {
 }  // namespace
 
 /// The one event loop. Each round fills every unfinished lane's queue on the
-/// calling thread, then replays all unfinished cells on the pool. A cell's
-/// hooks run in timeline order, exactly as if its scheme ran alone.
+/// calling thread, then runs one pool batch: every unfinished cell's replay,
+/// then every root of every lane's next tick. A cell's hooks run in timeline
+/// order, each tick with that tick's table, exactly as if its scheme ran
+/// alone.
 std::vector<std::vector<RunResult>> run_simulation(
     const ContactTrace& trace, const std::vector<SimLane>& lanes,
     const SimConfig& config) {
@@ -352,17 +384,31 @@ std::vector<std::vector<RunResult>> run_simulation(
 
   std::vector<Cell*> round;
   round.reserve(cells.size());
+  std::vector<std::pair<Lane*, std::size_t>> roots;
   for (;;) {
     round.clear();
     for (Cell& cell : cells) {
       if (!cell.done()) round.push_back(&cell);
     }
     if (round.empty()) break;
+    roots.clear();
     for (Lane& lane : lane_state) {
       if (!lane.exhausted()) lane.fill(downtime, config);
+      for (std::size_t r = 0; r < lane.pending_roots(); ++r) {
+        roots.emplace_back(&lane, r);
+      }
     }
-    parallel_for(config.threads, round.size(),
-                 [&](std::size_t i) { round[i]->replay(); });
+    // Cells first: they are the long items, and the pool hands items out
+    // in index order.
+    parallel_for(config.threads, round.size() + roots.size(),
+                 [&](std::size_t i) {
+                   if (i < round.size()) {
+                     round[i]->replay();
+                   } else {
+                     const auto& [lane, root] = roots[i - round.size()];
+                     lane->build_root(root);
+                   }
+                 });
   }
   return results;
 }

@@ -10,11 +10,14 @@
 // tick grid, never on the scheme. So a run is organised in lanes (one per
 // repetition): a lane walks the trace's sorted contact vector by index and
 // builds each tick's tables once, and every scheme of the lane receives the
-// same immutable table. Between ticks the lane queues the events its
-// schemes must see, and each (lane, scheme) cell replays the queue as one
-// thread-pool task. A cell sees exactly the hook sequence of a one-scheme
-// run (DESIGN.md §12). The final sampling (on_end) happens at the latest
-// contact end, or at the first workload event if that is later.
+// same immutable table. A lane queues the events its schemes must see up to
+// the next tick, where it snapshots the rate estimates. Each round then runs
+// one thread-pool batch: every (lane, scheme) cell replays its lane's queue
+// as one task, and every root of every lane's next table is another. The
+// next queue opens with that tick and its finished table. A cell sees
+// exactly the hook sequence of a one-scheme run (DESIGN.md §12). The final
+// sampling (on_end) happens at the latest contact end, or at the first
+// workload event if that is later.
 #pragma once
 
 #include <cstdint>
@@ -141,8 +144,8 @@ struct SimLane {
 
 /// Runs every lane over the trace. results[l][i] is bit-identical to the
 /// one-scheme run of lanes[l].schemes[i] with config.seed = lanes[l].seed,
-/// for every thread count (config.threads sizes both the per-root table
-/// builds and the cell replays).
+/// for every thread count (config.threads sizes the batches that run the
+/// cell replays beside the per-root table builds).
 std::vector<std::vector<RunResult>> run_simulation(
     const ContactTrace& trace, const std::vector<SimLane>& lanes,
     const SimConfig& config);

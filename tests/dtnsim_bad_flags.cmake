@@ -1,6 +1,7 @@
 # Command-line contract of dtnsim: a malformed numeric flag, an invalid
-# config value or an unknown flag exits 2 with a message on stderr, never
-# aborts and never reads garbage as 0; well-formed values still run.
+# config value, an empty scheme name or an unknown flag exits 2 with a
+# message on stderr, never aborts and never reads garbage as 0; well-formed
+# values still run.
 #
 # Usage: cmake -DDTNSIM=path/to/dtnsim -P tests/dtnsim_bad_flags.cmake
 if(NOT DTNSIM)
@@ -9,10 +10,12 @@ endif()
 
 set(small --trace rwp --nodes 10 --days 0.5 --scheme nocache --threads 1)
 
-# The last six are deleted flags: a script that still passes one must
-# fail instead of running.
+# "--scheme ," and "--scheme ncl,,nocache" hold an empty scheme name. The
+# last six are deleted flags: a script that still passes one must fail
+# instead of running.
 foreach(bad IN ITEMS "--reps 0" "--k 0" "--k abc" "--reps 2x" "--threads abc"
                      "--days abc" "--seed abc" "--seed -1" "--zipf 1.0.0"
+                     "--scheme ," "--scheme ncl,,nocache"
                      "--shards 2" "--metric-engine fast" "--landmarks 0"
                      "--weight-floor 0" "--metric-seed 1" "--no-trace-cache")
   separate_arguments(args UNIX_COMMAND "${bad}")

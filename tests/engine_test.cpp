@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "experiment/experiment.h"
+#include "graph/contact_graph.h"
 #include "graph/ncl.h"
 #include "sim/link_budget.h"
 #include "trace/synthetic.h"
@@ -446,6 +449,91 @@ TEST(Engine, LanesReproduceSoloRunsAcrossQueueBoundaries) {
             first.events().size());
   expect_lanes_match_solo_runs(trace, {{&first, 41}, {&second, 42}}, 2,
                                config, make_recorder);
+}
+
+/// Stores the time and the full weight matrix of every tick it sees.
+class TableRecorder : public Scheme {
+ public:
+  std::string name() const override { return "tables"; }
+  void on_maintenance(SimServices& services) override {
+    ticks.push_back({services.now(), weight_matrix(services.paths())});
+  }
+  void on_data_generated(SimServices&, const DataItem&) override {}
+  void on_query(SimServices&, const Query&) override {}
+  void on_contact(SimServices&, NodeId, NodeId, LinkBudget&) override {}
+  std::size_t cached_copies(Time) const override { return 0; }
+
+  static std::vector<double> weight_matrix(const AllPairsPaths& paths) {
+    std::vector<double> weights;
+    for (NodeId from = 0; from < paths.node_count(); ++from) {
+      for (NodeId to = 0; to < paths.node_count(); ++to) {
+        weights.push_back(paths.weight(from, to));
+      }
+    }
+    return weights;
+  }
+
+  struct Tick {
+    Time when = 0.0;
+    std::vector<double> weights;
+  };
+  std::vector<Tick> ticks;
+};
+
+/// The weight matrix a tick at `when` must carry, built outside the engine
+/// from the trace's contacts that start before the tick.
+std::vector<double> table_at_tick(const ContactTrace& trace, Time when,
+                                  const SimConfig& config) {
+  RateEstimator estimator(std::max<NodeId>(trace.node_count(), 2),
+                          config.rate_decay);
+  for (const ContactEvent& e : trace.events()) {
+    if (e.start < when) estimator.record_contact(e.a, e.b, e.start);
+  }
+  return TableRecorder::weight_matrix(
+      AllPairsPaths(estimator.snapshot(when, config.min_contacts_for_rate),
+                    config.path_horizon, config.max_hops, 1));
+}
+
+bool same_bits(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+TEST(Engine, EachTickHandsItsSchemesThatTicksTable) {
+  // Two lanes on different tick grids, so one lane's table is published
+  // while the other's schemes still replay an earlier stretch. Without
+  // failure injection every lane estimates rates from the whole trace.
+  const ContactTrace trace = lane_trace(4000);
+  const Workload first = lane_workload(trace, 5);
+  const Workload second = lane_workload(trace, 6);
+  ASSERT_NE(first.events().front().time, second.events().front().time);
+  SimConfig config;
+  config.path_horizon = hours(4);
+  config.maintenance_interval = hours(3);
+  const std::vector<const Workload*> workloads = {&first, &second};
+
+  for (int threads : {1, 3, 8}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    config.threads = threads;
+    std::vector<TableRecorder> recorders(4);
+    run_simulation(trace,
+                   {SimLane{&first, {&recorders[0], &recorders[1]}, 51},
+                    SimLane{&second, {&recorders[2], &recorders[3]}, 52}},
+                   config);
+    for (std::size_t i = 0; i < recorders.size(); ++i) {
+      SCOPED_TRACE("lane " + std::to_string(i / 2) + ", scheme " +
+                   std::to_string(i % 2));
+      const auto& ticks = recorders[i].ticks;
+      ASSERT_GE(ticks.size(), 4u);
+      Time when = workloads[i / 2]->events().front().time;
+      for (const TableRecorder::Tick& tick : ticks) {
+        ASSERT_EQ(tick.when, when);
+        EXPECT_TRUE(same_bits(tick.weights, table_at_tick(trace, when, config)))
+            << "tick at " << when;
+        when += config.maintenance_interval;
+      }
+    }
+  }
 }
 
 TEST(MetricsCollector, LateDeliveryDoesNotCount) {

@@ -13,14 +13,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <memory>
 
 #include "common/instrument.h"
+#include "common/scan.h"
 #include "common/table.h"
 #include "experiment/experiment.h"
 #include "trace/mobility.h"
@@ -84,14 +85,18 @@ struct CliOptions {
   std::exit(2);
 }
 
-std::vector<std::string> split_commas(const std::string& text) {
-  std::vector<std::string> parts;
-  std::stringstream in(text);
-  std::string part;
-  while (std::getline(in, part, ',')) {
-    if (!part.empty()) parts.push_back(part);
+/// The names of a --scheme list; an empty name exits 2.
+std::vector<std::string> parse_scheme_list(std::string_view list) {
+  std::vector<std::string_view> names(scan::split_csv(list, {}));
+  scan::split_csv(list, names);
+  for (const std::string_view name : names) {
+    if (name.empty()) {
+      std::fprintf(stderr, "--scheme: empty scheme name in '%.*s'\n",
+                   static_cast<int>(list.size()), list.data());
+      std::exit(2);
+    }
   }
-  return parts;
+  return {names.begin(), names.end()};
 }
 
 CliOptions parse(int argc, char** argv) {
@@ -111,7 +116,7 @@ CliOptions parse(int argc, char** argv) {
     } else if (flag == "--nodes") {
       options.nodes = parse_number<int>(flag, next_value(i));
     } else if (flag == "--scheme") {
-      options.schemes = split_commas(next_value(i));
+      options.schemes = parse_scheme_list(next_value(i));
     } else if (flag == "--tl-hours") {
       options.tl_hours = parse_number<double>(flag, next_value(i));
     } else if (flag == "--size-mb") {
