@@ -37,19 +37,29 @@ int main(int argc, char** argv) {
   for (SchemeKind k : kinds) headers.push_back(scheme_kind_name(k));
   TextTable ratio(headers), delay(headers), copies(headers);
 
+  auto config_at = [&](double tl) {
+    ExperimentConfig config;
+    config.avg_lifetime = hours(tl);
+    config.avg_data_size = megabits(100);
+    config.ncl_count = 8;
+    config.zipf_exponent = 1.0;
+    config.repetitions = args.reps;
+    config.sim.maintenance_interval = days(1);
+    return config;
+  };
+
   // The experiment already repeats internally (config.repetitions), so the
-  // stage runs the whole sweep once and gates on contacts processed.
+  // stage runs the whole sweep once and gates on contacts processed. T_L
+  // is a workload axis: every point shares one warm-up context, and each
+  // point runs its five schemes as one comparison.
   report.stage(
       "fig10_lifetime_sweep",
       [&] {
+        const WarmupContext warmup =
+            make_warmup_context(trace, config_at(lifetimes_hours.front()));
         for (double tl : lifetimes_hours) {
-          ExperimentConfig config;
-          config.avg_lifetime = hours(tl);
-          config.avg_data_size = megabits(100);
-          config.ncl_count = 8;
-          config.zipf_exponent = 1.0;
-          config.repetitions = args.reps;
-          config.sim.maintenance_interval = days(1);
+          const std::vector<ExperimentResult> results =
+              run_comparison(trace, kinds, config_at(tl), &warmup);
 
           ratio.begin_row();
           delay.begin_row();
@@ -57,8 +67,7 @@ int main(int argc, char** argv) {
           ratio.add_cell(format_duration(hours(tl)));
           delay.add_cell(format_duration(hours(tl)));
           copies.add_cell(format_duration(hours(tl)));
-          for (SchemeKind kind : kinds) {
-            const ExperimentResult r = run_experiment(trace, kind, config);
+          for (const ExperimentResult& r : results) {
             ratio.add_number(r.success_ratio.mean(), 3);
             delay.add_number(r.delay_hours.mean(), 1);
             copies.add_number(r.copies_per_item.mean(), 2);

@@ -34,17 +34,28 @@ int main(int argc, char** argv) {
   for (SchemeKind k : kinds) headers.push_back(scheme_kind_name(k));
   TextTable ratio(headers), delay(headers), copies(headers);
 
-  // One stage for the whole sweep: repetitions happen inside run_experiment.
+  auto config_at = [&](double size_mb) {
+    ExperimentConfig config;
+    config.avg_lifetime = weeks(1);
+    config.avg_data_size = megabits(size_mb);
+    config.ncl_count = 8;
+    config.repetitions = args.reps;
+    config.sim.maintenance_interval = days(1);
+    return config;
+  };
+
+  // One stage for the whole sweep: repetitions happen inside
+  // run_comparison. s_avg is a workload axis: every point shares one
+  // warm-up context, and each point runs its five schemes as one
+  // comparison.
   report.stage(
       "fig11_datasize_sweep",
       [&] {
+        const WarmupContext warmup =
+            make_warmup_context(trace, config_at(sizes_mb.front()));
         for (double size_mb : sizes_mb) {
-          ExperimentConfig config;
-          config.avg_lifetime = weeks(1);
-          config.avg_data_size = megabits(size_mb);
-          config.ncl_count = 8;
-          config.repetitions = args.reps;
-          config.sim.maintenance_interval = days(1);
+          const std::vector<ExperimentResult> results =
+              run_comparison(trace, kinds, config_at(size_mb), &warmup);
 
           const std::string label = format_double(size_mb, 0) + "Mb";
           ratio.begin_row();
@@ -53,8 +64,7 @@ int main(int argc, char** argv) {
           ratio.add_cell(label);
           delay.add_cell(label);
           copies.add_cell(label);
-          for (SchemeKind kind : kinds) {
-            const ExperimentResult r = run_experiment(trace, kind, config);
+          for (const ExperimentResult& r : results) {
             ratio.add_number(r.success_ratio.mean(), 3);
             delay.add_number(r.delay_hours.mean(), 1);
             copies.add_number(r.copies_per_item.mean(), 2);

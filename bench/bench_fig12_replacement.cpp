@@ -50,10 +50,25 @@ int main(int argc, char** argv) {
   for (CacheStrategy s : strategies) headers.push_back(strategy_name(s));
   TextTable ratio(headers), delay(headers), overhead(headers);
 
+  auto config_at = [&](double size_mb, CacheStrategy strategy) {
+    ExperimentConfig config;
+    config.avg_lifetime = weeks(1);
+    config.avg_data_size = megabits(size_mb);
+    config.ncl_count = 8;
+    config.strategy = strategy;
+    config.repetitions = args.reps;
+    config.sim.maintenance_interval = days(1);
+    return config;
+  };
+
   // Replacement work dominates here, so the stage gates on evictions.
+  // Strategy and s_avg leave the substrate alone, so every call shares one
+  // warm-up context.
   report.stage(
       "fig12_replacement_sweep",
       [&] {
+        const WarmupContext warmup = make_warmup_context(
+            trace, config_at(sizes_mb.front(), strategies.front()));
         for (double size_mb : sizes_mb) {
           const std::string label = format_double(size_mb, 0) + "Mb";
           ratio.begin_row();
@@ -63,15 +78,9 @@ int main(int argc, char** argv) {
           delay.add_cell(label);
           overhead.add_cell(label);
           for (CacheStrategy strategy : strategies) {
-            ExperimentConfig config;
-            config.avg_lifetime = weeks(1);
-            config.avg_data_size = megabits(size_mb);
-            config.ncl_count = 8;
-            config.strategy = strategy;
-            config.repetitions = args.reps;
-            config.sim.maintenance_interval = days(1);
             const ExperimentResult r =
-                run_experiment(trace, SchemeKind::kNclCache, config);
+                run_experiment(trace, SchemeKind::kNclCache,
+                               config_at(size_mb, strategy), &warmup);
             ratio.add_number(r.success_ratio.mean(), 3);
             delay.add_number(r.delay_hours.mean(), 1);
             overhead.add_number(r.replacement_overhead.mean(), 2);

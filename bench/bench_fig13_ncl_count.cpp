@@ -31,9 +31,24 @@ int main(int argc, char** argv) {
   for (double s : sizes_mb) headers.push_back(format_double(s, 0) + "Mb");
   TextTable ratio(headers), delay(headers), copies(headers);
 
+  auto config_at = [&](int k, double size_mb) {
+    ExperimentConfig config;
+    config.avg_lifetime = hours(3);
+    config.avg_data_size = megabits(size_mb);
+    config.ncl_count = k;
+    config.repetitions = args.reps;
+    config.sim.maintenance_interval = hours(2);
+    config.sim.threads = args.threads;
+    return config;
+  };
+
+  // K and s_avg leave the substrate alone, so every call shares one
+  // warm-up context.
   report.stage(
       "fig13_ncl_count_sweep",
       [&] {
+        const WarmupContext warmup = make_warmup_context(
+            trace, config_at(ks.front(), sizes_mb.front()));
         for (int k : ks) {
           ratio.begin_row();
           delay.begin_row();
@@ -42,15 +57,8 @@ int main(int argc, char** argv) {
           delay.add_integer(k);
           copies.add_integer(k);
           for (double size_mb : sizes_mb) {
-            ExperimentConfig config;
-            config.avg_lifetime = hours(3);
-            config.avg_data_size = megabits(size_mb);
-            config.ncl_count = k;
-            config.repetitions = args.reps;
-            config.sim.maintenance_interval = hours(2);
-            config.sim.threads = args.threads;
-            const ExperimentResult r =
-                run_experiment(trace, SchemeKind::kNclCache, config);
+            const ExperimentResult r = run_experiment(
+                trace, SchemeKind::kNclCache, config_at(k, size_mb), &warmup);
             ratio.add_number(r.success_ratio.mean(), 3);
             delay.add_number(r.delay_hours.mean(), 2);
             copies.add_number(r.copies_per_item.mean(), 2);

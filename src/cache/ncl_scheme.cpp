@@ -1,8 +1,9 @@
-// SimEngine::kFast implementation. Every protocol decision, and the order
-// of every RNG draw, mirrors cache/ncl_scheme_reference.cpp line for line —
-// only where state lives changed (SoA NodeStore, pooled bundle chains,
-// reusable workspaces). When editing, keep the two files in lockstep or
-// tests/engine_golden_test.cpp will fail on the first diverging draw.
+// SimEngine::kFast implementation. Every protocol decision, RNG draw and
+// entry-map unlink and link happens in cache/ncl_scheme_reference.cpp's
+// order; where state lives differs (SoA NodeStore, byte accounts, pooled
+// bundle chains, re-linked map nodes, reusable workspaces). Keep the two
+// files in lockstep or tests/engine_golden_test.cpp will fail on the first
+// diverging draw.
 #include "cache/ncl_scheme.h"
 
 #include <algorithm>
@@ -28,7 +29,7 @@ void NclCachingScheme::ContactWorkspace::end_contact() {
 }
 
 void NclCachingScheme::NodeStore::resize(std::size_t n) {
-  buffer.resize(n);
+  bytes.resize(n);
   entries.resize(n);
   gds_l.assign(n, 0.0);
   history.resize(n);
@@ -55,7 +56,7 @@ NclCachingScheme::NclCachingScheme(NclSchemeConfig config)
     if (config_.buffer_capacity[i] < 0) {
       throw std::invalid_argument("negative buffer capacity");
     }
-    store_.buffer[i] = CacheBuffer(config_.buffer_capacity[i]);
+    store_.bytes[i].capacity = config_.buffer_capacity[i];
   }
   for (NodeId c : config_.central_nodes) {
     if (c < 0 || static_cast<std::size_t>(c) >= store_.size()) {
@@ -109,22 +110,39 @@ std::int32_t NclCachingScheme::central_count(std::size_t node,
   return 0;
 }
 
-void NclCachingScheme::put_entry(SimServices& services, std::size_t node,
-                                 DataId id, const CacheEntry& entry) {
-  const bool inserted = store_.entries[node].emplace(id, entry).second;
-  DTN_CHECK(inserted, "cache entry insert must be fresh");
-  central_count_add(node, entry.central, +1);
-  note_expiry(node, services.data(id).expires);
+void NclCachingScheme::charge_entry(SimServices& services, std::size_t node,
+                                    EntryMap::const_iterator it) {
+  // CacheBuffer's contracts: positive sizes, used <= capacity.
+  DTN_CHECK(it->second.size > 0, "cache entry size must be positive");
+  ByteAccount& bytes = store_.bytes[node];
+  bytes.used += it->second.size;
+  DTN_CHECK_LE(bytes.used, bytes.capacity);
+  central_count_add(node, it->second.central, +1);
+  note_expiry(node, services.data(it->first).expires);
 }
 
-bool NclCachingScheme::drop_entry(std::size_t node, DataId id) {
-  auto& entries = store_.entries[node];
-  const auto it = entries.find(id);
-  if (it == entries.end()) return false;
-  store_.buffer[node].erase(id);
-  central_count_add(node, it->second.central, -1);
-  entries.erase(it);
-  return true;
+void NclCachingScheme::put_entry(SimServices& services, std::size_t node,
+                                 DataId id, const CacheEntry& entry) {
+  const auto [it, inserted] = store_.entries[node].emplace(id, entry);
+  DTN_CHECK(inserted, "cache entry insert must be fresh");
+  charge_entry(services, node, it);
+}
+
+void NclCachingScheme::put_entry(SimServices& services, std::size_t node,
+                                 EntryMap::node_type lifted) {
+  const auto result = store_.entries[node].insert(std::move(lifted));
+  DTN_CHECK(result.inserted, "cache entry insert must be fresh");
+  charge_entry(services, node, result.position);
+}
+
+NclCachingScheme::EntryMap::node_type NclCachingScheme::drop_entry(
+    std::size_t node, EntryMap::const_iterator it) {
+  DTN_CHECK(it != store_.entries[node].cend(), "dropped entry must exist");
+  EntryMap::node_type lifted = store_.entries[node].extract(it);
+  store_.bytes[node].used -= lifted.mapped().size;
+  DTN_CHECK_GE(store_.bytes[node].used, 0);
+  central_count_add(node, lifted.mapped().central, -1);
+  return lifted;
 }
 
 double NclCachingScheme::popularity_of(SimServices& services, NodeId node,
@@ -136,11 +154,8 @@ double NclCachingScheme::popularity_of(SimServices& services, NodeId node,
 }
 
 bool NclCachingScheme::holds_data(NodeId node, DataId data, Time now) const {
-  const auto ni = static_cast<std::size_t>(node);
-  const auto& entries = store_.entries[ni];
-  const auto it = entries.find(data);
-  return it != entries.end() && store_.buffer[ni].contains(data) &&
-         it->second.size > 0 && now >= 0.0;  // entry presence implies liveness
+  return store_.entries[static_cast<std::size_t>(node)].contains(data) &&
+         now >= 0.0;  // entry presence implies liveness
 }
 
 bool NclCachingScheme::node_caches(NodeId node, DataId data) const {
@@ -150,19 +165,18 @@ bool NclCachingScheme::node_caches(NodeId node, DataId data) const {
 bool NclCachingScheme::check_invariants(const DataRegistry& registry) const {
   for (std::size_t node = 0; node < store_.size(); ++node) {
     const auto& entries = store_.entries[node];
-    const CacheBuffer& buffer = store_.buffer[node];
-    if (buffer.used() > buffer.capacity()) return false;
+    const ByteAccount& bytes = store_.bytes[node];
+    if (bytes.used > bytes.capacity) return false;
     Bytes entry_bytes = 0;
     for (const auto& [id, entry] : entries) {
-      if (!buffer.contains(id)) return false;
-      if (buffer.size_of(id) != entry.size) return false;
+      if (entry.size <= 0) return false;
       if (registry.get(id).size != entry.size) return false;
       entry_bytes += entry.size;
       // The earliest-expiry bound must never exceed the expiry of anything
       // the node holds, or prune scans would be skipped past real work.
       if (store_.next_expiry[node] > registry.get(id).expires) return false;
     }
-    if (entry_bytes != buffer.used()) return false;
+    if (entry_bytes != bytes.used) return false;
     // The per-(node, central) counts drive NCL-membership tests; they must
     // agree exactly with the entry map.
     for (const auto& [central, count] : store_.central_counts[node]) {
@@ -170,10 +184,7 @@ bool NclCachingScheme::check_invariants(const DataRegistry& registry) const {
       for (const auto& [id, entry] : entries) {
         if (entry.central == central) ++actual;
       }
-      if (actual != count) return false;
-    }
-    for (const auto& [central, count] : store_.central_counts[node]) {
-      if (count < 0) return false;
+      if (actual != count) return false;  // also rejects count < 0
     }
     for (const auto& [id, estimator] : store_.history[node]) {
       if (store_.next_expiry[node] > registry.get(id).expires) return false;
@@ -218,7 +229,7 @@ void NclCachingScheme::on_data_generated(SimServices& services,
   // node, its copy settles immediately.
   for (NodeId c : config_.central_nodes) {
     if (c == item.source) {
-      if (store_.buffer[si].insert(item.id, item.size)) {
+      if (admits(si, item.id, item.size)) {
         put_entry(services, si, item.id,
                   make_entry(services, item.source, item.size, c, false));
       }
@@ -471,10 +482,7 @@ void NclCachingScheme::transfer_direction(SimServices& services, NodeId from,
              ph = token_pool_.next(ph)) {
           if (token_pool_.get(ph).data == token.data) needed = true;
         }
-        if (needed) return;
-        store_.buffer[fi].erase(token.data);
-        central_count_add(fi, it->second.central, -1);
-        store_.entries[fi].erase(it);
+        if (!needed) drop_entry(fi, it);
       };
 
       if (store_.entries[ti].contains(token.data)) {
@@ -501,20 +509,18 @@ void NclCachingScheme::transfer_direction(SimServices& services, NodeId from,
       // Traditional replacement strategies (Fig. 12) evict at insertion
       // time to admit the pushed copy; the utility strategy never evicts
       // here — a full buffer stops the push instead.
-      if (!store_.buffer[ti].fits(item.size) &&
+      if (!store_.bytes[ti].fits(item.size) &&
           config_.strategy != CacheStrategy::kUtilityExchange) {
         evict_for(services, to, item);
       }
 
-      if (store_.buffer[ti].fits(item.size)) {
+      if (store_.bytes[ti].fits(item.size)) {
         if (!budget.consume(item.size)) {
           kept.append(token_pool_, h);  // try again at a later contact
           h = next;
           continue;
         }
         services.count_bytes(item.size);
-        const bool inserted = store_.buffer[ti].insert(token.data, item.size);
-        DTN_CHECK(inserted, "push insert must succeed after fits() check");
         put_entry(services, ti, token.data,
                   make_entry(services, to, item.size, token.central,
                              to != token.central));
@@ -540,13 +546,11 @@ void NclCachingScheme::transfer_direction(SimServices& services, NodeId from,
       // with space appears (cache replacement also keeps consolidating
       // popular data inward in the meantime).
       ++counters_.tokens_stopped_full;
-      if (!store_.entries[fi].contains(token.data)) {
-        // The source holds only its native copy; park a cache copy here if
-        // possible so the item is queryable at this NCL.
-        if (store_.buffer[fi].insert(token.data, item.size)) {
-          put_entry(services, fi, token.data,
-                    make_entry(services, from, item.size, token.central, true));
-        }
+      // When the source holds only its native copy, park a cache copy here
+      // if possible so the item is queryable at this NCL.
+      if (admits(fi, token.data, item.size)) {
+        put_entry(services, fi, token.data,
+                  make_entry(services, from, item.size, token.central, true));
       }
       kept.append(token_pool_, h);
       h = next;
@@ -586,7 +590,6 @@ void NclCachingScheme::run_replacement(SimServices& services, NodeId a,
 
   bool any_pool = false;
   for (NodeId central : ws_.centrals) {
-    std::size_t duplicates = 0;
     const double weight_a = services.path_weight(a, central);
     const double weight_b = services.path_weight(b, central);
 
@@ -601,29 +604,25 @@ void NclCachingScheme::run_replacement(SimServices& services, NodeId a,
           ws_.shared.push_back(it->first);
         }
       }
+      const std::size_t farther = weight_a >= weight_b ? bi : ai;
       for (DataId id : ws_.shared) {
-        drop_entry(weight_a >= weight_b ? bi : ai, id);
-        ++duplicates;
+        drop_entry(farther, store_.entries[farther].find(id));
       }
     }
 
-    // Pool the two nodes' copies belonging to this NCL; merge request
-    // histories (tiny control data) so both sides agree on popularity.
-    // ws_.original holds each pooled entry's metadata, parallel to
-    // ws_.pool — the legacy original_entries/by_id maps collapsed into
-    // index-aligned vectors (pools are small; lookups scan linearly).
+    // Pool the two nodes' copies belonging to this NCL, lifting their map
+    // nodes out (ws_.lifted, parallel to ws_.pool) as the reference later
+    // erases them; merge request histories (tiny control data) so both
+    // sides agree on popularity. Plan ids map to pool indices by a scan.
     ws_.pool.clear();
-    ws_.original.clear();
     auto collect = [&](std::size_t ni, bool at_a) {
       auto& na_history = store_.history[ai];
       auto& nb_history = store_.history[bi];
       auto& ns_entries = store_.entries[ni];
       for (auto it = ns_entries.begin(); it != ns_entries.end();) {
-        const DataId id = it->first;
-        if (it->second.central != central) {
-          ++it;
-          continue;
-        }
+        const auto entry = it++;
+        const DataId id = entry->first;
+        if (entry->second.central != central) continue;
         auto ha = na_history.find(id);
         auto hb = nb_history.find(id);
         if (ha != na_history.end() && hb != nb_history.end()) {
@@ -638,12 +637,11 @@ void NclCachingScheme::run_replacement(SimServices& services, NodeId a,
         }
         ReplacementItem ri;
         ri.id = id;
-        ri.size = it->second.size;
+        ri.size = entry->second.size;
         ri.at_a = at_a;
         ri.popularity = popularity_of(services, at_a ? a : b, id);
         ws_.pool.push_back(ri);
-        ws_.original.push_back(it->second);
-        ++it;
+        ws_.lifted.push_back(drop_entry(ni, entry));
       }
     };
     collect(ai, true);
@@ -657,48 +655,23 @@ void NclCachingScheme::run_replacement(SimServices& services, NodeId a,
                 ws_.pool.size() * (sizeof(ReplacementItem) +
                                    2 * sizeof(CacheEntry)));
 
-    // Capacity available to this pool: free space plus the bytes the
-    // pooled entries currently occupy at that node.
-    auto pool_bytes_at = [&](bool at_a) {
-      Bytes total = 0;
-      for (const auto& item : ws_.pool) {
-        if (item.at_a == at_a) total += item.size;
-      }
-      return total;
-    };
-    const Bytes capacity_a = store_.buffer[ai].free() + pool_bytes_at(true);
-    const Bytes capacity_b = store_.buffer[bi].free() + pool_bytes_at(false);
-
-    plan_replacement(ws_.pool, capacity_a, capacity_b, weight_a, weight_b,
+    // With the pool lifted out, free space is the pool's capacity.
+    plan_replacement(ws_.pool, store_.bytes[ai].free(),
+                     store_.bytes[bi].free(), weight_a, weight_b,
                      config_.replacement, services.rng(), ws_.replan,
                      ws_.plan);
 
-    // Apply: lift all pooled entries, then re-insert the keeps. In-place
-    // keeps are free; moves cost link budget.
-    for (const auto& item : ws_.pool) {
-      drop_entry(item.at_a ? ai : bi, item.id);
-    }
-
+    // Apply: re-link the keeps' nodes. insert(node_type&&) links where
+    // emplace would (same buckets, rehash points and iteration order)
+    // without a malloc. In-place keeps are free; moves cost link budget.
     std::size_t moved = 0;
-    std::size_t dropped = ws_.plan.dropped.size() + duplicates;
+    std::size_t dropped = ws_.plan.dropped.size() + ws_.shared.size();
     auto pool_index_of = [&](DataId id) {
       for (std::size_t i = 0; i < ws_.pool.size(); ++i) {
         if (ws_.pool[i].id == id) return i;
       }
       DTN_CHECK(false, "replacement plan references an item outside the pool");
       return std::size_t{0};
-    };
-    auto restore_at_origin = [&](std::size_t pi) {
-      const ReplacementItem& item = ws_.pool[pi];
-      const std::size_t origin = item.at_a ? ai : bi;
-      if (store_.buffer[origin].insert(item.id, item.size)) {
-        // Restore verbatim: an item that stays where it was keeps its
-        // metadata — in particular a push-in-transit copy stays in
-        // transit, so the relay still deletes it after forwarding.
-        put_entry(services, origin, item.id, ws_.original[pi]);
-        return true;
-      }
-      return false;
     };
     auto reinsert = [&](const std::vector<DataId>& keeps, bool to_a) {
       const std::size_t target = to_a ? ai : bi;
@@ -707,28 +680,31 @@ void NclCachingScheme::run_replacement(SimServices& services, NodeId a,
         const std::size_t pi = pool_index_of(id);
         const ReplacementItem& item = ws_.pool[pi];
         const bool moving = item.at_a != to_a;
-        if (moving && !budget.consume(item.size)) {
-          // No link budget to realize the move: keep it where it was.
-          if (!restore_at_origin(pi)) ++dropped;
+        const bool carried = !moving || budget.consume(item.size);
+        if (carried && moving) services.count_bytes(item.size);
+        if (carried && admits(target, id, item.size)) {
+          if (moving) {
+            ws_.lifted[pi].mapped() =
+                make_entry(services, target_id, item.size, central, false);
+            ++moved;
+          }
+          put_entry(services, target, std::move(ws_.lifted[pi]));
           continue;
         }
-        if (moving) services.count_bytes(item.size);
-        if (!store_.buffer[target].insert(id, item.size)) {
-          // Should not happen (plan respects capacities); degrade gracefully.
-          if (!restore_at_origin(pi)) ++dropped;
-          continue;
-        }
-        if (moving) {
-          put_entry(services, target, id,
-                    make_entry(services, target_id, item.size, central, false));
-          ++moved;
+        // No budget for the move, or the target holds the id for another
+        // NCL (or, against the plan, lacks the bytes): restore the entry
+        // verbatim at its origin, so a push copy in transit stays so.
+        const std::size_t origin = item.at_a ? ai : bi;
+        if (admits(origin, id, item.size)) {
+          put_entry(services, origin, std::move(ws_.lifted[pi]));
         } else {
-          put_entry(services, target, id, ws_.original[pi]);
+          ++dropped;
         }
       }
     };
     reinsert(ws_.plan.keep_at_a, true);
     reinsert(ws_.plan.keep_at_b, false);
+    ws_.lifted.clear();  // frees the dropped items' nodes
 
     if (moved + dropped > 0) services.count_replacement(moved + dropped);
     DTN_COUNT_N(kBufferEvictions, dropped);
@@ -761,8 +737,8 @@ void NclCachingScheme::on_contact(SimServices& services, NodeId a, NodeId b,
   }
   // Buffer occupancy <= capacity after every contact event: pushes, reply
   // forwarding and the knapsack exchange all charge the same byte budget.
-  DTN_CHECK_LE(store_.buffer[index(a)].used(), store_.buffer[index(a)].capacity());
-  DTN_CHECK_LE(store_.buffer[index(b)].used(), store_.buffer[index(b)].capacity());
+  DTN_CHECK_LE(store_.bytes[index(a)].used, store_.bytes[index(a)].capacity);
+  DTN_CHECK_LE(store_.bytes[index(b)].used, store_.bytes[index(b)].capacity);
   ws_.end_contact();
 }
 
@@ -783,7 +759,7 @@ NclCachingScheme::CacheEntry NclCachingScheme::make_entry(
 bool NclCachingScheme::evict_for(SimServices& services, NodeId node,
                                  const DataItem& item) {
   const std::size_t ni = index(node);
-  if (item.size > store_.buffer[ni].capacity()) return false;
+  if (item.size > store_.bytes[ni].capacity) return false;
 
   // Rank current entries by the active policy, cheapest victim first.
   ws_.ranked.clear();
@@ -800,7 +776,7 @@ bool NclCachingScheme::evict_for(SimServices& services, NodeId node,
         key = entry.h_value;
         break;
       case CacheStrategy::kUtilityExchange:
-        return store_.buffer[ni].fits(item.size);  // no insertion-time eviction
+        return store_.bytes[ni].fits(item.size);  // no insertion-time eviction
     }
     ws_.ranked.emplace_back(key, id);
   }
@@ -808,16 +784,16 @@ bool NclCachingScheme::evict_for(SimServices& services, NodeId node,
 
   std::size_t evicted = 0;
   for (const auto& [key, victim] : ws_.ranked) {
-    if (store_.buffer[ni].fits(item.size)) break;
+    if (store_.bytes[ni].fits(item.size)) break;
     if (config_.strategy == CacheStrategy::kGds) store_.gds_l[ni] = key;  // aging
-    drop_entry(ni, victim);
+    drop_entry(ni, store_.entries[ni].find(victim));
     ++evicted;
   }
   if (evicted > 0) {
     services.count_replacement(evicted);
     DTN_COUNT_N(kBufferEvictions, evicted);
   }
-  return store_.buffer[ni].fits(item.size);
+  return store_.bytes[ni].fits(item.size);
 }
 
 void NclCachingScheme::prune_node_with_registry(SimServices& services,
@@ -834,9 +810,7 @@ void NclCachingScheme::prune_node_with_registry(SimServices& services,
   for (auto it = entries.begin(); it != entries.end();) {
     const DataItem& item = services.data(it->first);
     if (!item.alive(now)) {
-      store_.buffer[ni].erase(it->first);
-      central_count_add(ni, it->second.central, -1);
-      it = entries.erase(it);
+      drop_entry(ni, it++);
     } else {
       if (item.expires < earliest) earliest = item.expires;
       ++it;
@@ -988,7 +962,7 @@ std::size_t NclCachingScheme::cached_copies(Time now) const {
 
 Bytes NclCachingScheme::cached_bytes(Time now) const {
   Bytes total = 0;
-  for (const auto& buffer : store_.buffer) total += buffer.used();
+  for (const ByteAccount& bytes : store_.bytes) total += bytes.used;
   (void)now;
   return total;
 }

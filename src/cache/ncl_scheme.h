@@ -24,19 +24,22 @@
 // Memory model (this is the SimEngine::kFast implementation; the legacy
 // per-object layout survives as cache/ncl_scheme_reference.h):
 //  * Node state is structure-of-arrays — one vector per field across all
-//    nodes (NodeStore) instead of a vector of fat NodeState objects.
+//    nodes (NodeStore) instead of a vector of fat NodeState objects. A
+//    node's cache is its `entries` map plus a {capacity, used} byte account.
 //  * In-flight bundles (push tokens, query copies, responses) live in
 //    SlabPool slabs and are threaded through per-node BundleChain intrusive
 //    lists; a contact relinks bundles between nodes instead of rebuilding
-//    "kept" vectors, so the steady-state exchange allocates nothing.
+//    "kept" vectors, and the replacement exchange re-links the map nodes
+//    it lifts, so only new-id insertions (pushes) allocate.
 //  * Per-contact scratch (replacement pools, eviction ranking, plan
 //    buffers) lives in a reusable ContactWorkspace.
 //  * The id-keyed metadata maps (`entries`, `history`) deliberately REMAIN
 //    std::unordered_map: the replacement exchange pools items in map
 //    iteration order and draws one Bernoulli per pooled item in
 //    utility-sorted order, so iteration order is observable through the RNG
-//    stream. Keeping the container (and the exact operation sequence)
-//    keeps the fast scheme bit-identical to the reference oracle.
+//    stream. Keeping the container (and the exact operation sequence;
+//    extract + node insert unlink and link as erase + emplace do) keeps
+//    the fast scheme bit-identical to the reference oracle.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +53,6 @@
 #include "cache/replacement.h"
 #include "cache/response.h"
 #include "common/arena.h"
-#include "net/buffer.h"
 #include "sim/scheme.h"
 
 namespace dtn {
@@ -114,10 +116,9 @@ class NclCachingScheme : public Scheme {
   std::uint64_t replacement_exchanges() const { return replacement_exchanges_; }
 
   /// Structural invariants, checked by tests after simulations:
-  ///  * every cache entry is backed by buffer accounting with the same size
-  ///    and matches the registry's size for that item;
-  ///  * per-node entry bytes exactly equal the buffer's used bytes;
-  ///  * no buffer exceeds its capacity;
+  ///  * every cache entry's size is positive and matches the registry's;
+  ///  * per-node entry bytes exactly equal the byte account's used bytes;
+  ///  * no node's used bytes exceed its capacity;
   ///  * the per-(node, central) entry counts used for O(1) NCL-membership
   ///    tests agree with the entry maps;
   ///  * every per-node earliest-expiry bound is a true lower bound on the
@@ -144,6 +145,15 @@ class NclCachingScheme : public Scheme {
     Time inserted_at = 0.0;    ///< FIFO bookkeeping
     Time last_access = 0.0;    ///< LRU bookkeeping
     double h_value = 0.0;      ///< Greedy-Dual-Size H value
+  };
+  using EntryMap = std::unordered_map<DataId, CacheEntry>;
+
+  /// Byte account of one node's cache; the entry map records membership.
+  struct ByteAccount {
+    Bytes capacity = 0;
+    Bytes used = 0;
+    Bytes free() const { return capacity - used; }
+    bool fits(Bytes size) const { return size <= free(); }
   };
 
   /// A copy of `data` travelling towards `central` during push.
@@ -188,7 +198,7 @@ class NclCachingScheme : public Scheme {
     std::vector<NodeId> centrals;
     std::vector<DataId> shared;
     std::vector<ReplacementItem> pool;
-    std::vector<CacheEntry> original;  ///< parallel to `pool`
+    std::vector<EntryMap::node_type> lifted;  ///< parallel to `pool`
     ReplacementPlan plan;
     ReplacementWorkspace replan;
     // Insertion-time eviction ranking (FIFO/LRU/GDS strategies).
@@ -200,8 +210,8 @@ class NclCachingScheme : public Scheme {
   /// for which fields are flat pools and which stay node-based maps (and
   /// why).
   struct NodeStore {
-    std::vector<CacheBuffer> buffer;
-    std::vector<std::unordered_map<DataId, CacheEntry>> entries;
+    std::vector<ByteAccount> bytes;
+    std::vector<EntryMap> entries;
     std::vector<double> gds_l;  ///< Greedy-Dual-Size aging level
     /// Request history per data id, fed by queries this node has seen.
     std::vector<std::unordered_map<DataId, PopularityEstimator>> history;
@@ -224,7 +234,7 @@ class NclCachingScheme : public Scheme {
     /// replacement exchange, replacing per-contact entry-map walks.
     std::vector<std::vector<std::pair<NodeId, std::int32_t>>> central_counts;
 
-    std::size_t size() const { return buffer.size(); }
+    std::size_t size() const { return bytes.size(); }
     void resize(std::size_t n);
   };
 
@@ -265,12 +275,21 @@ class NclCachingScheme : public Scheme {
   /// Adjusts the (node, central) entry count; delta is +1 / -1 per entry.
   void central_count_add(std::size_t node, NodeId central, int delta);
   std::int32_t central_count(std::size_t node, NodeId central) const;
-  /// Inserts a fresh cache entry (map + central count + expiry bound).
+  /// True when `node` holds no entry for `id` and has `size` bytes free.
+  bool admits(std::size_t node, DataId id, Bytes size) const {
+    return !store_.entries[node].contains(id) && store_.bytes[node].fits(size);
+  }
+  /// Inserts a fresh cache entry, or re-links a lifted node (map + byte
+  /// account + central count + expiry bound).
   void put_entry(SimServices& services, std::size_t node, DataId id,
                  const CacheEntry& entry);
-  /// Erases an entry from map + buffer + central count. Returns false when
-  /// absent.
-  bool drop_entry(std::size_t node, DataId id);
+  void put_entry(SimServices& services, std::size_t node,
+                 EntryMap::node_type lifted);
+  /// Unlinks an entry (map + byte account + central count); returns its node.
+  EntryMap::node_type drop_entry(std::size_t node, EntryMap::const_iterator it);
+  /// put_entry's byte account, central count and expiry bound.
+  void charge_entry(SimServices& services, std::size_t node,
+                    EntryMap::const_iterator it);
 
   NclSchemeConfig config_;
   NodeStore store_;

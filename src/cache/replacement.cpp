@@ -204,12 +204,6 @@ void primary_select_ws(const std::vector<ReplacementItem>& pool,
                        ReplacementWorkspace& ws,
                        std::vector<std::size_t>& taken, Bytes& free,
                        const ReplacementConfig& config, Rng& rng) {
-  auto smallest_fits = [&]() {
-    for (std::size_t idx : ws.available) {
-      if (pool[idx].size <= free) return true;
-    }
-    return false;
-  };
   auto take = [&](std::size_t idx) {
     taken.push_back(idx);
     free -= pool[idx].size;
@@ -222,8 +216,17 @@ void primary_select_ws(const std::vector<ReplacementItem>& pool,
 
   if (config.probabilistic) {
     for (int round = 0; round < config.max_rounds; ++round) {
-      if (ws.available.empty() || !smallest_fits()) break;
-      ws.order.assign(ws.available.begin(), ws.available.end());
+      // Only items with positive utility that fit now can act in a round
+      // (bernoulli(0) draws nothing; free space only shrinks), and their
+      // stable order is the oracle's restricted to them. A round with none
+      // takes and draws nothing, and so would every later one.
+      ws.order.clear();
+      for (std::size_t idx : ws.available) {
+        if (ws.utilities[idx] > 0.0 && pool[idx].size <= free) {
+          ws.order.push_back(idx);
+        }
+      }
+      if (ws.order.empty()) break;
       sort_by_utility_desc(ws.order, ws.utilities);
       for (std::size_t idx : ws.order) {
         if (pool[idx].size > free) continue;
@@ -233,7 +236,10 @@ void primary_select_ws(const std::vector<ReplacementItem>& pool,
     return;
   }
 
-  if (ws.available.empty() || !smallest_fits()) return;
+  if (std::none_of(ws.available.begin(), ws.available.end(),
+                   [&](std::size_t idx) { return pool[idx].size <= free; })) {
+    return;
+  }
   ws.knap_items.clear();
   for (std::size_t idx : ws.available) {
     ws.knap_items.push_back({ws.utilities[idx], pool[idx].size});

@@ -34,7 +34,8 @@ struct ReplacementConfig {
   /// Maximum probabilistic selection rounds per node (Algorithm 1 iterates
   /// "multiple times ... to ensure that the caching buffer is fully
   /// utilized"); afterwards a deterministic fill pass runs so items are
-  /// never dropped while space remains.
+  /// never dropped while space remains. The workspace planner stops early,
+  /// once no item has positive utility and fits (no later round can draw).
   int max_rounds = 4;
   /// False disables the Bernoulli step (pure knapsack; ablation of
   /// Sec. V-D.3).

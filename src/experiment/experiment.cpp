@@ -206,12 +206,7 @@ std::vector<ExperimentResult> run_cells(const ContactTrace& trace,
 ExperimentResult run_experiment(const ContactTrace& trace, SchemeKind kind,
                                 const ExperimentConfig& config,
                                 const WarmupContext* warmup) {
-  std::optional<WarmupContext> local;
-  if (warmup == nullptr) {
-    local.emplace(make_warmup_context(trace, config));
-    warmup = &*local;
-  }
-  return std::move(run_cells(trace, {kind}, config, *warmup).front());
+  return std::move(run_comparison(trace, {kind}, config, warmup).front());
 }
 
 ExperimentResult run_experiment(
@@ -223,10 +218,14 @@ ExperimentResult run_experiment(
 
 std::vector<ExperimentResult> run_comparison(
     const ContactTrace& trace, const std::vector<SchemeKind>& kinds,
-    const ExperimentConfig& config) {
-  const WarmupContext warmup = make_warmup_context(trace, config);
+    const ExperimentConfig& config, const WarmupContext* warmup) {
+  std::optional<WarmupContext> local;
+  if (warmup == nullptr) {
+    local.emplace(make_warmup_context(trace, config));
+    warmup = &*local;
+  }
   if (kinds.empty()) return {};
-  return run_cells(trace, kinds, config, warmup);
+  return run_cells(trace, kinds, config, *warmup);
 }
 
 std::vector<ExperimentResult> run_comparison(

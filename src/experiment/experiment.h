@@ -133,9 +133,10 @@ ExperimentResult run_experiment(
 /// buffers and per-tick path tables are computed once and shared across
 /// schemes; the (repetition x scheme) cells replay on the thread pool.
 /// Results equal run_experiment's for each kind, at every thread count.
+/// `warmup` is as in run_experiment: one context serves a workload sweep.
 std::vector<ExperimentResult> run_comparison(
     const ContactTrace& trace, const std::vector<SchemeKind>& kinds,
-    const ExperimentConfig& config);
+    const ExperimentConfig& config, const WarmupContext* warmup = nullptr);
 
 std::vector<ExperimentResult> run_comparison(
     const std::shared_ptr<const ContactTrace>& trace,

@@ -145,7 +145,12 @@ TEST(Property, KnapsackWorkspaceMatchesConvenienceAndFeasible) {
 
 // Shared generator for the two replacement properties: a pool of distinct
 // data ids with randomized sizes, popularities and holders, plus a full
-// randomized exchange configuration.
+// randomized exchange configuration. Pools are zero-heavy like the ones
+// real exchanges build: Eq. 6 gives popularity exactly 0 to an item with
+// fewer than two recorded requests, so most of Algorithm 1's rounds have
+// no item with positive utility that fits, and the workspace planner stops
+// at the first such round. Exact 0 and 1 popularities and weights also hit
+// Rng::bernoulli's no-draw edges.
 struct ExchangeCase {
   std::vector<ReplacementItem> pool;
   Bytes capacity_a = 0;
@@ -164,7 +169,8 @@ ExchangeCase make_exchange_case(Rng& rng) {
     ReplacementItem item;
     item.id = 100 + i;  // distinct by construction (a pool precondition)
     item.size = rng.uniform_int(1, 6 << 20);
-    item.popularity = rng.uniform();
+    const double kind = rng.uniform();
+    item.popularity = kind < 0.5 ? 0.0 : kind < 0.6 ? 1.0 : rng.uniform();
     item.at_a = rng.bernoulli(0.5);
     pool_bytes += item.size;
     c.pool.push_back(item);
@@ -172,8 +178,12 @@ ExchangeCase make_exchange_case(Rng& rng) {
   rng.shuffle(c.pool);
   c.capacity_a = rng.uniform_int(0, std::max<Bytes>(1, pool_bytes));
   c.capacity_b = rng.uniform_int(0, std::max<Bytes>(1, pool_bytes));
-  c.weight_a = rng.uniform();
-  c.weight_b = rng.uniform();
+  auto draw_weight = [&rng]() {
+    const double kind = rng.uniform();
+    return kind < 0.15 ? 0.0 : kind < 0.3 ? 1.0 : rng.uniform();
+  };
+  c.weight_a = draw_weight();
+  c.weight_b = draw_weight();
   c.config.knapsack_unit = 1 << static_cast<int>(rng.uniform_int(17, 21));
   c.config.max_rounds = static_cast<int>(rng.uniform_int(1, 5));
   c.config.probabilistic = rng.bernoulli(0.75);
@@ -307,9 +317,10 @@ TEST(Property, SlabPoolMatchesMapModel) {
 TEST(Property, FastEngineMatchesReferenceOnRandomMiniTraces) {
   // The randomized counterpart of engine_golden_test's pinned matrix:
   // small random traces and experiment configs, fast vs reference engines,
-  // raw-double equality on every aggregate metric. Case count is modest
-  // because each case runs two full simulations.
-  run_property("engine_equivalence", 6, [](Rng& rng, int) {
+  // raw-double equality on every aggregate metric. Half the cases run on
+  // tight links and buffers (see below). Each case runs two full
+  // simulations of a few milliseconds.
+  run_property("engine_equivalence", 80, [](Rng& rng, int) {
     SyntheticTraceConfig tc;
     tc.node_count = static_cast<NodeId>(rng.uniform_int(12, 20));
     tc.duration = days(rng.uniform(0.5, 1.0));
@@ -337,6 +348,16 @@ TEST(Property, FastEngineMatchesReferenceOnRandomMiniTraces) {
                                   ResponseMode::kSigmoid, ResponseMode::kAlways};
     config.response_mode = modes[rng.uniform_int(0, 2)];
     config.seed = rng();
+    // Tight links and buffers of one to a few items: the exchange's
+    // fallbacks then run, i.e. moves the link budget refuses, restores at
+    // the origin that fail for lack of space, and pushes that stop full.
+    if (rng.bernoulli(0.5)) {
+      config.sim.bandwidth_per_second = megabits(rng.uniform(0.02, 0.5));
+      config.buffer_min = static_cast<Bytes>(
+          rng.uniform(1.0, 1.6) * static_cast<double>(config.avg_data_size));
+      config.buffer_max = static_cast<Bytes>(
+          rng.uniform(1.0, 2.5) * static_cast<double>(config.buffer_min));
+    }
 
     config.sim.sim_engine = SimEngine::kFast;
     const ExperimentResult fast =
