@@ -1,6 +1,5 @@
 #include "common/check.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -40,11 +39,5 @@ void check_failed_cmp(const char* file, int line, const char* invariant,
                       double lhs, double rhs) {
   fail(file, line, invariant, ": %.17g vs %.17g", lhs, rhs, 2);
 }
-
-bool is_probability(double x) {
-  return std::isfinite(x) && x >= 0.0 && x <= 1.0;
-}
-
-bool is_finite(double x) { return std::isfinite(x); }
 
 }  // namespace dtn::internal

@@ -19,6 +19,7 @@
 // exactly once when enabled, zero times when stripped.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 namespace dtn::internal {
@@ -39,12 +40,14 @@ namespace dtn::internal {
                                    const char* invariant, double lhs,
                                    double rhs);
 
-/// True when x is finite and 0 <= x <= 1; false for NaN.
-bool is_probability(double x);
+/// True when x is finite and 0 <= x <= 1; false for NaN. Inline: the path
+/// kernel tests every relaxation's candidate with it.
+inline bool is_probability(double x) {
+  return std::isfinite(x) && x >= 0.0 && x <= 1.0;
+}
 
-/// True when x is finite (std::isfinite without pulling <cmath> into every
-/// instrumented header).
-bool is_finite(double x);
+/// True when x is finite (no NaN / infinity).
+inline bool is_finite(double x) { return std::isfinite(x); }
 
 }  // namespace dtn::internal
 

@@ -176,32 +176,19 @@ double hypoexp_cdf(const std::vector<double>& rates, double t) {
   return hypoexp_cdf(rates, t, ws);
 }
 
-bool HypoexpChainTable::near_on_insert(const Stage* chain, std::size_t p,
-                                       double x) {
-  bool has_below = false;
-  bool has_above = false;
-  double below = 0.0;
-  double above = 0.0;
-  for (std::size_t k = 0; k < p; ++k) {
-    const double rate = chain[k].rate;
-    if (rate < x) {
-      if (!has_below || rate > below) below = rate;
-      has_below = true;
-    } else {
-      if (!has_above || rate < above) above = rate;
-      has_above = true;
-    }
-  }
-  return (has_below && (x - below) <= 1e-6 * x) ||
-         (has_above && (above - x) <= 1e-6 * above);
-}
-
 void HypoexpChainTable::prepare(std::size_t slots, std::size_t max_stages,
                                 double t) {
   t_ = t;
   stride_ = max_stages;
   chains_.resize(slots);
   stages_.resize(slots * max_stages);
+  single_evals_ = 0;
+  closed_form_evals_ = 0;
+}
+
+void HypoexpChainTable::flush_counts() const {
+  DTN_COUNT_N(kHypoexpSingleEvals, single_evals_);
+  DTN_COUNT_N(kHypoexpClosedFormEvals, closed_form_evals_);
 }
 
 void HypoexpChainTable::set_empty(std::size_t s) { chains_[s] = Chain{}; }
@@ -230,43 +217,6 @@ void HypoexpChainTable::extend(std::size_t child, std::size_t parent,
     coeff *= in[k].rate / (in[k].rate - x);
   }
   out[p].partial = coeff;
-}
-
-double HypoexpChainTable::eval(std::size_t s, double x, double one_minus_exp_x,
-                               HypoexpWorkspace& ws) const {
-  if (!(x > 0.0)) throw std::invalid_argument("hypoexp rates must be > 0");
-  if (t_ <= 0.0) return 0.0;
-  const Chain& prefix = chains_[s];
-  const std::size_t p = prefix.size;
-  const Stage* in = stages(s);
-
-  double result = 0.0;
-  if (p == 0) {
-    DTN_COUNT(kHypoexpSingleEvals);
-    result = std::clamp(one_minus_exp_x, 0.0, 1.0);
-  } else if (prefix.all_equal && x == in[0].rate) {
-    result = erlang_cdf(static_cast<int>(p + 1), x, t_);
-  } else if (prefix.near_equal || near_on_insert(in, p, x)) {
-    rates_.resize(p + 1);
-    for (std::size_t k = 0; k < p; ++k) rates_[k] = in[k].rate;
-    rates_[p] = x;
-    result = hypoexp_cdf_uniformization(rates_, t_, ws);
-  } else {
-    DTN_COUNT(kHypoexpClosedFormEvals);
-    // The dispatcher's closed form over chain(s) + {x}, term by term: for
-    // k < p the appended rate's factor is the last one multiplied into C_k.
-    double acc = 0.0;
-    double coeff = 1.0;
-    for (std::size_t k = 0; k < p; ++k) {
-      acc += (in[k].partial * (x / (x - in[k].rate))) * in[k].one_minus_exp;
-      coeff *= in[k].rate / (in[k].rate - x);
-    }
-    acc += coeff * one_minus_exp_x;
-    DTN_CHECK_FINITE(acc);
-    result = std::clamp(acc, 0.0, 1.0);
-  }
-  DTN_CHECK_PROB(result);
-  return result;
 }
 
 double hypoexp_mean(const std::vector<double>& rates) {

@@ -20,7 +20,12 @@
 // state and returns the dispatcher's exact bits without an exp() call.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
+
+#include "common/check.h"
 
 namespace dtn {
 
@@ -82,7 +87,11 @@ double hypoexp_mean(const std::vector<double>& rates);
 /// eval(s, x) returns hypoexp_cdf(chain(s) + {x}, t) with the dispatcher's
 /// exact bits in O(p) (uniformization keeps its own cost). Neither calls
 /// exp(): every stage's 1 - e^{-λ t} term is handed in once, when the stage
-/// is appended.
+/// is appended. eval is inline, so the path kernel's relaxation loop makes
+/// no call on the single-stage and closed-form tiers; the table counts
+/// those two tiers' evals itself and flush_counts adds them to the
+/// instrument registry once per table (the Erlang and uniformization
+/// fallbacks count their own, as hypoexp_cdf's do).
 ///
 /// Why the bits match. The dispatcher's closed form builds each stage's
 /// coefficient C_k = prod_{s != k} λ_s / (λ_s - λ_k) by multiplying the
@@ -105,7 +114,7 @@ class HypoexpChainTable {
  public:
   /// Room for `slots` chains of at most `max_stages` stages at budget t.
   /// Keeps its capacity across calls; a slot is undefined until set_empty
-  /// or extend writes it.
+  /// or extend writes it. Starts the eval counts from zero.
   void prepare(std::size_t slots, std::size_t max_stages, double t);
 
   /// Slot `s` holds the empty chain.
@@ -124,6 +133,11 @@ class HypoexpChainTable {
   /// Throws std::invalid_argument unless x > 0.
   double eval(std::size_t s, double x, double one_minus_exp_x,
               HypoexpWorkspace& ws) const;
+
+  /// Adds the single-stage and closed-form evals made since prepare() to
+  /// hypoexp_single_evals and hypoexp_closed_form_evals. Call it once per
+  /// prepare(), as the path kernel does once per table.
+  void flush_counts() const;
 
  private:
   struct Stage {
@@ -152,6 +166,66 @@ class HypoexpChainTable {
   std::vector<Chain> chains_;
   std::vector<Stage> stages_;  ///< slot s owns [s * stride_, (s+1) * stride_)
   mutable std::vector<double> rates_;  ///< eval's uniformization input
+  mutable std::uint64_t single_evals_ = 0;       ///< since prepare()
+  mutable std::uint64_t closed_form_evals_ = 0;  ///< since prepare()
 };
+
+inline bool HypoexpChainTable::near_on_insert(const Stage* chain,
+                                              std::size_t p, double x) {
+  bool has_below = false;
+  bool has_above = false;
+  double below = 0.0;
+  double above = 0.0;
+  for (std::size_t k = 0; k < p; ++k) {
+    const double rate = chain[k].rate;
+    if (rate < x) {
+      if (!has_below || rate > below) below = rate;
+      has_below = true;
+    } else {
+      if (!has_above || rate < above) above = rate;
+      has_above = true;
+    }
+  }
+  return (has_below && (x - below) <= 1e-6 * x) ||
+         (has_above && (above - x) <= 1e-6 * above);
+}
+
+inline double HypoexpChainTable::eval(std::size_t s, double x,
+                                      double one_minus_exp_x,
+                                      HypoexpWorkspace& ws) const {
+  if (!(x > 0.0)) throw std::invalid_argument("hypoexp rates must be > 0");
+  if (t_ <= 0.0) return 0.0;
+  const Chain& prefix = chains_[s];
+  const std::size_t p = prefix.size;
+  const Stage* in = stages(s);
+
+  double result = 0.0;
+  if (p == 0) {
+    ++single_evals_;
+    result = std::clamp(one_minus_exp_x, 0.0, 1.0);
+  } else if (prefix.all_equal && x == in[0].rate) {
+    result = erlang_cdf(static_cast<int>(p + 1), x, t_);
+  } else if (prefix.near_equal || near_on_insert(in, p, x)) {
+    rates_.resize(p + 1);
+    for (std::size_t k = 0; k < p; ++k) rates_[k] = in[k].rate;
+    rates_[p] = x;
+    result = hypoexp_cdf_uniformization(rates_, t_, ws);
+  } else {
+    ++closed_form_evals_;
+    // The dispatcher's closed form over chain(s) + {x}, term by term: for
+    // k < p the appended rate's factor is the last one multiplied into C_k.
+    double acc = 0.0;
+    double coeff = 1.0;
+    for (std::size_t k = 0; k < p; ++k) {
+      acc += (in[k].partial * (x / (x - in[k].rate))) * in[k].one_minus_exp;
+      coeff *= in[k].rate / (in[k].rate - x);
+    }
+    acc += coeff * one_minus_exp_x;
+    DTN_CHECK_FINITE(acc);
+    result = std::clamp(acc, 0.0, 1.0);
+  }
+  DTN_CHECK_PROB(result);
+  return result;
+}
 
 }  // namespace dtn

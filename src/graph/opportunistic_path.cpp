@@ -69,6 +69,49 @@ void validate_dijkstra_args(const ContactGraph& graph, NodeId root,
   if (max_hops < 1) throw std::invalid_argument("max_hops must be >= 1");
 }
 
+// The frontier's order: `a` pops before `b`. QueueItem's operator< is the
+// reference's max-heap order (weight desc, node asc), so the indexed heap
+// below settles nodes in the order the reference's lazy heap does.
+bool outranks(const QueueItem& a, const QueueItem& b) { return b < a; }
+
+// Writes `item` at heap index i and records its node's slot.
+void place(PathWorkspace& ws, std::size_t i, const QueueItem& item) {
+  ws.heap[i] = item;
+  ws.slot_of[static_cast<std::size_t>(item.node)] = static_cast<std::int32_t>(i);
+}
+
+// Moves `item`, whose slot is heap index i, up past every parent it
+// outranks.
+void sift_up(PathWorkspace& ws, std::size_t i, const QueueItem& item) {
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!outranks(item, ws.heap[parent])) break;
+    place(ws, i, ws.heap[parent]);
+    i = parent;
+  }
+  place(ws, i, item);
+}
+
+// Removes the top slot and marks its node settled.
+NodeId pop_top(PathWorkspace& ws) {
+  auto& heap = ws.heap;
+  const NodeId top = heap.front().node;
+  ws.slot_of[static_cast<std::size_t>(top)] = PathWorkspace::kSettled;
+  const QueueItem last = heap.back();
+  heap.pop_back();
+  const std::size_t size = heap.size();
+  if (size == 0) return top;
+  std::size_t i = 0;
+  for (std::size_t child = 1; child < size; child = 2 * i + 1) {
+    if (child + 1 < size && outranks(heap[child + 1], heap[child])) ++child;
+    if (!outranks(heap[child], last)) break;
+    place(ws, i, heap[child]);
+    i = child;
+  }
+  place(ws, i, last);
+  return top;
+}
+
 PathTable run_fast_dijkstra(const ContactGraph& graph, NodeId root,
                             Time horizon, int max_hops, PathWorkspace& ws,
                             const EdgeExpTable* edge_exp) {
@@ -88,17 +131,17 @@ PathTable run_fast_dijkstra(const ContactGraph& graph, NodeId root,
                              static_cast<std::size_t>(n - 1)),
                     horizon);
   ws.edge_term.resize(static_cast<std::size_t>(n));
-  // uint8_t instead of vector<bool>: the settle test sits on every pop and
-  // every relaxation, and byte loads beat bit extraction there.
-  ws.settled.assign(static_cast<std::size_t>(n), 0);
+  ws.slot_of.assign(static_cast<std::size_t>(n), PathWorkspace::kUnreached);
   auto& heap = ws.heap;
   heap.clear();
-  heap.push_back({1.0, root});
+  heap.emplace_back();
+  place(ws, 0, {1.0, root});
 
   // Counter totals are the observable contract, not per-call granularity:
   // accumulate locally and flush once per table, keeping atomic traffic
   // out of the inner loop (the reference engine pays one fetch_add per
-  // relaxation; this one pays a handful per table). maybe_unused: with
+  // relaxation; this one pays a handful per table, and the chain table
+  // batches its tier counts the same way). maybe_unused: with
   // DTN_INSTRUMENT_OFF the flushes below compile to nothing (by contract
   // they must not evaluate their argument) and the accumulation dead-codes
   // away.
@@ -107,13 +150,8 @@ PathTable run_fast_dijkstra(const ContactGraph& graph, NodeId root,
   [[maybe_unused]] std::uint64_t bytes_not_allocated = 0;
 
   while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end());
-    const auto [weight, u] = heap.back();
-    heap.pop_back();
-    auto& eu = entries[static_cast<std::size_t>(u)];
-    if (ws.settled[static_cast<std::size_t>(u)]) continue;
-    if (weight < eu.weight) continue;  // stale entry
-    ws.settled[static_cast<std::size_t>(u)] = 1;
+    const NodeId u = pop_top(ws);
+    const auto& eu = entries[static_cast<std::size_t>(u)];
     ++settled_count;
     if (eu.hops >= max_hops) continue;
 
@@ -135,8 +173,9 @@ PathTable run_fast_dijkstra(const ContactGraph& graph, NodeId root,
                  : nullptr;
     for (std::size_t idx = 0; idx < neighbors.size(); ++idx) {
       const auto& nb = neighbors[idx];
+      const std::int32_t slot = ws.slot_of[static_cast<std::size_t>(nb.node)];
+      if (slot == PathWorkspace::kSettled) continue;
       auto& ev = entries[static_cast<std::size_t>(nb.node)];
-      if (ws.settled[static_cast<std::size_t>(nb.node)]) continue;
       ++relaxations;
       // Bytes the legacy per-relaxation chain copy would have heap-allocated.
       bytes_not_allocated += (prefix + 1) * sizeof(double);
@@ -157,11 +196,16 @@ PathTable run_fast_dijkstra(const ContactGraph& graph, NodeId root,
         ev.hops = eu.hops + 1;
         ev.last_rate = nb.rate;
         ws.edge_term[static_cast<std::size_t>(nb.node)] = one_minus_exp;
-        heap.push_back({candidate, nb.node});
-        std::push_heap(heap.begin(), heap.end());
+        // A queued node keeps its slot, and its key only grew: sift it up.
+        if (slot == PathWorkspace::kUnreached) heap.emplace_back();
+        const std::size_t at = slot == PathWorkspace::kUnreached
+                                   ? heap.size() - 1
+                                   : static_cast<std::size_t>(slot);
+        sift_up(ws, at, {candidate, nb.node});
       }
     }
   }
+  ws.chains.flush_counts();
   DTN_COUNT_N(kDijkstraSettled, settled_count);
   DTN_COUNT_N(kDijkstraRelaxations, relaxations);
   DTN_COUNT_N(kPathScratchReuses, relaxations);

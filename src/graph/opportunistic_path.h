@@ -46,12 +46,15 @@ enum class PathEngine {
 /// The kernel keeps, for every settled node, the closed-form state of its
 /// rate chain (`chains`, n slots of min(max_hops, n - 1) stages: a simple
 /// path has at most n - 1 hops) and, for every tentative node, the
-/// 1 - e^{-x T} term of the edge it adopted (`edge_term`), plus its heap
-/// and settled flags. `chain` and `hypoexp` serve rates_to_root and
-/// hypoexp_cdf. A workspace carries capacity, never results: reusing one
-/// across calls cannot change a table. Take it from thread_path_workspace()
-/// so each thread allocates it once; sharing one across concurrent calls is
-/// a data race.
+/// 1 - e^{-x T} term of the edge it adopted (`edge_term`). Its frontier is
+/// an indexed max-heap: `heap` holds one slot per tentative node, ordered
+/// by (weight desc, node asc), and `slot_of[v]` is v's index in it, or
+/// kUnreached / kSettled. A node whose label improves is sifted up in
+/// place, so the heap never holds a stale entry. `chain` and `hypoexp`
+/// serve rates_to_root and hypoexp_cdf. A workspace carries capacity,
+/// never results: reusing one across calls cannot change a table. Take it
+/// from thread_path_workspace() so each thread allocates it once; sharing
+/// one across concurrent calls is a data race.
 struct PathWorkspace {
   struct QueueItem {
     double weight;
@@ -62,13 +65,15 @@ struct PathWorkspace {
       return node > other.node;
     }
   };
+  static constexpr std::int32_t kUnreached = -1;
+  static constexpr std::int32_t kSettled = -2;
 
   std::vector<double> chain;
   HypoexpWorkspace hypoexp;
   HypoexpChainTable chains;
   std::vector<double> edge_term;
   std::vector<QueueItem> heap;
-  std::vector<std::uint8_t> settled;
+  std::vector<std::int32_t> slot_of;
 };
 
 /// The calling thread's workspace. Every table build and weight

@@ -24,13 +24,16 @@
 //    max-probability construction depends on it);
 //  * the production path kernel vs the reference construction on graphs
 //    drawn from a small rate pool (repeats, near-duplicates, distinct
-//    rates) — bit-identical tables, with every hypoexp tier reached;
+//    rates) and on tie-heavy star and clique graphs of one or two rates —
+//    bit-identical tables, the same evals in every hypoexp tier, and every
+//    tier reached;
 //  * seeded byte-, token- and line-level mutants of every untrusted input
 //    (the trace fixtures, a .dtntrace file, a dtnd script) either load a
 //    valid trace or fail with a std::runtime_error naming their source.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -464,63 +467,168 @@ std::uint64_t bits(double x) {
   return out;
 }
 
+constexpr std::array<const char*, 4> kHypoexpTiers{
+    "hypoexp_single_evals", "hypoexp_erlang_evals",
+    "hypoexp_closed_form_evals", "hypoexp_uniformization_evals"};
+using TierEvals = std::array<std::uint64_t, kHypoexpTiers.size()>;
+
+/// A table and the evals its build made in each hypoexp tier (all zero
+/// when the library does not count).
+struct CountedTable {
+  PathTable table;
+  TierEvals evals;
+};
+
+template <typename Build>
+CountedTable counted_build(Build&& build) {
+  const instrument::StageStats before = instrument::snapshot();
+  PathTable table = build();
+  const instrument::StageStats delta =
+      instrument::snapshot().delta_since(before);
+  TierEvals evals{};
+  for (std::size_t i = 0; i < kHypoexpTiers.size(); ++i) {
+    evals[i] = delta.counter(kHypoexpTiers[i]);
+  }
+  return {std::move(table), evals};
+}
+
+/// Builds every root's table at `max_hops` with the reference construction
+/// and with the production kernel, with the shared edge-exp table (as
+/// every many-roots build does) and without it. The kernel's tables must
+/// match the reference's bit for bit, and each kernel build must make
+/// exactly the reference build's evals in every hypoexp tier: the chain
+/// table flushes its single-stage and closed-form counts once per table.
+/// Adds the edge-exp builds' tier counts to `kernel_evals`.
+void expect_tables_match_reference(const ContactGraph& graph, Time horizon,
+                                   int max_hops, TierEvals& kernel_evals) {
+  const NodeId n = graph.node_count();
+  const EdgeExpTable edge_exp = build_edge_exp_table(graph, horizon);
+  for (NodeId root = 0; root < n; ++root) {
+    const CountedTable reference = counted_build([&] {
+      return compute_opportunistic_paths_reference(graph, root, horizon,
+                                                   max_hops);
+    });
+    const CountedTable shared = counted_build([&] {
+      return compute_opportunistic_paths(graph, root, horizon, max_hops,
+                                         thread_path_workspace(), edge_exp);
+    });
+    const CountedTable own = counted_build([&] {
+      return compute_opportunistic_paths(graph, root, horizon, max_hops);
+    });
+    for (std::size_t i = 0; i < kHypoexpTiers.size(); ++i) {
+      kernel_evals[i] += shared.evals[i];
+    }
+    for (const CountedTable* built : {&shared, &own}) {
+      for (NodeId node = 0; node < n; ++node) {
+        const PathTable::Entry& got = built->table.entry(node);
+        const PathTable::Entry& want = reference.table.entry(node);
+        ASSERT_EQ(bits(got.weight), bits(want.weight))
+            << "root " << root << " node " << node << " cap " << max_hops;
+        ASSERT_EQ(bits(got.last_rate), bits(want.last_rate));
+        ASSERT_EQ(got.next_hop, want.next_hop)
+            << "root " << root << " node " << node << " cap " << max_hops;
+        ASSERT_EQ(got.hops, want.hops);
+      }
+      for (std::size_t i = 0; i < kHypoexpTiers.size(); ++i) {
+        ASSERT_EQ(built->evals[i], reference.evals[i])
+            << kHypoexpTiers[i] << ", root " << root << " cap " << max_hops;
+      }
+    }
+  }
+}
+
 TEST(Property, PathTablesMatchReferenceOnPooledRates) {
   // The production kernel derives each settled node's closed-form state
   // from its parent's; the reference re-evaluates every candidate chain
-  // with hypoexp_cdf. Every root's table, built with the shared edge-exp
-  // table as every many-roots build does and without it, must agree bit
-  // for bit, at hop caps 1-8 and at a cap no simple path reaches, on
-  // graphs built to hit all four dispatch tiers.
-  const std::vector<std::string> tiers{
-      "hypoexp_single_evals", "hypoexp_erlang_evals",
-      "hypoexp_closed_form_evals", "hypoexp_uniformization_evals"};
-  std::vector<std::uint64_t> fast_evals(tiers.size(), 0);
+  // with hypoexp_cdf. Every root's table must agree bit for bit, at hop
+  // caps 1-8 and at a cap no simple path reaches, on graphs built to hit
+  // all four dispatch tiers.
+  TierEvals kernel_evals{};
   run_property("path_tables_pooled_rates", 30, [&](Rng& rng, int) {
     const ContactGraph graph = pooled_rate_graph(rng);
     const NodeId n = graph.node_count();
     const Time horizon = rng.uniform(600.0, 6.0 * 3600.0);
     const int caps[] = {static_cast<int>(rng.uniform_int(1, 8)),
                         n + static_cast<int>(rng.uniform_int(0, 3))};
-    const EdgeExpTable edge_exp = build_edge_exp_table(graph, horizon);
     for (const int max_hops : caps) {
-      std::vector<PathTable> fast;
-      const instrument::StageStats before = instrument::snapshot();
-      for (NodeId root = 0; root < n; ++root) {
-        fast.push_back(compute_opportunistic_paths(
-            graph, root, horizon, max_hops, thread_path_workspace(),
-            edge_exp));
-      }
-      const instrument::StageStats delta =
-          instrument::snapshot().delta_since(before);
-      for (std::size_t i = 0; i < tiers.size(); ++i) {
-        fast_evals[i] += delta.counter(tiers[i]);
-      }
-      for (NodeId root = 0; root < n; ++root) {
-        const PathTable reference =
-            compute_opportunistic_paths_reference(graph, root, horizon,
-                                                  max_hops);
-        const PathTable no_edge_table =
-            compute_opportunistic_paths(graph, root, horizon, max_hops);
-        const PathTable* built[] = {&fast[static_cast<std::size_t>(root)],
-                                    &no_edge_table};
-        for (const PathTable* table : built) {
-          for (NodeId node = 0; node < n; ++node) {
-            const PathTable::Entry& got = table->entry(node);
-            const PathTable::Entry& want = reference.entry(node);
-            ASSERT_EQ(bits(got.weight), bits(want.weight))
-                << "root " << root << " node " << node << " cap "
-                << max_hops;
-            ASSERT_EQ(bits(got.last_rate), bits(want.last_rate));
-            ASSERT_EQ(got.next_hop, want.next_hop);
-            ASSERT_EQ(got.hops, want.hops);
-          }
-        }
-      }
+      expect_tables_match_reference(graph, horizon, max_hops, kernel_evals);
     }
   });
   if (instrument::enabled()) {
-    for (std::size_t i = 0; i < tiers.size(); ++i) {
-      EXPECT_GT(fast_evals[i], 0u) << tiers[i] << " never reached";
+    for (std::size_t i = 0; i < kHypoexpTiers.size(); ++i) {
+      EXPECT_GT(kernel_evals[i], 0u) << kHypoexpTiers[i] << " never reached";
+    }
+  }
+}
+
+/// Star, clique or random graph whose edges carry one or two rate values,
+/// so many labels tie exactly: every one-hop neighbour of a clique's root
+/// gets the same weight, and so does every two-hop path of one rate pair.
+ContactGraph tied_weight_graph(Rng& rng) {
+  const NodeId n = static_cast<NodeId>(rng.uniform_int(3, 16));
+  const double slow = std::exp(rng.uniform(std::log(1e-5), std::log(1e-2)));
+  const double rates[] = {slow, rng.uniform() < 0.5
+                                    ? slow
+                                    : slow * rng.uniform(1.5, 4.0)};
+  const auto draw_rate = [&] {
+    return rates[rng.uniform() < 0.5 ? 0 : 1];
+  };
+  ContactGraph graph(n);
+  const int shape = static_cast<int>(rng.uniform_int(0, 2));
+  if (shape == 0) {  // star around a random hub, plus a few chords
+    const NodeId hub = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+    for (NodeId v = 0; v < n; ++v) {
+      if (v != hub) graph.set_rate(hub, v, draw_rate());
+    }
+    const int chords = static_cast<int>(rng.uniform_int(0, n / 2));
+    for (int c = 0; c < chords; ++c) {
+      const NodeId a = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+      const NodeId b = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+      if (a != b && a != hub && b != hub) graph.set_rate(a, b, draw_rate());
+    }
+  } else {  // clique, or a random graph of the same two rates
+    const double edge_prob = shape == 1 ? 1.0 : 0.2 + 0.5 * rng.uniform();
+    for (NodeId i = 0; i < n; ++i) {
+      for (NodeId j = i + 1; j < n; ++j) {
+        if (rng.uniform() < edge_prob) graph.set_rate(i, j, draw_rate());
+      }
+    }
+  }
+  return graph;
+}
+
+TEST(Property, PathTablesMatchReferenceOnTiedWeights) {
+  // Where labels tie, the settle order alone decides which parent a node
+  // keeps: a node adopts the first settled neighbour that offers its best
+  // weight. The kernel's indexed heap must pop tied nodes by ascending id,
+  // as the reference's lazy heap does, and move an improved node up at
+  // once. Graphs with one or two rate values tie everywhere, and a third
+  // of the horizons saturate every weight to exactly 1.0.
+  TierEvals kernel_evals{};
+  run_property("path_tables_tied_weights", 40, [&](Rng& rng, int) {
+    const ContactGraph graph = tied_weight_graph(rng);
+    const NodeId n = graph.node_count();
+    double min_rate = 1.0;
+    for (NodeId u = 0; u < n; ++u) {
+      for (const auto& nb : graph.neighbors(u)) {
+        min_rate = std::min(min_rate, nb.rate);
+      }
+    }
+    // 1 - e^{-x T} rounds to exactly 1.0 once x T > 37, and so does the
+    // weight of a chain of a few such stages well before x T = 200.
+    const Time horizon = rng.uniform() < 1.0 / 3.0
+                             ? rng.uniform(40.0, 200.0) / min_rate
+                             : rng.uniform(0.05, 3.0) / min_rate;
+    for (int max_hops = 1; max_hops <= 8; ++max_hops) {
+      expect_tables_match_reference(graph, horizon, max_hops, kernel_evals);
+    }
+    expect_tables_match_reference(
+        graph, horizon, n + static_cast<int>(rng.uniform_int(0, 3)),
+        kernel_evals);
+  });
+  if (instrument::enabled()) {
+    for (std::size_t i = 0; i < kHypoexpTiers.size(); ++i) {
+      EXPECT_GT(kernel_evals[i], 0u) << kHypoexpTiers[i] << " never reached";
     }
   }
 }
