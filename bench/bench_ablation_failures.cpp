@@ -30,6 +30,9 @@ int main(int argc, char** argv) {
   base.sim.maintenance_interval = days(1);
 
   bench::JsonReport report("bench_ablation_failures", args);
+  // Contact loss, outages, dynamic NCL and rate decay act after the
+  // warm-up half, so every call shares one warm-up context.
+  const WarmupContext warmup = make_warmup_context(trace, base);
 
   // ---- (a) random contact loss ----
   TextTable loss({"miss prob", "NCL-Cache ratio", "NoCache ratio",
@@ -40,10 +43,11 @@ int main(int argc, char** argv) {
         for (double p : {0.0, 0.25, 0.5}) {
           ExperimentConfig config = base;
           config.sim.contact_miss_prob = p;
-          const ExperimentResult ncl =
-              run_experiment(trace, SchemeKind::kNclCache, config);
-          const ExperimentResult none =
-              run_experiment(trace, SchemeKind::kNoCache, config);
+          const std::vector<ExperimentResult> results = run_comparison(
+              trace, {SchemeKind::kNclCache, SchemeKind::kNoCache}, config,
+              &warmup);
+          const ExperimentResult& ncl = results[0];
+          const ExperimentResult& none = results[1];
           loss.begin_row();
           loss.add_number(p, 2);
           loss.add_number(ncl.success_ratio.mean(), 3);
@@ -57,7 +61,9 @@ int main(int argc, char** argv) {
   // ---- (b) central-node outages: static vs dynamic NCL ----
   // Take down the statically selected centrals for the last quarter of
   // the trace.
-  const NclSelection ncls = warmup_ncl_selection(trace, base);
+  const NclSelection ncls =
+      select_ncls(warmup.graph, warmup.horizon, base.ncl_count,
+                  base.sim.max_hops, base.sim.threads);
   const Time outage_start =
       trace.start_time() + 0.75 * trace.duration();
   std::vector<SimConfig::Downtime> outages;
@@ -78,10 +84,10 @@ int main(int argc, char** argv) {
           ExperimentConfig failed = clean;
           failed.sim.node_downtime = outages;
           const double r_clean = run_experiment(trace, SchemeKind::kNclCache,
-                                                clean)
+                                                clean, &warmup)
                                      .success_ratio.mean();
           const double r_failed = run_experiment(trace, SchemeKind::kNclCache,
-                                                 failed)
+                                                 failed, &warmup)
                                       .success_ratio.mean();
           outage_table.begin_row();
           outage_table.add_cell(dynamic ? "dynamic NCL (extension)"

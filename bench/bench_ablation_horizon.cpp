@@ -32,19 +32,19 @@ int main(int argc, char** argv) {
   base.repetitions = args.reps;
   base.sim.maintenance_interval = days(1);
 
-  const ContactGraph graph = warmup_graph(trace, base);
-
+  // T is a substrate field, so each setting gets its own warm-up context.
   auto run_with = [&](const std::string& label, bool auto_h, Time fixed) {
     ExperimentConfig config = base;
     config.auto_horizon = auto_h;
     if (!auto_h) config.sim.path_horizon = fixed;
-    const Time used = effective_horizon(graph, config);
-    std::vector<double> metrics = ncl_metrics(graph, used, config.sim.max_hops);
+    const WarmupContext warmup = make_warmup_context(trace, config);
+    std::vector<double> metrics =
+        ncl_metrics(warmup.graph, warmup.horizon, config.sim.max_hops);
     const double median = percentile(metrics, 0.5);
     const ExperimentResult r =
-        run_experiment(trace, SchemeKind::kNclCache, config);
+        run_experiment(trace, SchemeKind::kNclCache, config, &warmup);
     table.begin_row();
-    table.add_cell(label + " (" + format_duration(used) + ")");
+    table.add_cell(label + " (" + format_duration(warmup.horizon) + ")");
     table.add_number(median, 3);
     table.add_number(r.success_ratio.mean(), 3);
     table.add_number(r.delay_hours.mean(), 1);

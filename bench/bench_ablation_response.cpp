@@ -43,24 +43,31 @@ int main(int argc, char** argv) {
       {"path-weight", ResponseMode::kPathWeight, {}},
   };
 
+  auto config_for = [&](const Variant& variant) {
+    ExperimentConfig config;
+    config.avg_lifetime = weeks(1);
+    config.avg_data_size = megabits(100);
+    config.ncl_count = 8;
+    config.response_mode = variant.mode;
+    config.sigmoid = variant.sigmoid;
+    config.repetitions = args.reps;
+    config.sim.maintenance_interval = days(1);
+    return config;
+  };
+
   bench::JsonReport report("bench_ablation_response", args);
   TextTable table({"variant", "success ratio", "delay (h)", "GB transferred",
                    "duplicate deliveries"});
+  // The response variant leaves the substrate alone, so every call shares
+  // one warm-up context.
   report.stage(
       "ablation_response_sweep",
       [&] {
+        const WarmupContext warmup =
+            make_warmup_context(trace, config_for(variants[0]));
         for (const Variant& variant : variants) {
-          ExperimentConfig config;
-          config.avg_lifetime = weeks(1);
-          config.avg_data_size = megabits(100);
-          config.ncl_count = 8;
-          config.response_mode = variant.mode;
-          config.sigmoid = variant.sigmoid;
-          config.repetitions = args.reps;
-          config.sim.maintenance_interval = days(1);
-
-          const ExperimentResult r =
-              run_experiment(trace, SchemeKind::kNclCache, config);
+          const ExperimentResult r = run_experiment(
+              trace, SchemeKind::kNclCache, config_for(variant), &warmup);
           table.begin_row();
           table.add_cell(variant.label);
           table.add_number(r.success_ratio.mean(), 3);

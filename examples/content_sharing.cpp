@@ -33,10 +33,12 @@ int main() {
   config.sim.maintenance_interval = hours(1);
 
   TextTable table({"scheme", "success ratio", "delay (min)", "copies/item"});
-  for (SchemeKind kind :
-       {SchemeKind::kNclCache, SchemeKind::kNoCache, SchemeKind::kRandomCache,
-        SchemeKind::kCacheData, SchemeKind::kBundleCache}) {
-    const ExperimentResult r = run_experiment(trace, kind, config);
+  for (const ExperimentResult& r : run_comparison(
+           trace,
+           {SchemeKind::kNclCache, SchemeKind::kNoCache,
+            SchemeKind::kRandomCache, SchemeKind::kCacheData,
+            SchemeKind::kBundleCache},
+           config)) {
     table.begin_row();
     table.add_cell(r.scheme);
     table.add_number(r.success_ratio.mean(), 3);

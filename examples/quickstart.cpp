@@ -47,8 +47,8 @@ int main() {
   std::printf("\n\n");
 
   // --- 4. Compare the NCL scheme against NoCache on identical workloads. ---
-  for (SchemeKind kind : {SchemeKind::kNclCache, SchemeKind::kNoCache}) {
-    const ExperimentResult r = run_experiment(trace, kind, config);
+  for (const ExperimentResult& r : run_comparison(
+           trace, {SchemeKind::kNclCache, SchemeKind::kNoCache}, config)) {
     std::printf(
         "%-10s success ratio %.1f%%   mean delay %.1f h   copies/item %.2f\n",
         r.scheme.c_str(), 100.0 * r.success_ratio.mean(),

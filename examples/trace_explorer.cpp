@@ -4,13 +4,12 @@
 //
 // Usage:
 //   trace_explorer                     # explore the MITReality preset
-//   trace_explorer infocom05|infocom06|mitreality|ucsd|rwp [days]
+//   trace_explorer infocom05|infocom06|mitreality|ucsd [days]
 //   trace_explorer path/to/trace.csv  [days]
 //
 // Trace files can be CSV ("start,duration,a,b"), ONE connectivity reports,
 // iMote contact logs or compact .dtntrace binaries — the format is sniffed
-// from the content (see traceio/). "rwp" simulates random-waypoint
-// mobility with home-point attraction and extracts contacts geometrically.
+// from the content (see traceio/).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -18,9 +17,7 @@
 
 #include "common/stats.h"
 #include "common/table.h"
-#include "graph/analysis.h"
 #include "graph/ncl.h"
-#include "trace/mobility.h"
 #include "trace/synthetic.h"
 #include "traceio/cache.h"
 
@@ -37,13 +34,6 @@ ContactTrace load(const std::string& spec, double limit_days) {
   if (spec == "infocom06") return by_preset(infocom06_preset());
   if (spec == "mitreality") return by_preset(mit_reality_preset());
   if (spec == "ucsd") return by_preset(ucsd_preset());
-  if (spec == "rwp") {
-    MobilityConfig config;
-    config.node_count = 40;
-    config.duration = days(limit_days > 0 ? limit_days : 2.0);
-    config.home_attachment = 0.7;
-    return generate_mobility_trace(config, "rwp");
-  }
   ContactTrace trace = traceio::load_trace_any(spec);
   if (limit_days > 0) {
     trace = trace.slice(trace.start_time(),
@@ -78,16 +68,8 @@ int main(int argc, char** argv) {
               100.0 * summary.pair_coverage);
 
   const ContactGraph graph = build_contact_graph(trace, -1.0, 2);
-  const DegreeStats deg = degree_stats(graph);
-  const Components comps = connected_components(graph);
-  std::printf("contact graph:      %zu edges with >= 2 contacts\n",
+  std::printf("contact graph:      %zu edges with >= 2 contacts\n\n",
               graph.edge_count());
-  std::printf("degree:             mean %.1f, max %.0f, gini %.3f\n", deg.mean,
-              deg.max, deg.gini);
-  std::printf("clustering:         %.3f (mean local coefficient)\n",
-              average_clustering(graph));
-  std::printf("components:         %d (largest spans %zu of %d nodes)\n\n",
-              comps.count, comps.largest(), graph.node_count());
 
   const Time horizon = calibrate_horizon(graph, 0.3);
   std::printf("calibrated path horizon T: %s (median metric 0.3)\n\n",

@@ -44,9 +44,11 @@ int main() {
   config.sim.bandwidth_per_second = megabits(6);  // DSRC-class link
 
   TextTable table({"scheme", "success ratio", "delay (min)", "copies/item"});
-  for (SchemeKind kind :
-       {SchemeKind::kNclCache, SchemeKind::kNoCache, SchemeKind::kRandomCache}) {
-    const ExperimentResult r = run_experiment(trace, kind, config);
+  for (const ExperimentResult& r : run_comparison(
+           trace,
+           {SchemeKind::kNclCache, SchemeKind::kNoCache,
+            SchemeKind::kRandomCache},
+           config)) {
     table.begin_row();
     table.add_cell(r.scheme);
     table.add_number(r.success_ratio.mean(), 3);

@@ -84,43 +84,4 @@ double Rng::pareto(double x_m, double alpha) {
   return x_m / std::pow(u, 1.0 / alpha);
 }
 
-double Rng::normal(double mean, double stddev) {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return mean + stddev * cached_normal_;
-  }
-  double u1;
-  do {
-    u1 = uniform();
-  } while (u1 <= 0.0);
-  const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * 3.14159265358979323846 * u2;
-  cached_normal_ = r * std::sin(theta);
-  has_cached_normal_ = true;
-  return mean + stddev * r * std::cos(theta);
-}
-
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  assert(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    assert(w >= 0.0);
-    total += w;
-  }
-  assert(total > 0.0);
-  double target = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    target -= weights[i];
-    if (target < 0.0) return i;
-  }
-  return weights.size() - 1;  // floating-point round-off fallback
-}
-
-Rng Rng::split() {
-  // A fresh engine seeded from this one's output stream is statistically
-  // independent for simulation purposes.
-  return Rng((*this)());
-}
-
 }  // namespace dtn

@@ -57,13 +57,6 @@ class Rng {
   /// Used to draw heterogeneous node popularity weights.
   double pareto(double x_m, double alpha);
 
-  /// Standard normal via Box-Muller (two uniforms per pair, cached).
-  double normal(double mean = 0.0, double stddev = 1.0);
-
-  /// Samples an index in [0, weights.size()) proportionally to weights.
-  /// Requires a non-empty vector with non-negative weights summing > 0.
-  std::size_t weighted_index(const std::vector<double>& weights);
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {
@@ -74,14 +67,8 @@ class Rng {
     }
   }
 
-  /// Derives an independent child generator; useful to give each node or
-  /// each repetition its own stream without correlation.
-  Rng split();
-
  private:
   std::array<std::uint64_t, 4> state_;
-  bool has_cached_normal_ = false;
-  double cached_normal_ = 0.0;
 };
 
 }  // namespace dtn

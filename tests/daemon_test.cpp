@@ -470,7 +470,10 @@ TEST(Daemon, QueriesMatchAllPairsSemantics) {
 
 // ---- script byte-identity ----------------------------------------------
 
-std::string run_scripted(const ContactTrace& trace, int threads) {
+/// Warm-starts on the first half of `trace`, then runs `script` with the
+/// second half as the replay feed.
+std::string run_scripted(const ContactTrace& trace, int threads,
+                         const std::string& script) {
   DaemonConfig config = test_config();
   config.threads = threads;
   Daemon d(trace.node_count(), config);
@@ -483,6 +486,13 @@ std::string run_scripted(const ContactTrace& trace, int threads) {
                                  trace.events().end());
   d.warm_start(ContactTrace(trace.node_count(), warm, "warm"));
   ReplayFeed feed(live);
+  std::ostringstream out;
+  daemon::run_script(d, feed, script, out);
+  return out.str();
+}
+
+TEST(DaemonScript, ByteIdenticalAcrossRunsAndThreadCounts) {
+  const ContactTrace trace = small_trace(31);
   const std::string script =
       "# replayed-clock query mix\n"
       "ncl 4\n"
@@ -491,18 +501,25 @@ std::string run_scripted(const ContactTrace& trace, int threads) {
       "ncl 4\nweight 0 7 1800\nplace 3 4\n"
       "drain\nrepair\n"
       "ncl 4\nweight 0 7 1800\nweight 2 2 1\nplace 3 4\nstats\n";
-  std::ostringstream out;
-  daemon::run_script(d, feed, script, out);
-  return out.str();
+  const std::string serial = run_scripted(trace, 1, script);
+  EXPECT_FALSE(serial.empty());
+  EXPECT_EQ(run_scripted(trace, 1, script), serial);  // same run, same bytes
+  EXPECT_EQ(run_scripted(trace, 0, script), serial);  // all cores
+  EXPECT_EQ(run_scripted(trace, 3, script), serial);  // odd pool size
 }
 
-TEST(DaemonScript, ByteIdenticalAcrossRunsAndThreadCounts) {
-  const ContactTrace trace = small_trace(31);
-  const std::string serial = run_scripted(trace, 1);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(run_scripted(trace, 1), serial);   // same run, same bytes
-  EXPECT_EQ(run_scripted(trace, 0), serial);   // all cores
-  EXPECT_EQ(run_scripted(trace, 3), serial);   // odd pool size
+// The text itself: every query line carries "@<epoch> lag=<%.17g>", and
+// weights print in %.17g. The test above only compares runs with each
+// other, so a change of format would pass it.
+TEST(DaemonScript, QueryLinesPinTheirExactBytes) {
+  EXPECT_EQ(run_scripted(small_trace(41, 6, 1.0), 1,
+                         "ncl 2\nweight 0 1 1800\nadvance 60000\n"
+                         "weight 2 2 1\nplace 3 2\n"),
+            "ncl 2 @1 lag=0 : 3 0\n"
+            "weight 0 1 1800 @1 lag=0 : 0.84199647265012545\n"
+            "advance 60000 -> ingested 290 t=59743.631613304242\n"
+            "weight 2 2 1 @3 lag=1861.107482306601 : 1\n"
+            "place 3 2 @3 lag=1861.107482306601 : 3:1 4:0.99996637861965898\n");
 }
 
 TEST(DaemonScript, MalformedCommandThrowsWithLineNumber) {

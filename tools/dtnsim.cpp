@@ -1,14 +1,14 @@
 // dtnsim — command-line experiment runner.
 //
-// Runs any data-access scheme over any trace (Table-I presets, a CSV trace
-// file, or a random-waypoint mobility simulation) with the paper's workload
-// model, printing one row per scheme (and optionally machine-readable CSV).
+// Runs any data-access scheme over any trace (Table-I presets or a trace
+// file) with the paper's workload model, printing one row per scheme (and
+// optionally machine-readable CSV).
 //
 // Examples:
 //   dtnsim --trace mitreality --days 60 --scheme all
 //   dtnsim --trace infocom06 --scheme ncl --k 5 --tl-hours 3
 //   dtnsim --trace path/to/contacts.csv --scheme ncl,nocache --csv
-//   dtnsim --trace rwp --nodes 40 --days 2 --scheme ncl --miss-prob 0.2
+//   dtnsim --trace infocom05 --days 2 --scheme ncl --miss-prob 0.2
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -24,7 +24,6 @@
 #include "common/scan.h"
 #include "common/table.h"
 #include "experiment/experiment.h"
-#include "trace/mobility.h"
 #include "trace/synthetic.h"
 #include "traceio/cache.h"
 #include "parse_number.h"
@@ -37,7 +36,6 @@ struct CliOptions {
   std::string trace = "mitreality";
   std::string trace_format;    // empty = sniff from content/extension
   double days = 0.0;           // 0 = preset default
-  int nodes = 40;              // rwp only
   std::vector<std::string> schemes{"all"};
   double tl_hours = 0.0;       // 0 = trace-dependent default
   double size_mb = 100.0;
@@ -58,12 +56,11 @@ struct CliOptions {
   std::fprintf(
       stderr,
       "usage: %s [options]\n"
-      "  --trace NAME     infocom05|infocom06|mitreality|ucsd|rwp or a trace\n"
+      "  --trace NAME     infocom05|infocom06|mitreality|ucsd or a trace\n"
       "                   file (CSV, ONE report, iMote log or .dtntrace;\n"
       "                   format auto-detected)\n"
       "  --trace-format F force the trace file format: csv|one|imote|binary\n"
       "  --days D         limit/define the trace duration in days\n"
-      "  --nodes N        node count (rwp trace only)\n"
       "  --scheme LIST    comma list of ncl,nocache,random,cachedata,bundle\n"
       "                   or 'all' (default)\n"
       "  --tl-hours H     average data lifetime T_L (default: trace-based)\n"
@@ -113,8 +110,6 @@ CliOptions parse(int argc, char** argv) {
       options.trace_format = next_value(i);
     } else if (flag == "--days") {
       options.days = parse_number<double>(flag, next_value(i));
-    } else if (flag == "--nodes") {
-      options.nodes = parse_number<int>(flag, next_value(i));
     } else if (flag == "--scheme") {
       options.schemes = parse_scheme_list(next_value(i));
     } else if (flag == "--tl-hours") {
@@ -180,14 +175,6 @@ ContactTrace build_trace(const CliOptions& options) {
     auto config = ucsd_preset();
     return generate_trace(config.with_duration(
         days(options.days > 0 ? options.days : 25.0)));
-  }
-  if (options.trace == "rwp") {
-    MobilityConfig config;
-    config.node_count = static_cast<NodeId>(options.nodes);
-    config.duration = days(options.days > 0 ? options.days : 2.0);
-    config.home_attachment = 0.7;
-    config.seed = options.seed;
-    return generate_mobility_trace(config, "rwp");
   }
   traceio::LoadOptions load;
   load.format = options.trace_format;

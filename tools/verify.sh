@@ -11,7 +11,8 @@
 #                                  tier-1|dtnlint|clang-tidy|tsan|asan|ubsan|bench
 #
 # Stages (see "Verification matrix" in README.md for what each one catches):
-#   tier-1      release build with -Werror + the full ctest suite
+#   tier-1      default (RelWithDebInfo) build with -Werror + the full
+#               ctest suite
 #   dtnlint     the static-analysis engine (tools/dtnlint): all rules over
 #               src/ + tools/*.cpp with the allowlist staleness audit, plus
 #               its fixture self-test (per-rule good/bad + legacy fixtures)
@@ -19,8 +20,9 @@
 #   tsan        -fsanitize=thread over the parallel-layer tests
 #   asan        -fsanitize=address over the full ctest suite
 #   ubsan       -fsanitize=undefined over the full ctest suite
-#   bench       Release build into build-bench/ + the same-host ratio gates
-#               ctest does not run (bench_paths 3x, bench_engine 2x,
+#   bench       Release build with -Werror into build-bench/ (-O3 reports
+#               warnings the tier-1 build does not) + the same-host ratio
+#               gates ctest does not run (bench_paths 3x, bench_engine 2x,
 #               bench_daemon 3x), each passing when the best of three runs
 #               clears its floor; skipped, and reported as skipped, on a
 #               host with fewer than 2 cores (bench_min_cores)
@@ -164,7 +166,8 @@ bench_gate() {  # bench_gate <bench> <floor> <args...>: best of three runs
 }
 
 stage_bench() {
-  cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null || return 1
+  cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release -DDTN_WERROR=ON \
+    >/dev/null || return 1
   cmake --build build-bench -j"$build_jobs" \
     --target bench_paths bench_engine bench_daemon >/dev/null || return 1
   local status=0
