@@ -35,6 +35,7 @@
 #include "daemon/daemon.h"
 #include "daemon/rate_estimator.h"
 #include "graph/all_pairs.h"
+#include "graph/ncl.h"
 #include "trace/synthetic.h"
 
 using namespace dtn;
@@ -88,16 +89,10 @@ struct Strawman {
     }
     graph = std::move(fresh);
     paths = AllPairsPaths(graph, config.horizon, config.max_hops,
-                          config.threads, PathEngine::kFast);
+                          config.threads);
     metric.assign(static_cast<std::size_t>(n), 0.0);
     for (NodeId r = 0; r < n; ++r) {
-      double sum = 0.0;
-      for (NodeId j = 0; j < n; ++j) {
-        if (j == r) continue;
-        sum += paths.table(r).weight(j);
-      }
-      metric[static_cast<std::size_t>(r)] =
-          n >= 2 ? sum / static_cast<double>(n - 1) : 0.0;
+      metric[static_cast<std::size_t>(r)] = ncl_metric(paths.table(r));
     }
   }
 };

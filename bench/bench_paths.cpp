@@ -1,26 +1,25 @@
 // Path-engine bench: the Eq. 1-3 machinery end to end. Cold all-pairs
-// builds under both engines (the zero-allocation production engine vs the
-// legacy allocating reference), then the weight_at re-evaluation sweep in
-// scalar and batched (weights_at) form, plus the metrics-layer
-// collect_path_quality consumer.
+// builds two ways (the zero-allocation production construction vs the
+// legacy allocating reference, compute_opportunistic_paths_reference run
+// per root on the same pool), then the weight_at re-evaluation sweep.
 //
 // The acceptance contract for the engine rewrite is that the fast build is
 // at least 3x the reference on the same host; pass `--min-speedup X` to
 // enforce that ratio as the exit status (CI's bench-smoke job, the nightly
 // run and tools/verify.sh --stage bench do). Either way the run refuses,
-// with exit 1, when the two engines' tables differ. The `--json` artifact
-// is additionally gated by tools/bench_compare.py on ns per path table /
-// per parent-chain walk against bench/baselines/bench_paths.json.
+// with exit 1, when the two constructions' tables differ. The `--json`
+// artifact is additionally gated by tools/bench_compare.py on ns per path
+// table / per parent-chain walk against bench/baselines/bench_paths.json.
 #include <cstdio>
 #include <vector>
 
 #include "bench/bench_json.h"
 #include "bench/bench_util.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "graph/all_pairs.h"
 #include "graph/contact_graph.h"
 #include "graph/opportunistic_path.h"
-#include "sim/metrics.h"
 #include "trace/synthetic.h"
 
 using namespace dtn;
@@ -39,6 +38,18 @@ ContactGraph bench_graph(NodeId nodes, double trace_days) {
 }
 
 volatile double g_sink = 0.0;
+
+/// Every root's table by the reference construction, on the shared pool.
+std::vector<PathTable> reference_tables(const ContactGraph& graph,
+                                        Time horizon, int max_hops,
+                                        int threads) {
+  return parallel_map(threads, static_cast<std::size_t>(graph.node_count()),
+                      [&](std::size_t root) {
+                        return compute_opportunistic_paths_reference(
+                            graph, static_cast<NodeId>(root), horizon,
+                            max_hops);
+                      });
+}
 
 }  // namespace
 
@@ -59,24 +70,22 @@ int main(int argc, char** argv) {
   report.stage(
       "all_pairs_reference",
       [&] {
-        const AllPairsPaths paths(graph, horizon, max_hops, args.threads,
-                                  PathEngine::kReference);
-        g_sink = paths.weight(0, graph.node_count() - 1);
+        const std::vector<PathTable> tables =
+            reference_tables(graph, horizon, max_hops, args.threads);
+        g_sink = tables.back().weight(0);
       },
       "path_tables_built");
 
   report.stage(
       "all_pairs_fast",
       [&] {
-        const AllPairsPaths paths(graph, horizon, max_hops, args.threads,
-                                  PathEngine::kFast);
+        const AllPairsPaths paths(graph, horizon, max_hops, args.threads);
         g_sink = paths.weight(0, graph.node_count() - 1);
       },
       "path_tables_built");
 
-  // One table set for the re-evaluation sweeps (engine does not matter:
-  // the tables are bit-identical; built fast, serial for stable timings).
-  const AllPairsPaths paths(graph, horizon, max_hops, 1, PathEngine::kFast);
+  // One table set for the re-evaluation sweep (serial for stable timings).
+  const AllPairsPaths paths(graph, horizon, max_hops, 1);
   const std::vector<Time> budgets{minutes(10), minutes(30), hours(1)};
 
   report.stage(
@@ -91,33 +100,6 @@ int main(int argc, char** argv) {
           }
         }
         g_sink = acc;
-      },
-      "parent_chain_walks");
-
-  {
-    std::vector<NodeId> from_list(static_cast<std::size_t>(nodes));
-    for (NodeId i = 0; i < nodes; ++i) from_list[static_cast<std::size_t>(i)] = i;
-    std::vector<double> weights;
-    report.stage(
-        "weights_at_batched_sweep",
-        [&] {
-          double acc = 0.0;
-          for (const Time budget : budgets) {
-            for (NodeId to = 0; to < graph.node_count(); ++to) {
-              paths.weights_at(from_list, to, budget, weights);
-              for (const double w : weights) acc += w;
-            }
-          }
-          g_sink = acc;
-        },
-        "parent_chain_walks");
-  }
-
-  report.stage(
-      "path_quality_profile",
-      [&] {
-        const PathQualityProfile q = collect_path_quality(paths, horizon / 2);
-        g_sink = q.mean;
       },
       "parent_chain_walks");
 
@@ -144,12 +126,13 @@ int main(int argc, char** argv) {
   std::printf("all-pairs build speedup (reference / fast): %.2fx\n", speedup);
 
   // Bit-identity is pinned by tests/path_golden_test.cpp; this cheap
-  // cross-check refuses to report a speedup for engines that diverged.
-  const AllPairsPaths reference(graph, horizon, max_hops, args.threads,
-                                PathEngine::kReference);
+  // cross-check refuses to report a speedup for constructions that diverged.
+  const std::vector<PathTable> reference =
+      reference_tables(graph, horizon, max_hops, args.threads);
   for (NodeId root = 0; root < graph.node_count(); ++root) {
     for (NodeId node = 0; node < graph.node_count(); ++node) {
-      const PathTable::Entry& want = reference.table(root).entry(node);
+      const PathTable::Entry& want =
+          reference[static_cast<std::size_t>(root)].entry(node);
       const PathTable::Entry& got = paths.table(root).entry(node);
       if (got.weight != want.weight || got.last_rate != want.last_rate ||
           got.next_hop != want.next_hop || got.hops != want.hops) {

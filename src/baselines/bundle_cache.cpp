@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "graph/ncl.h"
+
 namespace dtn {
 
 BundleCacheScheme::BundleCacheScheme(BundleCacheConfig config)
@@ -17,16 +19,9 @@ void BundleCacheScheme::on_maintenance(SimServices& services) {
   FloodingSchemeBase::on_maintenance(services);
   const AllPairsPaths& paths = services.paths();
   if (paths.empty()) return;
-  const NodeId n = paths.node_count();
   max_centrality_ = 0.0;
-  for (NodeId i = 0; i < n && i < node_count(); ++i) {
-    double sum = 0.0;
-    for (NodeId j = 0; j < n; ++j) {
-      if (j == i) continue;
-      sum += paths.weight(j, i);
-    }
-    centrality_[static_cast<std::size_t>(i)] =
-        n > 1 ? sum / static_cast<double>(n - 1) : 0.0;
+  for (NodeId i = 0; i < paths.node_count() && i < node_count(); ++i) {
+    centrality_[static_cast<std::size_t>(i)] = ncl_metric(paths.table(i));
     max_centrality_ =
         std::max(max_centrality_, centrality_[static_cast<std::size_t>(i)]);
   }

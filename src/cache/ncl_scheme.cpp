@@ -11,6 +11,7 @@
 
 #include "common/check.h"
 #include "common/instrument.h"
+#include "graph/ncl.h"
 
 namespace dtn {
 
@@ -892,27 +893,14 @@ void NclCachingScheme::reselect_centrals(SimServices& services) {
   if (n < 2) return;
 
   // The NCL metric of Eq. 3, computed from the already-available path
-  // tables: the mean weight with which the other nodes reach each node.
-  // Maintenance-tick cadence, not the contact hot path — the local
+  // tables. Maintenance-tick cadence, not the contact hot path — the local
   // containers here are fine.
-  std::vector<std::pair<double, NodeId>> ranked;
-  ranked.reserve(static_cast<std::size_t>(n));
+  std::vector<double> metric(static_cast<std::size_t>(n));
   for (NodeId i = 0; i < n; ++i) {
-    double sum = 0.0;
-    for (NodeId j = 0; j < n; ++j) {
-      if (j == i) continue;
-      sum += paths.weight(j, i);
-    }
-    ranked.emplace_back(-sum / static_cast<double>(n - 1), i);
+    metric[static_cast<std::size_t>(i)] = ncl_metric(paths.table(i));
   }
-  std::sort(ranked.begin(), ranked.end());
-
-  const std::size_t k = config_.central_nodes.size();
-  std::vector<NodeId> fresh;
-  fresh.reserve(k);
-  for (std::size_t i = 0; i < k && i < ranked.size(); ++i) {
-    fresh.push_back(ranked[i].second);
-  }
+  std::vector<NodeId> fresh =
+      top_by_metric(metric, config_.central_nodes.size());
   if (fresh.empty() || fresh == config_.central_nodes) return;
   config_.central_nodes = std::move(fresh);
   is_central_.assign(store_.size(), 0);

@@ -1,24 +1,23 @@
-// Arena and pool memory for the simulator hot loop.
+// Pool memory for the simulator hot loop.
 //
 // The per-contact simulation path (session setup, buffer scans, the
 // Eq. 7/Alg. 1 exchange) used to allocate per event: three "kept" vectors
 // per transfer direction, half a dozen scratch containers per replacement
-// plan, and one heap node per in-flight bundle. This header provides the
-// two building blocks that remove that traffic:
+// plan, and one heap node per in-flight bundle. The scheme's
+// ContactWorkspace now owns the scratch containers; this header provides
+// the pooled bundle storage that removes the rest:
 //
-//  * Arena — a chunked bump allocator. Chunks are retained across reset(),
-//    so a steady-state consumer that resets between events touches the
-//    heap only while it is still growing towards its high-water mark.
 //  * SlabPool<T> — typed slab storage with a free list, used for in-flight
 //    bundles (push tokens, query copies, response bundles). Slots live in
 //    fixed-capacity slabs (stable addresses, contiguous within a slab) and
 //    are recycled through a LIFO free list; the `next` link doubles as the
 //    intrusive per-node chain link while a slot is live. Double release is
 //    a DTN_CHECK abort, not silent corruption (tests/check_test.cpp).
+//  * BundleChain<T> — a FIFO chain of one node's pooled slots.
 //
-// Both classes are deliberately not thread-safe: one scheme's run is one
-// thread at a time (parallelism lives at the sweep, (repetition x scheme)
-// cell and all-pairs layers), and the pools are owned per scheme instance.
+// Neither is thread-safe: one scheme's run is one thread at a time
+// (parallelism lives at the sweep, (repetition x scheme) cell and
+// all-pairs layers), and the pools are owned per scheme instance.
 #pragma once
 
 #include <cstddef>
@@ -30,44 +29,6 @@
 #include "common/instrument.h"
 
 namespace dtn {
-
-/// Chunked bump allocator. allocate() never invalidates earlier blocks;
-/// reset() recycles every chunk without returning memory to the system.
-class Arena {
- public:
-  /// `chunk_bytes` is the granularity of growth; requests larger than a
-  /// chunk get a dedicated chunk of exactly the requested size.
-  explicit Arena(std::size_t chunk_bytes = 1 << 16);
-
-  Arena(const Arena&) = delete;
-  Arena& operator=(const Arena&) = delete;
-
-  /// Returns `bytes` of storage aligned to `align` (a power of two).
-  void* allocate(std::size_t bytes, std::size_t align = alignof(std::max_align_t));
-
-  /// Recycles every chunk: subsequent allocations reuse the retained
-  /// memory. Previously returned pointers become invalid.
-  void reset();
-
-  /// Total bytes owned (the high-water footprint).
-  std::size_t capacity() const { return capacity_; }
-
-  /// Bytes handed out since the last reset (including alignment padding).
-  std::size_t used() const { return used_; }
-
- private:
-  struct Chunk {
-    std::unique_ptr<std::byte[]> data;
-    std::size_t size = 0;
-    std::size_t cursor = 0;
-  };
-
-  std::vector<Chunk> chunks_;
-  std::size_t chunk_bytes_;
-  std::size_t active_ = 0;  ///< index of the chunk currently bumping
-  std::size_t capacity_ = 0;
-  std::size_t used_ = 0;
-};
 
 /// Typed slab pool with handle-based access and an intrusive link per slot.
 ///

@@ -70,7 +70,7 @@ enum class Counter : int {
   kDaemonEdgeUpdates,           ///< drifted edge rates applied to the graph
   kDaemonRootsRepaired,         ///< path tables rebuilt by incremental repair
   kDaemonSnapshotsPublished,    ///< read-snapshot swaps (epoch increments)
-  kDaemonAuditRebuilds,         ///< audit-mode full kReference rebuilds
+  kDaemonAuditRebuilds,         ///< audit-mode full reference rebuilds
   kDaemonQueries,               ///< daemon queries answered from a snapshot
   kPeakRssBytes,                ///< peak resident set sampled by benches
   kCount

@@ -1,7 +1,6 @@
 #include "daemon/daemon.h"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -9,31 +8,14 @@
 #include "common/instrument.h"
 #include "common/parallel.h"
 #include "graph/hypoexp.h"
+#include "graph/ncl.h"
 
 namespace dtn::daemon {
 namespace {
 
-/// Node order by metric descending, id ascending on ties — the exact
-/// select_ncls tie-break, applied to a stored metric vector.
-std::vector<NodeId> metric_order(const std::vector<double>& metric) {
-  std::vector<NodeId> order(metric.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    const double ma = metric[static_cast<std::size_t>(a)];
-    const double mb = metric[static_cast<std::size_t>(b)];
-    if (ma != mb) return ma > mb;
-    return a < b;
-  });
-  return order;
-}
-
-std::vector<NodeId> top_k(const std::vector<double>& metric, int k) {
-  std::vector<NodeId> order = metric_order(metric);
-  const std::size_t take =
-      std::min<std::size_t>(static_cast<std::size_t>(k), order.size());
-  order.resize(take);
-  return order;
-}
+/// NCL-set size at which --audit compares the repaired and reference
+/// selections.
+constexpr std::size_t kAuditNclK = 5;
 
 }  // namespace
 
@@ -296,7 +278,7 @@ void Daemon::repair(Time batch_time) {
     for (std::size_t i = 0; i < roots.size(); ++i) {
       const std::size_t r = static_cast<std::size_t>(roots[i]);
       tables_[r] = std::move(repaired[i]);
-      metric_[r] = metric_of_root(roots[i]);
+      metric_[r] = ncl_metric(tables_[r]);
     }
     stats_.roots_repaired += roots.size();
     DTN_COUNT_N(kDaemonRootsRepaired, roots.size());
@@ -347,7 +329,8 @@ void Daemon::full_build(Time batch_time) {
       });
   metric_.resize(static_cast<std::size_t>(n));
   for (NodeId r = 0; r < n; ++r) {
-    metric_[static_cast<std::size_t>(r)] = metric_of_root(r);
+    metric_[static_cast<std::size_t>(r)] =
+        ncl_metric(tables_[static_cast<std::size_t>(r)]);
   }
   stats_.roots_repaired += static_cast<std::uint64_t>(n);
   DTN_COUNT_N(kDaemonRootsRepaired, static_cast<std::size_t>(n));
@@ -367,55 +350,33 @@ void Daemon::full_build(Time batch_time) {
   shared_scan_clock_.store(batch_time, std::memory_order_release);
 }
 
-double Daemon::metric_of_root(NodeId root) const {
-  // Same fold as ncl_metrics: j ascending, skip the root, mean over n-1 —
-  // bit-identical to a from-scratch metric computation on this graph.
-  const NodeId n = graph_.node_count();
-  if (n < 2) return 0.0;
-  const PathTable& table = tables_[static_cast<std::size_t>(root)];
-  double sum = 0.0;
-  for (NodeId j = 0; j < n; ++j) {
-    if (j == root) continue;
-    sum += table.weight(j);
-  }
-  const double metric = sum / static_cast<double>(n - 1);
-  DTN_CHECK_PROB(metric);
-  return metric;
-}
-
 void Daemon::audit_against_reference() {
   ++stats_.audit_rebuilds;
   DTN_COUNT(kDaemonAuditRebuilds);
-  const AllPairsPaths reference(graph_, config_.horizon, config_.max_hops,
-                                config_.threads, PathEngine::kReference);
   const NodeId n = graph_.node_count();
-  DTN_CHECK(reference.node_count() == n, "audit node count mismatch");
-  for (NodeId r = 0; r < n; ++r) {
-    const PathTable& mine = tables_[static_cast<std::size_t>(r)];
-    const PathTable& ref = reference.table(r);
-    for (NodeId node = 0; node < n; ++node) {
-      DTN_CHECK(mine.weight(node) == ref.weight(node),
-                "incremental repair diverged from reference rebuild");
-    }
-  }
-  // NCL selection must agree too: recompute the reference metric with the
-  // same fold and compare the resulting top-k set.
+  const std::vector<PathTable> reference =
+      parallel_map(config_.threads, static_cast<std::size_t>(n),
+                   [&](std::size_t root) {
+                     return compute_opportunistic_paths_reference(
+                         graph_, static_cast<NodeId>(root), config_.horizon,
+                         config_.max_hops);
+                   });
+  // NCL selection must agree too: the reference metric through the same
+  // fold, and the resulting top-k set.
   std::vector<double> ref_metric(static_cast<std::size_t>(n), 0.0);
   for (NodeId r = 0; r < n; ++r) {
-    double sum = 0.0;
-    for (NodeId j = 0; j < n; ++j) {
-      if (j == r) continue;
-      sum += reference.table(r).weight(j);
+    const std::size_t ri = static_cast<std::size_t>(r);
+    for (NodeId node = 0; node < n; ++node) {
+      DTN_CHECK(tables_[ri].weight(node) == reference[ri].weight(node),
+                "incremental repair diverged from reference rebuild");
     }
-    if (n >= 2) ref_metric[static_cast<std::size_t>(r)] =
-        sum / static_cast<double>(n - 1);
-    DTN_CHECK(ref_metric[static_cast<std::size_t>(r)] ==
-                  metric_[static_cast<std::size_t>(r)],
+    ref_metric[ri] = ncl_metric(reference[ri]);
+    DTN_CHECK(ref_metric[ri] == metric_[ri],
               "repaired NCL metric diverged from reference");
   }
-  const std::vector<NodeId> mine_k = top_k(metric_, config_.audit_ncl_k);
-  const std::vector<NodeId> ref_k = top_k(ref_metric, config_.audit_ncl_k);
-  DTN_CHECK(mine_k == ref_k, "repaired NCL set diverged from reference");
+  DTN_CHECK(top_by_metric(metric_, kAuditNclK) ==
+                top_by_metric(ref_metric, kAuditNclK),
+            "repaired NCL set diverged from reference");
 }
 
 // ---- reader path -------------------------------------------------------
@@ -427,7 +388,7 @@ NclAnswer Daemon::ncl_set(int k) const {
   NclAnswer answer;
   answer.info = query_info(*snap);
   if (!snap->ready()) return answer;
-  answer.central = top_k(snap->metric, k);
+  answer.central = top_by_metric(snap->metric, static_cast<std::size_t>(k));
   return answer;
 }
 
@@ -443,14 +404,8 @@ WeightAnswer Daemon::path_weight(NodeId src, NodeId dst, Time budget) const {
     return answer;
   }
   if (!snap->ready()) return answer;
-  // AllPairsPaths::weight_at semantics against the snapshot's tables.
-  const PathTable& table = snap->tables[static_cast<std::size_t>(dst)];
-  const PathTable::Entry& entry = table.entry(src);
-  if (entry.weight <= 0.0) return answer;
-  PathWorkspace& ws = thread_path_workspace();
-  table.rates_to_root(src, ws.chain);
-  answer.weight = hypoexp_cdf(ws.chain, budget, ws.hypoexp);
-  DTN_CHECK_PROB(answer.weight);
+  answer.weight =
+      snap->tables[static_cast<std::size_t>(dst)].weight_at(src, budget);
   return answer;
 }
 
@@ -463,7 +418,8 @@ PlacementAnswer Daemon::placement_for(NodeId source, int k) const {
   DTN_CHECK(source >= 0 && source < node_count(),
             "placement source out of range");
   if (!snap->ready()) return answer;
-  const std::vector<NodeId> central = top_k(snap->metric, k);
+  const std::vector<NodeId> central =
+      top_by_metric(snap->metric, static_cast<std::size_t>(k));
   // Rank the central set by how well the source pushes data to each NCL:
   // the settled path weight source -> central at the snapshot horizon.
   std::vector<std::pair<double, NodeId>> ranked;

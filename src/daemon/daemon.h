@@ -26,7 +26,8 @@
 // rebuild would run, on the global thread pool by default, so repaired
 // tables are bit-identical to a rebuild for every thread count;
 // with `audit` on, every repair batch is DTN_CHECKed for settled-weight
-// equality against a fresh PathEngine::kReference all-pairs build.
+// equality against a fresh per-root compute_opportunistic_paths_reference
+// build.
 //
 // Concurrency: ONE writer thread calls warm_start/ingest/repair_now; any
 // number of reader threads call snapshot()/ncl_set()/path_weight()/
@@ -49,8 +50,8 @@
 
 #include "common/types.h"
 #include "daemon/rate_estimator.h"
-#include "graph/all_pairs.h"
 #include "graph/contact_graph.h"
+#include "graph/opportunistic_path.h"
 #include "trace/contact_event.h"
 #include "trace/trace.h"
 
@@ -86,11 +87,10 @@ struct DaemonConfig {
   /// pins this.
   int threads = 0;
 
-  /// Audit mode: after every repair batch, build a fresh
-  /// PathEngine::kReference all-pairs table set and DTN_CHECK settled-
-  /// weight equality plus NCL-set equality (at audit_ncl_k).
+  /// Audit mode: after every repair batch, build every root afresh with
+  /// compute_opportunistic_paths_reference and DTN_CHECK settled-weight,
+  /// NCL-metric and top-5 NCL-set equality.
   bool audit = false;
-  int audit_ncl_k = 5;
 };
 
 /// Immutable published state. Readers hold it via shared_ptr; the writer
@@ -178,8 +178,8 @@ class Daemon {
   NclAnswer ncl_set(int k) const;
 
   /// Opportunistic path weight src -> dst re-evaluated at `budget`
-  /// (AllPairsPaths::weight_at semantics). 0 when unreachable or before
-  /// the first publish.
+  /// (PathTable::weight_at on dst's table). 1 when src == dst; 0 when
+  /// unreachable or before the first publish.
   WeightAnswer path_weight(NodeId src, NodeId dst, Time budget) const;
 
   /// Cache placement for content originating at `source`: the top-k NCL
@@ -203,7 +203,6 @@ class Daemon {
   std::vector<NodeId> affected_roots(const std::vector<EdgeChange>& changes);
   void full_build(Time batch_time);
   void audit_against_reference();
-  double metric_of_root(NodeId root) const;
 
   DaemonConfig config_;
   EwmaRateEstimator estimator_;

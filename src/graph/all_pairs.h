@@ -26,11 +26,10 @@ class AllPairsPaths {
   /// shared thread pool (`threads` follows resolve_threads semantics:
   /// 0 = hardware_concurrency, 1 = serial). Each table is written into its
   /// preallocated slot, so the result is bit-identical for every thread
-  /// count — and, by the golden test, for either engine
-  /// (`PathEngine::kReference` re-runs the legacy allocating construction;
-  /// production callers never pass it).
+  /// count — and, by the golden test, to the per-root reference
+  /// construction (compute_opportunistic_paths_reference).
   AllPairsPaths(const ContactGraph& graph, Time horizon, int max_hops = 8,
-                int threads = 0, PathEngine engine = PathEngine::kFast);
+                int threads = 0);
 
   NodeId node_count() const { return static_cast<NodeId>(tables_.size()); }
   bool empty() const { return tables_.empty(); }
@@ -44,16 +43,9 @@ class AllPairsPaths {
   double weight(NodeId from, NodeId to) const;
 
   /// Weight of the same path re-evaluated at a different time budget
-  /// (used for p_CR(T_q - t_0)). Falls back to 0 when unreachable.
+  /// (used for p_CR(T_q - t_0)): PathTable::weight_at on `to`'s table.
+  /// 1.0 when from == to, 0 when unreachable.
   double weight_at(NodeId from, NodeId to, Time budget) const;
-
-  /// Batched weight_at: evaluates every (from, to) pair at `budget` into
-  /// `out[i]` (resized to match). One destination table, one scratch chain,
-  /// one hypoexp workspace for the whole sweep — this is the form
-  /// weight_at-heavy metric loops should use. out[i] is bit-identical to
-  /// weight_at(from_list[i], to, budget).
-  void weights_at(const std::vector<NodeId>& from_list, NodeId to, Time budget,
-                  std::vector<double>& out) const;
 
  private:
   friend class AllPairsBuild;
@@ -70,10 +62,9 @@ class AllPairsPaths {
 /// `graph`, which must outlive it.
 class AllPairsBuild {
  public:
-  /// Sizes one slot per root and, for the fast engine, computes the edge
-  /// 1 - e^{-rate * horizon} terms that every root shares.
-  AllPairsBuild(const ContactGraph& graph, Time horizon, int max_hops,
-                PathEngine engine);
+  /// Sizes one slot per root and computes the edge 1 - e^{-rate * horizon}
+  /// terms that every root shares.
+  AllPairsBuild(const ContactGraph& graph, Time horizon, int max_hops);
 
   // Pool tasks hold its address while they build roots.
   AllPairsBuild(const AllPairsBuild&) = delete;
@@ -93,7 +84,6 @@ class AllPairsBuild {
   const ContactGraph* graph_;
   Time horizon_;
   int max_hops_;
-  PathEngine engine_;
   EdgeExpTable edge_exp_;
   std::vector<std::optional<PathTable>> slots_;
 };

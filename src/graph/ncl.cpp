@@ -11,6 +11,38 @@
 
 namespace dtn {
 
+double ncl_metric(const PathTable& table) {
+  const NodeId n = table.node_count();
+  if (n < 2) return 0.0;
+  double sum = 0.0;
+  for (NodeId j = 0; j < n; ++j) {
+    if (j == table.root()) continue;
+    sum += table.weight(j);
+  }
+  const double metric = sum / static_cast<double>(n - 1);
+  // Eq. 3: the NCL metric is a mean of path weights, itself in [0, 1].
+  DTN_CHECK_PROB(metric);
+  return metric;
+}
+
+std::vector<NodeId> top_by_metric(const std::vector<double>& metric,
+                                  std::size_t k) {
+  std::vector<NodeId> order(metric.size());
+  std::iota(order.begin(), order.end(), 0);
+  const auto take = static_cast<std::ptrdiff_t>(std::min(k, order.size()));
+  // A strict total order (ids are distinct), so the first `take` are the
+  // same whichever sort produces them.
+  std::partial_sort(order.begin(), order.begin() + take, order.end(),
+                    [&](NodeId a, NodeId b) {
+                      const double ma = metric[static_cast<std::size_t>(a)];
+                      const double mb = metric[static_cast<std::size_t>(b)];
+                      if (ma != mb) return ma > mb;
+                      return a < b;
+                    });
+  order.resize(static_cast<std::size_t>(take));
+  return order;
+}
+
 std::vector<double> ncl_metrics(const ContactGraph& graph, Time horizon,
                                 int max_hops, int threads) {
   const NodeId n = graph.node_count();
@@ -19,17 +51,9 @@ std::vector<double> ncl_metrics(const ContactGraph& graph, Time horizon,
   DTN_SCOPED_TIMER(kNclMetrics);
   const EdgeExpTable edge_exp = build_edge_exp_table(graph, horizon);
   parallel_for(threads, static_cast<std::size_t>(n), [&](std::size_t root) {
-    const NodeId i = static_cast<NodeId>(root);
-    const PathTable table = compute_opportunistic_paths(
-        graph, i, horizon, max_hops, thread_path_workspace(), edge_exp);
-    double sum = 0.0;
-    for (NodeId j = 0; j < n; ++j) {
-      if (j == i) continue;
-      sum += table.weight(j);
-    }
-    metrics[root] = sum / static_cast<double>(n - 1);
-    // Eq. 3: the NCL metric is a mean of path weights, itself in [0, 1].
-    DTN_CHECK_PROB(metrics[root]);
+    metrics[root] = ncl_metric(compute_opportunistic_paths(
+        graph, static_cast<NodeId>(root), horizon, max_hops,
+        thread_path_workspace(), edge_exp));
   });
   return metrics;
 }
@@ -51,18 +75,8 @@ NclSelection select_ncls(const ContactGraph& graph, Time horizon, int k,
   if (k < 1) throw std::invalid_argument("k must be >= 1");
   NclSelection selection;
   selection.metric = ncl_metrics(graph, horizon, max_hops, threads);
-  std::vector<NodeId> order(selection.metric.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    const double ma = selection.metric[static_cast<std::size_t>(a)];
-    const double mb = selection.metric[static_cast<std::size_t>(b)];
-    if (ma != mb) return ma > mb;
-    return a < b;
-  });
-  const std::size_t take = std::min<std::size_t>(static_cast<std::size_t>(k),
-                                                 order.size());
-  selection.central_nodes.assign(order.begin(),
-                                 order.begin() + static_cast<std::ptrdiff_t>(take));
+  selection.central_nodes =
+      top_by_metric(selection.metric, static_cast<std::size_t>(k));
   return selection;
 }
 

@@ -8,6 +8,7 @@
 // whole data-access phase (contact rates are long-term stable).
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "common/types.h"
@@ -21,6 +22,19 @@ enum class MetricEngine { kFast };
 
 /// Kept only because perfbench/harness.cpp passes it to select_ncls.
 struct SparseMetricConfig {};
+
+/// NCL metric C_i of the table's root (Eq. 3): the mean, over every other
+/// node j in ascending id order, of p_ji(T) from `table`, which must be the
+/// root's table (p_ji = p_ij, contacts being symmetric). 0 below two nodes.
+/// Every Eq. 3 value outside the frozen NclCachingSchemeReference is this
+/// fold, so metrics computed from tables built or repaired at different
+/// times compare bit for bit.
+double ncl_metric(const PathTable& table);
+
+/// The `k` nodes with the highest metric, highest first, ties broken
+/// towards the lower node id; min(k, metric.size()) of them.
+std::vector<NodeId> top_by_metric(const std::vector<double>& metric,
+                                  std::size_t k);
 
 /// NCL metric C_i for every node (Eq. 3). Because contacts are symmetric,
 /// p_ji = p_ij, so one single-source computation per node suffices. The
@@ -42,8 +56,8 @@ struct NclSelection {
   int central_index(NodeId node) const;
 };
 
-/// Selects the top `k` nodes by NCL metric. Ties break towards the lower
-/// node id for determinism. The two trailing parameters are ignored; they
+/// Selects the top `k` nodes by NCL metric (top_by_metric over
+/// ncl_metrics). The two trailing parameters are ignored; they
 /// are kept only because perfbench/harness.cpp passes them.
 NclSelection select_ncls(const ContactGraph& graph, Time horizon, int k,
                          int max_hops = 8, int threads = 0,

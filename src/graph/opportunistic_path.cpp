@@ -34,6 +34,16 @@ void PathTable::rates_to_root(NodeId node, std::vector<double>& out) const {
   DTN_CHECK(current == root_, "parent chain did not terminate at the root");
 }
 
+double PathTable::weight_at(NodeId node, Time budget) const {
+  if (node == root_) return 1.0;
+  if (!reachable(node)) return 0.0;
+  PathWorkspace& ws = thread_path_workspace();
+  rates_to_root(node, ws.chain);
+  const double w = hypoexp_cdf(ws.chain, budget, ws.hypoexp);
+  DTN_CHECK_PROB(w);
+  return w;
+}
+
 std::vector<double> PathTable::rates(NodeId node) const {
   std::vector<double> out;
   rates_to_root(node, out);

@@ -32,16 +32,6 @@
 
 namespace dtn {
 
-/// Which construction of the single-source tables to run. kFast is the
-/// production engine; kReference re-runs the legacy allocating construction
-/// (embedded per-entry rate vectors, fresh copy per relaxation) and exists
-/// as the oracle for the golden equality tests and the same-host speedup
-/// ratio in bench_paths. Both produce bit-identical tables.
-enum class PathEngine {
-  kFast,
-  kReference,
-};
-
 /// Per-thread scratch for the path engine and the weight re-evaluations.
 /// The kernel keeps, for every settled node, the closed-form state of its
 /// rate chain (`chains`, n slots of min(max_hops, n - 1) stages: a simple
@@ -111,6 +101,11 @@ class PathTable {
   double weight(NodeId node) const { return entry(node).weight; }
   bool reachable(NodeId node) const { return entry(node).weight > 0.0; }
 
+  /// Weight of `node`'s settled path re-evaluated at another time budget
+  /// (Eq. 2 on the same rate chain, e.g. p_CR(T_q - t_0)): 1 for the root,
+  /// 0 when unreachable. Runs on thread_path_workspace().
+  double weight_at(NodeId node, Time budget) const;
+
   /// Materializes the hop-rate chain of `node`'s path into `out` by
   /// walking the parent chain: out[0] is the hop leaving the root,
   /// out.back() the final hop into `node` — exactly the vector the legacy
@@ -165,9 +160,11 @@ PathTable compute_opportunistic_paths(const ContactGraph& graph, NodeId root,
                                       PathWorkspace& ws,
                                       const EdgeExpTable& edge_exp);
 
-/// The legacy construction (PathEngine::kReference): embedded rate chains
-/// copied on every relaxation, allocating hypoexp evaluation. Kept as the
-/// bit-exactness oracle and the speedup denominator; not a production path.
+/// The legacy construction: embedded rate chains copied on every
+/// relaxation, allocating hypoexp evaluation. Kept as the bit-exactness
+/// oracle that the path tests, `dtnd --audit` and bench_paths compare the
+/// construction above against, and as bench_paths' speedup denominator;
+/// not a production path.
 PathTable compute_opportunistic_paths_reference(const ContactGraph& graph,
                                                 NodeId root, Time horizon,
                                                 int max_hops = 8);

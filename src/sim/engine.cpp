@@ -196,8 +196,7 @@ class Lane {
       if (next_maintenance_ <= t_next && next_maintenance_ != kNever) {
         pending_graph_ = estimator_.snapshot(next_maintenance_,
                                              config.min_contacts_for_rate);
-        pending_.emplace(pending_graph_, config.path_horizon, config.max_hops,
-                         config.path_engine);
+        pending_.emplace(pending_graph_, config.path_horizon, config.max_hops);
         return;
       }
 

@@ -77,12 +77,6 @@ struct SimConfig {
   /// resource knob.
   int threads = 0;
 
-  /// Path-table construction engine. kFast is the production default;
-  /// kReference re-runs the legacy allocating construction. The two are
-  /// bit-identical (tests/path_golden_test.cpp), so this knob exists only
-  /// for golden comparisons and bench denominators.
-  PathEngine path_engine = PathEngine::kFast;
-
   /// Scheme-implementation engine (see SimEngine above). Dispatch happens
   /// where schemes are constructed (experiment/experiment.cpp make_scheme);
   /// the event loop itself is shared.

@@ -1,45 +1,8 @@
 #include "sim/metrics.h"
 
-#include <algorithm>
-#include <numeric>
-
 #include "common/check.h"
-#include "graph/all_pairs.h"
 
 namespace dtn {
-
-PathQualityProfile collect_path_quality(const AllPairsPaths& paths,
-                                        Time budget) {
-  PathQualityProfile profile;
-  const NodeId n = paths.node_count();
-  if (n < 2) return profile;
-
-  std::vector<NodeId> from_list(static_cast<std::size_t>(n));
-  std::iota(from_list.begin(), from_list.end(), NodeId{0});
-  std::vector<double> weights;
-
-  double sum = 0.0;
-  std::size_t reachable = 0;
-  for (NodeId to = 0; to < n; ++to) {
-    paths.weights_at(from_list, to, budget, weights);
-    for (NodeId from = 0; from < n; ++from) {
-      if (from == to) continue;
-      const double w = weights[static_cast<std::size_t>(from)];
-      DTN_CHECK_PROB(w);
-      sum += w;
-      profile.min = std::min(profile.min, w);
-      profile.max = std::max(profile.max, w);
-      if (w > 0.0) ++reachable;
-    }
-  }
-  profile.pairs = static_cast<std::size_t>(n) * static_cast<std::size_t>(n - 1);
-  profile.mean = sum / static_cast<double>(profile.pairs);
-  profile.reachable_fraction =
-      static_cast<double>(reachable) / static_cast<double>(profile.pairs);
-  DTN_CHECK_PROB(profile.mean);
-  DTN_CHECK_PROB(profile.reachable_fraction);
-  return profile;
-}
 
 void MetricsCollector::on_query_issued(const Query& query) {
   (void)query;

@@ -13,25 +13,6 @@
 
 namespace dtn {
 
-class AllPairsPaths;
-
-/// Summary of the path-weight landscape a table set induces at a given time
-/// budget: how reachable the network is and how strong the paths are. Used
-/// by dtnsim --path-quality and by bench_paths' batched weight sweep; built
-/// on AllPairsPaths::weights_at, so the whole profile runs allocation-free.
-struct PathQualityProfile {
-  double mean = 0.0;  ///< mean weight over ordered pairs (from != to)
-  double min = 1.0;   ///< weakest pair weight (1 when there are no pairs)
-  double max = 0.0;   ///< strongest pair weight
-  double reachable_fraction = 0.0;  ///< pairs with weight > 0
-  std::size_t pairs = 0;            ///< ordered pairs profiled
-};
-
-/// Profiles every ordered pair at `budget`. Deterministic: pairs are
-/// folded in (to, from) index order regardless of thread count upstream.
-PathQualityProfile collect_path_quality(const AllPairsPaths& paths,
-                                        Time budget);
-
 class MetricsCollector {
  public:
   /// Called by the engine for every issued query.

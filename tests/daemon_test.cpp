@@ -3,10 +3,11 @@
 // The headline contract is equivalence: a daemon that repairs its path
 // tables incrementally (parent-pointer tree scan + one-step endpoint
 // drift detector + per-root re-runs) must end every batch with tables
-// bit-identical to a from-scratch PathEngine::kReference rebuild of its
-// own graph — across drift thresholds, traces, and thread counts. The
-// suite pins that from four directions: estimator unit behavior, the
-// per-batch count of roots the scan selects, the audit-equivalence matrix
+// bit-identical to a from-scratch rebuild of its own graph by the
+// reference construction (compute_opportunistic_paths_reference) — across
+// drift thresholds, traces, and thread counts. The suite pins that from
+// four directions: estimator unit behavior, the per-batch count of roots
+// the scan selects, the audit-equivalence matrix
 // (3 thresholds x 2 traces, EXPECT_EQ on every settled weight plus the
 // NCL set), and byte-identical ingest->query script output across runs
 // and thread counts. A TSan-facing test runs query threads concurrently
@@ -173,9 +174,20 @@ TEST(EwmaRateEstimator, WarmStartEqualsIncrementalFeed) {
 
 // ---- incremental repair equivalence (the acceptance matrix) ------------
 
+/// Every root of the snapshot's graph rebuilt by the reference construction.
+std::vector<PathTable> reference_tables(const daemon::Snapshot& snap,
+                                        const DaemonConfig& config) {
+  std::vector<PathTable> tables;
+  for (NodeId root = 0; root < snap.graph.node_count(); ++root) {
+    tables.push_back(compute_opportunistic_paths_reference(
+        snap.graph, root, config.horizon, config.max_hops));
+  }
+  return tables;
+}
+
 /// Replays `trace` (second half live, first half warm) through a daemon,
 /// then EXPECT_EQs every settled weight and the NCL set against a fresh
-/// kReference rebuild of the daemon's own graph.
+/// reference rebuild of the daemon's own graph.
 void expect_repair_equivalence(const ContactTrace& trace, double drift) {
   DaemonConfig config = test_config();
   config.drift_threshold = drift;
@@ -194,13 +206,12 @@ void expect_repair_equivalence(const ContactTrace& trace, double drift) {
 
   const auto snap = d.snapshot();
   ASSERT_TRUE(snap->ready());
-  const AllPairsPaths reference(snap->graph, config.horizon, config.max_hops,
-                                1, PathEngine::kReference);
+  const std::vector<PathTable> reference = reference_tables(*snap, config);
   const NodeId n = trace.node_count();
   for (NodeId r = 0; r < n; ++r) {
     for (NodeId node = 0; node < n; ++node) {
       EXPECT_EQ(snap->tables[static_cast<std::size_t>(r)].weight(node),
-                reference.table(r).weight(node))
+                reference[static_cast<std::size_t>(r)].weight(node))
           << "root " << r << " node " << node << " drift " << drift;
     }
   }
@@ -255,12 +266,11 @@ TEST(DaemonRepair, NewlyConnectedComponentIsDiscovered) {
   d.repair_now();
   EXPECT_GT(d.path_weight(0, 3, hours(1.0)).weight, 0.0);
   const auto snap = d.snapshot();
-  const AllPairsPaths reference(snap->graph, config.horizon, config.max_hops,
-                                1, PathEngine::kReference);
+  const std::vector<PathTable> reference = reference_tables(*snap, config);
   for (NodeId r = 0; r < 4; ++r) {
     for (NodeId node = 0; node < 4; ++node) {
       EXPECT_EQ(snap->tables[static_cast<std::size_t>(r)].weight(node),
-                reference.table(r).weight(node));
+                reference[static_cast<std::size_t>(r)].weight(node));
     }
   }
 }

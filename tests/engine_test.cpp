@@ -481,7 +481,9 @@ class TableRecorder : public Scheme {
 };
 
 /// The weight matrix a tick at `when` must carry, built outside the engine
-/// from the trace's contacts that start before the tick.
+/// from the trace's contacts that start before the tick, every root by the
+/// reference construction (compute_opportunistic_paths_reference), laid
+/// out as TableRecorder::weight_matrix lays out an AllPairsPaths.
 std::vector<double> table_at_tick(const ContactTrace& trace, Time when,
                                   const SimConfig& config) {
   RateEstimator estimator(std::max<NodeId>(trace.node_count(), 2),
@@ -489,9 +491,22 @@ std::vector<double> table_at_tick(const ContactTrace& trace, Time when,
   for (const ContactEvent& e : trace.events()) {
     if (e.start < when) estimator.record_contact(e.a, e.b, e.start);
   }
-  return TableRecorder::weight_matrix(
-      AllPairsPaths(estimator.snapshot(when, config.min_contacts_for_rate),
-                    config.path_horizon, config.max_hops, 1));
+  const ContactGraph graph =
+      estimator.snapshot(when, config.min_contacts_for_rate);
+  const NodeId n = graph.node_count();
+  std::vector<PathTable> tables;
+  for (NodeId root = 0; root < n; ++root) {
+    tables.push_back(compute_opportunistic_paths_reference(
+        graph, root, config.path_horizon, config.max_hops));
+  }
+  std::vector<double> weights;
+  for (NodeId from = 0; from < n; ++from) {
+    for (NodeId to = 0; to < n; ++to) {
+      weights.push_back(
+          from == to ? 1.0 : tables[static_cast<std::size_t>(to)].weight(from));
+    }
+  }
+  return weights;
 }
 
 bool same_bits(const std::vector<double>& x, const std::vector<double>& y) {

@@ -5,10 +5,19 @@
 // pull / response / replacement -> metrics.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "experiment/experiment.h"
 #include "trace/synthetic.h"
 
 namespace dtn {
+
+// Found by argument-dependent lookup, so it lives in SchemeKind's namespace;
+// without it gtest names the cases by the enum's raw bytes.
+void PrintTo(SchemeKind kind, std::ostream* os) {
+  *os << scheme_kind_name(kind);
+}
+
 namespace {
 
 SyntheticTraceConfig itest_trace() {

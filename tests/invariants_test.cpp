@@ -3,6 +3,8 @@
 // (buffer accounting exact, capacities respected).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "baselines/bundle_cache.h"
 #include "baselines/cache_data.h"
 #include "baselines/no_cache.h"
@@ -22,6 +24,14 @@ struct Scenario {
   double miss_prob;
   CacheStrategy strategy;
 };
+
+// Prints the fields as the Scenario{...} initializers below list them.
+// Without it gtest prints the raw bytes, padding included, into the ctest
+// names, which then differ between builds of the same code.
+void PrintTo(const Scenario& s, std::ostream* os) {
+  *os << '{' << s.seed << ", " << s.size_mb << ", " << s.miss_prob << ", "
+      << static_cast<int>(s.strategy) << '}';
+}
 
 class InvariantSweep : public testing::TestWithParam<Scenario> {};
 

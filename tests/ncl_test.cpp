@@ -6,6 +6,7 @@
 
 #include "common/stats.h"
 #include "graph/all_pairs.h"
+#include "graph/hypoexp.h"
 #include "trace/synthetic.h"
 
 namespace dtn {
@@ -107,6 +108,13 @@ TEST(SelectNcls, TiesBreakTowardsLowerIds) {
   EXPECT_EQ(sel.central_nodes[1], 1);
 }
 
+TEST(TopByMetric, TiesBreakTowardsLowerId) {
+  const std::vector<double> metric = {0.5, 0.7, 0.5, 0.7, 0.1};
+  EXPECT_EQ(top_by_metric(metric, 3), (std::vector<NodeId>{1, 3, 0}));
+  EXPECT_EQ(top_by_metric(metric, 9), (std::vector<NodeId>{1, 3, 0, 2, 4}));
+  EXPECT_TRUE(top_by_metric(metric, 0).empty());
+}
+
 TEST(SelectNcls, NonCentralQueries) {
   const ContactGraph g = star_graph(5, 1.0);
   const NclSelection sel = select_ncls(g, 1.0, 1);
@@ -165,6 +173,28 @@ TEST(AllPairs, UnreachablePairIsZeroAtAnyBudget) {
   const AllPairsPaths ap(g, 1.0);
   EXPECT_EQ(ap.weight(0, 2), 0.0);
   EXPECT_EQ(ap.weight_at(0, 2, 100.0), 0.0);
+}
+
+TEST(PathTable, WeightAtReevaluatesTheSettledChain) {
+  // 0 - 1 - 2 in a line; node 3 is isolated, so no root reaches it.
+  ContactGraph g(4);
+  g.set_rate(0, 1, 0.5);
+  g.set_rate(1, 2, 2.0);
+  const AllPairsPaths ap(g, 2.0);
+  const Time budget = 5.0;
+  for (NodeId to = 0; to < 4; ++to) {
+    const PathTable& t = ap.table(to);
+    for (NodeId from = 0; from < 4; ++from) {
+      const double chain =
+          from == to ? 1.0
+                     : (t.reachable(from) ? hypoexp_cdf(t.rates(from), budget)
+                                          : 0.0);
+      EXPECT_EQ(t.weight_at(from, budget), chain) << from << "->" << to;
+      EXPECT_EQ(ap.weight_at(from, to, budget), chain) << from << "->" << to;
+    }
+  }
+  EXPECT_EQ(ap.table(0).weight_at(3, 1e9), 0.0);
+  EXPECT_GT(ap.table(0).weight_at(2, budget), ap.table(0).weight(2));
 }
 
 TEST(AllPairs, EmptyDefault) {

@@ -3,20 +3,17 @@
 // The engine rewrite (parent-chain rate storage + hypoexp workspaces +
 // scratch-buffer relaxation) claims *bit-identical* output: only where the
 // doubles live changed, never their values, order, or the formulas that
-// produce them. These tests pin that claim against the reference engine —
-// a line-for-line transcription of the legacy allocating construction kept
-// alive as PathEngine::kReference — with EXPECT_EQ on raw doubles (no
-// tolerances) at every layer: single-source tables, all-pairs tables,
-// weight_at re-evaluations, batched weights_at, the Eq. 3 NCL metric, and a
-// full sweep's CSV.
+// produce them. These tests pin that claim against the reference
+// construction — compute_opportunistic_paths_reference, a line-for-line
+// transcription of the legacy allocating construction — with EXPECT_EQ on
+// raw doubles (no tolerances) at every layer: single-source tables,
+// all-pairs tables, weight_at re-evaluations and the Eq. 3 NCL metric.
+// Engine.EachTickHandsItsSchemesThatTicksTable checks every simulator
+// tick's table against the same reference.
 #include <gtest/gtest.h>
 
-#include <numeric>
-#include <string>
 #include <vector>
 
-#include "experiment/experiment.h"
-#include "experiment/sweep.h"
 #include "graph/all_pairs.h"
 #include "graph/contact_graph.h"
 #include "graph/ncl.h"
@@ -33,6 +30,17 @@ ContactTrace golden_trace(std::uint64_t seed) {
   c.target_total_contacts = 5000;
   c.seed = seed;
   return generate_trace(c);
+}
+
+/// Every root's table by the reference construction.
+std::vector<PathTable> reference_tables(const ContactGraph& graph,
+                                        Time horizon) {
+  std::vector<PathTable> tables;
+  for (NodeId root = 0; root < graph.node_count(); ++root) {
+    tables.push_back(
+        compute_opportunistic_paths_reference(graph, root, horizon, 8));
+  }
+  return tables;
 }
 
 void expect_tables_identical(const PathTable& fast, const PathTable& ref) {
@@ -77,33 +85,27 @@ TEST(PathGolden, SingleSourceTablesBitIdenticalShortHorizon) {
 TEST(PathGolden, AllPairsTableForTableBitIdentical) {
   const ContactGraph graph = build_contact_graph(golden_trace(5));
   const Time horizon = hours(6);
-  const AllPairsPaths fast(graph, horizon, 8, /*threads=*/8,
-                           PathEngine::kFast);
-  const AllPairsPaths ref(graph, horizon, 8, /*threads=*/1,
-                          PathEngine::kReference);
-  ASSERT_EQ(fast.node_count(), ref.node_count());
+  const AllPairsPaths fast(graph, horizon, 8, /*threads=*/8);
+  const std::vector<PathTable> ref = reference_tables(graph, horizon);
+  ASSERT_EQ(static_cast<std::size_t>(fast.node_count()), ref.size());
   for (NodeId root = 0; root < fast.node_count(); ++root) {
-    expect_tables_identical(fast.table(root), ref.table(root));
+    expect_tables_identical(fast.table(root),
+                            ref[static_cast<std::size_t>(root)]);
   }
 }
 
-TEST(PathGolden, WeightAtAndBatchedWeightsAtBitIdentical) {
+TEST(PathGolden, WeightAtBitIdentical) {
   const ContactGraph graph = build_contact_graph(golden_trace(5));
   const Time horizon = hours(6);
-  const AllPairsPaths fast(graph, horizon, 8, 0, PathEngine::kFast);
-  const AllPairsPaths ref(graph, horizon, 8, 0, PathEngine::kReference);
-
-  std::vector<NodeId> from_list(static_cast<std::size_t>(fast.node_count()));
-  std::iota(from_list.begin(), from_list.end(), NodeId{0});
-  std::vector<double> batched;
+  const AllPairsPaths fast(graph, horizon, 8, 0);
+  const std::vector<PathTable> ref = reference_tables(graph, horizon);
   for (const Time budget : {minutes(10), hours(1), hours(3), hours(6)}) {
     for (NodeId to = 0; to < fast.node_count(); ++to) {
-      fast.weights_at(from_list, to, budget, batched);
-      ASSERT_EQ(batched.size(), from_list.size());
+      const PathTable& ref_table = ref[static_cast<std::size_t>(to)];
       for (NodeId from = 0; from < fast.node_count(); ++from) {
-        const double scalar = fast.weight_at(from, to, budget);
-        EXPECT_EQ(batched[static_cast<std::size_t>(from)], scalar);
-        EXPECT_EQ(scalar, ref.weight_at(from, to, budget));
+        EXPECT_EQ(fast.weight_at(from, to, budget),
+                  ref_table.weight_at(from, budget))
+            << from << "->" << to << " at " << budget;
       }
     }
   }
@@ -142,31 +144,6 @@ TEST(PathGolden, NclMetricsMatchReferenceFold) {
       }
     }
   }
-}
-
-TEST(PathGolden, SweepCsvByteIdenticalAcrossEngines) {
-  const ContactTrace trace = golden_trace(3);
-
-  SweepConfig config;
-  config.base.avg_lifetime = days(1);
-  config.base.avg_data_size = megabits(40);
-  config.base.ncl_count = 2;
-  config.base.repetitions = 2;
-  config.base.auto_horizon = false;
-  config.base.sim.path_horizon = hours(6);
-  config.base.sim.maintenance_interval = hours(12);
-  config.schemes = {SchemeKind::kNclCache, SchemeKind::kNoCache};
-  config.lifetimes = {hours(12), days(1)};
-  config.ncl_counts = {1, 2};
-
-  config.base.sim.path_engine = PathEngine::kFast;
-  const std::string csv_fast = sweep_to_csv(run_sweep(trace, config));
-
-  config.base.sim.path_engine = PathEngine::kReference;
-  const std::string csv_ref = sweep_to_csv(run_sweep(trace, config));
-
-  EXPECT_EQ(csv_fast, csv_ref);
-  EXPECT_FALSE(csv_fast.empty());
 }
 
 }  // namespace

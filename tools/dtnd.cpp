@@ -11,8 +11,9 @@
 //                                                      mit|ucsd)
 //
 // With no --script, dtnd drains the whole feed and prints stats. --audit
-// cross-checks every repair batch against a fresh PathEngine::kReference
-// rebuild (DTN_CHECK aborts on divergence) — the CI daemon-soak job runs
+// cross-checks every repair batch against a fresh rebuild of every root
+// with compute_opportunistic_paths_reference, the path tests' oracle
+// (DTN_CHECK aborts on divergence) — the CI daemon-soak job runs
 // exactly that. --self-test runs built-in end-to-end determinism and audit
 // checks and is registered in ctest.
 #include <cstdio>
@@ -293,7 +294,7 @@ bool self_test() {
   config.horizon = hours(1.0);
   config.repair_interval = hours(2.0);
   config.threads = 1;
-  config.audit = true;  // every batch cross-checked against kReference
+  config.audit = true;  // every batch cross-checked against the reference
 
   // Byte-identical output across runs and thread counts.
   const std::string serial = replay_output(trace, config, script.str());

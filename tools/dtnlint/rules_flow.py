@@ -648,4 +648,4 @@ class HotLoopAllocRule(Rule):
                         for t in item.tokens):
                     yield item.line, (
                         "raw `new` inside a loop body on an engine fast "
-                        "path; use an Arena / SlabPool (src/common/arena.h)")
+                        "path; use a SlabPool (src/common/arena.h)")
