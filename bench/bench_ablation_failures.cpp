@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
   base.ncl_count = 8;
   base.repetitions = args.reps;
   base.sim.maintenance_interval = days(1);
+  base.sim.threads = args.threads;
 
   bench::JsonReport report("bench_ablation_failures", args);
   // Contact loss, outages, dynamic NCL and rate decay act after the

@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
   base.ncl_count = 8;
   base.repetitions = args.reps;
   base.sim.maintenance_interval = days(1);
+  base.sim.threads = args.threads;
 
   // T is a substrate field, so each setting gets its own warm-up context.
   auto run_with = [&](const std::string& label, bool auto_h, Time fixed) {
@@ -39,7 +40,8 @@ int main(int argc, char** argv) {
     if (!auto_h) config.sim.path_horizon = fixed;
     const WarmupContext warmup = make_warmup_context(trace, config);
     std::vector<double> metrics =
-        ncl_metrics(warmup.graph, warmup.horizon, config.sim.max_hops);
+        ncl_metrics(warmup.graph, warmup.horizon, config.sim.max_hops,
+                    config.sim.threads);
     const double median = percentile(metrics, 0.5);
     const ExperimentResult r =
         run_experiment(trace, SchemeKind::kNclCache, config, &warmup);

@@ -57,6 +57,7 @@ int main(int argc, char** argv) {
             config.enable_replacement = variant.enable_exchange;
             config.repetitions = args.reps;
             config.sim.maintenance_interval = days(1);
+            config.sim.threads = args.threads;
             // The probabilistic flag lives in NclSchemeConfig::replacement,
             // which run_experiment does not expose — drive the scheme by
             // hand.
@@ -64,8 +65,9 @@ int main(int argc, char** argv) {
                 trace.start_time() + trace.duration() / 2.0;
             const ContactGraph graph = warmup_graph(trace, config);
             const Time horizon = effective_horizon(graph, config);
-            const NclSelection ncls = select_ncls(
-                graph, horizon, config.ncl_count, config.sim.max_hops);
+            const NclSelection ncls =
+                select_ncls(graph, horizon, config.ncl_count,
+                            config.sim.max_hops, config.sim.threads);
 
             RunningStats ratio_stats, copies_stats;
             for (int rep = 0; rep < config.repetitions; ++rep) {

@@ -52,6 +52,7 @@ int main(int argc, char** argv) {
     config.sigmoid = variant.sigmoid;
     config.repetitions = args.reps;
     config.sim.maintenance_interval = days(1);
+    config.sim.threads = args.threads;
     return config;
   };
 

@@ -45,6 +45,7 @@ int main(int argc, char** argv) {
     config.zipf_exponent = 1.0;
     config.repetitions = args.reps;
     config.sim.maintenance_interval = days(1);
+    config.sim.threads = args.threads;
     return config;
   };
 

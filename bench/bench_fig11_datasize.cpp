@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
     config.ncl_count = 8;
     config.repetitions = args.reps;
     config.sim.maintenance_interval = days(1);
+    config.sim.threads = args.threads;
     return config;
   };
 

@@ -58,6 +58,7 @@ int main(int argc, char** argv) {
     config.strategy = strategy;
     config.repetitions = args.reps;
     config.sim.maintenance_interval = days(1);
+    config.sim.threads = args.threads;
     return config;
   };
 

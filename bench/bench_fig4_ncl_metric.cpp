@@ -20,14 +20,17 @@ using namespace dtn;
 
 namespace {
 
-std::string metric_table(const ContactTrace& trace, Time paper_t) {
+std::string metric_table(const ContactTrace& trace, Time paper_t,
+                         int threads) {
   const ContactGraph graph = build_contact_graph(trace, -1.0, 2);
 
   TextTable table({"T", "max", "p90", "median", "p10", "max/median", "gini"});
   for (int variant = 0; variant < 2; ++variant) {
     const Time horizon =
-        variant == 0 ? paper_t : calibrate_horizon(graph, 0.3);
-    std::vector<double> metrics = ncl_metrics(graph, horizon);
+        variant == 0 ? paper_t
+                     : calibrate_horizon(graph, 0.3, minutes(1), days(90), 8,
+                                         threads);
+    std::vector<double> metrics = ncl_metrics(graph, horizon, 8, threads);
     std::vector<double> sorted = metrics;
     std::sort(sorted.begin(), sorted.end());
     const double median = sorted[sorted.size() / 2];
@@ -45,11 +48,11 @@ std::string metric_table(const ContactTrace& trace, Time paper_t) {
 }
 
 void report_trace(bench::JsonReport& report, const std::string& name,
-                  const ContactTrace& trace, Time paper_t) {
+                  const ContactTrace& trace, Time paper_t, int threads) {
   std::string rendered;
   report.stage(
       "ncl_metric/" + name,
-      [&] { rendered = metric_table(trace, paper_t); },
+      [&] { rendered = metric_table(trace, paper_t, threads); },
       "dijkstra_relaxations");
   std::printf("--- %s (N=%d) ---\n%s\n", name.c_str(), trace.node_count(),
               rendered.c_str());
@@ -68,16 +71,16 @@ int main(int argc, char** argv) {
   const double ucsd_days = args.days > 0 ? args.days : (args.fast ? 10 : 25);
 
   report_trace(report, "Infocom05", generate_trace(infocom05_preset()),
-               hours(1));
+               hours(1), args.threads);
   report_trace(report, "Infocom06", generate_trace(infocom06_preset()),
-               hours(1));
+               hours(1), args.threads);
   report_trace(
       report, "MITReality",
       generate_trace(mit_reality_preset().with_duration(days(mit_days))),
-      weeks(1));
+      weeks(1), args.threads);
   report_trace(report, "UCSD",
                generate_trace(ucsd_preset().with_duration(days(ucsd_days))),
-               days(3));
+               days(3), args.threads);
 
   std::printf(
       "Reading: in every trace the top nodes' metric is a large multiple of\n"

@@ -1,8 +1,6 @@
-// Trace ingestion bench: CSV parse and .dtntrace decode of the same
-// synthetic trace, both through load_trace_any from files in a scratch
-// directory. The `--json` artifact is gated by tools/bench_compare.py on ns
-// per decoded contact.
-#include <cstdint>
+// Trace ingestion bench: CSV parse of a synthetic trace through
+// load_trace_any from a file in a scratch directory. The `--json` artifact
+// is gated by tools/bench_compare.py on ns per decoded contact.
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -13,7 +11,6 @@
 #include "bench/bench_util.h"
 #include "trace/synthetic.h"
 #include "trace/trace_io.h"
-#include "traceio/binary.h"
 #include "traceio/cache.h"
 
 using namespace dtn;
@@ -37,7 +34,6 @@ int main(int argc, char** argv) {
       ("dtn_bench_traceio_" + std::to_string(::getpid()));
   fs::create_directories(scratch);
   const std::string csv_path = (scratch / "bench_trace.csv").string();
-  const std::string binary_path = (scratch / "bench_trace.dtntrace").string();
 
   // A dense synthetic trace: infocom-like contact dynamics, scaled by
   // --days (default 3 full days; --fast drops to 1).
@@ -46,7 +42,6 @@ int main(int argc, char** argv) {
   const ContactTrace trace = generate_trace(config.with_duration(
       days(trace_days)));
   save_trace_csv(trace, csv_path);
-  traceio::save_trace_binary(trace, binary_path);
   std::printf("trace: %d nodes, %zu contacts, %.1f days (%s)\n",
               trace.node_count(), trace.size(), trace_days, csv_path.c_str());
 
@@ -54,21 +49,6 @@ int main(int argc, char** argv) {
       "csv_parse_cold",
       [&] { g_sink = traceio::load_trace_any(csv_path).size(); },
       "trace_contacts_decoded");
-  report.stage(
-      "binary_decode",
-      [&] { g_sink = traceio::load_trace_any(binary_path).size(); },
-      "trace_contacts_decoded");
-
-  std::error_code size_ec;
-  const auto text_size = fs::file_size(csv_path, size_ec);
-  const auto binary_size = fs::file_size(binary_path, size_ec);
-  if (!size_ec) {
-    std::printf("text %ju bytes -> binary %ju bytes (%.1f%%)\n",
-                static_cast<std::uintmax_t>(text_size),
-                static_cast<std::uintmax_t>(binary_size),
-                100.0 * static_cast<double>(binary_size) /
-                    static_cast<double>(text_size));
-  }
 
   const bool json_ok = report.write_if_requested();
 

@@ -7,12 +7,13 @@
 //   trace_explorer infocom05|infocom06|mitreality|ucsd [days]
 //   trace_explorer path/to/trace.csv  [days]
 //
-// Trace files can be CSV ("start,duration,a,b"), ONE connectivity reports,
-// iMote contact logs or compact .dtntrace binaries — the format is sniffed
-// from the content (see traceio/).
+// Trace files can be CSV ("start,duration,a,b"), ONE connectivity reports
+// or iMote contact logs — the format is sniffed from the content (see
+// traceio/).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "common/stats.h"
@@ -26,14 +27,10 @@ using namespace dtn;
 namespace {
 
 ContactTrace load(const std::string& spec, double limit_days) {
-  auto by_preset = [&](SyntheticTraceConfig config) {
-    if (limit_days > 0) config = config.with_duration(days(limit_days));
-    return generate_trace(config);
-  };
-  if (spec == "infocom05") return by_preset(infocom05_preset());
-  if (spec == "infocom06") return by_preset(infocom06_preset());
-  if (spec == "mitreality") return by_preset(mit_reality_preset());
-  if (spec == "ucsd") return by_preset(ucsd_preset());
+  if (std::optional<SyntheticTraceConfig> preset = preset_by_name(spec)) {
+    if (limit_days > 0) *preset = preset->with_duration(days(limit_days));
+    return generate_trace(*preset);
+  }
   ContactTrace trace = traceio::load_trace_any(spec);
   if (limit_days > 0) {
     trace = trace.slice(trace.start_time(),

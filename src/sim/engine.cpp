@@ -71,36 +71,6 @@ class DowntimeIndex {
   std::vector<std::vector<std::pair<Time, Time>>> intervals_;
 };
 
-}  // namespace
-
-std::vector<SimConfig::Downtime> random_downtimes(NodeId node_count,
-                                                  Time duration,
-                                                  double failures_per_node,
-                                                  Time mean_outage,
-                                                  std::uint64_t seed) {
-  if (failures_per_node < 0.0 || mean_outage < 0.0 || duration <= 0.0) {
-    throw std::invalid_argument("invalid downtime parameters");
-  }
-  std::vector<SimConfig::Downtime> result;
-  if (failures_per_node == 0.0 || mean_outage == 0.0) return result;
-  Rng rng(seed);
-  const double rate = failures_per_node / duration;
-  for (NodeId node = 0; node < node_count; ++node) {
-    Time t = rng.exponential(rate);
-    while (t < duration) {
-      SimConfig::Downtime d;
-      d.node = node;
-      d.from = t;
-      d.to = t + rng.exponential(1.0 / mean_outage);
-      result.push_back(d);
-      t = d.to + rng.exponential(rate);
-    }
-  }
-  return result;
-}
-
-namespace {
-
 /// A lane's queue ends before a tick or at this many events, whichever comes
 /// first. Bounding it keeps a lane's memory flat between far-apart ticks;
 /// the value changes no output.

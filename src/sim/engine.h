@@ -104,15 +104,6 @@ struct SimConfig {
   std::vector<Downtime> node_downtime;
 };
 
-/// Draws random downtime intervals: each node fails as a Poisson process
-/// with `failures_per_node` expected failures over `duration`, each outage
-/// lasting Exp(mean_outage). Deterministic in the seed.
-std::vector<SimConfig::Downtime> random_downtimes(NodeId node_count,
-                                                  Time duration,
-                                                  double failures_per_node,
-                                                  Time mean_outage,
-                                                  std::uint64_t seed);
-
 struct RunResult {
   MetricsCollector metrics;
   std::size_t contacts_processed = 0;

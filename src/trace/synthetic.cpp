@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cctype>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace dtn {
 namespace {
@@ -262,6 +264,17 @@ SyntheticTraceConfig ucsd_preset() {
 std::vector<SyntheticTraceConfig> all_presets() {
   return {infocom05_preset(), infocom06_preset(), mit_reality_preset(),
           ucsd_preset()};
+}
+
+std::optional<SyntheticTraceConfig> preset_by_name(std::string_view name) {
+  for (SyntheticTraceConfig& preset : all_presets()) {
+    std::string lower = preset.name;
+    for (char& c : lower) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    if (lower == name) return std::move(preset);
+  }
+  return std::nullopt;
 }
 
 }  // namespace dtn

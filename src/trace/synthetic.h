@@ -11,7 +11,9 @@
 // count, duration and total contact volume.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -109,5 +111,10 @@ SyntheticTraceConfig ucsd_preset();
 
 /// All four presets in Table I order.
 std::vector<SyntheticTraceConfig> all_presets();
+
+/// The preset whose lower-cased `name` equals `name` (infocom05,
+/// infocom06, mitreality, ucsd); nullopt for any other name. The one
+/// preset-name lookup of the command-line tools and examples.
+std::optional<SyntheticTraceConfig> preset_by_name(std::string_view name);
 
 }  // namespace dtn

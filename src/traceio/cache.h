@@ -1,9 +1,8 @@
 // load_trace_any: the single entry point of the trace ingestion subsystem.
 //
-// Reads the file into memory once and parses that buffer in place: a
-// .dtntrace binary (binary.h, chosen by extension or magic) or any
-// registered text format (CSV, ONE, iMote — reader.h, chosen by content
-// sniffing unless forced). A load never writes a file.
+// Reads the file into memory once and parses that buffer in place with a
+// registered text reader (CSV, ONE, iMote — reader.h), chosen by content
+// sniffing unless forced. A load never writes a file.
 #pragma once
 
 #include <string>
@@ -20,8 +19,8 @@ struct LoadOptions {
   TraceReadOptions read;
   /// Kept only because perfbench/harness.cpp sets it; loads ignore it.
   CachePolicy cache = CachePolicy::kBypass;
-  /// Force a specific reader ("csv", "one", "imote", "binary"); empty =
-  /// detect from the file extension (.dtntrace) and content sniffing.
+  /// Force a specific reader ("csv", "one", "imote"); empty = detect from
+  /// the file's content.
   std::string format;
 };
 

@@ -13,10 +13,7 @@
 //          merging and clock-offset normalization
 //
 // Every reader parses the file's bytes in place through common/scan.h, so
-// all three share one line, field and number grammar. The versioned binary
-// format (.dtntrace, binary.h) is deliberately not a TraceReader: text
-// readers are line-oriented and sniffable, the binary decoder is
-// magic-tagged.
+// all three share one line, field and number grammar.
 #pragma once
 
 #include <cstdint>

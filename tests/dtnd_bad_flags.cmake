@@ -1,6 +1,7 @@
 # Command-line contract of dtnd: a malformed numeric flag, an invalid
-# config value or an unknown flag exits 2 with a message on stderr, never
-# aborts and never reads garbage as 0; well-formed values still run.
+# config value, an unknown flag or an unknown preset name exits 2 with a
+# message on stderr, never aborts and never reads garbage as 0; well-formed
+# values and every preset name still run.
 #
 # Usage: cmake -DDTND=path/to/dtnd -P tests/dtnd_bad_flags.cmake
 if(NOT DTND)
@@ -11,7 +12,7 @@ set(small --synthetic infocom05)
 
 foreach(bad IN ITEMS "--threads abc" "--warm-frac 2" "--warm-frac abc"
                      "--max-hops x" "--threads -1" "--drift 0"
-                     "--interval -5" "--bogus 1")
+                     "--interval -5" "--bogus 1" "--synthetic mit")
   separate_arguments(args UNIX_COMMAND "${bad}")
   execute_process(COMMAND ${DTND} ${small} ${args}
                   RESULT_VARIABLE code OUTPUT_QUIET ERROR_VARIABLE err)
@@ -27,5 +28,13 @@ execute_process(COMMAND ${DTND} ${small} --warm-frac 0.6 --horizon 1800
                 RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT code STREQUAL "0" OR NOT out MATCHES "daemon: epoch")
   message(SEND_ERROR "dtnd with valid numeric flags: exit '${code}', "
+                     "stderr: ${err}")
+endif()
+
+# The presets go by the lower-cased names of all_presets(), as in dtnsim.
+execute_process(COMMAND ${DTND} --synthetic mitreality --warm-frac 1 --stats
+                RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT code STREQUAL "0" OR NOT out MATCHES "daemon: epoch")
+  message(SEND_ERROR "dtnd --synthetic mitreality: exit '${code}', "
                      "stderr: ${err}")
 endif()

@@ -135,33 +135,6 @@ TEST(FailureInjection, InvalidConfigThrows) {
                std::invalid_argument);
 }
 
-TEST(RandomDowntimes, RespectsParameters) {
-  const auto downs = random_downtimes(20, days(10), 2.0, hours(5), 7);
-  EXPECT_GT(downs.size(), 10u);   // ~40 expected
-  EXPECT_LT(downs.size(), 100u);
-  for (const auto& d : downs) {
-    EXPECT_GE(d.node, 0);
-    EXPECT_LT(d.node, 20);
-    EXPECT_GE(d.from, 0.0);
-    EXPECT_GT(d.to, d.from);
-  }
-}
-
-TEST(RandomDowntimes, ZeroRateProducesNone) {
-  EXPECT_TRUE(random_downtimes(20, days(10), 0.0, hours(5), 7).empty());
-  EXPECT_TRUE(random_downtimes(20, days(10), 2.0, 0.0, 7).empty());
-}
-
-TEST(RandomDowntimes, Deterministic) {
-  const auto a = random_downtimes(10, days(5), 1.0, hours(2), 3);
-  const auto b = random_downtimes(10, days(5), 1.0, hours(2), 3);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].node, b[i].node);
-    EXPECT_EQ(a[i].from, b[i].from);
-  }
-}
-
 TEST(FailureInjection, NclSchemeDegradesGracefully) {
   // End-to-end: moderate contact loss lowers but does not zero the ratio.
   SyntheticTraceConfig tc;

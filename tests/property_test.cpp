@@ -28,8 +28,8 @@
 //    bit-identical tables, the same evals in every hypoexp tier, and every
 //    tier reached;
 //  * seeded byte-, token- and line-level mutants of every untrusted input
-//    (the trace fixtures, a .dtntrace file, a dtnd script) either load a
-//    valid trace or fail with a std::runtime_error naming their source.
+//    (the trace fixtures and a dtnd script) either load a valid trace or
+//    fail with a std::runtime_error naming their source.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -58,7 +58,6 @@
 #include "net/buffer.h"
 #include "tests/proptest.h"
 #include "trace/synthetic.h"
-#include "traceio/binary.h"
 #include "traceio/cache.h"
 #include "traceio/reader.h"
 
@@ -645,9 +644,10 @@ const char* const kMutantTokens[] = {
     "2147483647", "9223372036854775808", "", "up", "down", "CONN", "junk",
     "#"};
 
-/// Applies one to four random edits to `bytes`. Text inputs also get
-/// token replacements (the most likely edit) and duplicated lines.
-std::string mutate(std::string bytes, Rng& rng, bool text) {
+/// Applies one to four random edits to `bytes`: byte flips, splices,
+/// erasures and truncations, token replacements (the most likely edit) and
+/// duplicated lines.
+std::string mutate(std::string bytes, Rng& rng) {
   auto pick = [&](std::size_t n) {
     return static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
@@ -656,7 +656,7 @@ std::string mutate(std::string bytes, Rng& rng, bool text) {
   for (int k = 0; k < edits; ++k) {
     if (bytes.empty()) bytes.push_back('0');
     const std::size_t at = pick(bytes.size());
-    switch (rng.uniform_int(0, text ? 8 : 4)) {
+    switch (rng.uniform_int(0, 8)) {
       case 0:
         bytes[at] = static_cast<char>(bytes[at] ^ (1 << pick(8)));
         break;
@@ -704,24 +704,6 @@ std::string mutate(std::string bytes, Rng& rng, bool text) {
   return bytes;
 }
 
-/// Recomputes a mutated .dtntrace file's payload checksum, so that the
-/// record checks rather than the checksum meet the mutation.
-void reseal(std::string& bytes) {
-  constexpr std::size_t kHeader = 76;
-  if (bytes.size() < kHeader) return;
-  std::size_t name_length = 0;
-  for (int i = 3; i >= 0; --i) {
-    name_length = name_length << 8 | static_cast<unsigned char>(bytes[72 + i]);
-  }
-  if (name_length > bytes.size() - kHeader) return;
-  const std::size_t payload = kHeader + name_length;
-  const std::uint64_t checksum =
-      traceio::fnv1a(bytes.data() + payload, bytes.size() - payload);
-  for (int i = 0; i < 8; ++i) {
-    bytes[64 + i] = static_cast<char>((checksum >> (8 * i)) & 0xffu);
-  }
-}
-
 /// ContactTrace's invariants, plus finite times.
 void expect_valid_trace(const ContactTrace& trace) {
   ASSERT_GE(trace.node_count(), 0);
@@ -763,16 +745,13 @@ std::string slurp(const std::string& path) {
 TEST(Property, MalformedInputsFailWithLocation) {
   const std::string fixtures = DTN_TRACE_FIXTURE_DIR;
   const ContactTrace sample = traceio::load_trace_any(fixtures + "/sample.csv");
-  std::ostringstream binary;
-  traceio::write_trace_binary(sample, binary);
   const struct {
-    const char* format;  // a reader's format name, "binary" or "script"
+    const char* format;  // a reader's format name or "script"
     std::string seed;
   } targets[] = {
       {"csv", slurp(fixtures + "/sample.csv")},
       {"one", slurp(fixtures + "/sample_one.txt")},
       {"imote", slurp(fixtures + "/sample_imote.txt")},
-      {"binary", binary.str()},
       {"script",
        "# query mix over the 6-node sample trace\n"
        "ncl 2\nadvance 900\nrepair\nweight 0 5 1800\nplace 2 3\n"
@@ -786,16 +765,13 @@ TEST(Property, MalformedInputsFailWithLocation) {
   run_property("malformed_inputs", 2500, [&](Rng& rng, int i) {
     const std::size_t t = static_cast<std::size_t>(i) % kTargets;
     const std::string format = targets[t].format;
-    std::string input = mutate(targets[t].seed, rng, format != "binary");
-    if (format == "binary" && rng.bernoulli(0.5)) reseal(input);
+    const std::string input = mutate(targets[t].seed, rng);
     const std::string source = "mutant." + format;
     SCOPED_TRACE(::testing::Message()
                  << source << ": " << ::testing::PrintToString(input));
     try {
       if (format == "script") {
         run_daemon_script(sample, input);
-      } else if (format == "binary") {
-        expect_valid_trace(traceio::read_trace_binary(input, source));
       } else {
         traceio::TraceReadOptions options;
         options.strict = rng.bernoulli(0.5);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "common/stats.h"
 
@@ -192,6 +193,23 @@ TEST(Synthetic, PresetsMatchTableOne) {
   EXPECT_NEAR(presets[2].duration, days(246), 1.0);
   EXPECT_EQ(presets[3].name, "UCSD");
   EXPECT_EQ(presets[3].node_count, 275);
+}
+
+TEST(Synthetic, PresetByNameTakesTheLowerCasedName) {
+  const std::pair<const char*, const char*> names[] = {
+      {"infocom05", "Infocom05"},
+      {"infocom06", "Infocom06"},
+      {"mitreality", "MITReality"},
+      {"ucsd", "UCSD"}};
+  for (const auto& [key, name] : names) {
+    const auto preset = preset_by_name(key);
+    ASSERT_TRUE(preset.has_value()) << key;
+    EXPECT_EQ(preset->name, name);
+  }
+  EXPECT_EQ(preset_by_name("mitreality")->seed, mit_reality_preset().seed);
+  for (const char* name : {"mit", "MITReality", "", "rwp"}) {
+    EXPECT_FALSE(preset_by_name(name).has_value()) << name;
+  }
 }
 
 TEST(Synthetic, ScaledPresetGeneratesQuickly) {

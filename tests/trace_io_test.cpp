@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "trace/synthetic.h"
 #include "traceio/cache.h"
@@ -52,6 +54,27 @@ TEST(TraceIo, RoundTripThroughStream) {
   for (std::size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ(loaded.events()[i], original.events()[i]);
   }
+}
+
+TEST(TraceIo, AwkwardDoublesRoundTripBitForBit) {
+  // 17 significant digits read back every finite double exactly: the
+  // smallest subnormal, a huge exponent, long mantissas, starts one ulp
+  // apart, and an exact duplicate that must stay adjacent in canonical
+  // pair order.
+  std::vector<ContactEvent> events;
+  events.push_back({0.0, 5e-324, 0, 9});
+  events.push_back({0.1, 1.0 / 3.0, 2, 3});
+  events.push_back({0.1, 0.30000000000000004, 3, 4});
+  events.push_back({0.1, 0.30000000000000004, 3, 4});
+  events.push_back({12345.678901234567, 1e300, 0, 1});
+  events.push_back({std::nextafter(12345.678901234567, 2e4), 0.0, 7, 8});
+  const ContactTrace original(10, std::move(events), "awkward");
+
+  std::ostringstream buffer;
+  write_trace_csv(original, buffer);
+  const ContactTrace loaded = read_csv(buffer.str());
+  EXPECT_EQ(loaded.node_count(), original.node_count());
+  EXPECT_EQ(loaded.events(), original.events());
 }
 
 TEST(TraceIo, HeaderIsOptional) {

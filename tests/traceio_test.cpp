@@ -1,12 +1,9 @@
 // Tests for the trace ingestion subsystem (src/traceio/): golden fixture
-// parses for every reader, lossless .dtntrace round-trips (including the
-// degenerate empty, single-contact and duplicate-timestamp shapes),
-// corruption rejection, loads that write nothing, and the shared-trace
+// parses for every reader, strict-mode diagnostics, content sniffing that
+// ignores the file name, loads that write nothing, and the shared-trace
 // sweep determinism contract.
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -15,7 +12,6 @@
 #include "experiment/sweep.h"
 #include "trace/synthetic.h"
 #include "trace/trace_io.h"
-#include "traceio/binary.h"
 #include "traceio/cache.h"
 #include "traceio/reader.h"
 
@@ -165,209 +161,6 @@ TEST(TraceioStrict, ImoteReaderRejectsTrailingColumnsWithLineContext) {
   EXPECT_EQ(imote->read(extra, "t", "log.txt", {}).size(), 2u);
 }
 
-// ---- binary format ----------------------------------------------------
-
-ContactTrace awkward_trace() {
-  // Values chosen to stress the XOR-delta codec: denormals, huge exponents,
-  // long mantissas, equal starts, adjacent node pairs.
-  std::vector<ContactEvent> events;
-  events.push_back({0.0, 5e-324, 0, 9});
-  events.push_back({0.1, 1.0 / 3.0, 2, 3});
-  events.push_back({0.1, 0.30000000000000004, 3, 4});
-  events.push_back({12345.678901234567, 1e300, 0, 1});
-  events.push_back({12345.678901234568, 0.0, 7, 8});
-  return ContactTrace(10, std::move(events), "awkward");
-}
-
-TEST(TraceioBinary, RoundTripPreservesEveryBit) {
-  const ContactTrace trace = awkward_trace();
-  std::ostringstream out;
-  traceio::write_trace_binary(trace, out);
-  const ContactTrace back =
-      traceio::read_trace_binary(out.str(), "mem.dtntrace");
-  EXPECT_EQ(back.name(), trace.name());
-  EXPECT_EQ(back.node_count(), trace.node_count());
-  EXPECT_EQ(back.events(), trace.events());
-}
-
-TEST(TraceioBinary, CsvToBinaryToCsvIsByteIdentical) {
-  const std::string path = kFixtures + "/sample.csv";
-  const ContactTrace parsed = traceio::load_trace_any(path);
-  std::ostringstream binary;
-  traceio::write_trace_binary(parsed, binary);
-  const ContactTrace back =
-      traceio::read_trace_binary(binary.str(), "mem.dtntrace");
-  EXPECT_EQ(csv_bytes(back), slurp(path));
-}
-
-TEST(TraceioBinary, HeaderMetadataMatchesTrace) {
-  const ContactTrace trace = awkward_trace();
-  std::ostringstream out;
-  traceio::write_trace_binary(trace, out);
-  const traceio::BinaryTraceMeta meta =
-      traceio::read_binary_header(out.str(), "mem.dtntrace");
-  EXPECT_EQ(meta.version, traceio::kBinaryVersion);
-  EXPECT_EQ(meta.node_count, trace.node_count());
-  EXPECT_EQ(meta.contact_count, trace.size());
-  EXPECT_EQ(meta.name, "awkward");
-  EXPECT_DOUBLE_EQ(meta.start_time, trace.start_time());
-  EXPECT_DOUBLE_EQ(meta.end_time, trace.end_time());
-  // Bytes 48..63 are reserved and written as zero.
-  EXPECT_EQ(out.str().substr(48, 16), std::string(16, '\0'));
-}
-
-TEST(TraceioBinary, RejectsCorruptionEverywhere) {
-  std::ostringstream out;
-  traceio::write_trace_binary(awkward_trace(), out);
-  const std::string good = out.str();
-
-  auto expect_rejected = [](const std::string& bytes, const char* what) {
-    EXPECT_THROW(traceio::read_trace_binary(bytes, "corrupt.dtntrace"),
-                 std::runtime_error)
-        << what;
-  };
-
-  expect_rejected(good.substr(0, 4), "truncated inside the magic");
-  expect_rejected(good.substr(0, 40), "truncated inside the header");
-  expect_rejected(good.substr(0, good.size() - 2), "truncated records");
-  expect_rejected(good + "x", "trailing garbage");
-
-  std::string bad_magic = good;
-  bad_magic[0] = 'X';
-  expect_rejected(bad_magic, "wrong magic");
-
-  std::string bad_version = good;
-  bad_version[8] = 99;
-  expect_rejected(bad_version, "unsupported version");
-
-  std::string bad_endian = good;
-  std::swap(bad_endian[12], bad_endian[15]);
-  expect_rejected(bad_endian, "byte-swapped endian tag");
-
-  std::string bad_payload = good;
-  bad_payload.back() = static_cast<char>(bad_payload.back() ^ 0x40);
-  expect_rejected(bad_payload, "flipped payload bit");
-}
-
-/// One encoded record from its raw fields (binary.h: XOR-ed start and
-/// duration bits, zigzag a delta, b - a - 1).
-std::string record_bytes(std::uint64_t start_xor, std::uint64_t duration_xor,
-                         std::int64_t a_delta, std::uint64_t b_gap) {
-  auto varint = [](std::uint64_t v) {
-    std::string out;
-    for (; v >= 0x80u; v >>= 7) out.push_back(static_cast<char>(v | 0x80u));
-    out.push_back(static_cast<char>(v));
-    return out;
-  };
-  auto byteswap = [](std::uint64_t v) {
-    std::uint64_t out = 0;
-    for (int i = 0; i < 8; ++i, v >>= 8) out = (out << 8) | (v & 0xffu);
-    return out;
-  };
-  const auto zigzag = static_cast<std::uint64_t>((a_delta << 1) ^
-                                                 (a_delta >> 63));
-  return varint(byteswap(start_xor)) + varint(byteswap(duration_xor)) +
-         varint(zigzag) + varint(b_gap);
-}
-
-TEST(TraceioBinary, RejectsEveryMalformedRecord) {
-  // The header of an empty 10-node trace, patched to announce `count`
-  // records and the payload's true checksum, so that only the named record
-  // check can reject the file.
-  std::ostringstream header_out;
-  traceio::write_trace_binary(ContactTrace(10, {}, "raw"), header_out);
-  auto with_payload = [&](std::uint64_t count, const std::string& payload) {
-    std::string bytes = header_out.str();
-    const std::uint64_t checksum =
-        traceio::fnv1a(payload.data(), payload.size());
-    for (int i = 0; i < 8; ++i) {
-      bytes[24 + i] = static_cast<char>((count >> (8 * i)) & 0xffu);
-      bytes[64 + i] = static_cast<char>((checksum >> (8 * i)) & 0xffu);
-    }
-    return bytes + payload;
-  };
-  const std::uint64_t minus_one = std::bit_cast<std::uint64_t>(-1.0);
-  const std::uint64_t nan = std::bit_cast<std::uint64_t>(std::nan(""));
-  const struct {
-    std::uint64_t count;
-    std::string payload;
-    const char* error;
-  } cases[] = {
-      {1, std::string(10, '\xff'), "overlong varint"},
-      {1, record_bytes(0, 0, -1, 0), "node outside [0, N)"},   // a = -1
-      {1, record_bytes(0, 0, 0, 20), "node outside [0, N)"},   // b = 21
-      // Deltas large enough to overflow a signed 64-bit addition, and a
-      // gap that wraps to -3 (b = 3 < a = 5).
-      {2, record_bytes(0, 0, 1, 0) + record_bytes(0, 0, INT64_MAX, 0),
-       "node outside [0, N)"},
-      {1, record_bytes(0, 0, 1, INT64_MAX), "node outside [0, N)"},
-      {1, record_bytes(0, 0, 5, UINT64_MAX - 2), "node outside [0, N)"},
-      {1, record_bytes(0, minus_one, 0, 0), "negative duration"},
-      {1, record_bytes(nan, 0, 0, 0), "non-finite time"},
-      {1, record_bytes(0, nan, 0, 0), "non-finite time"},
-      // A count no payload this size can hold must fail before it sizes
-      // an allocation.
-      {std::uint64_t{1} << 40, record_bytes(0, 0, 0, 0),
-       "more than the payload holds"},
-      {2, record_bytes(0, 0, 1, 0) + record_bytes(0, 0, -1, 0),
-       "not sorted"},  // (1, 2) then (0, 1) at the same instant
-  };
-  for (const auto& c : cases) {
-    try {
-      traceio::read_trace_binary(with_payload(c.count, c.payload),
-                                 "raw.dtntrace");
-      ADD_FAILURE() << "accepted a record that should fail: " << c.error;
-    } catch (const std::runtime_error& error) {
-      EXPECT_NE(std::string(error.what()).find(c.error), std::string::npos)
-          << error.what();
-    }
-  }
-}
-
-/// write_trace_binary then read_trace_binary, in memory.
-ContactTrace binary_round_trip(const ContactTrace& trace) {
-  std::ostringstream out;
-  traceio::write_trace_binary(trace, out);
-  return traceio::read_trace_binary(out.str(), "mem.dtntrace");
-}
-
-TEST(TraceioBinary, EmptyTraceRoundTrips) {
-  const ContactTrace empty(4, {}, "empty");
-  const ContactTrace back = binary_round_trip(empty);
-  EXPECT_TRUE(back.empty());
-  EXPECT_EQ(back.node_count(), 4);
-  EXPECT_EQ(back.name(), "empty");
-}
-
-TEST(TraceioBinary, SingleContactTraceRoundTrips) {
-  std::vector<ContactEvent> events;
-  events.push_back({42.5, 7.0, 1, 3});
-  const ContactTrace one(5, events, "one");
-  const ContactTrace back = binary_round_trip(one);
-  ASSERT_EQ(back.size(), 1u);
-  EXPECT_EQ(back.events()[0], one.events()[0]);
-  EXPECT_EQ(back.node_count(), 5);
-}
-
-TEST(TraceioBinary, DuplicateTimestampsRoundTripInCanonicalPairOrder) {
-  // Several contacts at the same instant (one crowded room): the binary
-  // writer stores them in ContactEventOrder and the decoder must hand them
-  // back in exactly that order — the daemon's estimator treats a repeated
-  // (pair, time) as one physical meeting, which only works if duplicates
-  // arrive adjacent, not shuffled.
-  std::vector<ContactEvent> events;
-  events.push_back({100.0, 5.0, 2, 3});
-  events.push_back({100.0, 5.0, 0, 1});
-  events.push_back({100.0, 5.0, 0, 1});  // exact duplicate record
-  events.push_back({100.0, 5.0, 1, 2});
-  events.push_back({250.0, 5.0, 0, 1});
-  const ContactTrace trace(4, events, "dups");  // ctor sorts canonically
-  const ContactTrace back = binary_round_trip(trace);
-  ASSERT_EQ(back.size(), 5u);
-  EXPECT_EQ(back.events(), trace.events());
-  EXPECT_EQ(back.events()[0], back.events()[1]);  // the duplicate survived
-}
-
 TEST(TraceioStrict, CsvRejectsOutOfOrderContactsOnlyInStrictMode) {
   const std::string csv =
       "start,duration,a,b\n"
@@ -394,7 +187,24 @@ TEST(TraceioStrict, CsvRejectsOutOfOrderContactsOnlyInStrictMode) {
   }
 }
 
-// ---- loads write nothing ----------------------------------------------
+// ---- loads: content decides the reader, and nothing is written -------
+
+TEST(TraceioLoad, ExtensionDoesNotChooseTheReader) {
+  // Only the content is sniffed: CSV bytes named *.dtntrace load as CSV,
+  // and "binary" is no format a caller can force.
+  ScratchDir dir("extension");
+  const std::string path = dir.file("trace.dtntrace");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << slurp(kFixtures + "/sample.csv");
+  }
+  const ContactTrace trace = traceio::load_trace_any(path);
+  EXPECT_EQ(trace.name(), "trace");
+  EXPECT_EQ(csv_bytes(trace), slurp(kFixtures + "/sample.csv"));
+  traceio::LoadOptions binary;
+  binary.format = "binary";
+  EXPECT_THROW(traceio::load_trace_any(path, binary), std::runtime_error);
+}
 
 TEST(TraceioLoad, LeavesTheInputDirectoryUnchanged) {
   ScratchDir dir("load");

@@ -8,7 +8,7 @@
 //
 //   dtnd --trace FILE [--script FILE] [options]
 //   dtnd --synthetic NAME [--script FILE] [options]   (infocom05|infocom06|
-//                                                      mit|ucsd)
+//                                                      mitreality|ucsd)
 //
 // With no --script, dtnd drains the whole feed and prints stats. --audit
 // cross-checks every repair batch against a fresh rebuild of every root
@@ -42,7 +42,8 @@ namespace {
       stderr,
       "usage: dtnd (--trace FILE | --synthetic NAME) [options]\n"
       "  --trace FILE       contact trace to replay (any supported format)\n"
-      "  --synthetic NAME   built-in preset: infocom05|infocom06|mit|ucsd\n"
+      "  --synthetic NAME   built-in preset: infocom05|infocom06|\n"
+      "                     mitreality|ucsd\n"
       "  --script FILE      query script ('-' = stdin); default: drain+stats\n"
       "  --warm-frac F      trace fraction used as batch warm start [0.5]\n"
       "  --horizon SECS     path horizon T [3600]\n"
@@ -129,21 +130,14 @@ ContactTrace load_input(const Options& options) {
   if (!options.trace_path.empty()) {
     return traceio::load_trace_any(options.trace_path);
   }
-  SyntheticTraceConfig config;
-  if (options.synthetic == "infocom05") {
-    config = infocom05_preset();
-  } else if (options.synthetic == "infocom06") {
-    config = infocom06_preset();
-  } else if (options.synthetic == "mit") {
-    config = mit_reality_preset();
-  } else if (options.synthetic == "ucsd") {
-    config = ucsd_preset();
-  } else {
+  const std::optional<SyntheticTraceConfig> preset =
+      preset_by_name(options.synthetic);
+  if (!preset) {
     std::fprintf(stderr, "dtnd: unknown synthetic preset: %s\n",
                  options.synthetic.c_str());
     usage();
   }
-  return generate_trace(config);
+  return generate_trace(*preset);
 }
 
 std::string stats_json(const daemon::Daemon& daemon) {

@@ -34,7 +34,7 @@ namespace {
 
 struct CliOptions {
   std::string trace = "mitreality";
-  std::string trace_format;    // empty = sniff from content/extension
+  std::string trace_format;    // empty = sniff from content
   double days = 0.0;           // 0 = preset default
   std::vector<std::string> schemes{"all"};
   double tl_hours = 0.0;       // 0 = trace-dependent default
@@ -57,9 +57,9 @@ struct CliOptions {
       stderr,
       "usage: %s [options]\n"
       "  --trace NAME     infocom05|infocom06|mitreality|ucsd or a trace\n"
-      "                   file (CSV, ONE report, iMote log or .dtntrace;\n"
-      "                   format auto-detected)\n"
-      "  --trace-format F force the trace file format: csv|one|imote|binary\n"
+      "                   file (CSV, ONE report or iMote log; format\n"
+      "                   auto-detected)\n"
+      "  --trace-format F force the trace file format: csv|one|imote\n"
       "  --days D         limit/define the trace duration in days\n"
       "  --scheme LIST    comma list of ncl,nocache,random,cachedata,bundle\n"
       "                   or 'all' (default)\n"
@@ -159,22 +159,21 @@ std::optional<SchemeKind> parse_scheme(const std::string& name) {
   return std::nullopt;
 }
 
+/// Days a preset runs for without --days: the campus traces are cut to
+/// 60 (MIT Reality) and 25 (UCSD) days, the conference traces run whole.
+double default_days(const std::string& preset) {
+  if (preset == "mitreality") return 60.0;
+  if (preset == "ucsd") return 25.0;
+  return 0.0;
+}
+
 ContactTrace build_trace(const CliOptions& options) {
-  auto preset = [&](SyntheticTraceConfig config) {
-    if (options.days > 0) config = config.with_duration(days(options.days));
-    return generate_trace(config);
-  };
-  if (options.trace == "infocom05") return preset(infocom05_preset());
-  if (options.trace == "infocom06") return preset(infocom06_preset());
-  if (options.trace == "mitreality") {
-    auto config = mit_reality_preset();
-    return generate_trace(config.with_duration(
-        days(options.days > 0 ? options.days : 60.0)));
-  }
-  if (options.trace == "ucsd") {
-    auto config = ucsd_preset();
-    return generate_trace(config.with_duration(
-        days(options.days > 0 ? options.days : 25.0)));
+  if (std::optional<SyntheticTraceConfig> preset =
+          preset_by_name(options.trace)) {
+    const double limit =
+        options.days > 0 ? options.days : default_days(options.trace);
+    if (limit > 0) *preset = preset->with_duration(days(limit));
+    return generate_trace(*preset);
   }
   traceio::LoadOptions load;
   load.format = options.trace_format;

@@ -3,15 +3,14 @@
 // Subcommands:
 //   stats <file>           Table-I-style summary plus contact-duration and
 //                          inter-contact percentiles
-//   convert <in> <out>     read any supported format, write .dtntrace or
-//                          CSV (chosen by the output extension)
+//   convert <in> <out>     read any supported format, write CSV
 //   validate <file>        strict parse with file:line diagnostics; exit 0
 //                          only when the file is flawless
 //   --self-test            in-memory round-trip checks (registered in ctest)
 //
 // Input formats are sniffed from content (CSV, ONE connectivity report,
-// iMote pairwise log, .dtntrace binary); --format forces one. Loading never
-// writes a file, so it is safe to point at read-only datasets.
+// iMote pairwise log); --format forces one. Loading never writes a file, so
+// it is safe to point at read-only datasets.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -23,7 +22,6 @@
 #include "common/stats.h"
 #include "daemon/rate_estimator.h"
 #include "trace/trace_io.h"
-#include "traceio/binary.h"
 #include "traceio/cache.h"
 #include "traceio/reader.h"
 
@@ -38,12 +36,11 @@ namespace {
       "  tracetool stats <file>         print a trace summary\n"
       "                                 --pairs: per-pair inter-contact\n"
       "                                 table (count, mean/EWMA gap, rate)\n"
-      "  tracetool convert <in> <out>   convert between formats; the output\n"
-      "                                 extension picks .dtntrace or CSV\n"
+      "  tracetool convert <in> <out>   convert any format to CSV\n"
       "  tracetool validate <file>      strict parse, file:line diagnostics\n"
       "  tracetool --self-test          run built-in round-trip checks\n"
       "options:\n"
-      "  --format F   force the input format: csv|one|imote|binary\n"
+      "  --format F   force the input format: csv|one|imote\n"
       "  --strict     strict parsing for stats/convert (validate always is)\n");
   std::exit(2);
 }
@@ -214,17 +211,9 @@ int cmd_convert(const ToolOptions& options) {
   const std::string& in_path = options.paths[0];
   const std::string& out_path = options.paths[1];
   const ContactTrace trace = load(options, in_path);
-  const bool binary_out =
-      out_path.size() >= 9 &&
-      out_path.compare(out_path.size() - 9, 9, ".dtntrace") == 0;
-  if (binary_out) {
-    traceio::save_trace_binary(trace, out_path);
-  } else {
-    save_trace_csv(trace, out_path);
-  }
-  std::printf("%s: %d nodes, %zu contacts -> %s (%s)\n", in_path.c_str(),
-              trace.node_count(), trace.events().size(), out_path.c_str(),
-              binary_out ? "binary" : "csv");
+  save_trace_csv(trace, out_path);
+  std::printf("%s: %d nodes, %zu contacts -> %s (csv)\n", in_path.c_str(),
+              trace.node_count(), trace.events().size(), out_path.c_str());
   return 0;
 }
 
@@ -262,7 +251,8 @@ ContactTrace self_test_trace() {
 int run_self_test() {
   const ContactTrace trace = self_test_trace();
 
-  // CSV text round-trip: write, re-read, write again — byte-identical.
+  // CSV text round-trip: write, re-read, write again — byte-identical, and
+  // every field of every contact read back exactly.
   std::ostringstream csv1;
   write_trace_csv(trace, csv1);
   const traceio::TraceReader* csv = traceio::reader_for_format("csv");
@@ -274,26 +264,8 @@ int run_self_test() {
   std::ostringstream csv2;
   write_trace_csv(csv_back, csv2);
   TT_CHECK(csv1.str() == csv2.str());
-
-  // Binary round-trip preserves every field exactly.
-  std::ostringstream bin;
-  traceio::write_trace_binary(trace, bin);
-  const ContactTrace bin_back =
-      traceio::read_trace_binary(bin.str(), "selftest.dtntrace");
-  TT_CHECK(bin_back.name() == trace.name());
-  TT_CHECK(bin_back.node_count() == trace.node_count());
-  TT_CHECK(bin_back.events() == trace.events());
-
-  // A flipped payload byte must be rejected, not silently accepted.
-  std::string corrupt = bin.str();
-  corrupt.back() = static_cast<char>(corrupt.back() ^ 0x01);
-  bool threw = false;
-  try {
-    traceio::read_trace_binary(corrupt, "corrupt.dtntrace");
-  } catch (const std::exception&) {
-    threw = true;
-  }
-  TT_CHECK(threw);
+  TT_CHECK(csv_back.node_count() == trace.node_count());
+  TT_CHECK(csv_back.events() == trace.events());
 
   // ONE connectivity report: up/down pairs become contacts.
   const traceio::TraceReader* one = traceio::reader_for_format("one");
