@@ -46,6 +46,8 @@ constexpr std::array<const char*, kCounterCount> kCounterNames = {
     "daemon_audit_rebuilds",
     "daemon_queries",
     "peak_rss_bytes",
+    "daemon_roots_local",
+    "daemon_nodes_resettled",
 };
 
 constexpr std::array<const char*, kTimerCount> kTimerNames = {

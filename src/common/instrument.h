@@ -73,6 +73,8 @@ enum class Counter : int {
   kDaemonAuditRebuilds,         ///< audit-mode full reference rebuilds
   kDaemonQueries,               ///< daemon queries answered from a snapshot
   kPeakRssBytes,                ///< peak resident set sampled by benches
+  kDaemonRootsLocal,            ///< repaired roots re-settled subtree-locally
+  kDaemonNodesResettled,        ///< nodes those local repairs re-settled
   kCount
 };
 

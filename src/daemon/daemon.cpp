@@ -1,6 +1,8 @@
 #include "daemon/daemon.h"
 
 #include <algorithm>
+#include <bit>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -56,8 +58,13 @@ std::shared_ptr<const Snapshot> Daemon::snapshot() const {
 }
 
 void Daemon::publish(std::shared_ptr<const Snapshot> next) {
-  const std::lock_guard<std::mutex> guard(snapshot_mu_);
-  shared_snapshot_ = std::move(next);
+  {
+    const std::lock_guard<std::mutex> guard(snapshot_mu_);
+    shared_snapshot_.swap(next);
+  }
+  // `next` now holds the previous snapshot. Unless a reader still holds
+  // it, dropping it here frees its graph and the tables no newer snapshot
+  // shares, after the unlock, so no reader waits on that.
 }
 
 QueryInfo Daemon::query_info(const Snapshot& snap) const {
@@ -174,32 +181,18 @@ std::vector<Daemon::EdgeChange> Daemon::collect_drifted_edges() {
   return changes;
 }
 
-std::vector<NodeId> Daemon::affected_roots(
-    const std::vector<EdgeChange>& changes) {
-  const NodeId n = graph_.node_count();
-  std::vector<std::uint8_t> flagged(static_cast<std::size_t>(n), 0);
+Daemon::RootRepair Daemon::classify(
+    const PathTable& table, const std::vector<EdgeChange>& changes) const {
   PathWorkspace& ws = thread_path_workspace();
-
-  // Tree-membership test against root r's CURRENT table: every reachable
-  // non-root entry stores its final hop (node, next_hop), so r's tree uses
-  // the undirected edge (u, v) iff one endpoint is the other's parent.
-  const auto tree_uses = [](const PathTable& table, NodeId u, NodeId v) {
-    const auto parent_is = [&](NodeId node, NodeId parent) {
-      const PathTable::Entry& e = table.entry(node);
-      return e.hops > 0 && e.weight > 0.0 && e.next_hop == parent;
-    };
-    return parent_is(u, v) || parent_is(v, u);
-  };
-
-  // One-step endpoint test against root r's CURRENT table: can the edge
-  // (from -> to) at new_rate enter r's tree? The first adoption of a
+  // One-step endpoint test against the root's CURRENT table: can the edge
+  // (from -> to) at new_rate enter its tree? The first adoption of a
   // changed edge extends a chain that avoids it — i.e. the unchanged
   // current chain of `from` — so evaluating that single candidate against
   // `to`'s current settled weight is a sound detector. >= flags ties
   // conservatively (flagging extra roots only costs work, never
-  // correctness: a repaired root re-runs the full construction).
-  const auto adoption_possible = [&](const PathTable& table, NodeId from,
-                                     NodeId to, double new_rate) {
+  // correctness: a flagged root re-runs the full construction).
+  const auto adoption_possible = [&](NodeId from, NodeId to,
+                                     double new_rate) {
     if (to == table.root()) return false;  // the root never adopts a parent
     const PathTable::Entry& ef = table.entry(from);
     if (from != table.root() && ef.weight <= 0.0) return false;  // unreachable
@@ -212,29 +205,23 @@ std::vector<NodeId> Daemon::affected_roots(
     return candidate >= table.entry(to).weight;
   };
 
+  // Any change can alter a tree that uses the edge. A slowed or removed
+  // tree edge changes only the subtree below it: every candidate through
+  // the edge got strictly worse. A faster tree edge, or a faster edge an
+  // endpoint could adopt, may change anything.
+  RootRepair kind = RootRepair::kUntouched;
   for (const EdgeChange& change : changes) {
-    // Any change can alter a tree that uses the edge. Rate decreases need
-    // nothing more: every candidate through the edge got strictly worse,
-    // so relaxations that lost before still lose.
     const bool increase = change.new_rate > change.old_rate;
-    for (NodeId r = 0; r < n; ++r) {
-      std::uint8_t& flag = flagged[static_cast<std::size_t>(r)];
-      if (flag) continue;
-      const PathTable& table = tables_[static_cast<std::size_t>(r)];
-      if (tree_uses(table, change.u, change.v) ||
-          (increase &&
-           (adoption_possible(table, change.u, change.v, change.new_rate) ||
-            adoption_possible(table, change.v, change.u, change.new_rate)))) {
-        flag = 1;
-      }
+    if (table.tree_child(change.u, change.v) != kNoNode) {
+      if (increase) return RootRepair::kFull;
+      kind = RootRepair::kLocal;
+    } else if (increase &&
+               (adoption_possible(change.u, change.v, change.new_rate) ||
+                adoption_possible(change.v, change.u, change.new_rate))) {
+      return RootRepair::kFull;
     }
   }
-
-  std::vector<NodeId> roots;
-  for (NodeId r = 0; r < n; ++r) {
-    if (flagged[static_cast<std::size_t>(r)]) roots.push_back(r);
-  }
-  return roots;
+  return kind;
 }
 
 void Daemon::repair(Time batch_time) {
@@ -254,49 +241,68 @@ void Daemon::repair(Time batch_time) {
     return;
   }
 
-  // Detect stale roots against the OLD tables, then apply the rate
-  // updates and re-run exactly those roots with the production engine.
-  std::vector<NodeId> roots = affected_roots(changes);
+  // Apply the rate updates and refresh the changed endpoints' edge terms.
+  // Classification reads only the OLD tables and the change list.
+  std::vector<std::pair<NodeId, NodeId>> changed;
+  changed.reserve(changes.size());
   for (const EdgeChange& change : changes) {
     if (change.new_rate > 0.0) {
       graph_.set_rate(change.u, change.v, change.new_rate);
     } else {
       graph_.remove_edge(change.u, change.v);
     }
+    refresh_edge_exp_row(edge_exp_, graph_, change.u);
+    refresh_edge_exp_row(edge_exp_, graph_, change.v);
+    changed.emplace_back(change.u, change.v);
   }
   stats_.edge_updates += changes.size();
   DTN_COUNT_N(kDaemonEdgeUpdates, changes.size());
 
-  if (!roots.empty()) {
-    const EdgeExpTable edge_exp = build_edge_exp_table(graph_, config_.horizon);
-    std::vector<PathTable> repaired =
-        parallel_map(config_.threads, roots.size(), [&](std::size_t i) {
-          return compute_opportunistic_paths(
-              graph_, roots[i], config_.horizon, config_.max_hops,
-              thread_path_workspace(), edge_exp);
-        });
-    for (std::size_t i = 0; i < roots.size(); ++i) {
-      const std::size_t r = static_cast<std::size_t>(roots[i]);
-      tables_[r] = std::move(repaired[i]);
-      metric_[r] = ncl_metric(tables_[r]);
+  // One pass: each root's task reads and replaces only its own slots.
+  const std::size_t n = tables_.size();
+  std::vector<RootRepair> outcome(n, RootRepair::kUntouched);
+  std::vector<std::size_t> resettled(n, 0);
+  parallel_for(config_.threads, n, [&](std::size_t r) {
+    const PathTable& old = *tables_[r];
+    RootRepair kind = classify(old, changes);
+    if (kind == RootRepair::kUntouched) return;
+    PathWorkspace& ws = thread_path_workspace();
+    std::optional<ResettledTable> local;
+    if (kind == RootRepair::kLocal) {
+      local = resettle_subtrees(graph_, old, config_.max_hops, changed, ws,
+                                edge_exp_);
     }
-    stats_.roots_repaired += roots.size();
-    DTN_COUNT_N(kDaemonRootsRepaired, roots.size());
+    if (local) {
+      resettled[r] = local->resettled;
+      tables_[r] = std::make_shared<const PathTable>(std::move(local->table));
+    } else {
+      kind = RootRepair::kFull;
+      tables_[r] = std::make_shared<const PathTable>(
+          compute_opportunistic_paths(graph_, static_cast<NodeId>(r),
+                                      config_.horizon, config_.max_hops, ws,
+                                      edge_exp_));
+    }
+    metric_[r] = ncl_metric(*tables_[r]);
+    outcome[r] = kind;
+  });
+  std::uint64_t repaired = 0;
+  std::uint64_t local = 0;
+  std::uint64_t nodes = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    if (outcome[r] == RootRepair::kUntouched) continue;
+    ++repaired;
+    if (outcome[r] == RootRepair::kLocal) ++local;
+    nodes += resettled[r];
   }
+  stats_.roots_repaired += repaired;
+  stats_.roots_local += local;
+  stats_.nodes_resettled += nodes;
+  DTN_COUNT_N(kDaemonRootsRepaired, repaired);
+  DTN_COUNT_N(kDaemonRootsLocal, local);
+  DTN_COUNT_N(kDaemonNodesResettled, nodes);
 
   if (config_.audit) audit_against_reference();
-
-  ++epoch_;
-  auto next = std::make_shared<Snapshot>();
-  next->epoch = epoch_;
-  next->published_at = batch_time;
-  next->graph = graph_;
-  next->tables = tables_;
-  next->metric = metric_;
-  publish(std::move(next));
-  ++stats_.snapshots_published;
-  DTN_COUNT(kDaemonSnapshotsPublished);
-  shared_scan_clock_.store(batch_time, std::memory_order_release);
+  publish_snapshot(batch_time);
 }
 
 void Daemon::full_build(Time batch_time) {
@@ -320,29 +326,30 @@ void Daemon::full_build(Time batch_time) {
   for (const std::size_t pair : dirty_pairs_) dirty_flags_[pair] = 0;
   dirty_pairs_.clear();
 
-  const EdgeExpTable edge_exp = build_edge_exp_table(graph_, config_.horizon);
-  tables_ = parallel_map(
-      config_.threads, static_cast<std::size_t>(n), [&](std::size_t root) {
-        return compute_opportunistic_paths(graph_, static_cast<NodeId>(root),
-                                           config_.horizon, config_.max_hops,
-                                           thread_path_workspace(), edge_exp);
-      });
-  metric_.resize(static_cast<std::size_t>(n));
-  for (NodeId r = 0; r < n; ++r) {
-    metric_[static_cast<std::size_t>(r)] =
-        ncl_metric(tables_[static_cast<std::size_t>(r)]);
-  }
+  edge_exp_ = build_edge_exp_table(graph_, config_.horizon);
+  const std::size_t roots = static_cast<std::size_t>(n);
+  tables_.resize(roots);
+  metric_.resize(roots);
+  parallel_for(config_.threads, roots, [&](std::size_t r) {
+    tables_[r] = std::make_shared<const PathTable>(compute_opportunistic_paths(
+        graph_, static_cast<NodeId>(r), config_.horizon, config_.max_hops,
+        thread_path_workspace(), edge_exp_));
+    metric_[r] = ncl_metric(*tables_[r]);
+  });
   stats_.roots_repaired += static_cast<std::uint64_t>(n);
-  DTN_COUNT_N(kDaemonRootsRepaired, static_cast<std::size_t>(n));
+  DTN_COUNT_N(kDaemonRootsRepaired, roots);
 
   if (config_.audit) audit_against_reference();
+  publish_snapshot(batch_time);
+}
 
+void Daemon::publish_snapshot(Time batch_time) {
   ++epoch_;
   auto next = std::make_shared<Snapshot>();
   next->epoch = epoch_;
   next->published_at = batch_time;
   next->graph = graph_;
-  next->tables = tables_;
+  next->tables = SharedTables(tables_);
   next->metric = metric_;
   publish(std::move(next));
   ++stats_.snapshots_published;
@@ -361,13 +368,20 @@ void Daemon::audit_against_reference() {
                          graph_, static_cast<NodeId>(root), config_.horizon,
                          config_.max_hops);
                    });
-  // NCL selection must agree too: the reference metric through the same
-  // fold, and the resulting top-k set.
+  // Every entry field, bit for bit: a repair that keeps the weights but
+  // picks another equal-weight parent changes later tree-use tests and
+  // path_weight answers at other budgets. NCL selection must agree too:
+  // the reference metric through the same fold, and the top-k set.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
   std::vector<double> ref_metric(static_cast<std::size_t>(n), 0.0);
   for (NodeId r = 0; r < n; ++r) {
     const std::size_t ri = static_cast<std::size_t>(r);
     for (NodeId node = 0; node < n; ++node) {
-      DTN_CHECK(tables_[ri].weight(node) == reference[ri].weight(node),
+      const PathTable::Entry& got = tables_[ri]->entry(node);
+      const PathTable::Entry& want = reference[ri].entry(node);
+      DTN_CHECK(bits(got.weight) == bits(want.weight) &&
+                    bits(got.last_rate) == bits(want.last_rate) &&
+                    got.next_hop == want.next_hop && got.hops == want.hops,
                 "incremental repair diverged from reference rebuild");
     }
     ref_metric[ri] = ncl_metric(reference[ri]);

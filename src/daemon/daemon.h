@@ -7,7 +7,8 @@
 // and keeps the path tables continuously correct through **incremental
 // repair** — when an edge's estimated rate drifts past a configurable
 // relative threshold, only the roots whose trees that edge can affect are
-// re-run through single-root Dijkstra, instead of rebuilding all pairs.
+// repaired (the subtrees under a slowed tree edge re-settled, or the root
+// re-run through single-root Dijkstra), instead of rebuilding all pairs.
 //
 // Repair soundness (DESIGN.md §13 has the full argument): a path-weight
 // candidate is strictly increasing in every chain rate, so
@@ -22,19 +23,25 @@
 //     the edge, i.e. the endpoint's unchanged current chain. Re-evaluating
 //     that one-step candidate against the endpoint's current weight is
 //     therefore a sound stale-root detector (>= flags conservatively).
-// Repaired roots re-run the exact kFast single-root construction a full
-// rebuild would run, on the global thread pool by default, so repaired
-// tables are bit-identical to a rebuild for every thread count;
-// with `audit` on, every repair batch is DTN_CHECKed for settled-weight
-// equality against a fresh per-root compute_opportunistic_paths_reference
-// build.
+// A batch is one pass over the roots on the global thread pool (by
+// default): each task classifies its root by those two tests as untouched,
+// local (only slowed or removed edges of its tree make it stale) or full,
+// repairs it and folds its Eq. 3 metric. A local root re-settles only the
+// subtrees under its slowed edges (resettle_subtrees), which either yields
+// the kernel's table or declines; a full root, or a declined one, re-runs
+// the single-root kernel a full rebuild would run. Either way the tables
+// are bit-identical to a rebuild for every thread count; with `audit` on,
+// every batch is DTN_CHECKed field for field against a fresh per-root
+// compute_opportunistic_paths_reference build.
 //
 // Concurrency: ONE writer thread calls warm_start/ingest/repair_now; any
 // number of reader threads call snapshot()/ncl_set()/path_weight()/
 // placement_for() concurrently. Readers never block the update path —
 // queries run against an immutable Snapshot behind a shared_ptr that the
 // writer swaps under a short mutex (double-buffer publish; the mutex
-// guards only the pointer copy, never any computation). Every answer
+// guards only the pointer swap, and the old snapshot is released after
+// it). A snapshot shares each root's table with the writer until a repair
+// replaces it, so a publish copies pointers, not tables. Every answer
 // carries the epoch it was computed at plus its staleness: the trace-time
 // lag between the latest ingested contact and the last drift reconcile.
 // The dtnlint rule `daemon-snapshot-guard` statically enforces that
@@ -88,9 +95,28 @@ struct DaemonConfig {
   int threads = 0;
 
   /// Audit mode: after every repair batch, build every root afresh with
-  /// compute_opportunistic_paths_reference and DTN_CHECK settled-weight,
-  /// NCL-metric and top-5 NCL-set equality.
+  /// compute_opportunistic_paths_reference and DTN_CHECK equality of every
+  /// entry field (weight, last_rate, next_hop, hops), the NCL metric and
+  /// the top-5 NCL set.
   bool audit = false;
+};
+
+/// One immutable path table per root. Each table is shared by the writer
+/// and every snapshot until a repair replaces it.
+class SharedTables {
+ public:
+  SharedTables() = default;
+  explicit SharedTables(std::vector<std::shared_ptr<const PathTable>> tables)
+      : tables_(std::move(tables)) {}
+
+  std::size_t size() const { return tables_.size(); }
+  bool empty() const { return tables_.empty(); }
+  const PathTable& operator[](std::size_t root) const {
+    return *tables_[root];
+  }
+
+ private:
+  std::vector<std::shared_ptr<const PathTable>> tables_;
 };
 
 /// Immutable published state. Readers hold it via shared_ptr; the writer
@@ -99,7 +125,7 @@ struct Snapshot {
   std::uint64_t epoch = 0;       ///< 0 = empty pre-warm-start snapshot
   Time published_at = 0.0;       ///< stream time of the publishing batch
   ContactGraph graph;            ///< thresholded working graph
-  std::vector<PathTable> tables; ///< one per root; empty at epoch 0
+  SharedTables tables;           ///< one per root; empty at epoch 0
   std::vector<double> metric;    ///< Eq. 3 NCL metric per node
 
   bool ready() const { return !tables.empty(); }
@@ -163,6 +189,10 @@ class Daemon {
     std::uint64_t repair_batches = 0;
     std::uint64_t edge_updates = 0;
     std::uint64_t roots_repaired = 0;
+    /// Repaired roots that re-settled only subtrees, and the nodes those
+    /// subtrees held (both included in roots_repaired's work).
+    std::uint64_t roots_local = 0;
+    std::uint64_t nodes_resettled = 0;
     std::uint64_t full_rebuilds = 0;   ///< warm start + first-build batches
     std::uint64_t audit_rebuilds = 0;
     std::uint64_t snapshots_published = 0;
@@ -194,22 +224,30 @@ class Daemon {
     double new_rate = 0.0;
   };
 
+  /// How one root's table answers a batch's changes.
+  enum class RootRepair : std::uint8_t { kUntouched, kLocal, kFull };
+
   void publish(std::shared_ptr<const Snapshot> next);
+  void publish_snapshot(Time batch_time);
   QueryInfo query_info(const Snapshot& snap) const;
 
-  /// Drift scan -> affected roots -> single-root re-runs -> publish.
+  /// Drift scan -> one pass over the roots (classify, repair, fold the
+  /// metric) -> publish.
   void repair(Time batch_time);
   std::vector<EdgeChange> collect_drifted_edges();
-  std::vector<NodeId> affected_roots(const std::vector<EdgeChange>& changes);
+  RootRepair classify(const PathTable& table,
+                      const std::vector<EdgeChange>& changes) const;
   void full_build(Time batch_time);
   void audit_against_reference();
 
   DaemonConfig config_;
   EwmaRateEstimator estimator_;
 
-  // Writer-owned master state; copied into a Snapshot at publish time.
+  // Writer-owned master state; a Snapshot copies the graph and the metric,
+  // and shares the tables.
   ContactGraph graph_;
-  std::vector<PathTable> tables_;
+  EdgeExpTable edge_exp_;  ///< graph_'s edge terms at config_.horizon
+  std::vector<std::shared_ptr<const PathTable>> tables_;
   std::vector<double> metric_;
 
   std::vector<std::uint8_t> dirty_flags_;   ///< per pair index

@@ -130,9 +130,12 @@ class HypoexpChainTable {
 
   /// hypoexp_cdf(chain(s) + {x}, t), bit for bit, with the same contract on
   /// `one_minus_exp_x`. `ws` is scratch for the uniformization fallback.
-  /// Throws std::invalid_argument unless x > 0.
-  double eval(std::size_t s, double x, double one_minus_exp_x,
-              HypoexpWorkspace& ws) const;
+  /// Throws std::invalid_argument unless x > 0. Forced inline: GCC stops
+  /// inlining it into the kernel's relaxation loop once a translation unit
+  /// holds more than the kernel's call site.
+  [[gnu::always_inline]] double eval(std::size_t s, double x,
+                                     double one_minus_exp_x,
+                                     HypoexpWorkspace& ws) const;
 
   /// Adds the single-stage and closed-form evals made since prepare() to
   /// hypoexp_single_evals and hypoexp_closed_form_evals. Call it once per

@@ -79,20 +79,30 @@ void validate_dijkstra_args(const ContactGraph& graph, NodeId root,
   if (max_hops < 1) throw std::invalid_argument("max_hops must be >= 1");
 }
 
+// The kernel and resettle_subtrees share the heap and relaxation helpers
+// below. Each is forced inline, as GCC inlined it when the kernel was its
+// only caller: with two callers it calls them out of line, once per
+// relaxation and per pop in the hottest loop of every table build.
+
 // The frontier's order: `a` pops before `b`. QueueItem's operator< is the
 // reference's max-heap order (weight desc, node asc), so the indexed heap
 // below settles nodes in the order the reference's lazy heap does.
-bool outranks(const QueueItem& a, const QueueItem& b) { return b < a; }
+[[gnu::always_inline]] inline bool outranks(const QueueItem& a,
+                                            const QueueItem& b) {
+  return b < a;
+}
 
 // Writes `item` at heap index i and records its node's slot.
-void place(PathWorkspace& ws, std::size_t i, const QueueItem& item) {
+[[gnu::always_inline]] inline void place(PathWorkspace& ws, std::size_t i,
+                                         const QueueItem& item) {
   ws.heap[i] = item;
   ws.slot_of[static_cast<std::size_t>(item.node)] = static_cast<std::int32_t>(i);
 }
 
 // Moves `item`, whose slot is heap index i, up past every parent it
 // outranks.
-void sift_up(PathWorkspace& ws, std::size_t i, const QueueItem& item) {
+[[gnu::always_inline]] inline void sift_up(PathWorkspace& ws, std::size_t i,
+                                           const QueueItem& item) {
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
     if (!outranks(item, ws.heap[parent])) break;
@@ -102,8 +112,46 @@ void sift_up(PathWorkspace& ws, std::size_t i, const QueueItem& item) {
   place(ws, i, item);
 }
 
+// The weight settled node u, whose chain state is in ws.chains, offers a
+// neighbour over an edge of `rate` with 1 - e^{-rate T} term `term`.
+[[gnu::always_inline]] inline double candidate_of(PathWorkspace& ws,
+                                                  NodeId u, double u_weight,
+                                                  double rate, double term) {
+  const double candidate =
+      ws.chains.eval(static_cast<std::size_t>(u), rate, term, ws.hypoexp);
+  DTN_CHECK_PROB(candidate);
+  // Appending an exponential stage strictly decreases P(sum <= T); the
+  // greedy exchange argument behind max-probability Dijkstra needs it.
+  // Tolerance: prefix and extended path may dispatch to different CDF
+  // algorithms (closed form / Erlang / uniformization), which disagree
+  // by a few ulps when both weights saturate towards 1.
+  DTN_CHECK_LE(candidate, u_weight + 1e-9);
+  return candidate;
+}
+
+// Tentative node v, whose heap slot is `slot`, adopts u as its parent when
+// `candidate` beats its label.
+[[gnu::always_inline]] inline void offer(
+    PathWorkspace& ws, std::vector<PathTable::Entry>& entries, NodeId u,
+    int u_hops, NodeId v, std::int32_t slot, double rate, double term,
+    double candidate) {
+  auto& ev = entries[static_cast<std::size_t>(v)];
+  if (!(candidate > ev.weight)) return;
+  ev.weight = candidate;
+  ev.next_hop = u;
+  ev.hops = u_hops + 1;
+  ev.last_rate = rate;
+  ws.edge_term[static_cast<std::size_t>(v)] = term;
+  // A queued node keeps its slot, and its key only grew: sift it up.
+  if (slot == PathWorkspace::kUnreached) ws.heap.emplace_back();
+  const std::size_t at = slot == PathWorkspace::kUnreached
+                             ? ws.heap.size() - 1
+                             : static_cast<std::size_t>(slot);
+  sift_up(ws, at, {candidate, v});
+}
+
 // Removes the top slot and marks its node settled.
-NodeId pop_top(PathWorkspace& ws) {
+[[gnu::always_inline]] inline NodeId pop_top(PathWorkspace& ws) {
   auto& heap = ws.heap;
   const NodeId top = heap.front().node;
   ws.slot_of[static_cast<std::size_t>(top)] = PathWorkspace::kSettled;
@@ -185,34 +233,15 @@ PathTable run_fast_dijkstra(const ContactGraph& graph, NodeId root,
       const auto& nb = neighbors[idx];
       const std::int32_t slot = ws.slot_of[static_cast<std::size_t>(nb.node)];
       if (slot == PathWorkspace::kSettled) continue;
-      auto& ev = entries[static_cast<std::size_t>(nb.node)];
       ++relaxations;
       // Bytes the legacy per-relaxation chain copy would have heap-allocated.
       bytes_not_allocated += (prefix + 1) * sizeof(double);
       const double one_minus_exp =
           exp_row ? (*exp_row)[idx] : 1.0 - std::exp(-nb.rate * horizon);
-      const double candidate = ws.chains.eval(
-          static_cast<std::size_t>(u), nb.rate, one_minus_exp, ws.hypoexp);
-      DTN_CHECK_PROB(candidate);
-      // Appending an exponential stage strictly decreases P(sum <= T); the
-      // greedy exchange argument behind max-probability Dijkstra needs it.
-      // Tolerance: prefix and extended path may dispatch to different CDF
-      // algorithms (closed form / Erlang / uniformization), which disagree
-      // by a few ulps when both weights saturate towards 1.
-      DTN_CHECK_LE(candidate, eu.weight + 1e-9);
-      if (candidate > ev.weight) {
-        ev.weight = candidate;
-        ev.next_hop = u;
-        ev.hops = eu.hops + 1;
-        ev.last_rate = nb.rate;
-        ws.edge_term[static_cast<std::size_t>(nb.node)] = one_minus_exp;
-        // A queued node keeps its slot, and its key only grew: sift it up.
-        if (slot == PathWorkspace::kUnreached) heap.emplace_back();
-        const std::size_t at = slot == PathWorkspace::kUnreached
-                                   ? heap.size() - 1
-                                   : static_cast<std::size_t>(slot);
-        sift_up(ws, at, {candidate, nb.node});
-      }
+      const double candidate =
+          candidate_of(ws, u, eu.weight, nb.rate, one_minus_exp);
+      offer(ws, entries, u, eu.hops, nb.node, slot, nb.rate, one_minus_exp,
+            candidate);
     }
   }
   ws.chains.flush_counts();
@@ -236,15 +265,18 @@ EdgeExpTable build_edge_exp_table(const ContactGraph& graph, Time horizon) {
   table.horizon = horizon;
   const NodeId n = graph.node_count();
   table.one_minus_exp.resize(static_cast<std::size_t>(n));
-  for (NodeId u = 0; u < n; ++u) {
-    const auto& neighbors = graph.neighbors(u);
-    auto& row = table.one_minus_exp[static_cast<std::size_t>(u)];
-    row.resize(neighbors.size());
-    for (std::size_t i = 0; i < neighbors.size(); ++i) {
-      row[i] = 1.0 - std::exp(-neighbors[i].rate * horizon);
-    }
-  }
+  for (NodeId u = 0; u < n; ++u) refresh_edge_exp_row(table, graph, u);
   return table;
+}
+
+void refresh_edge_exp_row(EdgeExpTable& table, const ContactGraph& graph,
+                          NodeId node) {
+  const auto& neighbors = graph.neighbors(node);
+  auto& row = table.one_minus_exp[static_cast<std::size_t>(node)];
+  row.resize(neighbors.size());
+  for (std::size_t i = 0; i < neighbors.size(); ++i) {
+    row[i] = 1.0 - std::exp(-neighbors[i].rate * table.horizon);
+  }
 }
 
 PathTable compute_opportunistic_paths(const ContactGraph& graph, NodeId root,
@@ -269,6 +301,194 @@ PathTable compute_opportunistic_paths(const ContactGraph& graph, NodeId root,
                                       Time horizon, int max_hops) {
   return compute_opportunistic_paths(graph, root, horizon, max_hops,
                                      thread_path_workspace());
+}
+
+namespace {
+
+// Gives kept node `node` the chain state the kernel gave it, deriving the
+// states of its ancestors that lack one first (the root always has one).
+// Every ancestor of a kept node is kept, with its old entry.
+void chain_kept(PathWorkspace& ws, const std::vector<PathTable::Entry>& entries,
+                NodeId node, Time horizon) {
+  ws.walk.clear();
+  for (NodeId u = node; !ws.chained[static_cast<std::size_t>(u)];
+       u = entries[static_cast<std::size_t>(u)].next_hop) {
+    ws.walk.push_back(u);
+  }
+  for (auto it = ws.walk.rbegin(); it != ws.walk.rend(); ++it) {
+    const PathTable::Entry& e = entries[static_cast<std::size_t>(*it)];
+    // The expression build_edge_exp_table stores: the term the kernel used.
+    ws.chains.extend(static_cast<std::size_t>(*it),
+                     static_cast<std::size_t>(e.next_hop), e.last_rate,
+                     1.0 - std::exp(-e.last_rate * horizon));
+    ws.chained[static_cast<std::size_t>(*it)] = 1;
+  }
+}
+
+}  // namespace
+
+std::optional<ResettledTable> resettle_subtrees(
+    const ContactGraph& graph, const PathTable& old, int max_hops,
+    const std::vector<std::pair<NodeId, NodeId>>& changed, PathWorkspace& ws,
+    const EdgeExpTable& edge_exp) {
+  using Entry = PathTable::Entry;
+  constexpr std::int32_t kInside = PathWorkspace::kUnreached;
+  constexpr std::int32_t kOutside = PathWorkspace::kOutside;
+  const NodeId root = old.root();
+  const Time horizon = old.horizon();
+  validate_dijkstra_args(graph, root, horizon, max_hops);
+  const NodeId n = graph.node_count();
+  DTN_CHECK(old.node_count() == n, "path table built for a different graph");
+  DTN_CHECK(edge_exp.horizon == horizon,
+            "edge-exp table built for a different horizon");
+  DTN_CHECK(edge_exp.one_minus_exp.size() == static_cast<std::size_t>(n),
+            "edge-exp table built for a different graph");
+  const auto at = [](NodeId v) { return static_cast<std::size_t>(v); };
+
+  // D starts at the child end of every changed tree edge and takes every
+  // node below one. A node of D is kInside until the merge reaches it; a
+  // kept node is kOutside throughout. One pass over the old entries closes
+  // D and checks the strict chains.
+  std::vector<Entry> entries = old.entries();
+  auto& slot_of = ws.slot_of;
+  slot_of.assign(at(n), kOutside);
+  for (const auto& [u, v] : changed) {
+    const NodeId child = old.tree_child(u, v);
+    if (child != kNoNode) slot_of[at(child)] = kInside;
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    const Entry& e = entries[at(v)];
+    if (v == root || !(e.weight > 0.0)) continue;
+    if (!(e.weight < entries[at(e.next_hop)].weight)) return std::nullopt;
+    if (slot_of[at(v)] == kInside) continue;
+    for (NodeId u = e.next_hop; u != root; u = entries[at(u)].next_hop) {
+      if (slot_of[at(u)] == kInside) {
+        slot_of[at(v)] = kInside;
+        break;
+      }
+    }
+  }
+  std::size_t resettled = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    if (slot_of[at(v)] != kInside) continue;
+    entries[at(v)] = Entry{};
+    ++resettled;
+  }
+
+  ws.chains.prepare(at(n), std::min(at(max_hops), at(n - 1)), horizon);
+  ws.edge_term.resize(at(n));
+  ws.chained.assign(at(n), 0);
+  ws.chains.set_empty(at(root));
+  ws.chained[at(root)] = 1;
+  ws.heap.clear();
+  [[maybe_unused]] std::uint64_t settled_count = 0;
+  [[maybe_unused]] std::uint64_t relaxations = 0;
+  const auto flush_counts = [&] {
+    ws.chains.flush_counts();
+    DTN_COUNT_N(kDijkstraSettled, settled_count);
+    DTN_COUNT_N(kDijkstraRelaxations, relaxations);
+  };
+  // A kept node's key in the pop order; it pops before `item` when it
+  // outranks it.
+  const auto key = [&](NodeId v) {
+    return QueueItem{entries[at(v)].weight, v};
+  };
+
+  // A changed edge between two kept nodes: the one that pops first relaxes
+  // the other, from a chain and over a rate the old table never combined.
+  for (const auto& [a, b] : changed) {
+    if (slot_of[at(a)] != kOutside || slot_of[at(b)] != kOutside) continue;
+    const double rate = graph.rate(a, b);
+    if (!(rate > 0.0)) continue;  // removed: nothing relaxes over it
+    const bool a_first = outranks(key(a), key(b));
+    const NodeId from = a_first ? a : b;
+    const NodeId to = a_first ? b : a;
+    const Entry& ef = entries[at(from)];
+    if (!(ef.weight > 0.0) || ef.hops >= max_hops) continue;  // never relaxes
+    chain_kept(ws, entries, from, horizon);
+    ++relaxations;
+    const double candidate = candidate_of(ws, from, ef.weight, rate,
+                                          1.0 - std::exp(-rate * horizon));
+    if (!(candidate < entries[at(to)].weight)) {
+      flush_counts();
+      return std::nullopt;
+    }
+  }
+
+  // Every relaxation from a kept node into D, in the order the kept nodes
+  // pop. Only nodes below the hop cap relax.
+  auto& boundary = ws.boundary;
+  boundary.clear();
+  for (NodeId d = 0; d < n; ++d) {
+    if (slot_of[at(d)] != kInside) continue;
+    const auto& neighbors = graph.neighbors(d);
+    const auto& row = edge_exp.one_minus_exp[at(d)];
+    for (std::size_t idx = 0; idx < neighbors.size(); ++idx) {
+      const NodeId b = neighbors[idx].node;
+      if (slot_of[at(b)] != kOutside) continue;
+      const Entry& eb = entries[at(b)];
+      if (!(eb.weight > 0.0) || eb.hops >= max_hops) continue;
+      boundary.push_back({eb.weight, b, d, neighbors[idx].rate, row[idx]});
+    }
+  }
+  std::sort(boundary.begin(), boundary.end(),
+            [](const PathWorkspace::BoundaryEdge& x,
+               const PathWorkspace::BoundaryEdge& y) {
+              return outranks({x.weight, x.from}, {y.weight, y.from});
+            });
+
+  // The kernel's pops, restricted to D and the kept nodes next to it: at
+  // each step the higher-ranked of D's frontier top and the next kept node.
+  std::size_t next = 0;
+  while (next < boundary.size() || !ws.heap.empty()) {
+    if (next < boundary.size() &&
+        (ws.heap.empty() ||
+         outranks({boundary[next].weight, boundary[next].from},
+                  ws.heap.front()))) {
+      const NodeId b = boundary[next].from;
+      const Entry& eb = entries[at(b)];
+      chain_kept(ws, entries, b, horizon);
+      for (; next < boundary.size() && boundary[next].from == b; ++next) {
+        const PathWorkspace::BoundaryEdge& edge = boundary[next];
+        const std::int32_t slot = slot_of[at(edge.to)];
+        if (slot == PathWorkspace::kSettled) continue;
+        ++relaxations;
+        offer(ws, entries, b, eb.hops, edge.to, slot, edge.rate, edge.term,
+              candidate_of(ws, b, eb.weight, edge.rate, edge.term));
+      }
+      continue;
+    }
+    const NodeId u = pop_top(ws);
+    ++settled_count;
+    const Entry& eu = entries[at(u)];
+    if (eu.hops >= max_hops) continue;
+    ws.chains.extend(at(u), at(eu.next_hop), eu.last_rate, ws.edge_term[at(u)]);
+    const auto& neighbors = graph.neighbors(u);
+    const auto& row = edge_exp.one_minus_exp[at(u)];
+    for (std::size_t idx = 0; idx < neighbors.size(); ++idx) {
+      const auto& nb = neighbors[idx];
+      const std::int32_t slot = slot_of[at(nb.node)];
+      if (slot == PathWorkspace::kSettled) continue;
+      // A kept node that popped before u is settled in the kernel too.
+      if (slot == kOutside && outranks(key(nb.node), {eu.weight, u})) continue;
+      ++relaxations;
+      const double candidate =
+          candidate_of(ws, u, eu.weight, nb.rate, row[idx]);
+      if (slot != kOutside) {
+        offer(ws, entries, u, eu.hops, nb.node, slot, nb.rate, row[idx],
+              candidate);
+        continue;
+      }
+      // A kept node still to pop must keep its entry.
+      if (!(candidate < entries[at(nb.node)].weight)) {
+        flush_counts();
+        return std::nullopt;
+      }
+    }
+  }
+  flush_counts();
+  return ResettledTable{PathTable(root, horizon, std::move(entries)),
+                        resettled};
 }
 
 PathTable compute_opportunistic_paths_reference(const ContactGraph& graph,

@@ -23,6 +23,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -40,11 +42,14 @@ namespace dtn {
 /// an indexed max-heap: `heap` holds one slot per tentative node, ordered
 /// by (weight desc, node asc), and `slot_of[v]` is v's index in it, or
 /// kUnreached / kSettled. A node whose label improves is sifted up in
-/// place, so the heap never holds a stale entry. `chain` and `hypoexp`
-/// serve rates_to_root and hypoexp_cdf. A workspace carries capacity,
-/// never results: reusing one across calls cannot change a table. Take it
-/// from thread_path_workspace() so each thread allocates it once; sharing
-/// one across concurrent calls is a data race.
+/// place, so the heap never holds a stale entry. resettle_subtrees marks
+/// the nodes it keeps kOutside, and keeps in `chained` which of them hold
+/// a chain state, in `walk` the ancestors it derives one for, and in
+/// `boundary` the relaxations from kept nodes into re-settled ones.
+/// `chain` and `hypoexp` serve rates_to_root and hypoexp_cdf. A workspace
+/// carries capacity, never results: reusing one across calls cannot change
+/// a table. Take it from thread_path_workspace() so each thread allocates
+/// it once; sharing one across concurrent calls is a data race.
 struct PathWorkspace {
   struct QueueItem {
     double weight;
@@ -55,8 +60,18 @@ struct PathWorkspace {
       return node > other.node;
     }
   };
+  /// A kept node's relaxation into a re-settled one, over an edge of
+  /// `rate` whose 1 - e^{-rate T} term is `term`.
+  struct BoundaryEdge {
+    double weight;  ///< the kept node's weight: its place in the pop order
+    NodeId from;
+    NodeId to;
+    double rate;
+    double term;
+  };
   static constexpr std::int32_t kUnreached = -1;
   static constexpr std::int32_t kSettled = -2;
+  static constexpr std::int32_t kOutside = -3;
 
   std::vector<double> chain;
   HypoexpWorkspace hypoexp;
@@ -64,6 +79,9 @@ struct PathWorkspace {
   std::vector<double> edge_term;
   std::vector<QueueItem> heap;
   std::vector<std::int32_t> slot_of;
+  std::vector<std::uint8_t> chained;
+  std::vector<NodeId> walk;
+  std::vector<BoundaryEdge> boundary;
 };
 
 /// The calling thread's workspace. Every table build and weight
@@ -98,8 +116,23 @@ class PathTable {
     return entries_[static_cast<std::size_t>(node)];
   }
 
+  const std::vector<Entry>& entries() const { return entries_; }
+
   double weight(NodeId node) const { return entry(node).weight; }
   bool reachable(NodeId node) const { return entry(node).weight > 0.0; }
+
+  /// The endpoint of the undirected edge (u, v) whose parent is the other
+  /// one, when this table's tree uses the edge; kNoNode otherwise. Every
+  /// reached non-root entry stores its final hop, so the test is O(1).
+  NodeId tree_child(NodeId u, NodeId v) const {
+    const auto parent_is = [&](NodeId node, NodeId parent) {
+      const Entry& e = entry(node);
+      return e.hops > 0 && e.weight > 0.0 && e.next_hop == parent;
+    };
+    if (parent_is(u, v)) return u;
+    if (parent_is(v, u)) return v;
+    return kNoNode;
+  }
 
   /// Weight of `node`'s settled path re-evaluated at another time budget
   /// (Eq. 2 on the same rate chain, e.g. p_CR(T_q - t_0)): 1 for the root,
@@ -140,6 +173,13 @@ struct EdgeExpTable {
 
 EdgeExpTable build_edge_exp_table(const ContactGraph& graph, Time horizon);
 
+/// Recomputes `node`'s row of `table` from `graph`, with the expression
+/// build_edge_exp_table uses: after an edge of `node` changed rate, arrived
+/// or left (which shifts the row's indices), the table again equals a
+/// fresh build on `graph`.
+void refresh_edge_exp_row(EdgeExpTable& table, const ContactGraph& graph,
+                          NodeId node);
+
 /// Single-source shortest opportunistic paths within time budget `horizon`.
 /// Paths longer than `max_hops` hops are not considered (coefficients and
 /// delivery probability both degrade rapidly with hop count; the paper's
@@ -159,6 +199,38 @@ PathTable compute_opportunistic_paths(const ContactGraph& graph, NodeId root,
                                       Time horizon, int max_hops,
                                       PathWorkspace& ws,
                                       const EdgeExpTable& edge_exp);
+
+/// A table from resettle_subtrees and the number of nodes it re-settled.
+struct ResettledTable {
+  PathTable table;
+  std::size_t resettled = 0;
+};
+
+/// Subtree-local repair: the table compute_opportunistic_paths would build
+/// for old.root() on `graph`, where `old` was built at `max_hops` on a
+/// graph that differs from `graph` only in the undirected edges `changed`
+/// (new rates, new edges or removed edges). `edge_exp` must match `graph`.
+///
+/// Let D be the nodes whose path in `old` runs through a changed edge of
+/// its tree: the subtrees under those edges. Every entry outside D is
+/// kept, and D is re-settled by the kernel's own relaxations, merged with
+/// a replay of the kept nodes next to D in (weight desc, id asc) order.
+/// That replay is the kernel's pop order when every node's weight is
+/// strictly below its parent's, so the table equals the kernel's, field
+/// for field, provided no kept entry changes. Returns nullopt, and the
+/// caller must run the kernel, when either of these is not shown:
+///   * strict chains: in `old`, every reached node's weight is strictly
+///     below its parent's (saturated weights tie at 1.0, for example);
+///   * kept entries stay: every relaxation that reaches a kept node not
+///     yet popped, from a re-settled node or across a changed edge, gives
+///     a candidate strictly below that node's weight.
+/// Every relaxation it evaluates runs the kernel's probability and
+/// relaxation checks. Meant for a slowed or removed tree edge, whose
+/// subtree is all that can change.
+std::optional<ResettledTable> resettle_subtrees(
+    const ContactGraph& graph, const PathTable& old, int max_hops,
+    const std::vector<std::pair<NodeId, NodeId>>& changed, PathWorkspace& ws,
+    const EdgeExpTable& edge_exp);
 
 /// The legacy construction: embedded rate chains copied on every
 /// relaxation, allocating hypoexp evaluation. Kept as the bit-exactness

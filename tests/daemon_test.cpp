@@ -2,22 +2,23 @@
 //
 // The headline contract is equivalence: a daemon that repairs its path
 // tables incrementally (parent-pointer tree scan + one-step endpoint
-// drift detector + per-root re-runs) must end every batch with tables
-// bit-identical to a from-scratch rebuild of its own graph by the
-// reference construction (compute_opportunistic_paths_reference) — across
-// drift thresholds, traces, and thread counts. The suite pins that from
-// four directions: estimator unit behavior, the per-batch count of roots
-// the scan selects, the audit-equivalence matrix
-// (3 thresholds x 2 traces, EXPECT_EQ on every settled weight plus the
-// NCL set), and byte-identical ingest->query script output across runs
-// and thread counts. A TSan-facing test runs query threads concurrently
-// with the ingest loop at both repair paths (serial and pool): readers
-// must see only whole published snapshots.
+// drift detector + per-root subtree re-settles or re-runs) must end every
+// batch with tables bit-identical to a from-scratch rebuild of its own
+// graph by the reference construction (compute_opportunistic_paths_reference)
+// — across drift thresholds, traces, and thread counts. The suite pins
+// that from four directions: estimator unit behavior, the per-batch count
+// of roots the scan selects and of those re-settled locally, the
+// audit-equivalence matrix (3 thresholds x 2 traces, EXPECT_EQ on every
+// entry field plus the NCL set), and byte-identical ingest->query script
+// output across runs and thread counts. A TSan-facing test runs query
+// threads concurrently with the ingest loop at both repair paths (serial
+// and pool): readers must see only whole published snapshots.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <latch>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -186,7 +187,7 @@ std::vector<PathTable> reference_tables(const daemon::Snapshot& snap,
 }
 
 /// Replays `trace` (second half live, first half warm) through a daemon,
-/// then EXPECT_EQs every settled weight and the NCL set against a fresh
+/// then EXPECT_EQs every entry field and the NCL set against a fresh
 /// reference rebuild of the daemon's own graph.
 void expect_repair_equivalence(const ContactTrace& trace, double drift) {
   DaemonConfig config = test_config();
@@ -210,8 +211,17 @@ void expect_repair_equivalence(const ContactTrace& trace, double drift) {
   const NodeId n = trace.node_count();
   for (NodeId r = 0; r < n; ++r) {
     for (NodeId node = 0; node < n; ++node) {
-      EXPECT_EQ(snap->tables[static_cast<std::size_t>(r)].weight(node),
-                reference[static_cast<std::size_t>(r)].weight(node))
+      const PathTable::Entry& got =
+          snap->tables[static_cast<std::size_t>(r)].entry(node);
+      const PathTable::Entry& want =
+          reference[static_cast<std::size_t>(r)].entry(node);
+      EXPECT_EQ(got.weight, want.weight)
+          << "root " << r << " node " << node << " drift " << drift;
+      EXPECT_EQ(got.last_rate, want.last_rate)
+          << "root " << r << " node " << node << " drift " << drift;
+      EXPECT_EQ(got.next_hop, want.next_hop)
+          << "root " << r << " node " << node << " drift " << drift;
+      EXPECT_EQ(got.hops, want.hops)
           << "root " << r << " node " << node << " drift " << drift;
     }
   }
@@ -278,6 +288,8 @@ TEST(DaemonRepair, NewlyConnectedComponentIsDiscovered) {
 struct BatchCounts {
   std::vector<std::uint64_t> roots;  ///< roots_repaired per repair batch
   std::vector<std::uint64_t> edges;  ///< edge_updates per repair batch
+  std::vector<std::uint64_t> local;  ///< roots_local per repair batch
+  std::uint64_t resettled = 0;       ///< nodes_resettled over the replay
 };
 
 /// Warm-starts on the first half of `trace`, replays the second half at
@@ -302,6 +314,8 @@ BatchCounts per_batch_counts(const ContactTrace& trace) {
     if (after.repair_batches == before.repair_batches) return;
     counts.roots.push_back(after.roots_repaired - before.roots_repaired);
     counts.edges.push_back(after.edge_updates - before.edge_updates);
+    counts.local.push_back(after.roots_local - before.roots_local);
+    counts.resettled += after.nodes_resettled - before.nodes_resettled;
   };
   for (std::size_t i = split; i < trace.size(); ++i) {
     step([&] { d.ingest(trace.events()[i]); });
@@ -312,7 +326,8 @@ BatchCounts per_batch_counts(const ContactTrace& trace) {
 
 TEST(DaemonRepair, RootSelectionMatchesRecordedPerBatchCounts) {
   // Recorded with the reverse edge->roots index the parent-pointer scan
-  // replaced: the scan must flag exactly the roots the index flagged.
+  // replaced: the scan must flag exactly the roots the index flagged, and
+  // the one-pass batch that classifies each root must re-run the same.
   const BatchCounts a = per_batch_counts(small_trace(3));
   EXPECT_EQ(a.roots, (std::vector<std::uint64_t>{10, 19, 0, 0, 13, 17, 19,
                                                  17, 20, 19, 19, 7}));
@@ -325,6 +340,15 @@ TEST(DaemonRepair, RootSelectionMatchesRecordedPerBatchCounts) {
                                                  11}));
   EXPECT_EQ(b.edges, (std::vector<std::uint64_t>{0, 2, 2, 5, 4, 1, 0, 2, 2, 2,
                                                  5, 2, 6, 1, 3, 4, 0, 3}));
+
+  // Of those roots, the ones that re-settled only the subtrees under their
+  // slowed or removed tree edges, and the nodes those subtrees held.
+  EXPECT_EQ(a.local,
+            (std::vector<std::uint64_t>{6, 0, 0, 0, 1, 2, 1, 0, 10, 0, 0, 2}));
+  EXPECT_EQ(a.resettled, 43u);
+  EXPECT_EQ(b.local, (std::vector<std::uint64_t>{0, 4, 0, 1, 3, 0, 0, 1, 4, 0,
+                                                 4, 2, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(b.resettled, 19u);
 }
 
 /// Contact stream for the expiry tests: pair 0-1 meets three times early
@@ -572,7 +596,8 @@ TEST(ReplayFeed, AdvanceBoundaryIsExclusiveAndPushbackHolds) {
 // ---- concurrent readers (the TSan contract) ----------------------------
 
 /// Four reader threads query while the writer replays the last three
-/// quarters of the trace with repair at `threads`.
+/// quarters of the trace with repair at `threads`; the replay starts once
+/// each reader has answered.
 void expect_queries_race_free(int threads) {
   const ContactTrace trace = small_trace(43, 16, 2.0);
   DaemonConfig config = test_config();
@@ -585,15 +610,19 @@ void expect_queries_race_free(int threads) {
                                      static_cast<std::ptrdiff_t>(split));
   d.warm_start(ContactTrace(trace.node_count(), warm, "warm"));
 
+  constexpr int kReaders = 4;
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> queries{0};
+  // Every reader answers one round before the replay starts, so the
+  // replay races live readers on any host, however fast it runs.
+  std::latch answered(kReaders);
   std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
       std::uint64_t last_epoch = 0;
       std::uint64_t count = 0;
       const NodeId n = trace.node_count();
-      while (!stop.load(std::memory_order_acquire)) {
+      do {
         const NodeId src = static_cast<NodeId>(
             (static_cast<std::uint64_t>(t) + count) %
             static_cast<std::uint64_t>(n));
@@ -609,12 +638,13 @@ void expect_queries_race_free(int threads) {
         EXPECT_GE(w.weight, 0.0);
         EXPECT_LE(w.weight, 1.0);
         EXPECT_LE(p.ranked.size(), 2u);
-        ++count;
-      }
+        if (++count == 1) answered.count_down();
+      } while (!stop.load(std::memory_order_acquire));
       queries.fetch_add(count, std::memory_order_relaxed);
     });
   }
 
+  answered.wait();
   for (std::size_t i = split; i < trace.size(); ++i) {
     d.ingest(trace.events()[i]);
   }

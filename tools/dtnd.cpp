@@ -149,6 +149,7 @@ std::string stats_json(const daemon::Daemon& daemon) {
       << "  \"repair_batches\": " << s.repair_batches << ",\n"
       << "  \"edge_updates\": " << s.edge_updates << ",\n"
       << "  \"roots_repaired\": " << s.roots_repaired << ",\n"
+      << "  \"roots_local\": " << s.roots_local << ",\n"
       << "  \"full_rebuilds\": " << s.full_rebuilds << ",\n"
       << "  \"audit_rebuilds\": " << s.audit_rebuilds << ",\n"
       << "  \"snapshots_published\": " << s.snapshots_published << "\n"
@@ -160,13 +161,14 @@ void print_stats(const daemon::Daemon& daemon) {
   const daemon::Daemon::Stats& s = daemon.stats();
   std::printf(
       "daemon: epoch %llu, %llu contacts, %llu batches (%llu full), "
-      "%llu edge updates, %llu roots repaired, %llu audits\n",
+      "%llu edge updates, %llu roots repaired (%llu local), %llu audits\n",
       static_cast<unsigned long long>(daemon.snapshot()->epoch),
       static_cast<unsigned long long>(s.contacts_ingested),
       static_cast<unsigned long long>(s.repair_batches),
       static_cast<unsigned long long>(s.full_rebuilds),
       static_cast<unsigned long long>(s.edge_updates),
       static_cast<unsigned long long>(s.roots_repaired),
+      static_cast<unsigned long long>(s.roots_local),
       static_cast<unsigned long long>(s.audit_rebuilds));
 }
 
