@@ -1,7 +1,7 @@
 // Simulator-engine bench: the NCL caching scheme's contact hot loop end to
-// end, under both scheme engines — the SoA/arena production implementation
-// (SimEngine::kFast: pooled bundle chains, reusable contact workspaces,
-// zero steady-state allocations) versus the frozen per-object reference
+// end, under both scheme engines — the SoA production implementation
+// (SimEngine::kFast: bundle queues compacted in place, byte accounts,
+// reusable contact workspaces) versus the frozen per-object reference
 // (SimEngine::kReference). Both runs share one trace, one warm-up graph,
 // one NCL selection and one workload, so the measured difference is the
 // scheme hot loop alone; the work unit is contacts processed.

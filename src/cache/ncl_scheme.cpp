@@ -1,9 +1,9 @@
 // SimEngine::kFast implementation. Every protocol decision, RNG draw and
 // entry-map unlink and link happens in cache/ncl_scheme_reference.cpp's
-// order; where state lives differs (SoA NodeStore, byte accounts, pooled
-// bundle chains, re-linked map nodes, reusable workspaces). Keep the two
-// files in lockstep or tests/engine_golden_test.cpp will fail on the first
-// diverging draw.
+// order; where state lives differs (SoA NodeStore, byte accounts, bundle
+// queues compacted in place, re-linked map nodes, reusable workspaces).
+// Keep the two files in lockstep or tests/engine_golden_test.cpp will fail
+// on the first diverging draw.
 #include "cache/ncl_scheme.h"
 
 #include <algorithm>
@@ -14,14 +14,23 @@
 #include "graph/ncl.h"
 
 namespace dtn {
+namespace {
+
+/// A queue keeps its high-water capacity between maintenance ticks; an
+/// empty one gives its buffer back (shrink_to_fit is only a request), so
+/// idle nodes hold no bundle storage.
+template <typename T>
+void release_if_empty(std::vector<T>& queue) {
+  if (queue.empty()) std::vector<T>().swap(queue);
+}
+
+}  // namespace
 
 void NclCachingScheme::ContactWorkspace::begin_contact() {
   DTN_CHECK(!active_,
             "contact workspace reuse across contacts: begin_contact before "
             "the previous contact's end_contact");
   active_ = true;
-  if (used_) DTN_COUNT(kContactWorkspaceReuses);
-  used_ = true;
 }
 
 void NclCachingScheme::ContactWorkspace::end_contact() {
@@ -190,23 +199,16 @@ bool NclCachingScheme::check_invariants(const DataRegistry& registry) const {
     for (const auto& [id, estimator] : store_.history[node]) {
       if (store_.next_expiry[node] > registry.get(id).expires) return false;
     }
-    for (auto h = store_.push_tokens[node].head;
-         h != SlabPool<PushToken>::kNull; h = token_pool_.next(h)) {
-      if (store_.next_expiry[node] > registry.get(token_pool_.get(h).data).expires) {
+    for (const PushToken& token : store_.push_tokens[node]) {
+      if (store_.next_expiry[node] > registry.get(token.data).expires) {
         return false;
       }
     }
-    for (auto h = store_.query_copies[node].head;
-         h != SlabPool<QueryCopy>::kNull; h = query_pool_.next(h)) {
-      if (store_.next_expiry[node] > query_pool_.get(h).query.expires) {
-        return false;
-      }
+    for (const QueryCopy& copy : store_.query_copies[node]) {
+      if (store_.next_expiry[node] > copy.query.expires) return false;
     }
-    for (auto h = store_.responses[node].head;
-         h != SlabPool<ResponseBundle>::kNull; h = response_pool_.next(h)) {
-      if (store_.next_expiry[node] > response_pool_.get(h).query.expires) {
-        return false;
-      }
+    for (const ResponseBundle& response : store_.responses[node]) {
+      if (store_.next_expiry[node] > response.query.expires) return false;
     }
     // Note: a push token's holder *usually* caches the item, but cache
     // replacement may migrate the entry to a peer while the token stays —
@@ -218,7 +220,7 @@ bool NclCachingScheme::check_invariants(const DataRegistry& registry) const {
 
 std::size_t NclCachingScheme::push_tokens_in_flight() const {
   std::size_t count = 0;
-  for (const auto& chain : store_.push_tokens) count += chain.size;
+  for (const auto& queue : store_.push_tokens) count += queue.size();
   return count;
 }
 
@@ -236,7 +238,7 @@ void NclCachingScheme::on_data_generated(SimServices& services,
       }
       continue;
     }
-    store_.push_tokens[si].push_back(token_pool_, PushToken{item.id, c});
+    store_.push_tokens[si].push_back(PushToken{item.id, c});
     note_expiry(si, item.expires);
   }
 }
@@ -304,7 +306,7 @@ void NclCachingScheme::maybe_respond(SimServices& services, NodeId node,
   DTN_CHECK_PROB(probability);
   if (!services.rng().bernoulli(probability)) return;
 
-  store_.responses[ni].push_back(response_pool_, ResponseBundle{query, item.size});
+  store_.responses[ni].push_back(ResponseBundle{query, item.size});
   note_expiry(ni, query.expires);
   ++responses_sent_;
 }
@@ -328,7 +330,7 @@ void NclCachingScheme::on_query(SimServices& services, const Query& query) {
       copy.broadcast = true;  // the requester is a central node itself
       maybe_respond(services, requester, query);
     }
-    store_.query_copies[ri].push_back(query_pool_, copy);
+    store_.query_copies[ri].push_back(copy);
   }
   note_expiry(ri, query.expires);
 }
@@ -338,27 +340,25 @@ void NclCachingScheme::transfer_direction(SimServices& services, NodeId from,
   const Time now = services.now();
   const std::size_t fi = index(from);
   const std::size_t ti = index(to);
+  // Each queue below is walked once and compacted in place: survivors are
+  // copied down to the `kept` prefix in visiting order, which is the
+  // reference's kept vector, and bundles handed to `to` are appended to its
+  // queue. on_contact guarantees from != to, so the two never alias.
 
   // ---- 1. Responses: cached data returning to requesters. ----
   {
-    BundleChain<ResponseBundle> kept;
-    auto h = store_.responses[fi].head;
-    store_.responses[fi] = BundleChain<ResponseBundle>{};
-    while (h != SlabPool<ResponseBundle>::kNull) {
-      const auto next = response_pool_.next(h);
-      ResponseBundle& response = response_pool_.get(h);
+    auto& queue = store_.responses[fi];
+    std::size_t kept = 0;
+    for (ResponseBundle& response : queue) {
       const Query& q = response.query;
-      if (!q.alive(now) || !services.data(q.data).alive(now)) {
-        response_pool_.release(h);  // drop
-      } else if (to == q.requester) {
+      if (!q.alive(now) || !services.data(q.data).alive(now)) continue;  // drop
+      if (to == q.requester) {
         if (budget.consume(response.size)) {
           services.count_bytes(response.size);
           services.deliver(q);
           satisfied_.insert(q.id);
           ++counters_.responses_delivered;
-          response_pool_.release(h);  // delivered: bundle consumed
-        } else {
-          kept.append(response_pool_, h);
+          continue;  // delivered: bundle consumed
         }
       } else {
         const double w_to = services.path_weight(to, q.requester);
@@ -366,34 +366,25 @@ void NclCachingScheme::transfer_direction(SimServices& services, NodeId from,
         if (w_to > w_from && budget.consume(response.size)) {
           services.count_bytes(response.size);
           note_expiry(ti, q.expires);
-          store_.responses[ti].append(response_pool_, h);  // moved
-        } else {
-          kept.append(response_pool_, h);
+          store_.responses[ti].push_back(response);
+          continue;  // moved
         }
       }
-      h = next;
+      queue[kept++] = response;
     }
-    store_.responses[fi] = kept;
+    queue.resize(kept);
   }
 
   // ---- 2. Query copies: routed towards centrals / broadcast in NCLs. ----
   {
-    BundleChain<QueryCopy> kept;
-    auto h = store_.query_copies[fi].head;
-    store_.query_copies[fi] = BundleChain<QueryCopy>{};
-    while (h != SlabPool<QueryCopy>::kNull) {
-      const auto next = query_pool_.next(h);
-      QueryCopy& copy = query_pool_.get(h);
+    auto& queue = store_.query_copies[fi];
+    std::size_t kept = 0;
+    for (QueryCopy& copy : queue) {
       const Query& q = copy.query;
-      if (!q.alive(now)) {
-        query_pool_.release(h);  // expired: drop
-        h = next;
-        continue;
-      }
+      if (!q.alive(now)) continue;  // expired: drop
 
       if (!copy.broadcast) {
         // Routed phase: ride the gradient towards the central node.
-        bool forwarded = false;
         if (to == copy.central) {
           if (budget.consume(kQueryBytes)) {
             services.count_bytes(kQueryBytes);
@@ -402,8 +393,8 @@ void NclCachingScheme::transfer_direction(SimServices& services, NodeId from,
             copy.broadcast = true;  // central starts the NCL broadcast
             ++counters_.queries_reached_central;
             note_expiry(ti, q.expires);
-            store_.query_copies[ti].append(query_pool_, h);
-            forwarded = true;
+            store_.query_copies[ti].push_back(copy);
+            continue;
           }
         } else if (services.path_weight(to, copy.central) >
                        services.path_weight(from, copy.central) &&
@@ -412,11 +403,10 @@ void NclCachingScheme::transfer_direction(SimServices& services, NodeId from,
           note_query_seen(services, to, q);
           maybe_respond(services, to, q);
           note_expiry(ti, q.expires);
-          store_.query_copies[ti].append(query_pool_, h);
-          forwarded = true;
+          store_.query_copies[ti].push_back(copy);
+          continue;
         }
-        if (!forwarded) kept.append(query_pool_, h);
-        h = next;
+        queue[kept++] = copy;
         continue;
       }
 
@@ -431,59 +421,50 @@ void NclCachingScheme::transfer_direction(SimServices& services, NodeId from,
         note_query_seen(services, to, q);
         maybe_respond(services, to, q);
         note_expiry(ti, q.expires);
-        store_.query_copies[ti].push_back(query_pool_, copy);  // replicate
+        store_.query_copies[ti].push_back(copy);  // replicate
       }
-      kept.append(query_pool_, h);  // keep local copy
-      h = next;
+      queue[kept++] = copy;  // keep local copy
     }
-    store_.query_copies[fi] = kept;
+    queue.resize(kept);
   }
 
   // ---- 3. Push tokens: data copies towards central nodes. ----
   {
-    BundleChain<PushToken> kept;
-    auto h = store_.push_tokens[fi].head;
-    store_.push_tokens[fi] = BundleChain<PushToken>{};
-    while (h != SlabPool<PushToken>::kNull) {
-      const auto next = token_pool_.next(h);
-      const PushToken token = token_pool_.get(h);
+    auto& queue = store_.push_tokens[fi];
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+      const PushToken token = queue[i];
       const DataItem& item = services.data(token.data);
       if (!item.alive(now)) {
         // Expired in flight: drop token and any in-transit cached copy.
         ++counters_.tokens_expired;
-        token_pool_.release(h);
-        h = next;
         continue;
       }
       const double w_to = services.path_weight(to, token.central);
       const double w_from = services.path_weight(from, token.central);
       if (!(w_to > w_from)) {
-        kept.append(token_pool_, h);
-        h = next;
+        queue[kept++] = token;
         continue;
       }
 
       auto release_source_copy = [&]() {
         // The relay deletes its own copy after forwarding (Sec. V-A) —
         // unless another token (already kept or still pending in this
-        // loop) needs it, or it has settled here. The kept chain and the
-        // unprocessed remainder of the source chain are exactly the
-        // legacy `kept` vector and pending suffix.
+        // loop) needs it, or it has settled here. The kept prefix and the
+        // unvisited suffix are the reference's kept vector and pending
+        // suffix.
         const auto it = store_.entries[fi].find(token.data);
         if (it == store_.entries[fi].end() || !it->second.in_transit) return;
-        bool needed = false;
-        for (auto kh = kept.head; kh != SlabPool<PushToken>::kNull;
-             kh = token_pool_.next(kh)) {
-          if (token_pool_.get(kh).data == token.data) {
-            needed = true;
-            break;
-          }
+        const auto needs = [&](const PushToken& t) {
+          return t.data == token.data;
+        };
+        const auto kept_end = queue.begin() + static_cast<std::ptrdiff_t>(kept);
+        const auto pending = queue.begin() + static_cast<std::ptrdiff_t>(i + 1);
+        if (std::any_of(queue.begin(), kept_end, needs) ||
+            std::any_of(pending, queue.end(), needs)) {
+          return;
         }
-        for (auto ph = next; !needed && ph != SlabPool<PushToken>::kNull;
-             ph = token_pool_.next(ph)) {
-          if (token_pool_.get(ph).data == token.data) needed = true;
-        }
-        if (!needed) drop_entry(fi, it);
+        drop_entry(fi, it);
       };
 
       if (store_.entries[ti].contains(token.data)) {
@@ -499,11 +480,9 @@ void NclCachingScheme::transfer_direction(SimServices& services, NodeId from,
           ++counters_.tokens_settled;
           ++counters_.token_hops;
           release_source_copy();
-          token_pool_.release(h);
         } else {
-          kept.append(token_pool_, h);
+          queue[kept++] = token;
         }
-        h = next;
         continue;
       }
 
@@ -517,8 +496,7 @@ void NclCachingScheme::transfer_direction(SimServices& services, NodeId from,
 
       if (store_.bytes[ti].fits(item.size)) {
         if (!budget.consume(item.size)) {
-          kept.append(token_pool_, h);  // try again at a later contact
-          h = next;
+          queue[kept++] = token;  // try again at a later contact
           continue;
         }
         services.count_bytes(item.size);
@@ -528,13 +506,11 @@ void NclCachingScheme::transfer_direction(SimServices& services, NodeId from,
         ++counters_.token_hops;
         if (to != token.central) {
           note_expiry(ti, item.expires);
-          store_.push_tokens[ti].append(token_pool_, h);
+          store_.push_tokens[ti].push_back(token);
         } else {
           ++counters_.tokens_settled;
         }
         release_source_copy();
-        if (to == token.central) token_pool_.release(h);
-        h = next;
         continue;
       }
 
@@ -553,10 +529,9 @@ void NclCachingScheme::transfer_direction(SimServices& services, NodeId from,
         put_entry(services, fi, token.data,
                   make_entry(services, from, item.size, token.central, true));
       }
-      kept.append(token_pool_, h);
-      h = next;
+      queue[kept++] = token;
     }
-    store_.push_tokens[fi] = kept;
+    queue.resize(kept);
   }
 }
 
@@ -649,12 +624,6 @@ void NclCachingScheme::run_replacement(SimServices& services, NodeId a,
     collect(bi, false);
     if (ws_.pool.empty()) continue;
     any_pool = true;
-    // What the legacy path allocated per exchange for this pool (the
-    // ReplacementItem vector plus the original_entries/by_id map nodes);
-    // an estimate for the perf story, not an exact malloc ledger.
-    DTN_COUNT_N(kSimBytesNotAllocated,
-                ws_.pool.size() * (sizeof(ReplacementItem) +
-                                   2 * sizeof(CacheEntry)));
 
     // With the pool lifted out, free space is the pool's capacity.
     plan_replacement(ws_.pool, store_.bytes[ai].free(),
@@ -715,19 +684,10 @@ void NclCachingScheme::run_replacement(SimServices& services, NodeId a,
 
 void NclCachingScheme::on_contact(SimServices& services, NodeId a, NodeId b,
                                   LinkBudget& budget) {
+  // transfer_direction compacts the source queue while appending to the
+  // peer's: a self-contact would append to the queue it is compacting.
+  DTN_CHECK(a != b, "a contact needs two distinct nodes");
   ws_.begin_contact();
-  // Bytes the legacy path's per-direction `kept` vector rebuilds would
-  // have allocated for the bundles now relinked in place (estimate).
-  DTN_COUNT_N(
-      kSimBytesNotAllocated,
-      (store_.responses[index(a)].size + store_.responses[index(b)].size) *
-              sizeof(ResponseBundle) +
-          (store_.query_copies[index(a)].size +
-           store_.query_copies[index(b)].size) *
-              sizeof(QueryCopy) +
-          (store_.push_tokens[index(a)].size +
-           store_.push_tokens[index(b)].size) *
-              sizeof(PushToken));
   prune_node_with_registry(services, a);
   prune_node_with_registry(services, b);
   transfer_direction(services, a, b, budget);
@@ -807,80 +767,43 @@ void NclCachingScheme::prune_node_with_registry(SimServices& services,
   if (now < store_.next_expiry[ni]) return;
 
   Time earliest = kNever;
+  // True when an object expiring at `expires` is dead; a live one lowers
+  // `earliest` instead.
+  const auto expired = [&](Time expires) {
+    if (!(now < expires)) return true;
+    if (expires < earliest) earliest = expires;
+    return false;
+  };
   auto& entries = store_.entries[ni];
   for (auto it = entries.begin(); it != entries.end();) {
-    const DataItem& item = services.data(it->first);
-    if (!item.alive(now)) {
+    if (expired(services.data(it->first).expires)) {
       drop_entry(ni, it++);
     } else {
-      if (item.expires < earliest) earliest = item.expires;
       ++it;
     }
   }
-  {
-    BundleChain<PushToken> kept;
-    auto h = store_.push_tokens[ni].head;
-    while (h != SlabPool<PushToken>::kNull) {
-      const auto next = token_pool_.next(h);
-      const DataItem& item = services.data(token_pool_.get(h).data);
-      if (!item.alive(now)) {
-        token_pool_.release(h);
-      } else {
-        if (item.expires < earliest) earliest = item.expires;
-        kept.append(token_pool_, h);
-      }
-      h = next;
-    }
-    store_.push_tokens[ni] = kept;
-  }
-  {
-    BundleChain<QueryCopy> kept;
-    auto h = store_.query_copies[ni].head;
-    while (h != SlabPool<QueryCopy>::kNull) {
-      const auto next = query_pool_.next(h);
-      const Query& q = query_pool_.get(h).query;
-      if (!q.alive(now)) {
-        query_pool_.release(h);
-      } else {
-        if (q.expires < earliest) earliest = q.expires;
-        kept.append(query_pool_, h);
-      }
-      h = next;
-    }
-    store_.query_copies[ni] = kept;
-  }
-  {
-    BundleChain<ResponseBundle> kept;
-    auto h = store_.responses[ni].head;
-    while (h != SlabPool<ResponseBundle>::kNull) {
-      const auto next = response_pool_.next(h);
-      const Query& q = response_pool_.get(h).query;
-      if (!q.alive(now)) {
-        response_pool_.release(h);
-      } else {
-        if (q.expires < earliest) earliest = q.expires;
-        kept.append(response_pool_, h);
-      }
-      h = next;
-    }
-    store_.responses[ni] = kept;
-  }
-  auto& history = store_.history[ni];
-  for (auto it = history.begin(); it != history.end();) {
-    const DataItem& item = services.data(it->first);
-    if (!item.alive(now)) {
-      it = history.erase(it);
-    } else {
-      if (item.expires < earliest) earliest = item.expires;
-      ++it;
-    }
-  }
+  std::erase_if(store_.push_tokens[ni], [&](const PushToken& token) {
+    return expired(services.data(token.data).expires);
+  });
+  std::erase_if(store_.query_copies[ni], [&](const QueryCopy& copy) {
+    return expired(copy.query.expires);
+  });
+  std::erase_if(store_.responses[ni], [&](const ResponseBundle& response) {
+    return expired(response.query.expires);
+  });
+  std::erase_if(store_.history[ni], [&](const auto& kv) {
+    return expired(services.data(kv.first).expires);
+  });
   store_.next_expiry[ni] = earliest;
 }
 
 void NclCachingScheme::on_maintenance(SimServices& services) {
   for (NodeId node = 0; node < static_cast<NodeId>(store_.size()); ++node) {
     prune_node_with_registry(services, node);
+    const auto ni = static_cast<std::size_t>(node);
+    release_if_empty(store_.push_tokens[ni]);
+    release_if_empty(store_.query_copies[ni]);
+    release_if_empty(store_.responses[ni]);
   }
   if (config_.dynamic_ncl) reselect_centrals(services);
 }
@@ -933,9 +856,7 @@ void NclCachingScheme::reselect_centrals(SimServices& services) {
     }
     // Push tokens towards a dead central redirect to the holder's best
     // current central (dedup: only one token per (data, central) pair).
-    for (auto h = store_.push_tokens[hi].head;
-         h != SlabPool<PushToken>::kNull; h = token_pool_.next(h)) {
-      PushToken& token = token_pool_.get(h);
+    for (PushToken& token : store_.push_tokens[hi]) {
       if (!is_central(token.central)) token.central = best;
     }
   }

@@ -26,11 +26,12 @@
 //  * Node state is structure-of-arrays — one vector per field across all
 //    nodes (NodeStore) instead of a vector of fat NodeState objects. A
 //    node's cache is its `entries` map plus a {capacity, used} byte account.
-//  * In-flight bundles (push tokens, query copies, responses) live in
-//    SlabPool slabs and are threaded through per-node BundleChain intrusive
-//    lists; a contact relinks bundles between nodes instead of rebuilding
-//    "kept" vectors, and the replacement exchange re-links the map nodes
-//    it lifts, so only new-id insertions (pushes) allocate.
+//  * In-flight bundles (push tokens, query copies, responses) live in one
+//    std::vector per node and kind. A transfer direction walks the source
+//    queue once, compacts its survivors in place (the reference's "kept"
+//    order) and appends moved or replicated bundles to the peer's queue;
+//    maintenance ticks free the buffers of empty queues. The replacement
+//    exchange re-links the map nodes it lifts.
 //  * Per-contact scratch (replacement pools, eviction ranking, plan
 //    buffers) lives in a reusable ContactWorkspace.
 //  * The id-keyed metadata maps (`entries`, `history`) deliberately REMAIN
@@ -52,7 +53,6 @@
 #include "cache/popularity.h"
 #include "cache/replacement.h"
 #include "cache/response.h"
-#include "common/arena.h"
 #include "sim/scheme.h"
 
 namespace dtn {
@@ -134,6 +134,8 @@ class NclCachingScheme : public Scheme {
     std::uint64_t token_hops = 0;           ///< gradient forwarding steps
     std::uint64_t queries_reached_central = 0;
     std::uint64_t responses_delivered = 0;
+
+    bool operator==(const Counters&) const = default;
   };
   const Counters& counters() const { return counters_; }
 
@@ -192,7 +194,6 @@ class NclCachingScheme : public Scheme {
     friend class NclCachingScheme;
 
     bool active_ = false;
-    bool used_ = false;  ///< true after the first contact (reuse counter)
 
     // Replacement-exchange scratch, cleared per central with capacity kept.
     std::vector<NodeId> centrals;
@@ -207,7 +208,7 @@ class NclCachingScheme : public Scheme {
 
  private:
   /// Structure-of-arrays node state: index = NodeId. See the header comment
-  /// for which fields are flat pools and which stay node-based maps (and
+  /// for which fields are flat vectors and which stay node-based maps (and
   /// why).
   struct NodeStore {
     std::vector<ByteAccount> bytes;
@@ -215,9 +216,10 @@ class NclCachingScheme : public Scheme {
     std::vector<double> gds_l;  ///< Greedy-Dual-Size aging level
     /// Request history per data id, fed by queries this node has seen.
     std::vector<std::unordered_map<DataId, PopularityEstimator>> history;
-    std::vector<BundleChain<PushToken>> push_tokens;
-    std::vector<BundleChain<QueryCopy>> query_copies;
-    std::vector<BundleChain<ResponseBundle>> responses;
+    /// In-flight bundles, oldest first.
+    std::vector<std::vector<PushToken>> push_tokens;
+    std::vector<std::vector<QueryCopy>> query_copies;
+    std::vector<std::vector<ResponseBundle>> responses;
     /// Queries this node has already accepted a broadcast/routed copy of.
     std::vector<std::unordered_set<QueryId>> seen_queries;
     /// Queries this node has already decided a response for.
@@ -293,9 +295,6 @@ class NclCachingScheme : public Scheme {
 
   NclSchemeConfig config_;
   NodeStore store_;
-  SlabPool<PushToken> token_pool_;
-  SlabPool<QueryCopy> query_pool_;
-  SlabPool<ResponseBundle> response_pool_;
   ContactWorkspace ws_;
   std::vector<std::uint8_t> is_central_;  ///< O(1) bitmap over node ids
   std::unordered_set<QueryId> satisfied_;  ///< requester got the data

@@ -1,5 +1,5 @@
 // Reference implementation of the NCL caching scheme (Sec. V), preserved as
-// the golden oracle for the SoA/arena rewrite in cache/ncl_scheme.h.
+// the golden oracle for the SoA rewrite in cache/ncl_scheme.h.
 //
 // This is the pre-rewrite NclCachingScheme, line for line: per-node
 // NodeState objects holding std::vector bundle queues that are rebuilt

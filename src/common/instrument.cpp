@@ -33,19 +33,13 @@ constexpr std::array<const char*, kCounterCount> kCounterNames = {
     "sweep_cells",
     "trace_contacts_decoded",
     "trace_bytes_read",
-    "path_scratch_reuses",
-    "path_bytes_not_allocated",
     "parent_chain_walks",
-    "contact_workspace_reuses",
-    "bundle_pool_hits",
-    "sim_bytes_not_allocated",
     "daemon_contacts_ingested",
     "daemon_edge_updates",
     "daemon_roots_repaired",
     "daemon_snapshots_published",
     "daemon_audit_rebuilds",
     "daemon_queries",
-    "peak_rss_bytes",
     "daemon_roots_local",
     "daemon_nodes_resettled",
 };

@@ -60,19 +60,13 @@ enum class Counter : int {
   kSweepCells,                  ///< sweep grid cells completed
   kTraceContactsDecoded,        ///< contacts decoded by trace readers
   kTraceBytesRead,              ///< bytes read from trace files
-  kPathScratchReuses,           ///< relaxations served from workspace scratch
-  kPathBytesNotAllocated,       ///< bytes the legacy per-relaxation copy used
   kParentChainWalks,            ///< rate chains materialized via next_hop walk
-  kContactWorkspaceReuses,      ///< contact workspaces reused without realloc
-  kBundlePoolHits,              ///< bundle slots recycled from the free list
-  kSimBytesNotAllocated,        ///< bytes the legacy per-contact path allocated
   kDaemonContactsIngested,      ///< contacts fed into the daemon estimator
   kDaemonEdgeUpdates,           ///< drifted edge rates applied to the graph
   kDaemonRootsRepaired,         ///< path tables rebuilt by incremental repair
   kDaemonSnapshotsPublished,    ///< read-snapshot swaps (epoch increments)
   kDaemonAuditRebuilds,         ///< audit-mode full reference rebuilds
   kDaemonQueries,               ///< daemon queries answered from a snapshot
-  kPeakRssBytes,                ///< peak resident set sampled by benches
   kDaemonRootsLocal,            ///< repaired roots re-settled subtree-locally
   kDaemonNodesResettled,        ///< nodes those local repairs re-settled
   kCount

@@ -35,8 +35,8 @@ ContactGraph warmup_graph(const ContactTrace& trace,
 Time effective_horizon(const ContactGraph& graph,
                        const ExperimentConfig& config) {
   if (!config.auto_horizon) return config.sim.path_horizon;
-  return calibrate_horizon(graph, config.horizon_target_median, minutes(1),
-                           days(90), config.sim.max_hops, config.sim.threads);
+  return calibrate_horizon(graph, 0.3, minutes(1), days(90),
+                           config.sim.max_hops, config.sim.threads);
 }
 
 WarmupContext make_warmup_context(const ContactTrace& trace,
@@ -207,13 +207,6 @@ ExperimentResult run_experiment(const ContactTrace& trace, SchemeKind kind,
                                 const ExperimentConfig& config,
                                 const WarmupContext* warmup) {
   return std::move(run_comparison(trace, {kind}, config, warmup).front());
-}
-
-ExperimentResult run_experiment(
-    const std::shared_ptr<const ContactTrace>& trace, SchemeKind kind,
-    const ExperimentConfig& config) {
-  if (!trace) throw std::invalid_argument("run_experiment: null trace");
-  return run_experiment(*trace, kind, config);
 }
 
 std::vector<ExperimentResult> run_comparison(

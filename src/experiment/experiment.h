@@ -49,11 +49,10 @@ struct ExperimentConfig {
 
   // Simulation substrate. When `auto_horizon` is set the path-weight time
   // budget T is calibrated from the warm-up contact graph so the NCL metric
-  // differentiates (the paper's adaptive choice of T, Sec. IV-B),
-  // overriding sim.path_horizon.
+  // differentiates (the paper's adaptive choice of T, Sec. IV-B: a median
+  // metric of 0.3), overriding sim.path_horizon.
   SimConfig sim;
   bool auto_horizon = true;
-  double horizon_target_median = 0.3;
 
   // Repetitions with different workload/buffer seeds.
   int repetitions = 3;
@@ -122,12 +121,6 @@ ExperimentResult run_experiment(const ContactTrace& trace, SchemeKind kind,
                                 const ExperimentConfig& config,
                                 const WarmupContext* warmup = nullptr);
 
-/// Shared-trace form for drivers that load once and fan out (dtnsim,
-/// sweeps): same results, no copy of the trace.
-ExperimentResult run_experiment(
-    const std::shared_ptr<const ContactTrace>& trace, SchemeKind kind,
-    const ExperimentConfig& config);
-
 /// Runs several schemes on the same trace and identical workloads. The
 /// warm-up context, the NCL selection and each repetition's workload,
 /// buffers and per-tick path tables are computed once and shared across
@@ -138,6 +131,9 @@ std::vector<ExperimentResult> run_comparison(
     const ContactTrace& trace, const std::vector<SchemeKind>& kinds,
     const ExperimentConfig& config, const WarmupContext* warmup = nullptr);
 
+/// Shared-trace form for drivers that load once and fan out (dtnsim, the
+/// repository benchmark): same results, no copy of the trace. A null trace
+/// throws std::invalid_argument.
 std::vector<ExperimentResult> run_comparison(
     const std::shared_ptr<const ContactTrace>& trace,
     const std::vector<SchemeKind>& kinds, const ExperimentConfig& config);

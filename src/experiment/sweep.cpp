@@ -2,7 +2,6 @@
 
 #include <mutex>
 #include <sstream>
-#include <stdexcept>
 
 #include "common/instrument.h"
 #include "common/parallel.h"
@@ -87,13 +86,6 @@ std::vector<SweepRow> run_sweep(
     }
   });
   return rows;
-}
-
-std::vector<SweepRow> run_sweep(
-    const std::shared_ptr<const ContactTrace>& trace, const SweepConfig& config,
-    const std::function<void(std::size_t, std::size_t)>& progress) {
-  if (!trace) throw std::invalid_argument("run_sweep: null trace");
-  return run_sweep(*trace, config, progress);
 }
 
 std::string sweep_to_csv(const std::vector<SweepRow>& rows) {

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -57,14 +56,6 @@ struct SweepRow {
 /// which cell completed.
 std::vector<SweepRow> run_sweep(
     const ContactTrace& trace, const SweepConfig& config,
-    const std::function<void(std::size_t, std::size_t)>& progress = {});
-
-/// Shared-trace form: the parsed trace is held by shared_ptr and every cell
-/// reads the same immutable instance (no per-cell copies or re-reads).
-/// The warm-up context (contact graph + calibrated horizon) is likewise
-/// computed once per sweep — none of the swept axes affect it.
-std::vector<SweepRow> run_sweep(
-    const std::shared_ptr<const ContactTrace>& trace, const SweepConfig& config,
     const std::function<void(std::size_t, std::size_t)>& progress = {});
 
 /// CSV rendering (header + one line per row).

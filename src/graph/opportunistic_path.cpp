@@ -205,7 +205,6 @@ PathTable run_fast_dijkstra(const ContactGraph& graph, NodeId root,
   // away.
   [[maybe_unused]] std::uint64_t settled_count = 0;
   [[maybe_unused]] std::uint64_t relaxations = 0;
-  [[maybe_unused]] std::uint64_t bytes_not_allocated = 0;
 
   while (!heap.empty()) {
     const NodeId u = pop_top(ws);
@@ -216,7 +215,6 @@ PathTable run_fast_dijkstra(const ContactGraph& graph, NodeId root,
     // u is settled, so its rate chain is final: its parent's chain plus
     // the adopted edge. Derive its closed-form state once from the
     // parent's and reuse it for every outgoing relaxation.
-    const std::size_t prefix = static_cast<std::size_t>(eu.hops);
     if (u == root) {
       ws.chains.set_empty(static_cast<std::size_t>(u));
     } else {
@@ -234,8 +232,6 @@ PathTable run_fast_dijkstra(const ContactGraph& graph, NodeId root,
       const std::int32_t slot = ws.slot_of[static_cast<std::size_t>(nb.node)];
       if (slot == PathWorkspace::kSettled) continue;
       ++relaxations;
-      // Bytes the legacy per-relaxation chain copy would have heap-allocated.
-      bytes_not_allocated += (prefix + 1) * sizeof(double);
       const double one_minus_exp =
           exp_row ? (*exp_row)[idx] : 1.0 - std::exp(-nb.rate * horizon);
       const double candidate =
@@ -247,8 +243,6 @@ PathTable run_fast_dijkstra(const ContactGraph& graph, NodeId root,
   ws.chains.flush_counts();
   DTN_COUNT_N(kDijkstraSettled, settled_count);
   DTN_COUNT_N(kDijkstraRelaxations, relaxations);
-  DTN_COUNT_N(kPathScratchReuses, relaxations);
-  DTN_COUNT_N(kPathBytesNotAllocated, bytes_not_allocated);
   DTN_COUNT(kPathTablesBuilt);
   return PathTable(root, horizon, std::move(entries));
 }

@@ -33,9 +33,10 @@
 namespace dtn {
 
 /// Scheme-implementation engine for the simulator hot loop. kFast runs the
-/// SoA/arena NclCachingScheme (pooled bundle chains, reusable per-contact
-/// workspaces, zero steady-state allocations); kReference runs the legacy
-/// per-object implementation preserved verbatim as NclCachingSchemeReference.
+/// SoA NclCachingScheme (per-node bundle queues compacted in place, byte
+/// accounts, re-linked map nodes, reusable per-contact workspaces);
+/// kReference runs the legacy per-object implementation preserved verbatim
+/// as NclCachingSchemeReference.
 /// The two are bit-identical — same protocol decisions, same RNG stream,
 /// same metrics (tests/engine_golden_test.cpp pins this across all four
 /// traces and five schemes) — so this knob exists only for golden

@@ -14,7 +14,6 @@
 #include "cache/knapsack.h"
 #include "cache/ncl_scheme.h"
 #include "cache/replacement.h"
-#include "common/arena.h"
 #include "common/rng.h"
 
 namespace dtn {
@@ -111,27 +110,10 @@ TEST(DtnCheckDeathTest, InjectedOutOfRangeWeightAbortsInsideReplacement) {
                "probability in \\[0, 1\\]");
 }
 
-TEST(DtnCheckDeathTest, BundlePoolDoubleReleaseAborts) {
-  // A handle released twice would enter the free list twice, and two later
-  // bundles would alias one slot — the pool must abort on the second
-  // release, not corrupt silently.
-  SlabPool<int> pool;
-  const SlabPool<int>::Handle h = pool.acquire();
-  pool.release(h);
-  EXPECT_DEATH(pool.release(h), "bundle-pool double release");
-}
-
-TEST(DtnCheckDeathTest, BundlePoolDeadSlotAccessAborts) {
-  SlabPool<int> pool;
-  const SlabPool<int>::Handle h = pool.acquire();
-  pool.release(h);
-  EXPECT_DEATH(pool.get(h), "bundle-pool access to a dead slot");
-}
-
 TEST(DtnCheckDeathTest, ContactWorkspaceReuseAcrossContactsAborts) {
   // The per-contact workspace is exclusive for the duration of one contact;
   // overlapping begin_contact calls would let two contacts share the same
-  // replacement pools and kept-chain scratch.
+  // replacement pools and eviction ranking.
   NclCachingScheme::ContactWorkspace ws;
   ws.begin_contact();
   EXPECT_DEATH(ws.begin_contact(),
@@ -139,6 +121,23 @@ TEST(DtnCheckDeathTest, ContactWorkspaceReuseAcrossContactsAborts) {
   ws.end_contact();
   EXPECT_DEATH(ws.end_contact(),
                "end_contact without a matching begin_contact");
+}
+
+TEST(DtnCheckDeathTest, NclSelfContactAborts) {
+  // A contact compacts each node's bundle queues in place while appending
+  // to the peer's; a node meeting itself would append to the queue being
+  // compacted, so the scheme refuses the contact.
+  NclSchemeConfig config;
+  config.central_nodes = {0};
+  config.buffer_capacity.assign(2, 1000);
+  NclCachingScheme scheme(config);
+  DataRegistry registry;
+  Rng rng(7);
+  MetricsCollector metrics;
+  SimServices services(registry, rng, metrics);
+  LinkBudget budget(1000);
+  EXPECT_DEATH(scheme.on_contact(services, 1, 1, budget),
+               "a contact needs two distinct nodes");
 }
 
 }  // namespace

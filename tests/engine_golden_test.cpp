@@ -1,7 +1,7 @@
-// Golden equivalence suite for the SoA/arena simulator rewrite.
+// Golden equivalence suite for the SoA simulator rewrite.
 //
 // The fast NCL scheme (SimEngine::kFast — structure-of-arrays node state,
-// slab-pooled bundle chains, reusable contact workspaces) claims
+// bundle queues compacted in place, reusable contact workspaces) claims
 // *bit-identical* simulation output against SimEngine::kReference, the
 // frozen per-object implementation in cache/ncl_scheme_reference.cpp. That
 // claim only holds if the fast path consumes the RNG stream in exactly the

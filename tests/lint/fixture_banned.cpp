@@ -9,7 +9,6 @@
 #include <random>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 namespace fixture {
 
@@ -51,22 +50,6 @@ std::string banned_unordered_fold() {
     csv += std::to_string(kv.first) + "," + std::to_string(kv.second) + "\n";
   }
   return csv;
-}
-
-// vector-in-loop: a per-iteration vector in (what would be) a hot loop.
-double banned_vector_in_loop() {
-  double total = 0.0;
-  for (int i = 0; i < 8; ++i) {
-    std::vector<double> rates(4, 1.0);
-    total += rates[0];
-  }
-  int guard = 0;
-  while (guard < 2) {
-    std::vector<int> scratch;
-    scratch.push_back(guard++);
-    total += scratch.back();
-  }
-  return total;
 }
 
 }  // namespace fixture

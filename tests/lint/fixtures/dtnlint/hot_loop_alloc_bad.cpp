@@ -1,10 +1,9 @@
 // dtnlint fixture: seeded hot-loop-alloc violations. NEVER compiled —
 // the --self-test asserts every violation below is caught, and that no
-// OTHER rule fires in this file. (Deliberately vector-free: a std::vector
-// here would also trip the narrower legacy vector-in-loop rule, and each
-// bad fixture must exercise exactly one rule.)
+// OTHER rule fires in this file.
 #include <deque>
 #include <map>
+#include <vector>
 
 namespace fixture {
 
@@ -32,6 +31,22 @@ int bad_deque_in_nested_branch(int n, bool flag) {
     }
   }
   return acc;
+}
+
+// A per-iteration vector, in a for body and in a while body.
+double bad_vector_in_loops(int n) {
+  double total = 0.0;
+  for (int i = 0; i < n; ++i) {
+    std::vector<double> rates(4, 1.0);  // seeded violation
+    total += rates[0];
+  }
+  int guard = 0;
+  while (guard < 2) {
+    std::vector<int> scratch;  // seeded violation
+    scratch.push_back(guard++);
+    total += scratch.back();
+  }
+  return total;
 }
 
 // Raw `new` in a loop body is the container hazard without the container.

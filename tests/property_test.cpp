@@ -1,7 +1,7 @@
 // Property-based invariant suite (tests/proptest.h harness).
 //
 // Randomized op sequences and inputs against the hot-loop data structures
-// the SoA/arena rewrite introduced, each checked against either a simple
+// the SoA rewrite introduced, each checked against either a simple
 // model (map, vector) or the frozen legacy implementation as oracle:
 //
 //  * CacheBuffer vs an ordered-map model — byte accounting and the
@@ -13,12 +13,11 @@
 //    identical RNG seeds — identical plans, identical RNG consumption;
 //  * replacement plans are union-preserving partitions (Alg. 1 never
 //    duplicates or invents data) within both nodes' capacities;
-//  * SlabPool vs a map model — handle stability, value round-trip, live
-//    accounting across arbitrary acquire/release interleavings;
 //  * the fast simulator engine vs the reference engine on randomized
 //    mini-traces and experiment configs — bit-identical metrics (the
 //    randomized counterpart of tests/engine_golden_test.cpp's pinned
-//    matrix);
+//    matrix), and equal protocol state (counters, tokens in flight, every
+//    node's cache) when both run as the two schemes of one lane;
 //  * opportunistic path tables on random rate graphs — weights are
 //    monotone non-increasing along every parent chain (the greedy
 //    max-probability construction depends on it);
@@ -52,20 +51,24 @@
 #include <vector>
 
 #include "cache/knapsack.h"
+#include "cache/ncl_scheme.h"
+#include "cache/ncl_scheme_reference.h"
 #include "cache/replacement.h"
-#include "common/arena.h"
 #include "common/instrument.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "daemon/daemon.h"
 #include "daemon/script.h"
 #include "experiment/experiment.h"
+#include "graph/ncl.h"
 #include "graph/opportunistic_path.h"
 #include "net/buffer.h"
+#include "sim/engine.h"
 #include "tests/proptest.h"
 #include "trace/synthetic.h"
 #include "traceio/cache.h"
 #include "traceio/reader.h"
+#include "workload/workload.h"
 
 namespace dtn {
 namespace {
@@ -284,51 +287,17 @@ TEST(Property, ReplacementPlanPartitionsPoolWithinCapacity) {
   });
 }
 
-TEST(Property, SlabPoolMatchesMapModel) {
-  run_property("slab_pool_model", 40, [](Rng& rng, int) {
-    using Pool = SlabPool<std::int64_t>;
-    Pool pool(/*slab_capacity=*/4);  // small slabs: multi-slab from op ~5 on
-    std::map<Pool::Handle, std::int64_t> model;
-    std::int64_t next_value = 1;
-
-    const int ops = static_cast<int>(rng.uniform_int(50, 400));
-    for (int op = 0; op < ops; ++op) {
-      const double dice = rng.uniform();
-      if (dice < 0.5 || model.empty()) {
-        const Pool::Handle h = pool.acquire();
-        ASSERT_TRUE(model.find(h) == model.end())
-            << "acquire returned a handle that is already live";
-        pool.get(h) = next_value;
-        model.emplace(h, next_value);
-        ++next_value;
-      } else if (dice < 0.8) {
-        auto it = model.begin();
-        std::advance(it, rng.uniform_int(
-                             0, static_cast<std::int64_t>(model.size()) - 1));
-        pool.release(it->first);
-        model.erase(it);
-      } else {
-        // Values survive unrelated acquires/releases: slab addresses and
-        // slot contents are stable while a handle stays live.
-        auto it = model.begin();
-        std::advance(it, rng.uniform_int(
-                             0, static_cast<std::int64_t>(model.size()) - 1));
-        ASSERT_EQ(pool.get(it->first), it->second);
-      }
-      ASSERT_EQ(pool.live(), model.size());
-      ASSERT_GE(pool.capacity(), pool.live());
-    }
-    for (const auto& [h, value] : model) ASSERT_EQ(pool.get(h), value);
-  });
-}
-
 TEST(Property, FastEngineMatchesReferenceOnRandomMiniTraces) {
   // The randomized counterpart of engine_golden_test's pinned matrix:
   // small random traces and experiment configs, fast vs reference engines,
-  // raw-double equality on every aggregate metric. Half the cases run on
-  // tight links and buffers (see below). Each case runs two full
-  // simulations of a few milliseconds.
-  run_property("engine_equivalence", 80, [](Rng& rng, int) {
+  // raw-double equality on every aggregate metric, then equal protocol
+  // state. Half the cases run on tight links and buffers (see below). Each
+  // case runs three simulations of a few milliseconds.
+  NclCachingScheme::Counters totals;
+  std::uint64_t responses = 0;
+  std::uint64_t exchanges = 0;
+  std::size_t tokens_left = 0;
+  run_property("engine_equivalence", 80, [&](Rng& rng, int) {
     SyntheticTraceConfig tc;
     tc.node_count = static_cast<NodeId>(rng.uniform_int(12, 20));
     tc.duration = days(rng.uniform(0.5, 1.0));
@@ -340,7 +309,9 @@ TEST(Property, FastEngineMatchesReferenceOnRandomMiniTraces) {
     const ContactTrace trace = generate_trace(tc);
 
     ExperimentConfig config;
-    config.avg_lifetime = hours(rng.uniform(6.0, 24.0));
+    // Lifetimes from 2 h: items expire while their push tokens are still
+    // in flight, so token pruning shows in the protocol-state comparison.
+    config.avg_lifetime = hours(rng.uniform(2.0, 24.0));
     config.avg_data_size = megabits(rng.uniform(10.0, 50.0));
     config.ncl_count = static_cast<int>(rng.uniform_int(1, 3));
     config.repetitions = 1;
@@ -389,7 +360,72 @@ TEST(Property, FastEngineMatchesReferenceOnRandomMiniTraces) {
     expect_stats(fast.queries_satisfied, ref.queries_satisfied);
     expect_stats(fast.gigabytes_transferred, ref.gigabytes_transferred);
     expect_stats(fast.duplicate_deliveries, ref.duplicate_deliveries);
+
+    // Protocol state, not only aggregates: both schemes, built from one
+    // config, run as the two cells of one lane. Each cell draws from
+    // Rng(lane.seed), so both see the same contacts, tables and random
+    // stream, and their bundle queues and token bookkeeping must agree.
+    const WarmupContext warmup = make_warmup_context(trace, config);
+    NclSchemeConfig nc;
+    nc.central_nodes = select_ncls(warmup.graph, warmup.horizon,
+                                   config.ncl_count, config.sim.max_hops,
+                                   config.sim.threads)
+                           .central_nodes;
+    nc.buffer_capacity =
+        draw_buffer_capacities(config, trace.node_count(), config.seed);
+    nc.response_mode = config.response_mode;
+    nc.strategy = config.strategy;
+    nc.dynamic_ncl = config.dynamic_ncl;
+    NclCachingScheme fast_scheme(nc);
+    NclCachingSchemeReference ref_scheme(nc);
+    WorkloadConfig wc;
+    wc.start = trace.start_time() + trace.duration() / 2.0;
+    wc.end = trace.end_time();
+    wc.avg_lifetime = config.avg_lifetime;
+    wc.avg_size = config.avg_data_size;
+    wc.seed = config.seed;
+    const Workload workload = generate_workload(wc, trace.node_count());
+    SimConfig sc = config.sim;
+    sc.path_horizon = warmup.horizon;
+    run_simulation(
+        trace, {SimLane{&workload, {&fast_scheme, &ref_scheme}, config.seed}},
+        sc);
+
+    const auto& counters = fast_scheme.counters();
+    ASSERT_EQ(counters, ref_scheme.counters());
+    ASSERT_EQ(fast_scheme.responses_sent(), ref_scheme.responses_sent());
+    ASSERT_EQ(fast_scheme.replacement_exchanges(),
+              ref_scheme.replacement_exchanges());
+    ASSERT_EQ(fast_scheme.push_tokens_in_flight(),
+              ref_scheme.push_tokens_in_flight());
+    const DataRegistry& registry = workload.registry();
+    for (NodeId node = 0; node < trace.node_count(); ++node) {
+      for (DataId id = 0; id < static_cast<DataId>(registry.size()); ++id) {
+        ASSERT_EQ(fast_scheme.node_caches(node, id),
+                  ref_scheme.node_caches(node, id))
+            << "node " << node << ", data " << id;
+      }
+    }
+    ASSERT_TRUE(fast_scheme.check_invariants(registry));
+    ASSERT_TRUE(ref_scheme.check_invariants(registry));
+
+    totals.tokens_settled += counters.tokens_settled;
+    totals.tokens_stopped_full += counters.tokens_stopped_full;
+    totals.queries_reached_central += counters.queries_reached_central;
+    totals.responses_delivered += counters.responses_delivered;
+    responses += fast_scheme.responses_sent();
+    exchanges += fast_scheme.replacement_exchanges();
+    tokens_left += fast_scheme.push_tokens_in_flight();
   });
+  // Every kind of state compared above must occur somewhere in the run,
+  // or an equality would hold vacuously.
+  EXPECT_GT(totals.tokens_settled, 0u);
+  EXPECT_GT(totals.tokens_stopped_full, 0u);
+  EXPECT_GT(totals.queries_reached_central, 0u);
+  EXPECT_GT(totals.responses_delivered, 0u);
+  EXPECT_GT(responses, 0u);
+  EXPECT_GT(exchanges, 0u);
+  EXPECT_GT(tokens_left, 0u);
 }
 
 /// Random sparse rate graph with rates spanning ~3 decades, so path

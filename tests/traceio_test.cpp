@@ -1,16 +1,16 @@
 // Tests for the trace ingestion subsystem (src/traceio/): golden fixture
 // parses for every reader, strict-mode diagnostics, content sniffing that
 // ignores the file name, loads that write nothing, and the shared-trace
-// sweep determinism contract.
+// comparison's null check.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
-#include "experiment/sweep.h"
-#include "trace/synthetic.h"
+#include "experiment/experiment.h"
 #include "trace/trace_io.h"
 #include "traceio/cache.h"
 #include "traceio/reader.h"
@@ -219,42 +219,11 @@ TEST(TraceioLoad, LeavesTheInputDirectoryUnchanged) {
   EXPECT_EQ(entries, std::vector<std::string>{"trace.csv"});
 }
 
-// ---- shared trace across sweeps --------------------------------------
-
-TEST(TraceioShared, SweepCsvIsByteIdenticalAcrossThreadCounts) {
-  SyntheticTraceConfig config;
-  config.node_count = 16;
-  config.duration = days(8);
-  config.target_total_contacts = 3000;
-  config.seed = 3;
-  const auto trace =
-      std::make_shared<const ContactTrace>(generate_trace(config));
-
-  SweepConfig sweep;
-  sweep.base.avg_lifetime = days(1);
-  sweep.base.avg_data_size = megabits(40);
-  sweep.base.ncl_count = 2;
-  sweep.base.repetitions = 1;
-  sweep.base.sim.maintenance_interval = hours(12);
-  sweep.schemes = {SchemeKind::kNclCache, SchemeKind::kNoCache};
-  sweep.lifetimes = {hours(12), days(1)};
-  sweep.ncl_counts = {1, 2};
-
-  sweep.threads = 1;
-  const std::string serial = sweep_to_csv(run_sweep(trace, sweep));
-  sweep.threads = 8;
-  const std::string parallel = sweep_to_csv(run_sweep(trace, sweep));
-  EXPECT_EQ(serial, parallel);
-  EXPECT_FALSE(serial.empty());
-}
+// ---- shared trace -----------------------------------------------------
 
 TEST(TraceioShared, NullSharedTraceThrows) {
   std::shared_ptr<const ContactTrace> null_trace;
-  SweepConfig sweep;
-  EXPECT_THROW(run_sweep(null_trace, sweep), std::invalid_argument);
   ExperimentConfig config;
-  EXPECT_THROW(run_experiment(null_trace, SchemeKind::kNoCache, config),
-               std::invalid_argument);
   EXPECT_THROW(run_comparison(null_trace, {SchemeKind::kNoCache}, config),
                std::invalid_argument);
 }

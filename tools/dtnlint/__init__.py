@@ -2,7 +2,7 @@
 
 Self-contained, stock-python3, no clang/libclang: a C++ lexer (lexer.py),
 a structural parser recovering function/scope/loop nesting and local
-declarations (cpp.py), and a rule framework (engine.py) hosting the seven
+declarations (cpp.py), and a rule framework (engine.py) hosting the six
 legacy determinism rules (rules_legacy.py) plus five flow-aware rules
 (rules_flow.py). See DESIGN.md §11.
 

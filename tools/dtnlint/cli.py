@@ -6,7 +6,7 @@ Usage:
   python3 tools/dtnlint --json PATH         also write a findings artifact
                                             (schema_version 1; '-' = stdout)
   python3 tools/dtnlint --rules a,b         run a subset of rules
-  python3 tools/dtnlint --legacy            run only the seven legacy
+  python3 tools/dtnlint --legacy            run only the six legacy
                                             determinism rules
   python3 tools/dtnlint --list-rules        print rule ids and exit
   python3 tools/dtnlint --self-test DIR     run the fixture self-test

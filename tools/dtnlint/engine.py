@@ -96,7 +96,7 @@ class Rule:
 
     rule_id: str = ""
     message: str = ""
-    #: the seven line-regex determinism rules that predate the flow rules;
+    #: the six line-regex determinism rules that predate the flow rules;
     #: `--legacy` runs exactly this set.
     legacy: bool = False
 

@@ -1,30 +1,27 @@
 """The flow-aware dtnlint rules introduced with the analysis engine.
 
 Each rule walks the statement/scope tree from cpp.py rather than matching
-lines, so it understands branch-local facts (a handle released in the
-then-branch is not dead in the else-branch), kill assignments (`h = next`
-after `pool.release(h)` ends the handle's taint), and early returns.
+lines, so it understands branch-local facts (a workspace bracket opened in
+the then-branch is not open in the else-branch), kill assignments (`p = 0.0`
+after `p = path_weight(...)` ends the raw value's tracking), and early
+returns.
 
 Analysis model, shared across rules:
   * forward, single pass, no loop back-edges: facts do not flow from the
-    bottom of a loop body to its top (a release at the end of an
-    iteration followed by a use at the top of the next one is missed —
-    accepted, because every such site in this tree reassigns the handle
-    before the iteration ends, and the runtime SlabPool live-bit check
-    still catches the dynamic case);
+    bottom of a loop body to its top (a fact set at the end of an
+    iteration and read at the top of the next one is missed; the runtime
+    DTN_CHECKs still catch the dynamic case);
   * if/elif/else chains evaluate each branch against the pre-branch
-    state and join by union (taints) / agreement (bracket state);
+    state and join by agreement (bracket state);
   * braceless conditional bodies are part of the conditional statement
     and are treated as executing unconditionally (conservative).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from cpp import Scope, Stmt, TranslationUnit, parse_decl
 from engine import Rule, RuleContext, is_fixture, register
-from rules_legacy import container_decls_in_loops, unordered_range_fors
+from rules_legacy import unordered_range_fors
 
 
 # ---------------------------------------------------------------------------
@@ -81,182 +78,6 @@ def _find_calls(stmt_tokens, method_names):
             if depth >= 1:
                 args.append(toks[j])
         yield recv, tok.text, args, tok.line
-
-
-# ---------------------------------------------------------------------------
-# pool-lifetime: use of a handle after SlabPool::release / values obtained
-# from an Arena after reset(). Guards the PR 6 SlabPool contract (DESIGN.md
-# §10): the runtime live-bit DTN_CHECK catches a dynamic double release,
-# this rule catches the latent path before it ever executes.
-
-def _is_pool(tu: TranslationUnit, name: str) -> bool:
-    t = tu.decl_type(name)
-    return t.startswith("SlabPool<") or t.startswith("dtn::SlabPool<") \
-        or "pool" in name.lower()
-
-
-def _is_arena(tu: TranslationUnit, name: str) -> bool:
-    t = tu.decl_type(name)
-    return t in ("Arena", "dtn::Arena") or "arena" in name.lower()
-
-
-@dataclass
-class _PoolEnv:
-    # tainted name -> (release line, what was released) for handles,
-    # references into released slots, and arena-backed pointers
-    dead: dict = field(default_factory=dict)
-    # alias name -> (pool receiver, handle name) from `T& r = pool.get(h)`
-    aliases: dict = field(default_factory=dict)
-    # pointer name -> arena receiver from `p = arena.allocate(...)`
-    arena_ptrs: dict = field(default_factory=dict)
-
-    def copy(self):
-        return _PoolEnv(dict(self.dead), dict(self.aliases),
-                        dict(self.arena_ptrs))
-
-    def union(self, other):
-        self.dead.update(other.dead)
-        self.aliases.update(other.aliases)
-        self.arena_ptrs.update(other.arena_ptrs)
-
-
-# Statements that unconditionally leave the current path. `continue` and
-# `break` end the loop-iteration path: facts tainted on that path never
-# reach the statements after the conditional (the chain-walk loops in
-# ncl_scheme.cpp release a handle and `continue` — the code after the
-# branch is a different path and must not inherit the taint).
-_TERMINATORS = {"return", "continue", "break", "throw", "goto"}
-
-
-def _terminates(stmt: Stmt) -> bool:
-    return bool(stmt.tokens) and stmt.tokens[0].text in _TERMINATORS
-
-
-@register
-class PoolLifetimeRule(Rule):
-    rule_id = "pool-lifetime"
-    message = ""  # always per-finding
-
-    def applies_to(self, rel_path):
-        return rel_path.startswith(("src/sim/", "src/cache/", "src/common/")) \
-            or is_fixture(rel_path)
-
-    def check(self, tu, ctx):
-        for fn in tu.functions():
-            findings = []
-            self._walk(tu, fn.items, _PoolEnv(), findings)
-            yield from findings
-
-    def _walk(self, tu, items, env, findings) -> bool:
-        """Processes a statement sequence against `env` (mutated in
-        place). Returns True when the sequence unconditionally leaves the
-        enclosing path (return/continue/break on every branch)."""
-        for kind, thing in branch_groups(items):
-            if kind == "branch":
-                joined = _PoolEnv()
-                any_live = False
-                for branch in thing:
-                    benv = env.copy()
-                    if not self._walk(tu, branch.items, benv, findings):
-                        joined.union(benv)
-                        any_live = True
-                has_else = thing[-1].kind == "else"
-                if not has_else:
-                    joined.union(env)  # fall-through path
-                    any_live = True
-                if not any_live:
-                    return True  # every branch terminated, else included
-                env.dead, env.aliases, env.arena_ptrs = (
-                    joined.dead, joined.aliases, joined.arena_ptrs)
-            elif isinstance(thing, Scope):
-                if thing.kind == "lambda":
-                    # a lambda body runs at call time, not here; analyzing
-                    # it against this point's state would be wrong both ways
-                    continue
-                body_env = env.copy()
-                body_terminated = self._walk(tu, thing.items, body_env,
-                                             findings)
-                if thing.kind == "loop":
-                    if not body_terminated:
-                        env.union(body_env)  # the loop may have run
-                else:
-                    env.union(body_env)
-                    if body_terminated:
-                        return True  # plain block always executes
-            else:
-                self._stmt(tu, thing, env, findings)
-                if _terminates(thing):
-                    return True
-        return False
-
-    def _stmt(self, tu, stmt: Stmt, env: _PoolEnv, findings):
-        toks = stmt.tokens
-        texts = stmt.texts()
-
-        # kills come first: a declaration (or `name = ...` rebind) makes
-        # the name a fresh object before any same-statement read of it
-        killed = None
-        if len(toks) >= 2 and toks[0].kind == "ident" and texts[1] == "=":
-            killed = texts[0]
-        decl = parse_decl(toks)
-        if decl is not None:
-            killed = decl.name
-        if killed is not None:
-            env.dead.pop(killed, None)
-            env.aliases.pop(killed, None)
-            env.arena_ptrs.pop(killed, None)
-
-        read_tokens = toks[2:] if killed and texts[1] == "=" else toks
-        for tok in read_tokens:
-            if tok.kind != "ident" or tok.text not in env.dead:
-                continue
-            if killed is not None and tok.text == killed:
-                continue  # the declarator itself, not a read
-            line, what = env.dead[tok.text]
-            findings.append(
-                (tok.line,
-                 f"`{tok.text}` is used after {what} (released at line "
-                 f"{line}); a recycled slot can alias a different live "
-                 f"bundle — reorder the use before the release or "
-                 f"rebind the handle first"))
-            del env.dead[tok.text]  # one report per taint
-
-        # alias registration: `T& r = pool.get(h)`. Two conditions keep
-        # copies out: the declarator must be a reference/pointer (a
-        # by-value `T t = pool.get(h)` copies the slot and survives its
-        # release), and the get-chain must be the *root* of the
-        # initializer (`f(pool.get(h).x)` produces a value).
-        if decl is not None and decl.init and (decl.is_ref or decl.is_ptr):
-            for recv, method, args, _line in _find_calls(decl.init, {"get"}):
-                if decl.init[0].kind == "ident" \
-                        and decl.init[0].text == recv \
-                        and _is_pool(tu, recv) and len(args) == 1 \
-                        and args[0].kind == "ident":
-                    env.aliases[decl.name] = (recv, args[0].text)
-            for recv, method, _args, _line in _find_calls(
-                    decl.init, {"allocate"}):
-                if _is_arena(tu, recv):
-                    env.arena_ptrs[decl.name] = recv
-
-        # releases
-        for recv, method, args, line in _find_calls(toks, {"release"}):
-            if not _is_pool(tu, recv):
-                continue
-            if len(args) == 1 and args[0].kind == "ident":
-                handle = args[0].text
-                env.dead[handle] = (line, f"`{recv}.release({handle})`")
-                for alias, (arecv, ahandle) in env.aliases.items():
-                    if arecv == recv and ahandle == handle:
-                        env.dead[alias] = (
-                            line, f"`{recv}.release({handle})` (this name "
-                            f"references the released slot)")
-        for recv, method, args, line in _find_calls(toks, {"reset"}):
-            if not _is_arena(tu, recv) or args:
-                continue
-            for ptr, arecv in env.arena_ptrs.items():
-                if arecv == recv:
-                    env.dead[ptr] = (line, f"`{recv}.reset()` (this pointer "
-                                     f"came from `{recv}.allocate`)")
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +425,7 @@ class DaemonSnapshotGuardRule(Rule):
 
 # ---------------------------------------------------------------------------
 # hot-loop-alloc: allocating-container construction inside loop bodies on
-# the engine fast paths. Generalizes the legacy vector-in-loop rule (which
-# stays in the legacy set) to every allocating std container and to
+# the engine fast paths: every allocating std container, in src/graph/ and
 # src/sim/, with real scope accuracy: only declarations of owning objects
 # in loop bodies fire — references, pointers, and containers hoisted out
 # of the loop do not. The src/graph/ scope covers every many-roots build
@@ -618,6 +438,36 @@ _ALLOC_CONTAINERS = {
     "unordered_map", "unordered_set", "unordered_multimap",
     "unordered_multiset", "basic_string",
 }
+
+
+def container_decls_in_loops(tu: TranslationUnit, type_words: set[str]):
+    """Yields (line, type_word) for declarations of matching container
+    types in loop bodies (any nesting). References and pointers do not
+    allocate and are skipped."""
+    for scope in tu.root.scopes():
+        if scope.kind != "loop":
+            continue
+        for item in scope.items:
+            yield from _decls_under(item, type_words)
+
+
+def _decls_under(item, type_words):
+    if isinstance(item, Scope):
+        # A nested loop is visited by the caller's own walk over every
+        # scope, so recurse through non-loop scopes only: nothing is
+        # reported twice.
+        if item.kind == "loop":
+            return
+        for sub in item.items:
+            yield from _decls_under(sub, type_words)
+        return
+    d = parse_decl(item.tokens)
+    if d is None or d.is_ref or d.is_ptr:
+        return
+    for word in type_words:
+        if d.type_str.startswith(f"std::{word}<") or d.type_str == f"std::{word}":
+            yield d.line, word
+            return
 
 
 @register
@@ -648,4 +498,5 @@ class HotLoopAllocRule(Rule):
                         for t in item.tokens):
                     yield item.line, (
                         "raw `new` inside a loop body on an engine fast "
-                        "path; use a SlabPool (src/common/arena.h)")
+                        "path; hoist the storage into a workspace that is "
+                        "reused across iterations")

@@ -1,19 +1,18 @@
-"""The seven legacy determinism-lint rules, re-hosted on the shared lexer
+"""The six legacy determinism-lint rules, re-hosted on the shared lexer
 and structural parser.
 
 Behaviour is a superset-accurate re-implementation of the original
 line-regex rules with the regex failure modes removed: nothing here can
 fire inside a comment, a string/char literal, or a preprocessor line (the
-lexer never surfaces them), and the scope-based rules (unordered-fold,
-vector-in-loop) use real brace structure instead of brace-counting
-heuristics. `dtnlint --legacy` runs exactly this set (Rule.legacy == True);
+lexer never surfaces them), and the scope-based unordered-fold rule uses
+real brace structure instead of brace-counting heuristics. `dtnlint --legacy` runs exactly this set (Rule.legacy == True);
 `dtnlint --self-test` checks it against tests/lint/fixture_*.cpp.
 """
 
 from __future__ import annotations
 
 from cpp import Scope, TranslationUnit
-from engine import Rule, RuleContext, is_fixture, register
+from engine import Rule, RuleContext, register
 
 # ---------------------------------------------------------------------------
 # token-pattern helpers
@@ -213,60 +212,3 @@ class UnorderedFoldRule(Rule):
             if fn is None or not _function_has_fold_marker(fn):
                 continue
             yield scope.line, None
-
-
-# ---------------------------------------------------------------------------
-# vector-in-loop: kept with its exact legacy scope (std::vector declared in
-# a loop body, src/graph/ only) for its allowlist entries and legacy
-# fixtures. dtnlint's hot-loop-alloc (rules_flow.py) generalizes
-# this to more containers and src/sim/ with the same scope machinery.
-
-def container_decls_in_loops(tu: TranslationUnit, type_words: set[str]):
-    """Yields (line, type_word) for declarations of matching container
-    types in loop bodies (any nesting). References and pointers do not
-    allocate and are skipped."""
-    for scope in tu.root.scopes():
-        if scope.kind != "loop":
-            continue
-        for item in scope.items:
-            yield from _decls_under(item, type_words)
-
-
-def _decls_under(item, type_words):
-    from cpp import Scope, parse_decl
-
-    if isinstance(item, Scope):
-        # nested loops yield their own visit via scopes() in the caller?
-        # No: the caller iterates top-level items of each loop scope, so
-        # recurse through non-loop scopes only to avoid double-reporting
-        # (a nested loop is itself visited by the outer iteration).
-        if item.kind == "loop":
-            return
-        for sub in item.items:
-            yield from _decls_under(sub, type_words)
-        return
-    d = parse_decl(item.tokens)
-    if d is None or d.is_ref or d.is_ptr:
-        return
-    for word in type_words:
-        if d.type_str.startswith(f"std::{word}<") or d.type_str == f"std::{word}":
-            yield d.line, word
-            return
-
-
-@register
-class VectorInLoopRule(Rule):
-    rule_id = "vector-in-loop"
-    legacy = True
-    message = (
-        "path-engine hot loops are allocation-free by contract; hoist this "
-        "vector into a PathWorkspace/HypoexpWorkspace scratch (or allowlist "
-        "deliberate legacy-reference code)"
-    )
-
-    def applies_to(self, rel_path):
-        return rel_path.startswith("src/graph/") or is_fixture(rel_path)
-
-    def check(self, tu, ctx):
-        for line, _word in container_decls_in_loops(tu, {"vector"}):
-            yield line, None

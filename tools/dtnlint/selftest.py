@@ -13,7 +13,7 @@ Run as `dtnlint --self-test tests/lint`. Fixture contract:
       - good fixture: zero findings under the full rule set. Each good
         fixture repeats its rule's trigger constructs inside comments and
         string literals, so comment/string immunity is re-proven per rule.
-  * Legacy fixtures (tests/lint/fixture_*.cpp), run under the seven legacy
+  * Legacy fixtures (tests/lint/fixture_*.cpp), run under the six legacy
     rules only:
       - fixture_banned.cpp trips every legacy rule;
       - fixture_clean.cpp and fixture_comment_immunity.cpp trip none;
