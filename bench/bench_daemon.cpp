@@ -1,10 +1,11 @@
 // Serving-daemon bench (src/daemon/, DESIGN.md §13): the same contact
 // replay processed two ways — the daemon's incremental path-table repair
 // (drift scan -> parent-pointer tree scan + one-step endpoint test ->
-// re-run only stale roots) and a rebuild-everything strawman that answers
-// every batch boundary with a fresh full AllPairsPaths build from the same
-// estimator. The work unit is contacts ingested; both sides run serial
-// repair (threads=1) so the ratio measures the algorithm, not the pool.
+// re-settle the subtrees a stale root's changes reach, or re-run the root)
+// and a rebuild-everything strawman that answers every batch boundary with
+// a fresh full AllPairsPaths build from the same estimator. The work unit
+// is contacts ingested; both sides run serial repair (threads=1) so the
+// ratio measures the algorithm, not the pool.
 //
 // The acceptance contract for the daemon is a >= 3x ingest+repair speedup
 // over the strawman in the converged-serving regime (most of the stream

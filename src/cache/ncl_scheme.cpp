@@ -381,7 +381,7 @@ void NclCachingScheme::transfer_direction(SimServices& services, NodeId from,
     std::size_t kept = 0;
     for (QueryCopy& copy : queue) {
       const Query& q = copy.query;
-      if (!q.alive(now)) continue;  // expired: drop
+      DTN_CHECK(q.alive(now), "on_contact's prune left an expired query copy");
 
       if (!copy.broadcast) {
         // Routed phase: ride the gradient towards the central node.
@@ -435,11 +435,7 @@ void NclCachingScheme::transfer_direction(SimServices& services, NodeId from,
     for (std::size_t i = 0; i < queue.size(); ++i) {
       const PushToken token = queue[i];
       const DataItem& item = services.data(token.data);
-      if (!item.alive(now)) {
-        // Expired in flight: drop token and any in-transit cached copy.
-        ++counters_.tokens_expired;
-        continue;
-      }
+      DTN_CHECK(item.alive(now), "on_contact's prune left an expired token");
       const double w_to = services.path_weight(to, token.central);
       const double w_from = services.path_weight(from, token.central);
       if (!(w_to > w_from)) {
@@ -782,9 +778,10 @@ void NclCachingScheme::prune_node_with_registry(SimServices& services,
       ++it;
     }
   }
-  std::erase_if(store_.push_tokens[ni], [&](const PushToken& token) {
-    return expired(services.data(token.data).expires);
-  });
+  counters_.tokens_expired +=
+      std::erase_if(store_.push_tokens[ni], [&](const PushToken& token) {
+        return expired(services.data(token.data).expires);
+      });
   std::erase_if(store_.query_copies[ni], [&](const QueryCopy& copy) {
     return expired(copy.query.expires);
   });

@@ -130,7 +130,7 @@ class NclCachingScheme : public Scheme {
   struct Counters {
     std::uint64_t tokens_settled = 0;       ///< reached their central node
     std::uint64_t tokens_stopped_full = 0;  ///< parked: next relay was full
-    std::uint64_t tokens_expired = 0;       ///< data expired in flight
+    std::uint64_t tokens_expired = 0;       ///< pruned: their data expired
     std::uint64_t token_hops = 0;           ///< gradient forwarding steps
     std::uint64_t queries_reached_central = 0;
     std::uint64_t responses_delivered = 0;

@@ -229,7 +229,7 @@ void NclCachingSchemeReference::transfer_direction(SimServices& services, NodeId
     kept.reserve(src.query_copies.size());
     for (auto& copy : src.query_copies) {
       const Query& q = copy.query;
-      if (!q.alive(now)) continue;  // expired: drop
+      DTN_CHECK(q.alive(now), "on_contact's prune left an expired query copy");
 
       if (!copy.broadcast) {
         // Routed phase: ride the gradient towards the central node.
@@ -282,11 +282,7 @@ void NclCachingSchemeReference::transfer_direction(SimServices& services, NodeId
     for (std::size_t ti = 0; ti < src.push_tokens.size(); ++ti) {
       const PushToken token = src.push_tokens[ti];
       const DataItem& item = services.data(token.data);
-      if (!item.alive(now)) {
-        // Expired in flight: drop token and any in-transit cached copy.
-        ++counters_.tokens_expired;
-        continue;
-      }
+      DTN_CHECK(item.alive(now), "on_contact's prune left an expired token");
       const double w_to = services.path_weight(to, token.central);
       const double w_from = services.path_weight(from, token.central);
       if (!(w_to > w_from)) {
@@ -624,9 +620,10 @@ void NclCachingSchemeReference::prune_node_with_registry(SimServices& services,
       ++it;
     }
   }
-  std::erase_if(ns.push_tokens, [&](const PushToken& t) {
-    return !services.data(t.data).alive(now);
-  });
+  counters_.tokens_expired +=
+      std::erase_if(ns.push_tokens, [&](const PushToken& t) {
+        return !services.data(t.data).alive(now);
+      });
   std::erase_if(ns.query_copies,
                 [&](const QueryCopy& c) { return !c.query.alive(now); });
   std::erase_if(ns.responses,

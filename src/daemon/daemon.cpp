@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "common/instrument.h"
 #include "common/parallel.h"
-#include "graph/hypoexp.h"
 #include "graph/ncl.h"
 
 namespace dtn::daemon {
@@ -181,47 +180,39 @@ std::vector<Daemon::EdgeChange> Daemon::collect_drifted_edges() {
   return changes;
 }
 
-Daemon::RootRepair Daemon::classify(
-    const PathTable& table, const std::vector<EdgeChange>& changes) const {
+Daemon::RootRepair Daemon::classify(const PathTable& table,
+                                    const std::vector<EdgeChange>& changes,
+                                    std::vector<NodeId>& seeds) const {
+  // A changed tree edge flags the root, and resettle_subtrees re-settles
+  // the subtree under it. A faster off-tree edge flags it only when one of
+  // its endpoints may adopt the other over it (adoption_fires, against the
+  // root's CURRENT table); that endpoint seeds a re-settled subtree. A
+  // slower off-tree edge changes nothing: every candidate through it got
+  // strictly worse.
   PathWorkspace& ws = thread_path_workspace();
-  // One-step endpoint test against the root's CURRENT table: can the edge
-  // (from -> to) at new_rate enter its tree? The first adoption of a
-  // changed edge extends a chain that avoids it — i.e. the unchanged
-  // current chain of `from` — so evaluating that single candidate against
-  // `to`'s current settled weight is a sound detector. >= flags ties
-  // conservatively (flagging extra roots only costs work, never
-  // correctness: a flagged root re-runs the full construction).
-  const auto adoption_possible = [&](NodeId from, NodeId to,
-                                     double new_rate) {
-    if (to == table.root()) return false;  // the root never adopts a parent
-    const PathTable::Entry& ef = table.entry(from);
-    if (from != table.root() && ef.weight <= 0.0) return false;  // unreachable
-    if (ef.hops + 1 > config_.max_hops) return false;
-    table.rates_to_root(from, ws.chain);
-    ws.chain.push_back(new_rate);
-    const double candidate =
-        hypoexp_cdf(ws.chain, config_.horizon, ws.hypoexp);
-    DTN_CHECK_PROB(candidate);
-    return candidate >= table.entry(to).weight;
-  };
-
-  // Any change can alter a tree that uses the edge. A slowed or removed
-  // tree edge changes only the subtree below it: every candidate through
-  // the edge got strictly worse. A faster tree edge, or a faster edge an
-  // endpoint could adopt, may change anything.
+  seeds.clear();
   RootRepair kind = RootRepair::kUntouched;
   for (const EdgeChange& change : changes) {
-    const bool increase = change.new_rate > change.old_rate;
+    const bool faster = change.new_rate > change.old_rate;
     if (table.tree_child(change.u, change.v) != kNoNode) {
-      if (increase) return RootRepair::kFull;
-      kind = RootRepair::kLocal;
-    } else if (increase &&
-               (adoption_possible(change.u, change.v, change.new_rate) ||
-                adoption_possible(change.v, change.u, change.new_rate))) {
-      return RootRepair::kFull;
+      if (faster) {
+        kind = RootRepair::kSpedUp;
+      } else if (kind == RootRepair::kUntouched) {
+        kind = RootRepair::kSlowed;
+      }
+      continue;
+    }
+    if (!faster) continue;
+    if (adoption_fires(table, change.u, change.v, change.new_rate,
+                       config_.max_hops, ws)) {
+      seeds.push_back(change.v);
+    }
+    if (adoption_fires(table, change.v, change.u, change.new_rate,
+                       config_.max_hops, ws)) {
+      seeds.push_back(change.u);
     }
   }
-  return kind;
+  return seeds.empty() ? kind : RootRepair::kSpedUp;
 }
 
 void Daemon::repair(Time batch_time) {
@@ -264,19 +255,17 @@ void Daemon::repair(Time batch_time) {
   std::vector<std::size_t> resettled(n, 0);
   parallel_for(config_.threads, n, [&](std::size_t r) {
     const PathTable& old = *tables_[r];
-    RootRepair kind = classify(old, changes);
+    std::vector<NodeId> seeds;
+    RootRepair kind = classify(old, changes, seeds);
     if (kind == RootRepair::kUntouched) return;
     PathWorkspace& ws = thread_path_workspace();
-    std::optional<ResettledTable> local;
-    if (kind == RootRepair::kLocal) {
-      local = resettle_subtrees(graph_, old, config_.max_hops, changed, ws,
-                                edge_exp_);
-    }
+    std::optional<ResettledTable> local = resettle_subtrees(
+        graph_, old, config_.max_hops, changed, seeds, ws, edge_exp_);
     if (local) {
       resettled[r] = local->resettled;
       tables_[r] = std::make_shared<const PathTable>(std::move(local->table));
     } else {
-      kind = RootRepair::kFull;
+      kind = RootRepair::kKernel;
       tables_[r] = std::make_shared<const PathTable>(
           compute_opportunistic_paths(graph_, static_cast<NodeId>(r),
                                       config_.horizon, config_.max_hops, ws,
@@ -287,15 +276,18 @@ void Daemon::repair(Time batch_time) {
   });
   std::uint64_t repaired = 0;
   std::uint64_t local = 0;
+  std::uint64_t local_faster = 0;
   std::uint64_t nodes = 0;
   for (std::size_t r = 0; r < n; ++r) {
     if (outcome[r] == RootRepair::kUntouched) continue;
     ++repaired;
-    if (outcome[r] == RootRepair::kLocal) ++local;
+    if (outcome[r] != RootRepair::kKernel) ++local;
+    if (outcome[r] == RootRepair::kSpedUp) ++local_faster;
     nodes += resettled[r];
   }
   stats_.roots_repaired += repaired;
   stats_.roots_local += local;
+  stats_.roots_local_faster += local_faster;
   stats_.nodes_resettled += nodes;
   DTN_COUNT_N(kDaemonRootsRepaired, repaired);
   DTN_COUNT_N(kDaemonRootsLocal, local);

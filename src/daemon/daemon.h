@@ -7,8 +7,8 @@
 // and keeps the path tables continuously correct through **incremental
 // repair** — when an edge's estimated rate drifts past a configurable
 // relative threshold, only the roots whose trees that edge can affect are
-// repaired (the subtrees under a slowed tree edge re-settled, or the root
-// re-run through single-root Dijkstra), instead of rebuilding all pairs.
+// repaired (the subtrees the change can reach re-settled, or the root re-run
+// through single-root Dijkstra), instead of rebuilding all pairs.
 //
 // Repair soundness (DESIGN.md §13 has the full argument): a path-weight
 // candidate is strictly increasing in every chain rate, so
@@ -24,15 +24,14 @@
 //     that one-step candidate against the endpoint's current weight is
 //     therefore a sound stale-root detector (>= flags conservatively).
 // A batch is one pass over the roots on the global thread pool (by
-// default): each task classifies its root by those two tests as untouched,
-// local (only slowed or removed edges of its tree make it stale) or full,
-// repairs it and folds its Eq. 3 metric. A local root re-settles only the
-// subtrees under its slowed edges (resettle_subtrees), which either yields
-// the kernel's table or declines; a full root, or a declined one, re-runs
-// the single-root kernel a full rebuild would run. Either way the tables
-// are bit-identical to a rebuild for every thread count; with `audit` on,
-// every batch is DTN_CHECKed field for field against a fresh per-root
-// compute_opportunistic_paths_reference build.
+// default): each task flags its root by those two tests, repairs it and
+// folds its Eq. 3 metric. A flagged root re-settles only the subtrees under
+// its changed tree edges and under the endpoints whose adoption test fired
+// (resettle_subtrees), which either yields the kernel's table or declines;
+// a declined root re-runs the single-root kernel a full rebuild would run.
+// Either way the tables are bit-identical to a rebuild for every thread
+// count; with `audit` on, every batch is DTN_CHECKed field for field against
+// a fresh per-root compute_opportunistic_paths_reference build.
 //
 // Concurrency: ONE writer thread calls warm_start/ingest/repair_now; any
 // number of reader threads call snapshot()/ncl_set()/path_weight()/
@@ -193,6 +192,9 @@ class Daemon {
     /// subtrees held (both included in roots_repaired's work).
     std::uint64_t roots_local = 0;
     std::uint64_t nodes_resettled = 0;
+    /// The roots_local that an edge speed-up flagged: a faster tree edge
+    /// or a fired adoption test.
+    std::uint64_t roots_local_faster = 0;
     std::uint64_t full_rebuilds = 0;   ///< warm start + first-build batches
     std::uint64_t audit_rebuilds = 0;
     std::uint64_t snapshots_published = 0;
@@ -224,8 +226,17 @@ class Daemon {
     double new_rate = 0.0;
   };
 
-  /// How one root's table answers a batch's changes.
-  enum class RootRepair : std::uint8_t { kUntouched, kLocal, kFull };
+  /// How a batch's changes reach one root's table, and how it was
+  /// repaired: untouched; re-settled locally after slowed or removed tree
+  /// edges only, or after an edge sped up too (a faster tree edge or a
+  /// fired adoption test); or rebuilt by the kernel because
+  /// resettle_subtrees declined.
+  enum class RootRepair : std::uint8_t {
+    kUntouched,
+    kSlowed,
+    kSpedUp,
+    kKernel
+  };
 
   void publish(std::shared_ptr<const Snapshot> next);
   void publish_snapshot(Time batch_time);
@@ -235,8 +246,12 @@ class Daemon {
   /// metric) -> publish.
   void repair(Time batch_time);
   std::vector<EdgeChange> collect_drifted_edges();
+  /// Flags a root as untouched, kSlowed or kSpedUp against its old table,
+  /// and gives the nodes resettle_subtrees must re-settle besides the
+  /// changed tree edges' subtrees.
   RootRepair classify(const PathTable& table,
-                      const std::vector<EdgeChange>& changes) const;
+                      const std::vector<EdgeChange>& changes,
+                      std::vector<NodeId>& seeds) const;
   void full_build(Time batch_time);
   void audit_against_reference();
 

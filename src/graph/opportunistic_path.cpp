@@ -321,9 +321,22 @@ void chain_kept(PathWorkspace& ws, const std::vector<PathTable::Entry>& entries,
 
 }  // namespace
 
+bool adoption_fires(const PathTable& table, NodeId from, NodeId to,
+                    double rate, int max_hops, PathWorkspace& ws) {
+  if (to == table.root()) return false;  // the root never adopts a parent
+  const PathTable::Entry& ef = table.entry(from);
+  if (!(ef.weight > 0.0) || ef.hops >= max_hops) return false;  // never relaxes
+  table.rates_to_root(from, ws.chain);
+  ws.chain.push_back(rate);
+  const double candidate = hypoexp_cdf(ws.chain, table.horizon(), ws.hypoexp);
+  DTN_CHECK_PROB(candidate);
+  return candidate >= table.entry(to).weight;
+}
+
 std::optional<ResettledTable> resettle_subtrees(
     const ContactGraph& graph, const PathTable& old, int max_hops,
-    const std::vector<std::pair<NodeId, NodeId>>& changed, PathWorkspace& ws,
+    const std::vector<std::pair<NodeId, NodeId>>& changed,
+    const std::vector<NodeId>& seeds, PathWorkspace& ws,
     const EdgeExpTable& edge_exp) {
   using Entry = PathTable::Entry;
   constexpr std::int32_t kInside = PathWorkspace::kUnreached;
@@ -339,16 +352,21 @@ std::optional<ResettledTable> resettle_subtrees(
             "edge-exp table built for a different graph");
   const auto at = [](NodeId v) { return static_cast<std::size_t>(v); };
 
-  // D starts at the child end of every changed tree edge and takes every
-  // node below one. A node of D is kInside until the merge reaches it; a
-  // kept node is kOutside throughout. One pass over the old entries closes
-  // D and checks the strict chains.
+  // D starts at the child end of every changed tree edge and at every
+  // seed, and takes every node below one. A node of D is kInside until the
+  // merge reaches it; a kept node is kOutside throughout. One pass over the
+  // old entries closes D and checks the strict chains.
   std::vector<Entry> entries = old.entries();
   auto& slot_of = ws.slot_of;
   slot_of.assign(at(n), kOutside);
   for (const auto& [u, v] : changed) {
     const NodeId child = old.tree_child(u, v);
     if (child != kNoNode) slot_of[at(child)] = kInside;
+  }
+  for (const NodeId seed : seeds) {
+    DTN_CHECK(seed >= 0 && seed < n && seed != root,
+              "a seed must be a non-root node of the graph");
+    slot_of[at(seed)] = kInside;
   }
   for (NodeId v = 0; v < n; ++v) {
     const Entry& e = entries[at(v)];

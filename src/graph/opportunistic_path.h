@@ -206,30 +206,43 @@ struct ResettledTable {
   std::size_t resettled = 0;
 };
 
+/// One-step adoption test for the edge (from, to) of `table`'s graph, new
+/// or sped up to `rate` and not in `table`'s tree: whether `to` may adopt
+/// `from` as its parent over it on the new graph. The first such adoption
+/// extends a chain that avoids the edge, i.e. `from`'s chain in `table`,
+/// so the test evaluates that one candidate against `to`'s weight, and
+/// fires on a tie. It never fires for the root as `to`, for an unreached
+/// `from` or for a `from` at `max_hops`. Runs on `ws`' chain scratch.
+bool adoption_fires(const PathTable& table, NodeId from, NodeId to,
+                    double rate, int max_hops, PathWorkspace& ws);
+
 /// Subtree-local repair: the table compute_opportunistic_paths would build
 /// for old.root() on `graph`, where `old` was built at `max_hops` on a
 /// graph that differs from `graph` only in the undirected edges `changed`
 /// (new rates, new edges or removed edges). `edge_exp` must match `graph`.
 ///
-/// Let D be the nodes whose path in `old` runs through a changed edge of
-/// its tree: the subtrees under those edges. Every entry outside D is
-/// kept, and D is re-settled by the kernel's own relaxations, merged with
-/// a replay of the kept nodes next to D in (weight desc, id asc) order.
-/// That replay is the kernel's pop order when every node's weight is
-/// strictly below its parent's, so the table equals the kernel's, field
-/// for field, provided no kept entry changes. Returns nullopt, and the
-/// caller must run the kernel, when either of these is not shown:
+/// Let D be the subtrees in `old` under the changed tree edges (their
+/// child ends) and under `seeds`, which may be any non-root nodes. Every
+/// entry outside D is kept, and D is re-settled by the kernel's own
+/// relaxations, merged with a replay of the kept nodes next to D in
+/// (weight desc, id asc) order. That replay is the kernel's pop order
+/// when every node's weight is strictly below its parent's, so the table
+/// equals the kernel's, field for field, provided no kept entry changes.
+/// Whether a changed edge got slower or faster does not matter. Returns
+/// nullopt, and the caller must run the kernel, when either of these is
+/// not shown:
 ///   * strict chains: in `old`, every reached node's weight is strictly
 ///     below its parent's (saturated weights tie at 1.0, for example);
 ///   * kept entries stay: every relaxation that reaches a kept node not
 ///     yet popped, from a re-settled node or across a changed edge, gives
 ///     a candidate strictly below that node's weight.
 /// Every relaxation it evaluates runs the kernel's probability and
-/// relaxation checks. Meant for a slowed or removed tree edge, whose
-/// subtree is all that can change.
+/// relaxation checks. Seeding the `to` end of each faster off-tree edge
+/// whose adoption_fires turns the changed-edge decline into a re-settle.
 std::optional<ResettledTable> resettle_subtrees(
     const ContactGraph& graph, const PathTable& old, int max_hops,
-    const std::vector<std::pair<NodeId, NodeId>>& changed, PathWorkspace& ws,
+    const std::vector<std::pair<NodeId, NodeId>>& changed,
+    const std::vector<NodeId>& seeds, PathWorkspace& ws,
     const EdgeExpTable& edge_exp);
 
 /// The legacy construction: embedded rate chains copied on every

@@ -342,13 +342,15 @@ TEST(DaemonRepair, RootSelectionMatchesRecordedPerBatchCounts) {
                                                  5, 2, 6, 1, 3, 4, 0, 3}));
 
   // Of those roots, the ones that re-settled only the subtrees under their
-  // slowed or removed tree edges, and the nodes those subtrees held.
-  EXPECT_EQ(a.local,
-            (std::vector<std::uint64_t>{6, 0, 0, 0, 1, 2, 1, 0, 10, 0, 0, 2}));
-  EXPECT_EQ(a.resettled, 43u);
-  EXPECT_EQ(b.local, (std::vector<std::uint64_t>{0, 4, 0, 1, 3, 0, 0, 1, 4, 0,
-                                                 4, 2, 0, 0, 0, 0, 0, 0}));
-  EXPECT_EQ(b.resettled, 19u);
+  // changed tree edges and fired adoption tests, and the nodes those
+  // subtrees held.
+  EXPECT_EQ(a.local, (std::vector<std::uint64_t>{9, 17, 0, 0, 11, 15, 18, 16,
+                                                 15, 18, 18, 7}));
+  EXPECT_EQ(a.resettled, 239u);
+  EXPECT_EQ(b.local, (std::vector<std::uint64_t>{0, 4, 7, 12, 13, 2, 0, 11, 4,
+                                                 4, 7, 2, 14, 0, 13, 12, 0,
+                                                 10}));
+  EXPECT_EQ(b.resettled, 218u);
 }
 
 /// Contact stream for the expiry tests: pair 0-1 meets three times early

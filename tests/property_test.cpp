@@ -27,9 +27,11 @@
 //    bit-identical tables, the same evals in every hypoexp tier, and every
 //    tier reached;
 //  * the subtree-local re-settle of a root after some of its tree edges
-//    were slowed or removed — it declines or returns the reference's
-//    table on the new graph, field for field, on saturating, tie-heavy
-//    and continuous-rate graphs;
+//    were slowed or removed, and after batches that also speed up or add
+//    edges, with extra subtrees seeded by dtnd's adoption rule or at
+//    random — it declines or returns the reference's table on the new
+//    graph, field for field, on saturating, tie-heavy and
+//    continuous-rate graphs;
 //  * seeded byte-, token- and line-level mutants of every untrusted input
 //    (the trace fixtures and a dtnd script) either load a valid trace or
 //    fail with a std::runtime_error naming their source.
@@ -411,6 +413,7 @@ TEST(Property, FastEngineMatchesReferenceOnRandomMiniTraces) {
 
     totals.tokens_settled += counters.tokens_settled;
     totals.tokens_stopped_full += counters.tokens_stopped_full;
+    totals.tokens_expired += counters.tokens_expired;
     totals.queries_reached_central += counters.queries_reached_central;
     totals.responses_delivered += counters.responses_delivered;
     responses += fast_scheme.responses_sent();
@@ -421,6 +424,7 @@ TEST(Property, FastEngineMatchesReferenceOnRandomMiniTraces) {
   // or an equality would hold vacuously.
   EXPECT_GT(totals.tokens_settled, 0u);
   EXPECT_GT(totals.tokens_stopped_full, 0u);
+  EXPECT_GT(totals.tokens_expired, 0u);
   EXPECT_GT(totals.queries_reached_central, 0u);
   EXPECT_GT(totals.responses_delivered, 0u);
   EXPECT_GT(responses, 0u);
@@ -677,8 +681,62 @@ TEST(Property, PathTablesMatchReferenceOnTiedWeights) {
 // ---- subtree-local repair ---------------------------------------------
 
 /// The graph families the local re-settle is checked on, with the rates
-/// an edge may be slowed to.
+/// an edge may be slowed or sped up to.
 enum class RateFamily { kTwoRates, kPooled, kContinuous };
+
+/// A random graph of one family, the horizon its tables are built at and
+/// its distinct edge rates. Two-rate graphs at long horizons saturate
+/// weights to 1.0, where only the strict-chain check keeps the replay
+/// order right; pooled and two-rate graphs tie labels, where the merge's
+/// id tie-break decides parents. Continuous rates stay at 600 s: longer
+/// horizons trip a known relaxation-check abort of the full kernel on such
+/// graphs (ROADMAP item 10).
+struct ResettleGraph {
+  RateFamily family = RateFamily::kContinuous;
+  ContactGraph graph;
+  Time horizon = 600.0;
+  std::vector<double> pool;
+};
+
+ResettleGraph resettle_graph(Rng& rng) {
+  ResettleGraph g;
+  g.family = static_cast<RateFamily>(rng.uniform_int(0, 2));
+  if (g.family == RateFamily::kTwoRates) {
+    g.graph = tied_weight_graph(rng);
+    g.horizon = rng.uniform(600.0, 2e5);
+  } else if (g.family == RateFamily::kPooled) {
+    g.graph = pooled_rate_graph(rng);
+    g.horizon = rng.uniform() < 0.5 ? 600.0 : 3600.0;
+  } else {
+    g.graph = random_contact_graph(rng);
+  }
+  for (NodeId u = 0; u < g.graph.node_count(); ++u) {
+    for (const auto& nb : g.graph.neighbors(u)) g.pool.push_back(nb.rate);
+  }
+  std::sort(g.pool.begin(), g.pool.end());
+  g.pool.erase(std::unique(g.pool.begin(), g.pool.end()), g.pool.end());
+  return g;
+}
+
+/// The hop caps each root is checked at: 1-8, then one at least n.
+int resettle_cap(Rng& rng, int cap, NodeId n) {
+  return cap <= 8 ? cap : n + static_cast<int>(rng.uniform_int(0, 3));
+}
+
+/// The non-root nodes `table` reaches.
+std::vector<NodeId> reached_nodes(const PathTable& table) {
+  std::vector<NodeId> reached;
+  for (NodeId v = 0; v < table.node_count(); ++v) {
+    if (v != table.root() && table.reachable(v)) reached.push_back(v);
+  }
+  return reached;
+}
+
+template <typename T>
+T pick(Rng& rng, const std::vector<T>& values) {
+  return values[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(values.size()) - 1))];
+}
 
 /// A slower rate for an edge of `rate`, or 0 to remove the edge: another
 /// value of the graph's own rates when the family is pooled, so ties stay
@@ -692,8 +750,109 @@ double slowed_rate(Rng& rng, RateFamily family, double rate,
     if (r < rate) slower.push_back(r);
   }
   if (slower.empty()) return 0.0;
-  return slower[static_cast<std::size_t>(
-      rng.uniform_int(0, static_cast<std::int64_t>(slower.size()) - 1))];
+  return pick(rng, slower);
+}
+
+/// A faster rate for an edge of `rate`, or a rate for a new edge when
+/// `rate` is 0: a larger value of the graph's own rates unless the family
+/// is continuous (0 when there is none), and a random multiple of the
+/// rate, or a fresh one, when it is.
+double faster_rate(Rng& rng, RateFamily family, double rate,
+                   const std::vector<double>& pool) {
+  if (family == RateFamily::kContinuous) {
+    return rate > 0.0 ? rate * rng.uniform(1.1, 4.0)
+                      : std::exp(rng.uniform(std::log(1e-5), std::log(1e-2)));
+  }
+  std::vector<double> faster;
+  for (const double r : pool) {
+    if (r > rate) faster.push_back(r);
+  }
+  return faster.empty() ? 0.0 : pick(rng, faster);
+}
+
+/// Asserts that `got` is the reference's table for its root on `graph` at
+/// `max_hops`, field for field.
+void expect_reference_table(const PathTable& got, const ContactGraph& graph,
+                            int max_hops) {
+  const PathTable want = compute_opportunistic_paths_reference(
+      graph, got.root(), got.horizon(), max_hops);
+  for (NodeId node = 0; node < graph.node_count(); ++node) {
+    const PathTable::Entry& g = got.entry(node);
+    const PathTable::Entry& w = want.entry(node);
+    ASSERT_EQ(bits(g.weight), bits(w.weight))
+        << "root " << got.root() << " node " << node << " cap " << max_hops;
+    ASSERT_EQ(bits(g.last_rate), bits(w.last_rate))
+        << "root " << got.root() << " node " << node << " cap " << max_hops;
+    ASSERT_EQ(g.next_hop, w.next_hop)
+        << "root " << got.root() << " node " << node << " cap " << max_hops;
+    ASSERT_EQ(g.hops, w.hops)
+        << "root " << got.root() << " node " << node << " cap " << max_hops;
+  }
+}
+
+/// A batch of edge changes on the graph `old` was built on: 1-3 of its
+/// tree edges and up to two of its other edges, each slowed or removed
+/// or, with `speedups`, as likely sped up, plus with `speedups` up to two
+/// new edges.
+struct ResettleBatch {
+  struct FasterEdge {
+    NodeId u;
+    NodeId v;
+    double rate;
+  };
+  ContactGraph graph;  ///< the graph after the batch
+  std::vector<std::pair<NodeId, NodeId>> changed;
+  std::vector<FasterEdge> faster_off_tree;  ///< sped up or new, off-tree
+  bool tree_faster = false;                 ///< a tree edge sped up
+};
+
+ResettleBatch draw_batch(Rng& rng, const ResettleGraph& g,
+                         const PathTable& old,
+                         const std::vector<NodeId>& reached, bool speedups) {
+  const NodeId n = g.graph.node_count();
+  ResettleBatch batch{g.graph, {}, {}, false};
+  const auto change = [&](NodeId u, NodeId v, bool faster) {
+    for (const auto& [a, b] : batch.changed) {
+      if ((a == u && b == v) || (a == v && b == u)) return;
+    }
+    const double rate = batch.graph.rate(u, v);
+    double next = faster ? faster_rate(rng, g.family, rate, g.pool) : 0.0;
+    if (!(next > rate)) next = slowed_rate(rng, g.family, rate, g.pool);
+    if (next > 0.0) {
+      batch.graph.set_rate(u, v, next);
+    } else {
+      batch.graph.remove_edge(u, v);
+    }
+    batch.changed.emplace_back(u, v);
+    if (!(next > rate)) return;
+    if (old.tree_child(u, v) != kNoNode) {
+      batch.tree_faster = true;
+    } else {
+      batch.faster_off_tree.push_back({u, v, next});
+    }
+  };
+  const int tree_edges = static_cast<int>(rng.uniform_int(1, 3));
+  for (int i = 0; i < tree_edges; ++i) {
+    const NodeId x = pick(rng, reached);
+    change(x, old.entry(x).next_hop, speedups && rng.bernoulli(0.5));
+  }
+  const int other_edges = static_cast<int>(rng.uniform_int(0, 2));
+  for (int i = 0; i < other_edges; ++i) {
+    const NodeId u = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+    const auto& neighbors = g.graph.neighbors(u);
+    if (neighbors.empty()) continue;
+    const NodeId v = pick(rng, neighbors).node;
+    if (old.tree_child(u, v) == kNoNode) {
+      change(u, v, speedups && rng.bernoulli(0.5));
+    }
+  }
+  const int new_edges = speedups ? static_cast<int>(rng.uniform_int(0, 2)) : 0;
+  for (int i = 0; i < new_edges; ++i) {
+    const NodeId u = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+    const NodeId v = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+    if (u != v && !(g.graph.rate(u, v) > 0.0)) change(u, v, true);
+  }
+  return batch;
 }
 
 TEST(Property, SubtreeResettleMatchesReferenceOrDeclines) {
@@ -701,110 +860,104 @@ TEST(Property, SubtreeResettleMatchesReferenceOrDeclines) {
   // changed tree edges and re-settles those subtrees. On every root of
   // random graphs, after 1-3 of its tree edges and up to two other edges
   // were slowed or removed, it must either decline or return the
-  // reference's table on the new graph, field for field. Two-rate graphs
-  // at long horizons saturate weights to 1.0, where only the strict-chain
-  // check keeps the replay order right; pooled and two-rate graphs tie
-  // labels, where the merge's id tie-break decides parents. Continuous
-  // rates stay at 600 s: longer horizons trip a known relaxation-check
-  // abort of the full kernel on such graphs (ROADMAP item 10).
+  // reference's table on the new graph, field for field.
   std::uint64_t local = 0;
   std::uint64_t declined = 0;
   run_property("subtree_resettle", 120, [&](Rng& rng, int) {
-    const RateFamily family = static_cast<RateFamily>(rng.uniform_int(0, 2));
-    ContactGraph graph;
-    Time horizon = 600.0;
-    if (family == RateFamily::kTwoRates) {
-      graph = tied_weight_graph(rng);
-      horizon = rng.uniform(600.0, 2e5);
-    } else if (family == RateFamily::kPooled) {
-      graph = pooled_rate_graph(rng);
-      horizon = rng.uniform() < 0.5 ? 600.0 : 3600.0;
-    } else {
-      graph = random_contact_graph(rng);
-    }
-    const NodeId n = graph.node_count();
-    std::vector<double> pool;
-    for (NodeId u = 0; u < n; ++u) {
-      for (const auto& nb : graph.neighbors(u)) pool.push_back(nb.rate);
-    }
-    std::sort(pool.begin(), pool.end());
-    pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
-
+    const ResettleGraph g = resettle_graph(rng);
+    const NodeId n = g.graph.node_count();
     for (int cap = 1; cap <= 9; ++cap) {
-      const int max_hops =
-          cap <= 8 ? cap : n + static_cast<int>(rng.uniform_int(0, 3));
+      const int max_hops = resettle_cap(rng, cap, n);
       for (NodeId root = 0; root < n; ++root) {
         const PathTable old =
-            compute_opportunistic_paths(graph, root, horizon, max_hops);
-        std::vector<NodeId> reached;
-        for (NodeId v = 0; v < n; ++v) {
-          if (v != root && old.reachable(v)) reached.push_back(v);
-        }
+            compute_opportunistic_paths(g.graph, root, g.horizon, max_hops);
+        const std::vector<NodeId> reached = reached_nodes(old);
         if (reached.empty()) continue;
-
-        ContactGraph changed_graph = graph;
-        std::vector<std::pair<NodeId, NodeId>> changed;
-        const auto change = [&](NodeId u, NodeId v) {
-          for (const auto& [a, b] : changed) {
-            if ((a == u && b == v) || (a == v && b == u)) return;
-          }
-          const double rate =
-              slowed_rate(rng, family, changed_graph.rate(u, v), pool);
-          if (rate > 0.0) {
-            changed_graph.set_rate(u, v, rate);
-          } else {
-            changed_graph.remove_edge(u, v);
-          }
-          changed.emplace_back(u, v);
-        };
-        const int tree_edges = static_cast<int>(rng.uniform_int(1, 3));
-        for (int i = 0; i < tree_edges; ++i) {
-          const NodeId x = reached[static_cast<std::size_t>(rng.uniform_int(
-              0, static_cast<std::int64_t>(reached.size()) - 1))];
-          change(x, old.entry(x).next_hop);
-        }
-        const int other_edges = static_cast<int>(rng.uniform_int(0, 2));
-        for (int i = 0; i < other_edges; ++i) {
-          const NodeId u = static_cast<NodeId>(rng.uniform_int(0, n - 1));
-          const auto& neighbors = graph.neighbors(u);
-          if (neighbors.empty()) continue;
-          const NodeId v = neighbors[static_cast<std::size_t>(rng.uniform_int(
-                                         0, static_cast<std::int64_t>(
-                                                neighbors.size()) -
-                                                1))]
-                               .node;
-          if (old.tree_child(u, v) == kNoNode) change(u, v);
-        }
-
-        const EdgeExpTable edge_exp =
-            build_edge_exp_table(changed_graph, horizon);
-        const std::optional<ResettledTable> got =
-            resettle_subtrees(changed_graph, old, max_hops, changed,
-                              thread_path_workspace(), edge_exp);
+        const ResettleBatch batch = draw_batch(rng, g, old, reached, false);
+        const std::optional<ResettledTable> got = resettle_subtrees(
+            batch.graph, old, max_hops, batch.changed, {},
+            thread_path_workspace(),
+            build_edge_exp_table(batch.graph, g.horizon));
         if (!got) {
           ++declined;
           continue;
         }
         ++local;
-        const PathTable want = compute_opportunistic_paths_reference(
-            changed_graph, root, horizon, max_hops);
-        for (NodeId node = 0; node < n; ++node) {
-          const PathTable::Entry& g = got->table.entry(node);
-          const PathTable::Entry& w = want.entry(node);
-          ASSERT_EQ(bits(g.weight), bits(w.weight))
-              << "root " << root << " node " << node << " cap " << max_hops;
-          ASSERT_EQ(bits(g.last_rate), bits(w.last_rate))
-              << "root " << root << " node " << node << " cap " << max_hops;
-          ASSERT_EQ(g.next_hop, w.next_hop)
-              << "root " << root << " node " << node << " cap " << max_hops;
-          ASSERT_EQ(g.hops, w.hops)
-              << "root " << root << " node " << node << " cap " << max_hops;
-        }
+        ASSERT_NO_FATAL_FAILURE(
+            expect_reference_table(got->table, batch.graph, max_hops));
       }
     }
   });
   EXPECT_GT(local, 0u);
   EXPECT_GT(declined, 0u);
+}
+
+TEST(Property, SeededResettleMatchesReferenceOrDeclines) {
+  // The argument behind resettle_subtrees never uses the direction of a
+  // change: for any D that holds the changed tree edges' child ends and
+  // every node below a node of D, a table its checks pass is the
+  // kernel's. Batches here mix slowed, removed, faster and new edges, tree
+  // edges among them, and D is seeded by dtnd's rule (the end of each
+  // faster off-tree edge whose adoption test fires) or with random
+  // non-root nodes. Every table that does not decline must be the
+  // reference's on the new graph, field for field.
+  std::uint64_t local = 0;
+  std::uint64_t declined = 0;
+  std::uint64_t local_tree_faster = 0;  ///< re-settled a faster tree edge
+  std::uint64_t local_adopted = 0;      ///< re-settled a fired adoption
+  run_property("seeded_resettle", 120, [&](Rng& rng, int) {
+    const ResettleGraph g = resettle_graph(rng);
+    const NodeId n = g.graph.node_count();
+    for (int cap = 1; cap <= 9; ++cap) {
+      const int max_hops = resettle_cap(rng, cap, n);
+      for (NodeId root = 0; root < n; ++root) {
+        const PathTable old =
+            compute_opportunistic_paths(g.graph, root, g.horizon, max_hops);
+        const std::vector<NodeId> reached = reached_nodes(old);
+        if (reached.empty()) continue;
+        const ResettleBatch batch = draw_batch(rng, g, old, reached, true);
+
+        std::vector<NodeId> seeds;
+        const bool by_rule = rng.bernoulli(0.5);
+        if (by_rule) {
+          PathWorkspace& ws = thread_path_workspace();
+          for (const ResettleBatch::FasterEdge& e : batch.faster_off_tree) {
+            if (adoption_fires(old, e.u, e.v, e.rate, max_hops, ws)) {
+              seeds.push_back(e.v);
+            }
+            if (adoption_fires(old, e.v, e.u, e.rate, max_hops, ws)) {
+              seeds.push_back(e.u);
+            }
+          }
+        } else {
+          const int count = static_cast<int>(rng.uniform_int(0, 3));
+          for (int i = 0; i < count; ++i) {
+            NodeId seed = static_cast<NodeId>(rng.uniform_int(0, n - 2));
+            if (seed >= root) ++seed;
+            seeds.push_back(seed);
+          }
+        }
+
+        const std::optional<ResettledTable> got = resettle_subtrees(
+            batch.graph, old, max_hops, batch.changed, seeds,
+            thread_path_workspace(),
+            build_edge_exp_table(batch.graph, g.horizon));
+        if (!got) {
+          ++declined;
+          continue;
+        }
+        ++local;
+        if (batch.tree_faster) ++local_tree_faster;
+        if (by_rule && !seeds.empty()) ++local_adopted;
+        ASSERT_NO_FATAL_FAILURE(
+            expect_reference_table(got->table, batch.graph, max_hops));
+      }
+    }
+  });
+  EXPECT_GT(local, 0u);
+  EXPECT_GT(declined, 0u);
+  EXPECT_GT(local_tree_faster, 0u);
+  EXPECT_GT(local_adopted, 0u);
 }
 
 // ---- malformed untrusted input -----------------------------------------
