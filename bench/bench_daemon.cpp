@@ -71,8 +71,7 @@ struct Strawman {
   std::vector<double> metric;
 
   Strawman(NodeId nodes, const daemon::DaemonConfig& config)
-      : estimator(nodes, config.ewma_alpha, config.min_contacts),
-        graph(nodes) {}
+      : estimator(nodes, config.ewma_alpha), graph(nodes) {}
 
   void ingest(const ContactEvent& event) {
     estimator.record(event.a, event.b, event.start);

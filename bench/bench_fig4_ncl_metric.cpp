@@ -22,7 +22,8 @@ namespace {
 
 std::string metric_table(const ContactTrace& trace, Time paper_t,
                          int threads) {
-  const ContactGraph graph = build_contact_graph(trace, -1.0, 2);
+  const ContactGraph graph =
+      build_contact_graph(trace, -1.0, kMinContactsForRate);
 
   TextTable table({"T", "max", "p90", "median", "p10", "max/median", "gini"});
   for (int variant = 0; variant < 2; ++variant) {

@@ -64,7 +64,8 @@ int main(int argc, char** argv) {
   std::printf("pair coverage:      %.1f%% of pairs ever met\n\n",
               100.0 * summary.pair_coverage);
 
-  const ContactGraph graph = build_contact_graph(trace, -1.0, 2);
+  const ContactGraph graph =
+      build_contact_graph(trace, -1.0, kMinContactsForRate);
   std::printf("contact graph:      %zu edges with >= 2 contacts\n\n",
               graph.edge_count());
 

@@ -5,9 +5,15 @@
 #include "graph/ncl.h"
 
 namespace dtn {
+namespace {
 
-BundleCacheScheme::BundleCacheScheme(BundleCacheConfig config)
-    : FloodingSchemeBase(config.flooding), bundle_config_(std::move(config)) {
+/// Share of the maximum centrality a node needs to admit pass-by data.
+constexpr double kCentralityAdmissionFraction = 0.25;
+
+}  // namespace
+
+BundleCacheScheme::BundleCacheScheme(FloodingConfig config)
+    : FloodingSchemeBase(std::move(config)) {
   centrality_.assign(static_cast<std::size_t>(node_count()), 0.0);
 }
 
@@ -37,8 +43,7 @@ bool BundleCacheScheme::admission_allowed(SimServices& services, NodeId node,
   (void)services;
   (void)incoming;
   if (max_centrality_ <= 0.0) return false;  // no contact knowledge yet
-  return centrality(node) >=
-         bundle_config_.centrality_admission_fraction * max_centrality_;
+  return centrality(node) >= kCentralityAdmissionFraction * max_centrality_;
 }
 
 std::vector<DataId> BundleCacheScheme::eviction_order(SimServices& services,

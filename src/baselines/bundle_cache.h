@@ -13,16 +13,11 @@
 
 namespace dtn {
 
-struct BundleCacheConfig {
-  FloodingConfig flooding;
-  /// A node may cache pass-by data only when its centrality is at least
-  /// this fraction of the current maximum across nodes.
-  double centrality_admission_fraction = 0.25;
-};
-
+/// A node may cache pass-by data only when its centrality is at least a
+/// quarter of the current maximum across nodes.
 class BundleCacheScheme : public FloodingSchemeBase {
  public:
-  explicit BundleCacheScheme(BundleCacheConfig config);
+  explicit BundleCacheScheme(FloodingConfig config);
 
   std::string name() const override { return "BundleCache"; }
 
@@ -41,7 +36,6 @@ class BundleCacheScheme : public FloodingSchemeBase {
                                      const DataItem& incoming) override;
 
  private:
-  BundleCacheConfig bundle_config_;
   std::vector<double> centrality_;
   double max_centrality_ = 0.0;
 };

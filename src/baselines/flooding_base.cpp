@@ -68,7 +68,7 @@ void FloodingSchemeBase::note_query_seen(SimServices& services, NodeId node,
   if (ns.seen_queries.contains(query.id)) return;
   ns.seen_queries.insert(query.id);
   ns.seen_order.push_back(query.id);
-  while (ns.seen_order.size() > config_.max_tracked_queries) {
+  while (ns.seen_order.size() > kMaxTrackedQueries) {
     const QueryId evicted = ns.seen_order.front();
     ns.seen_order.pop_front();
     ns.seen_queries.erase(evicted);

@@ -31,8 +31,6 @@ namespace dtn {
 struct FloodingConfig {
   /// Per-node cache capacity in bytes (size N).
   std::vector<Bytes> buffer_capacity;
-  /// Maximum distinct queries a node tracks (state bound).
-  std::size_t max_tracked_queries = 4096;
 };
 
 class FloodingSchemeBase : public Scheme {

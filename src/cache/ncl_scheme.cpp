@@ -249,7 +249,7 @@ void NclCachingScheme::note_query_seen(SimServices& services, NodeId node,
   if (store_.seen_queries[ni].contains(query.id)) return;
   store_.seen_queries[ni].insert(query.id);
   store_.seen_order[ni].push_back(query.id);
-  while (store_.seen_order[ni].size() > config_.max_tracked_queries) {
+  while (store_.seen_order[ni].size() > kMaxTrackedQueries) {
     const QueryId evicted = store_.seen_order[ni].front();
     store_.seen_order[ni].pop_front();
     store_.seen_queries[ni].erase(evicted);
@@ -318,7 +318,6 @@ void NclCachingScheme::on_query(SimServices& services, const Query& query) {
   // Local hit: the requester happens to cache the data already.
   if (holds_data(requester, query.data, services.now())) {
     services.deliver(query);
-    satisfied_.insert(query.id);
     return;
   }
 
@@ -356,7 +355,6 @@ void NclCachingScheme::transfer_direction(SimServices& services, NodeId from,
         if (budget.consume(response.size)) {
           services.count_bytes(response.size);
           services.deliver(q);
-          satisfied_.insert(q.id);
           ++counters_.responses_delivered;
           continue;  // delivered: bundle consumed
         }

@@ -87,10 +87,6 @@ struct NclSchemeConfig {
   /// entries keep their NCL assignment; new pushes target the new
   /// centrals, so the caching population migrates gradually.
   bool dynamic_ncl = false;
-
-  /// Maximum distinct queries a node tracks at once (state bound; oldest
-  /// evicted first).
-  std::size_t max_tracked_queries = 4096;
 };
 
 class NclCachingScheme : public Scheme {
@@ -297,7 +293,6 @@ class NclCachingScheme : public Scheme {
   NodeStore store_;
   ContactWorkspace ws_;
   std::vector<std::uint8_t> is_central_;  ///< O(1) bitmap over node ids
-  std::unordered_set<QueryId> satisfied_;  ///< requester got the data
   std::uint64_t responses_sent_ = 0;
   std::uint64_t replacement_exchanges_ = 0;
   Counters counters_;

@@ -106,7 +106,7 @@ void NclCachingSchemeReference::note_query_seen(SimServices& services, NodeId no
   if (ns.seen_queries.contains(query.id)) return;
   ns.seen_queries.insert(query.id);
   ns.seen_order.push_back(query.id);
-  while (ns.seen_order.size() > config_.max_tracked_queries) {
+  while (ns.seen_order.size() > kMaxTrackedQueries) {
     const QueryId evicted = ns.seen_order.front();
     ns.seen_order.pop_front();
     ns.seen_queries.erase(evicted);
@@ -171,7 +171,6 @@ void NclCachingSchemeReference::on_query(SimServices& services, const Query& que
   // Local hit: the requester happens to cache the data already.
   if (holds_data(requester, query.data, services.now())) {
     services.deliver(query);
-    satisfied_.insert(query.id);
     return;
   }
 
@@ -204,7 +203,6 @@ void NclCachingSchemeReference::transfer_direction(SimServices& services, NodeId
         if (budget.consume(response.size)) {
           services.count_bytes(response.size);
           services.deliver(q);
-          satisfied_.insert(q.id);
           ++counters_.responses_delivered;
           continue;  // delivered: bundle consumed
         }

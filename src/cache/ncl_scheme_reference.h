@@ -142,7 +142,6 @@ class NclCachingSchemeReference : public Scheme {
 
   NclSchemeConfig config_;
   std::vector<NodeState> nodes_;
-  std::unordered_set<QueryId> satisfied_;  ///< requester got the data
   std::uint64_t responses_sent_ = 0;
   std::uint64_t replacement_exchanges_ = 0;
   Counters counters_;

@@ -53,7 +53,7 @@ void primary_select(const std::vector<ReplacementItem>& pool,
   };
 
   if (config.probabilistic) {
-    for (int round = 0; round < config.max_rounds; ++round) {
+    for (int round = 0; round < kMaxSelectionRounds; ++round) {
       if (available.empty() || !smallest_fits()) break;
       std::vector<std::size_t> order = available;
       std::stable_sort(order.begin(), order.end(),
@@ -76,7 +76,7 @@ void primary_select(const std::vector<ReplacementItem>& pool,
     items.push_back({utility_of(pool[idx], node), pool[idx].size});
   }
   const KnapsackResult dp =
-      solve_knapsack(items, node.free, config.knapsack_unit);
+      solve_knapsack(items, node.free, kKnapsackUnit);
   std::vector<std::size_t> picks;
   picks.reserve(dp.selected.size());
   for (std::size_t k : dp.selected) picks.push_back(available[k]);
@@ -215,7 +215,7 @@ void primary_select_ws(const std::vector<ReplacementItem>& pool,
   };
 
   if (config.probabilistic) {
-    for (int round = 0; round < config.max_rounds; ++round) {
+    for (int round = 0; round < kMaxSelectionRounds; ++round) {
       // Only items with positive utility that fit now can act in a round
       // (bernoulli(0) draws nothing; free space only shrinks), and their
       // stable order is the oracle's restricted to them. A round with none
@@ -244,7 +244,7 @@ void primary_select_ws(const std::vector<ReplacementItem>& pool,
   for (std::size_t idx : ws.available) {
     ws.knap_items.push_back({ws.utilities[idx], pool[idx].size});
   }
-  solve_knapsack(ws.knap_items, free, config.knapsack_unit, ws.knapsack,
+  solve_knapsack(ws.knap_items, free, kKnapsackUnit, ws.knapsack,
                  ws.knap_result);
   ws.picks.clear();
   for (std::size_t k : ws.knap_result.selected) {

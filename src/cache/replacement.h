@@ -28,15 +28,17 @@ struct ReplacementItem {
   bool at_a = true;
 };
 
+/// Knapsack capacity quantization (bytes) of the pure-knapsack selection.
+inline constexpr Bytes kKnapsackUnit = 1 << 20;
+
+/// Maximum probabilistic selection rounds per node (Algorithm 1 iterates
+/// "multiple times ... to ensure that the caching buffer is fully
+/// utilized"); afterwards a deterministic fill pass runs so items are never
+/// dropped while space remains. The workspace planner stops early, once no
+/// item has positive utility and fits (no later round can draw).
+inline constexpr int kMaxSelectionRounds = 4;
+
 struct ReplacementConfig {
-  /// Knapsack capacity quantization (bytes).
-  Bytes knapsack_unit = 1 << 20;
-  /// Maximum probabilistic selection rounds per node (Algorithm 1 iterates
-  /// "multiple times ... to ensure that the caching buffer is fully
-  /// utilized"); afterwards a deterministic fill pass runs so items are
-  /// never dropped while space remains. The workspace planner stops early,
-  /// once no item has positive utility and fits (no later round can draw).
-  int max_rounds = 4;
   /// False disables the Bernoulli step (pure knapsack; ablation of
   /// Sec. V-D.3).
   bool probabilistic = true;

@@ -3,10 +3,9 @@
 // The reproduction's core claims (Eqs. 1-7 of Gao et al.) live in code where
 // a silent NaN, a probability outside [0,1] or a buffer-capacity overrun
 // corrupts results without failing any test. These macros compile the
-// paper's invariants into the default build (including RelWithDebInfo, where
-// plain assert() is stripped); a violation aborts immediately with a message
-// naming the invariant and its source location. Define DTN_NDEBUG_CHECKS
-// (CMake option of the same name) to strip them from bench builds.
+// paper's invariants into every build type (including RelWithDebInfo and
+// Release, where plain assert() is stripped); a violation aborts immediately
+// with a message naming the invariant and its source location.
 //
 //   DTN_CHECK(cond)              — generic invariant
 //   DTN_CHECK(cond, "message")   — generic invariant with a description
@@ -16,7 +15,7 @@
 //   DTN_CHECK_GE(a, b)           — a >= b, both values printed on failure
 //
 // All macros are statements (not expressions) and evaluate each argument
-// exactly once when enabled, zero times when stripped.
+// exactly once.
 #pragma once
 
 #include <cmath>
@@ -50,17 +49,6 @@ inline bool is_probability(double x) {
 inline bool is_finite(double x) { return std::isfinite(x); }
 
 }  // namespace dtn::internal
-
-#if defined(DTN_NDEBUG_CHECKS)
-
-#define DTN_CHECK_1(cond) ((void)0)
-#define DTN_CHECK_2(cond, msg) ((void)0)
-#define DTN_CHECK_PROB(x) ((void)0)
-#define DTN_CHECK_FINITE(x) ((void)0)
-#define DTN_CHECK_LE(a, b) ((void)0)
-#define DTN_CHECK_GE(a, b) ((void)0)
-
-#else  // checks enabled (the default, in every build type)
 
 #define DTN_CHECK_1(cond)                                                   \
   do {                                                                      \
@@ -118,8 +106,6 @@ inline bool is_finite(double x) { return std::isfinite(x); }
           static_cast<double>(dtn_check_b_));                               \
     }                                                                       \
   } while (false)
-
-#endif  // DTN_NDEBUG_CHECKS
 
 // DTN_CHECK(cond) / DTN_CHECK(cond, msg) dispatch.
 #define DTN_CHECK_GET_3RD(a, b, c, ...) c

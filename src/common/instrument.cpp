@@ -30,7 +30,6 @@ constexpr std::array<const char*, kCounterCount> kCounterNames = {
     "contacts_processed",
     "maintenance_ticks",
     "experiment_repetitions",
-    "sweep_cells",
     "trace_contacts_decoded",
     "trace_bytes_read",
     "parent_chain_walks",
@@ -55,7 +54,6 @@ constexpr std::array<const char*, kTimerCount> kTimerNames = {
     "knapsack",
     "replacement_plan",
     "experiment",
-    "sweep",
     "trace_load",
     "daemon_repair",
 };

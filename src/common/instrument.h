@@ -57,7 +57,6 @@ enum class Counter : int {
   kContactsProcessed,           ///< contact events handed to a scheme
   kMaintenanceTicks,            ///< maintenance ticks handed to a scheme
   kExperimentRepetitions,       ///< experiment repetitions completed
-  kSweepCells,                  ///< sweep grid cells completed
   kTraceContactsDecoded,        ///< contacts decoded by trace readers
   kTraceBytesRead,              ///< bytes read from trace files
   kParentChainWalks,            ///< rate chains materialized via next_hop walk
@@ -86,7 +85,6 @@ enum class Timer : int {
   kKnapsack,          ///< solve_knapsack (Eq. 7 DP)
   kReplacementPlan,   ///< plan_replacement (Algorithm 1)
   kExperiment,        ///< run_experiment / run_comparison, end to end
-  kSweep,             ///< run_sweep over the whole grid
   kTraceLoad,         ///< load_trace_any, end to end (read and parse)
   kDaemonRepair,      ///< one daemon repair batch (drift scan -> publish)
   kCount

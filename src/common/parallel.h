@@ -1,18 +1,18 @@
 // Deterministic parallel execution for embarrassingly parallel loops.
 //
 // The simulator's hot layers — per-root opportunistic-path tables, NCL
-// metrics, experiment repetitions, sweep cells — are grids of independent
-// computations. This module provides a fixed-size thread pool and a
-// `parallel_for(threads, n, fn)` primitive that runs `fn(0..n-1)` on the
-// pool, plus index-ordered map/reduce helpers so results are collected in
+// metrics, experiment repetitions and scheme cells — are grids of
+// independent computations. This module provides a fixed-size thread pool
+// and a `parallel_for(threads, n, fn)` primitive that runs `fn(0..n-1)` on
+// the pool, plus an index-ordered map helper so results are collected in
 // index order regardless of completion order. Determinism contract: every
 // item computes from its index alone (no shared mutable state, no
-// shared-stream RNG draws), and reductions fold in index order, so output
-// is bit-identical for any thread count, 1 included.
+// shared-stream RNG draws), so output is bit-identical for any thread
+// count, 1 included.
 //
 // Nested use is safe: a parallel_for issued from inside a pool task runs
 // inline on the calling worker (no new threads, no deadlock), which keeps
-// e.g. a parallel sweep whose cells themselves call parallel NCL selection
+// e.g. a parallel replay whose cells themselves call parallel NCL selection
 // from oversubscribing the machine.
 #pragma once
 
@@ -120,17 +120,6 @@ auto parallel_map(int threads, std::size_t n, Fn&& fn) {
   out.reserve(n);
   for (auto& slot : slots) out.push_back(std::move(*slot));
   return out;
-}
-
-/// Deterministic reduction: maps in parallel, folds serially in index
-/// order — the result is independent of thread count even for
-/// non-associative folds (floating-point accumulation included).
-template <typename T, typename Fn, typename Fold>
-T parallel_reduce(int threads, std::size_t n, T init, Fn&& map, Fold&& fold) {
-  auto mapped = parallel_map(threads, n, std::forward<Fn>(map));
-  T acc = std::move(init);
-  for (auto& value : mapped) acc = fold(std::move(acc), std::move(value));
-  return acc;
 }
 
 }  // namespace dtn

@@ -1,7 +1,8 @@
 #include "common/rng.h"
 
-#include <cassert>
 #include <cmath>
+
+#include "common/check.h"
 
 namespace dtn {
 namespace {
@@ -48,7 +49,7 @@ double Rng::uniform() {
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  assert(lo <= hi);
+  DTN_CHECK(lo <= hi);
   const std::uint64_t range = static_cast<std::uint64_t>(hi - lo) + 1;
   if (range == 0) return static_cast<std::int64_t>((*this)());  // full 64-bit range
   // Rejection sampling to avoid modulo bias.
@@ -61,7 +62,7 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
 }
 
 double Rng::exponential(double rate) {
-  assert(rate > 0.0);
+  DTN_CHECK(rate > 0.0);
   double u;
   do {
     u = uniform();
@@ -76,7 +77,7 @@ bool Rng::bernoulli(double p) {
 }
 
 double Rng::pareto(double x_m, double alpha) {
-  assert(x_m > 0.0 && alpha > 0.0);
+  DTN_CHECK(x_m > 0.0 && alpha > 0.0);
   double u;
   do {
     u = uniform();

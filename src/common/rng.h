@@ -14,9 +14,9 @@ namespace dtn {
 
 /// Deterministically derives an independent seed for stream `stream` from a
 /// base seed: one SplitMix64 step over `base + (stream + 1) * golden-ratio`.
-/// Used to give every sweep cell / repetition its own RNG stream as a pure
-/// function of its grid index, so results never depend on the draw order of
-/// a shared stream (and therefore not on thread scheduling either).
+/// Gives every cell of a grid its own RNG stream as a pure function of its
+/// index, so results never depend on the draw order of a shared stream
+/// (and therefore not on thread scheduling either).
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t stream);
 
 /// xoshiro256++ engine with SplitMix64 seeding.

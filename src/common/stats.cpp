@@ -1,11 +1,12 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <numeric>
 #include <sstream>
+
+#include "common/check.h"
 
 namespace dtn {
 
@@ -86,7 +87,7 @@ double gini(std::vector<double> samples) {
 
 Histogram::Histogram(double lo, double hi, std::size_t buckets)
     : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  assert(hi > lo && buckets > 0);
+  DTN_CHECK(hi > lo && buckets > 0);
 }
 
 void Histogram::add(double x) {

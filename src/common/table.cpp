@@ -1,21 +1,22 @@
 #include "common/table.h"
 
-#include <cassert>
 #include <iomanip>
 #include <sstream>
+
+#include "common/check.h"
 
 namespace dtn {
 
 TextTable::TextTable(std::vector<std::string> headers)
     : headers_(std::move(headers)) {
-  assert(!headers_.empty());
+  DTN_CHECK(!headers_.empty());
 }
 
 void TextTable::begin_row() { rows_.emplace_back(); }
 
 void TextTable::add_cell(std::string value) {
-  assert(!rows_.empty());
-  assert(rows_.back().size() < headers_.size());
+  DTN_CHECK(!rows_.empty());
+  DTN_CHECK(rows_.back().size() < headers_.size());
   rows_.back().push_back(std::move(value));
 }
 
@@ -28,7 +29,7 @@ void TextTable::add_integer(long long value) {
 }
 
 void TextTable::add_row(std::vector<std::string> cells) {
-  assert(cells.size() == headers_.size());
+  DTN_CHECK(cells.size() == headers_.size());
   rows_.push_back(std::move(cells));
 }
 

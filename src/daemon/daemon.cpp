@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "common/instrument.h"
+#include "common/pairs.h"
 #include "common/parallel.h"
 #include "graph/ncl.h"
 
@@ -22,8 +23,7 @@ constexpr std::size_t kAuditNclK = 5;
 
 Daemon::Daemon(NodeId node_count, DaemonConfig config)
     : config_(config),
-      estimator_(node_count, config.ewma_alpha, config.min_contacts,
-                 config.rate_expiry),
+      estimator_(node_count, config.ewma_alpha, config.rate_expiry),
       graph_(node_count) {
   if (!(config.horizon > 0.0)) {
     throw std::invalid_argument("horizon must be > 0");
@@ -40,8 +40,7 @@ Daemon::Daemon(NodeId node_count, DaemonConfig config)
   if (config.threads < 0) {
     throw std::invalid_argument("threads must be >= 0");
   }
-  const std::size_t n = static_cast<std::size_t>(node_count);
-  dirty_flags_.assign(n * (n - 1) / 2, 0);
+  dirty_flags_.assign(pair_count(node_count), 0);
   // Epoch-0 snapshot: queries are answerable (as "nothing known yet")
   // from the first instant of the daemon's life.
   auto initial = std::make_shared<Snapshot>();
@@ -339,7 +338,6 @@ void Daemon::publish_snapshot(Time batch_time) {
   ++epoch_;
   auto next = std::make_shared<Snapshot>();
   next->epoch = epoch_;
-  next->published_at = batch_time;
   next->graph = graph_;
   next->tables = SharedTables(tables_);
   next->metric = metric_;

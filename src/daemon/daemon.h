@@ -68,9 +68,8 @@ struct DaemonConfig {
   Time horizon = hours(1.0);
   int max_hops = 8;
 
-  /// EWMA inter-contact estimator knobs (rate_estimator.h).
+  /// EWMA inter-contact estimator weight (rate_estimator.h).
   double ewma_alpha = 0.125;
-  std::uint32_t min_contacts = 2;
 
   /// Estimator expiry (seconds of stream time): pairs silent for longer
   /// than this decay towards — and at the expiry, to — rate 0, and their
@@ -122,7 +121,6 @@ class SharedTables {
 /// never mutates a published snapshot.
 struct Snapshot {
   std::uint64_t epoch = 0;       ///< 0 = empty pre-warm-start snapshot
-  Time published_at = 0.0;       ///< stream time of the publishing batch
   ContactGraph graph;            ///< thresholded working graph
   SharedTables tables;           ///< one per root; empty at epoch 0
   std::vector<double> metric;    ///< Eq. 3 NCL metric per node

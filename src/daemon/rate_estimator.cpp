@@ -4,54 +4,33 @@
 #include <stdexcept>
 
 #include "common/check.h"
+#include "common/pairs.h"
+#include "graph/contact_graph.h"
 
 namespace dtn::daemon {
 
 EwmaRateEstimator::EwmaRateEstimator(NodeId node_count, double alpha,
-                                     std::uint32_t min_contacts, Time expiry)
-    : node_count_(node_count),
-      alpha_(alpha),
-      min_contacts_(min_contacts),
-      expiry_(expiry) {
+                                     Time expiry)
+    : node_count_(node_count), alpha_(alpha), expiry_(expiry) {
   if (node_count < 2) {
     throw std::invalid_argument("estimator needs at least 2 nodes");
   }
   if (!(alpha > 0.0) || alpha > 1.0) {
     throw std::invalid_argument("alpha must be in (0, 1]");
   }
-  if (min_contacts < 2) {
-    throw std::invalid_argument("min_contacts must be >= 2");
-  }
   if (expiry < 0.0) {
     throw std::invalid_argument("expiry must be >= 0 (0 = never)");
   }
-  const std::size_t n = static_cast<std::size_t>(node_count);
-  cells_.resize(n * (n - 1) / 2);
+  cells_.resize(pair_count(node_count));
 }
 
 std::size_t EwmaRateEstimator::pair_index(NodeId i, NodeId j) const {
-  DTN_CHECK(i != j, "self pair has no meeting rate");
-  DTN_CHECK(i >= 0 && i < node_count_ && j >= 0 && j < node_count_,
-            "pair node out of range");
-  const std::size_t a = static_cast<std::size_t>(std::min(i, j));
-  const std::size_t b = static_cast<std::size_t>(std::max(i, j));
-  const std::size_t n = static_cast<std::size_t>(node_count_);
-  // Row-major upper triangle: row a holds pairs (a, a+1) .. (a, n-1).
-  return a * (n - 1) - a * (a + 1) / 2 + (b - 1);
+  return dtn::pair_index(i, j, node_count_);
 }
 
 void EwmaRateEstimator::pair_nodes(std::size_t pair_index, NodeId& a,
                                    NodeId& b) const {
-  DTN_CHECK(pair_index < cells_.size(), "pair index out of range");
-  const std::size_t n = static_cast<std::size_t>(node_count_);
-  std::size_t row = 0;
-  std::size_t row_start = 0;
-  while (row_start + (n - 1 - row) <= pair_index) {
-    row_start += n - 1 - row;
-    ++row;
-  }
-  a = static_cast<NodeId>(row);
-  b = static_cast<NodeId>(pair_index - row_start + row + 1);
+  dtn::pair_nodes(pair_index, node_count_, a, b);
 }
 
 std::size_t EwmaRateEstimator::record(NodeId i, NodeId j, Time when) {
@@ -80,7 +59,7 @@ std::size_t EwmaRateEstimator::record(NodeId i, NodeId j, Time when) {
 double EwmaRateEstimator::rate_by_index(std::size_t pair_index) const {
   DTN_CHECK(pair_index < cells_.size(), "pair index out of range");
   const Cell& cell = cells_[pair_index];
-  if (cell.count < min_contacts_ || cell.ewma <= 0.0) return 0.0;
+  if (cell.count < kMinContactsForRate || cell.ewma <= 0.0) return 0.0;
   double ewma = cell.ewma;
   if (expiry_ > 0.0) {
     // Silence decay (header comment): the time since the pair's last

@@ -64,17 +64,15 @@ struct PairRateSummary {
 /// data, not a clock — so decayed rates remain bit-reproducible.
 class EwmaRateEstimator {
  public:
-  /// alpha in (0, 1]: weight of the newest gap. min_contacts (>= 2) is the
-  /// observation floor below which rate() reports 0 — a single contact
-  /// carries no inter-contact information. expiry (seconds) enables the
-  /// silence decay above; 0 keeps the legacy persist-forever behavior.
+  /// alpha in (0, 1]: weight of the newest gap. rate() reports 0 below
+  /// kMinContactsForRate contacts (graph/contact_graph.h). expiry (seconds)
+  /// enables the silence decay above; 0 keeps the legacy persist-forever
+  /// behavior.
   explicit EwmaRateEstimator(NodeId node_count, double alpha = 0.125,
-                             std::uint32_t min_contacts = 2,
                              Time expiry = 0.0);
 
   NodeId node_count() const { return node_count_; }
   double alpha() const { return alpha_; }
-  std::uint32_t min_contacts() const { return min_contacts_; }
   Time expiry() const { return expiry_; }
   /// Latest contact time ingested so far (0 before any contact).
   Time watermark() const { return watermark_; }
@@ -85,14 +83,14 @@ class EwmaRateEstimator {
   /// Returns the flat pair index (stable identifier for dirty tracking).
   std::size_t record(NodeId i, NodeId j, Time when);
 
-  /// Current rate estimate of the pair: 1 / ewma_gap once `min_contacts`
-  /// contacts have been seen, else 0.
+  /// Current rate estimate of the pair: 1 / ewma_gap once
+  /// kMinContactsForRate contacts have been seen, else 0.
   double rate(NodeId i, NodeId j) const;
   double rate_by_index(std::size_t pair_index) const;
 
   std::uint32_t contact_count(NodeId i, NodeId j) const;
 
-  /// Flat upper-triangular index of the pair (i != j, both in range).
+  /// The pair's slot (common/pairs.h; i != j, both in range).
   std::size_t pair_index(NodeId i, NodeId j) const;
 
   /// Inverse of pair_index (for reporting).
@@ -119,10 +117,9 @@ class EwmaRateEstimator {
 
   NodeId node_count_;
   double alpha_;
-  std::uint32_t min_contacts_;
   Time expiry_;
   Time watermark_ = 0.0;
-  std::vector<Cell> cells_;  ///< upper triangle, row-major
+  std::vector<Cell> cells_;  ///< one per pair_index
 };
 
 }  // namespace dtn::daemon

@@ -26,10 +26,9 @@ std::string scheme_kind_name(SchemeKind kind) {
 }
 
 ContactGraph warmup_graph(const ContactTrace& trace,
-                          const ExperimentConfig& config) {
+                          const ExperimentConfig& /*config*/) {
   const Time warmup_end = trace.start_time() + trace.duration() / 2.0;
-  return build_contact_graph(trace, warmup_end,
-                             config.sim.min_contacts_for_rate);
+  return build_contact_graph(trace, warmup_end, kMinContactsForRate);
 }
 
 Time effective_horizon(const ContactGraph& graph,
@@ -104,8 +103,8 @@ std::unique_ptr<Scheme> make_scheme(SchemeKind kind,
       return std::make_unique<CacheDataScheme>(std::move(c));
     }
     case SchemeKind::kBundleCache: {
-      BundleCacheConfig c;
-      c.flooding.buffer_capacity = std::move(buffers);
+      FloodingConfig c;
+      c.buffer_capacity = std::move(buffers);
       return std::make_unique<BundleCacheScheme>(std::move(c));
     }
   }

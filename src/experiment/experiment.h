@@ -72,7 +72,9 @@ struct ExperimentResult {
   RunningStats duplicate_deliveries;
 };
 
-/// Contact graph estimated from the warm-up half of the trace.
+/// Contact graph estimated from the warm-up half of the trace, over the
+/// pairs seen at least kMinContactsForRate times. No field of `config`
+/// changes it; the parameter stays because perfbench/harness.cpp passes it.
 ContactGraph warmup_graph(const ContactTrace& trace,
                           const ExperimentConfig& config);
 
@@ -82,10 +84,10 @@ Time effective_horizon(const ContactGraph& graph,
                        const ExperimentConfig& config);
 
 /// Warm-up products that depend only on the trace and the substrate
-/// parameters (min_contacts_for_rate, max_hops, auto_horizon, ...), not on
-/// the swept workload axes (lifetime, data size, K, scheme). A sweep or
-/// comparison computes this once and every cell reuses it instead of
-/// re-estimating the same graph and re-calibrating the same horizon.
+/// parameters (max_hops, auto_horizon, path_horizon, ...), not on the swept
+/// workload axes (lifetime, data size, K, scheme). A figure or comparison
+/// computes this once and every cell reuses it instead of re-estimating the
+/// same graph and re-calibrating the same horizon.
 struct WarmupContext {
   ContactGraph graph;
   Time horizon = 0.0;

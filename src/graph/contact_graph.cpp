@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cassert>
 #include <stdexcept>
+
+#include "common/pairs.h"
 
 namespace dtn {
 
@@ -73,8 +74,7 @@ const std::vector<ContactGraph::Neighbor>& ContactGraph::neighbors(NodeId i) con
 RateEstimator::RateEstimator(NodeId node_count, Time decay)
     : node_count_(node_count), decay_(decay > 0.0 ? decay : 0.0) {
   if (node_count < 2) throw std::invalid_argument("need at least 2 nodes");
-  const std::size_t n = static_cast<std::size_t>(node_count);
-  const std::size_t pairs = n * (n - 1) / 2;
+  const std::size_t pairs = pair_count(node_count);
   counts_.assign(pairs, 0);
   if (decay_ > 0.0) {
     weights_.assign(pairs, 0.0);
@@ -82,17 +82,9 @@ RateEstimator::RateEstimator(NodeId node_count, Time decay)
   }
 }
 
-std::size_t RateEstimator::index(NodeId i, NodeId j) const {
-  assert(i != j && i >= 0 && j >= 0 && i < node_count_ && j < node_count_);
-  if (i > j) std::swap(i, j);
-  const std::size_t row = static_cast<std::size_t>(i);
-  const std::size_t n = static_cast<std::size_t>(node_count_);
-  return row * (2 * n - row - 1) / 2 + static_cast<std::size_t>(j - i - 1);
-}
-
 void RateEstimator::record_contact(NodeId i, NodeId j, Time when) {
   if (when < 0.0) throw std::invalid_argument("negative contact time");
-  const std::size_t k = index(i, j);
+  const std::size_t k = pair_index(i, j, node_count_);
   ++counts_[k];
   if (decay_ > 0.0) {
     const Time elapsed = std::max(0.0, when - last_update_[k]);
@@ -102,12 +94,12 @@ void RateEstimator::record_contact(NodeId i, NodeId j, Time when) {
 }
 
 std::size_t RateEstimator::contact_count(NodeId i, NodeId j) const {
-  return counts_[index(i, j)];
+  return counts_[pair_index(i, j, node_count_)];
 }
 
 double RateEstimator::rate(NodeId i, NodeId j, Time now) const {
   if (!(now > 0.0)) return 0.0;
-  const std::size_t k = index(i, j);
+  const std::size_t k = pair_index(i, j, node_count_);
   if (decay_ > 0.0) {
     const Time elapsed = std::max(0.0, now - last_update_[k]);
     return weights_[k] * std::exp(-elapsed / decay_) / decay_;
@@ -120,7 +112,7 @@ ContactGraph RateEstimator::snapshot(Time now, std::size_t min_contacts) const {
   if (!(now > 0.0)) return graph;
   for (NodeId i = 0; i < node_count_; ++i) {
     for (NodeId j = i + 1; j < node_count_; ++j) {
-      const std::size_t k = index(i, j);
+      const std::size_t k = pair_index(i, j, node_count_);
       if (counts_[k] < std::max<std::size_t>(min_contacts, 1)) continue;
       const double r = rate(i, j, now);
       if (r > 0.0) graph.set_rate(i, j, r);

@@ -10,6 +10,14 @@
 
 namespace dtn {
 
+/// Contacts a pair needs before it gets a rate. Two contacts give one
+/// inter-contact gap, the sample the gap-based estimate of "Optimal
+/// Forwarding in Opportunistic DTNs with Meeting Rate Estimations"
+/// (PAPERS.md) needs; one contact carries no rate information. The
+/// simulator's estimated graphs and the daemon's EWMA estimator both apply
+/// this floor.
+inline constexpr std::size_t kMinContactsForRate = 2;
+
 /// Sparse undirected graph with per-edge contact rates (per second).
 /// Invariant: adjacency is symmetric and rates are strictly positive.
 class ContactGraph {
@@ -81,11 +89,9 @@ class RateEstimator {
   Time decay() const { return decay_; }
 
  private:
-  std::size_t index(NodeId i, NodeId j) const;
-
   NodeId node_count_;
   Time decay_;
-  std::vector<std::uint32_t> counts_;   // raw counts, upper-triangular
+  std::vector<std::uint32_t> counts_;   // raw counts, one per pair_index
   std::vector<double> weights_;         // decayed mass (decay mode only)
   std::vector<Time> last_update_;       // per pair (decay mode only)
 };

@@ -74,7 +74,7 @@ double hypoexp_cdf_closed_form(const std::vector<double>& rates, double t) {
       }
       coeff *= rates[s] / denom;
     }
-    result += coeff * (1.0 - std::exp(-rates[k] * t));
+    result += coeff * stage_cdf(rates[k], t);
   }
   // Partial-fraction coefficients alternate in sign and can be huge; the
   // dispatch in hypoexp_cdf routes near-equal rates to uniformization, so a
@@ -84,7 +84,8 @@ double hypoexp_cdf_closed_form(const std::vector<double>& rates, double t) {
 }
 
 double hypoexp_cdf_uniformization(const std::vector<double>& rates, double t,
-                                  HypoexpWorkspace& ws, double tolerance) {
+                                  HypoexpWorkspace& ws) {
+  constexpr double kTolerance = 1e-12;  // truncation error bound
   validate_rates(rates);
   if (rates.empty()) return t >= 0.0 ? 1.0 : 0.0;
   if (t <= 0.0) return 0.0;
@@ -116,7 +117,7 @@ double hypoexp_cdf_uniformization(const std::vector<double>& rates, double t,
     tail -= pois;
     // The neglected terms contribute at most `tail` (absorbed-probability
     // is <= 1), so `tail` alone bounds the truncation error.
-    if (tail <= tolerance || m >= max_terms) break;
+    if (tail <= kTolerance || m >= max_terms) break;
 
     // One uniformized jump, ping-ponging between ws.v and ws.next.
     ws.next.assign(r, 0.0);
@@ -140,10 +141,9 @@ double hypoexp_cdf_uniformization(const std::vector<double>& rates, double t,
   return std::clamp(result, 0.0, 1.0);
 }
 
-double hypoexp_cdf_uniformization(const std::vector<double>& rates, double t,
-                                  double tolerance) {
+double hypoexp_cdf_uniformization(const std::vector<double>& rates, double t) {
   HypoexpWorkspace ws;
-  return hypoexp_cdf_uniformization(rates, t, ws, tolerance);
+  return hypoexp_cdf_uniformization(rates, t, ws);
 }
 
 double hypoexp_cdf(const std::vector<double>& rates, double t,
@@ -154,7 +154,7 @@ double hypoexp_cdf(const std::vector<double>& rates, double t,
   double result = 0.0;
   if (rates.size() == 1) {
     DTN_COUNT(kHypoexpSingleEvals);
-    result = std::clamp(1.0 - std::exp(-rates[0] * t), 0.0, 1.0);
+    result = std::clamp(stage_cdf(rates[0], t), 0.0, 1.0);
   } else {
     const double first = rates.front();
     if (std::all_of(rates.begin(), rates.end(),

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -45,6 +46,13 @@ struct HypoexpWorkspace {
   std::vector<double> next;    ///< uniformization ping-pong buffer
 };
 
+/// 1 - e^{-rate t}: the CDF at t of one exponential stage. Every stage term
+/// of the single-stage and closed-form tiers, and every term handed to
+/// HypoexpChainTable, is this expression, so they all round alike.
+inline double stage_cdf(double rate, double t) {
+  return 1.0 - std::exp(-rate * t);
+}
+
 /// CDF of the sum of independent exponentials with the given rates,
 /// evaluated at t. All rates must be > 0; throws std::invalid_argument
 /// otherwise. An empty rate list is the sum of zero variables, i.e. the
@@ -68,15 +76,14 @@ double erlang_cdf(int shape, double rate, double t);
 double hypoexp_cdf_closed_form(const std::vector<double>& rates, double t);
 
 /// Uniformization-based CDF; stable for any positive rates. Exposed for
-/// testing. `tolerance` bounds the truncation error of the Poisson mixture.
-double hypoexp_cdf_uniformization(const std::vector<double>& rates, double t,
-                                  double tolerance = 1e-12);
+/// testing. The Poisson mixture is truncated once its remaining mass, which
+/// bounds the error, is at most 1e-12.
+double hypoexp_cdf_uniformization(const std::vector<double>& rates, double t);
 
 /// Workspace form of hypoexp_cdf_uniformization: same truncation, same
 /// bits, the per-jump ping-pong buffers live in `ws` instead of the heap.
 double hypoexp_cdf_uniformization(const std::vector<double>& rates, double t,
-                                  HypoexpWorkspace& ws,
-                                  double tolerance = 1e-12);
+                                  HypoexpWorkspace& ws);
 
 /// Mean of the hypoexponential: sum of 1/rate.
 double hypoexp_mean(const std::vector<double>& rates);
@@ -122,7 +129,7 @@ class HypoexpChainTable {
 
   /// Slot `child` holds chain(parent) + {x}; chain(parent) must have fewer
   /// than max_stages stages (DTN_CHECK). `one_minus_exp_x` must equal
-  /// 1.0 - std::exp(-x * t) — the exact double, as an EdgeExpTable stores
+  /// stage_cdf(x, t) — the exact double, as an EdgeExpTable stores
   /// it — or the bit-identity promise is void. Throws
   /// std::invalid_argument unless x > 0.
   void extend(std::size_t child, std::size_t parent, double x,

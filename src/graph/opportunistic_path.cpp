@@ -1,7 +1,6 @@
 #include "graph/opportunistic_path.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <queue>
@@ -57,7 +56,7 @@ std::vector<NodeId> PathTable::path_to_root(NodeId node) const {
   path.push_back(current);
   while (current != root_) {
     current = entry(current).next_hop;
-    assert(current != kNoNode);
+    DTN_CHECK(current != kNoNode);
     path.push_back(current);
     if (path.size() > entries_.size()) {
       throw std::logic_error("cycle in path table");  // defensive
@@ -233,7 +232,7 @@ PathTable run_fast_dijkstra(const ContactGraph& graph, NodeId root,
       if (slot == PathWorkspace::kSettled) continue;
       ++relaxations;
       const double one_minus_exp =
-          exp_row ? (*exp_row)[idx] : 1.0 - std::exp(-nb.rate * horizon);
+          exp_row ? (*exp_row)[idx] : stage_cdf(nb.rate, horizon);
       const double candidate =
           candidate_of(ws, u, eu.weight, nb.rate, one_minus_exp);
       offer(ws, entries, u, eu.hops, nb.node, slot, nb.rate, one_minus_exp,
@@ -269,7 +268,7 @@ void refresh_edge_exp_row(EdgeExpTable& table, const ContactGraph& graph,
   auto& row = table.one_minus_exp[static_cast<std::size_t>(node)];
   row.resize(neighbors.size());
   for (std::size_t i = 0; i < neighbors.size(); ++i) {
-    row[i] = 1.0 - std::exp(-neighbors[i].rate * table.horizon);
+    row[i] = stage_cdf(neighbors[i].rate, table.horizon);
   }
 }
 
@@ -314,7 +313,7 @@ void chain_kept(PathWorkspace& ws, const std::vector<PathTable::Entry>& entries,
     // The expression build_edge_exp_table stores: the term the kernel used.
     ws.chains.extend(static_cast<std::size_t>(*it),
                      static_cast<std::size_t>(e.next_hop), e.last_rate,
-                     1.0 - std::exp(-e.last_rate * horizon));
+                     stage_cdf(e.last_rate, horizon));
     ws.chained[static_cast<std::size_t>(*it)] = 1;
   }
 }
@@ -419,8 +418,8 @@ std::optional<ResettledTable> resettle_subtrees(
     if (!(ef.weight > 0.0) || ef.hops >= max_hops) continue;  // never relaxes
     chain_kept(ws, entries, from, horizon);
     ++relaxations;
-    const double candidate = candidate_of(ws, from, ef.weight, rate,
-                                          1.0 - std::exp(-rate * horizon));
+    const double candidate =
+        candidate_of(ws, from, ef.weight, rate, stage_cdf(rate, horizon));
     if (!(candidate < entries[at(to)].weight)) {
       flush_counts();
       return std::nullopt;

@@ -164,8 +164,8 @@ class Lane {
 
       // A tick due before the next event ends the queue.
       if (next_maintenance_ <= t_next && next_maintenance_ != kNever) {
-        pending_graph_ = estimator_.snapshot(next_maintenance_,
-                                             config.min_contacts_for_rate);
+        pending_graph_ =
+            estimator_.snapshot(next_maintenance_, kMinContactsForRate);
         pending_.emplace(pending_graph_, config.path_horizon, config.max_hops);
         return;
       }

@@ -59,9 +59,6 @@ struct SimConfig {
   /// Must be > 0.
   Time maintenance_interval = hours(6);
 
-  /// Pairs seen fewer than this many times are excluded from the graph.
-  std::size_t min_contacts_for_rate = 2;
-
   /// Exponential decay constant for rate estimation; 0 uses the paper's
   /// cumulative time-average. A decay of, say, a week makes the estimated
   /// graph forget nodes that churn or fail (pairs RateEstimator).

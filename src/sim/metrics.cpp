@@ -19,11 +19,6 @@ void MetricsCollector::on_delivery(const Query& query, Time when) {
   // of order; the delay statistics would silently go negative.
   DTN_CHECK_GE(when, query.issued);
   delay_.add(when - query.issued);
-  delays_.push_back(when - query.issued);
-}
-
-double MetricsCollector::delay_percentile(double q) const {
-  return percentile(delays_, q);
 }
 
 void MetricsCollector::sample_copy_count(double copies_per_item) {

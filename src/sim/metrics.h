@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <unordered_set>
-#include <vector>
 
 #include "common/stats.h"
 #include "common/types.h"
@@ -47,9 +46,6 @@ class MetricsCollector {
   double mean_delay() const { return delay_.mean(); }
   const RunningStats& delay_stats() const { return delay_; }
 
-  /// Delay percentile (seconds) over satisfied queries; q in [0, 1].
-  double delay_percentile(double q) const;
-
   /// Time-average cached copies per live data item.
   double mean_copies() const { return copies_.mean(); }
 
@@ -63,7 +59,6 @@ class MetricsCollector {
   std::unordered_set<QueryId> satisfied_;
   std::size_t duplicate_deliveries_ = 0;
   RunningStats delay_;
-  std::vector<double> delays_;
   RunningStats copies_;
   std::uint64_t bytes_transferred_ = 0;
   std::uint64_t replaced_items_ = 0;

@@ -6,6 +6,7 @@
 // apples: identical trace, identical workload, identical link budgets.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <utility>
@@ -18,6 +19,10 @@
 #include "sim/metrics.h"
 
 namespace dtn {
+
+/// Distinct queries a node of any scheme remembers at once (a state bound;
+/// the oldest is forgotten first).
+inline constexpr std::size_t kMaxTrackedQueries = 4096;
 
 /// Engine-owned context passed to every hook. Provides the clock, the data
 /// registry, the periodically refreshed opportunistic-path tables, a

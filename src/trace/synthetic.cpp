@@ -1,11 +1,13 @@
 #include "trace/synthetic.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cctype>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
+
+#include "common/check.h"
+#include "common/pairs.h"
 
 namespace dtn {
 namespace {
@@ -31,9 +33,6 @@ void validate(const SyntheticTraceConfig& c) {
   }
   if (c.burst_mean_contacts < 1.0 || c.burst_window <= 0.0) {
     throw std::invalid_argument("burst parameters invalid");
-  }
-  if (c.diurnal_amplitude < 0.0 || c.diurnal_amplitude >= 1.0) {
-    throw std::invalid_argument("diurnal_amplitude must be in [0, 1)");
   }
 }
 
@@ -71,9 +70,8 @@ PairRates::PairRates(const SyntheticTraceConfig& config) : n_(config.node_count)
   validate(config);
   const std::vector<double> weights = popularity_weights(config);
 
-  const std::size_t pair_count =
-      static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_ - 1) / 2;
-  rates_.resize(pair_count);
+  const std::size_t pairs = pair_count(n_);
+  rates_.resize(pairs);
 
   std::size_t index = 0;
   double product_sum = 0.0;
@@ -90,14 +88,14 @@ PairRates::PairRates(const SyntheticTraceConfig& config) : n_(config.node_count)
       product_sum += base;
     }
   }
-  assert(index == pair_count);
+  DTN_CHECK(index == pairs);
 
   // Sparsify: keep a pair with probability proportional to its popularity
   // product, targeting `pair_fraction` of all pairs in expectation. The
   // draw uses its own seed stream so PairRates and generate_trace agree.
   if (config.pair_fraction < 1.0) {
     Rng edge_rng(config.seed ^ 0xED6E5EEDFACE0FFULL);
-    const double mean_product = product_sum / static_cast<double>(pair_count);
+    const double mean_product = product_sum / static_cast<double>(pairs);
     for (auto& r : rates_) {
       const double keep =
           std::min(1.0, config.pair_fraction * r / mean_product);
@@ -118,13 +116,7 @@ PairRates::PairRates(const SyntheticTraceConfig& config) : n_(config.node_count)
 }
 
 double PairRates::rate(NodeId i, NodeId j) const {
-  assert(i != j && i >= 0 && j >= 0 && i < n_ && j < n_);
-  if (i > j) std::swap(i, j);
-  // Row-major upper triangle offset: rows 0..i-1 contribute (n-1-row) each.
-  const std::size_t row = static_cast<std::size_t>(i);
-  const std::size_t n = static_cast<std::size_t>(n_);
-  const std::size_t offset = row * (2 * n - row - 1) / 2;
-  return rates_[offset + static_cast<std::size_t>(j - i - 1)];
+  return rates_[pair_index(i, j, n_)];
 }
 
 ContactTrace generate_trace(const SyntheticTraceConfig& config) {
@@ -139,30 +131,15 @@ ContactTrace generate_trace(const SyntheticTraceConfig& config) {
   events.reserve(static_cast<std::size_t>(config.target_total_contacts * 1.1));
 
   const double burst_mean = config.burst_mean_contacts;
-  const double diurnal = config.diurnal_amplitude;
-  // Poisson thinning for the diurnal cycle: draw candidates at the peak
-  // rate, keep each with the instantaneous relative intensity.
-  auto diurnal_keep = [&](Time t) {
-    if (diurnal <= 0.0) return true;
-    const double intensity =
-        1.0 + diurnal * std::sin(2.0 * 3.14159265358979323846 *
-                                 (t - config.diurnal_phase) / 86400.0);
-    return rng.bernoulli(intensity / (1.0 + diurnal));
-  };
   for (NodeId i = 0; i < config.node_count; ++i) {
     for (NodeId j = i + 1; j < config.node_count; ++j) {
       const double lambda = rates.rate(i, j);
       if (lambda <= 0.0) continue;
       // Burst (session) arrivals carry `burst_mean` contacts on average,
-      // so the burst rate is scaled down to keep the expected total. The
-      // diurnal peak factor is compensated by the thinning above.
-      const double burst_rate = lambda / burst_mean * (1.0 + diurnal);
+      // so the burst rate is scaled down to keep the expected total.
+      const double burst_rate = lambda / burst_mean;
       Time t = rng.exponential(burst_rate);
       while (t < config.duration) {
-        if (!diurnal_keep(t)) {
-          t += rng.exponential(burst_rate);
-          continue;
-        }
         std::size_t contacts_in_burst = 1;
         if (burst_mean > 1.0) {
           // Geometric with mean `burst_mean` on {1, 2, ...}.

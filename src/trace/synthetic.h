@@ -49,13 +49,6 @@ struct SyntheticTraceConfig {
   double burst_mean_contacts = 1.0;
   Time burst_window = 3600.0;
 
-  /// Diurnal activity cycle: burst arrivals are modulated by
-  /// 1 + amplitude * sin(2*pi*(t - phase)/24h), realized by Poisson
-  /// thinning, so the expected total contact count is unchanged.
-  /// 0 disables the cycle (exact legacy output). Must be in [0, 1).
-  double diurnal_amplitude = 0.0;
-  Time diurnal_phase = 0.0;
-
   /// Number of communities; 0 or 1 disables community structure. Nodes are
   /// assigned round-robin; intra-community pair rates are multiplied by
   /// `intra_community_boost`.
@@ -89,9 +82,9 @@ ContactTrace generate_trace(const SyntheticTraceConfig& config);
 /// exposed so tests can verify the skew the generator induces.
 std::vector<double> popularity_weights(const SyntheticTraceConfig& config);
 
-/// Pairwise contact rates (lambda, per second) implied by the config, as a
-/// flat row-major upper-triangular matrix helper. Mostly for tests and
-/// validation; generation itself uses the same values.
+/// Pairwise contact rates (lambda, per second) implied by the config, one
+/// per pair_index slot (common/pairs.h). Mostly for tests and validation;
+/// generation itself uses the same values.
 class PairRates {
  public:
   explicit PairRates(const SyntheticTraceConfig& config);
@@ -100,7 +93,7 @@ class PairRates {
 
  private:
   NodeId n_;
-  std::vector<double> rates_;  // upper triangle, row-major
+  std::vector<double> rates_;  // one per pair_index
 };
 
 /// Calibrated presets mirroring paper Table I.

@@ -29,23 +29,14 @@ std::string read_file(const std::string& path) {
 ContactTrace load_trace_any(const std::string& path,
                             const LoadOptions& options) {
   DTN_SCOPED_TIMER(kTraceLoad);
-  const TraceReader* reader = nullptr;
-  if (!options.format.empty()) {
-    reader = reader_for_format(options.format);
-    if (reader == nullptr) {
-      throw std::runtime_error("unknown trace format '" + options.format +
-                               "' (csv, one or imote)");
-    }
-  }
   const std::string bytes = read_file(path);
+  // Sniff the first few KiB only: enough for any header or first row.
+  const TraceReader* reader =
+      detect_reader(std::string_view(bytes).substr(0, 4096));
   if (reader == nullptr) {
-    // Sniff the first few KiB only: enough for any header or first row.
-    reader = detect_reader(std::string_view(bytes).substr(0, 4096));
-    if (reader == nullptr) {
-      throw std::runtime_error(
-          path + ": cannot detect trace format (not CSV, a ONE "
-                 "connectivity report or an iMote contact log)");
-    }
+    throw std::runtime_error(
+        path + ": cannot detect trace format (not CSV, a ONE "
+               "connectivity report or an iMote contact log)");
   }
   return reader->read(bytes, trace_name_from_path(path), path, options.read);
 }

@@ -2,7 +2,7 @@
 //
 // Reads the file into memory once and parses that buffer in place with a
 // registered text reader (CSV, ONE, iMote — reader.h), chosen by content
-// sniffing unless forced. A load never writes a file.
+// sniffing. A load never writes a file.
 #pragma once
 
 #include <string>
@@ -19,9 +19,6 @@ struct LoadOptions {
   TraceReadOptions read;
   /// Kept only because perfbench/harness.cpp sets it; loads ignore it.
   CachePolicy cache = CachePolicy::kBypass;
-  /// Force a specific reader ("csv", "one", "imote"); empty = detect from
-  /// the file's content.
-  std::string format;
 };
 
 /// Loads a trace of any supported format from `path`. Throws

@@ -79,8 +79,10 @@ TEST(BenchJsonTest, JsonDocumentHasSchemaFields) {
   JsonReport report("schema_probe", make_args(2));
   report.stage(
       "stage \"one\"",
-      [] { instrument::add(instrument::Counter::kSweepCells, 10); },
-      "sweep_cells");
+      [] {
+        instrument::add(instrument::Counter::kExperimentRepetitions, 10);
+      },
+      "experiment_repetitions");
   const std::string json = report.to_json();
   EXPECT_NE(json.find("\"schema_version\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"bench\": \"schema_probe\""), std::string::npos);

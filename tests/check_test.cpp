@@ -15,6 +15,7 @@
 #include "cache/ncl_scheme.h"
 #include "cache/replacement.h"
 #include "common/rng.h"
+#include "graph/contact_graph.h"
 
 namespace dtn {
 namespace {
@@ -138,6 +139,18 @@ TEST(DtnCheckDeathTest, NclSelfContactAborts) {
   LinkBudget budget(1000);
   EXPECT_DEATH(scheme.on_contact(services, 1, 1, budget),
                "a contact needs two distinct nodes");
+}
+
+TEST(DtnCheckDeathTest, ContractsHoldInOptimizedBuilds) {
+  // Both contracts must hold where NDEBUG strips plain asserts: unchecked,
+  // a self pair aliases another pair's slot (pair (1, 1) of three nodes
+  // reads pair (0, 2)'s count), and an empty range draws from a wrapped
+  // one.
+  const RateEstimator estimator(3);
+  EXPECT_DEATH(static_cast<void>(estimator.contact_count(1, 1)),
+               "a self pair has no slot");
+  Rng rng(1);
+  EXPECT_DEATH(static_cast<void>(rng.uniform_int(5, 1)), "lo <= hi");
 }
 
 }  // namespace

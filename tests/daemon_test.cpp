@@ -100,11 +100,10 @@ TEST(EwmaRateEstimator, DuplicateTimestampsDoNotPoisonTheRate) {
 }
 
 TEST(EwmaRateEstimator, MinContactsFloorSuppressesSingletons) {
-  EwmaRateEstimator est(4, 0.125, 3);
+  EwmaRateEstimator est(4);
   est.record(0, 3, 10.0);
+  EXPECT_EQ(est.rate(0, 3), 0.0);  // 1 contact < kMinContactsForRate
   est.record(0, 3, 20.0);
-  EXPECT_EQ(est.rate(0, 3), 0.0);  // 2 contacts < floor of 3
-  est.record(0, 3, 40.0);
   EXPECT_GT(est.rate(0, 3), 0.0);
 }
 
@@ -112,7 +111,7 @@ TEST(EwmaRateEstimator, ExpiryDecayMatchesHandComputation) {
   // alpha 0.5, expiry 100 s. Pair (0,1) meets at t = 0, 10, 20: gaps
   // {10, 10}, EWMA 10, rate 0.1. The watermark is stream data — contacts
   // of *other* pairs move it and with it the silence of (0,1).
-  EwmaRateEstimator est(3, 0.5, 2, 100.0);
+  EwmaRateEstimator est(3, 0.5, 100.0);
   est.record(0, 1, 0.0);
   est.record(0, 1, 10.0);
   est.record(0, 1, 20.0);
@@ -134,7 +133,7 @@ TEST(EwmaRateEstimator, ExpiryDecayMatchesHandComputation) {
   EXPECT_EQ(est.rate(0, 1), 0.0);
 
   // The legacy estimator (expiry 0) fed the same stream never decays.
-  EwmaRateEstimator legacy(3, 0.5, 2);
+  EwmaRateEstimator legacy(3, 0.5);
   legacy.record(0, 1, 0.0);
   legacy.record(0, 1, 10.0);
   legacy.record(0, 1, 20.0);
@@ -145,7 +144,7 @@ TEST(EwmaRateEstimator, ExpiryDecayMatchesHandComputation) {
 }
 
 TEST(EwmaRateEstimator, RejectsNegativeExpiry) {
-  EXPECT_THROW(EwmaRateEstimator(3, 0.125, 2, -1.0), std::invalid_argument);
+  EXPECT_THROW(EwmaRateEstimator(3, 0.125, -1.0), std::invalid_argument);
 }
 
 TEST(EwmaRateEstimator, WarmStartEqualsIncrementalFeed) {

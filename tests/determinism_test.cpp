@@ -5,11 +5,9 @@
 // per thread) so out-of-order completion is actually exercised.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "experiment/experiment.h"
-#include "experiment/sweep.h"
 #include "graph/all_pairs.h"
 #include "graph/contact_graph.h"
 #include "graph/ncl.h"
@@ -26,59 +24,6 @@ ContactTrace small_trace() {
   c.target_total_contacts = 3000;
   c.seed = 3;
   return generate_trace(c);
-}
-
-SweepConfig base_sweep() {
-  SweepConfig s;
-  s.base.avg_lifetime = days(1);
-  s.base.avg_data_size = megabits(40);
-  s.base.ncl_count = 2;
-  s.base.repetitions = 2;
-  s.base.auto_horizon = false;
-  s.base.sim.path_horizon = hours(6);
-  s.base.sim.maintenance_interval = hours(12);
-  return s;
-}
-
-TEST(Determinism, SweepCsvIsByteIdenticalAcrossThreadCounts) {
-  const ContactTrace trace = small_trace();
-
-  SweepConfig serial = base_sweep();
-  serial.schemes = {SchemeKind::kNclCache, SchemeKind::kNoCache};
-  serial.lifetimes = {hours(12), days(1)};
-  serial.ncl_counts = {1, 2};
-  serial.threads = 1;
-
-  SweepConfig threaded = serial;
-  threaded.threads = 8;
-
-  const std::string csv_serial = sweep_to_csv(run_sweep(trace, serial));
-  const std::string csv_threaded = sweep_to_csv(run_sweep(trace, threaded));
-  EXPECT_EQ(csv_serial, csv_threaded);
-  // 2 schemes x 2 lifetimes x 2 K values + header.
-  EXPECT_EQ(std::count(csv_serial.begin(), csv_serial.end(), '\n'), 9);
-}
-
-TEST(Determinism, SweepRowsMatchFieldByFieldAcrossThreadCounts) {
-  const ContactTrace trace = small_trace();
-  SweepConfig config = base_sweep();
-  config.schemes = {SchemeKind::kNclCache};
-  config.ncl_counts = {1, 2, 3};
-  config.threads = 1;
-  const auto serial = run_sweep(trace, config);
-  config.threads = 8;
-  const auto threaded = run_sweep(trace, config);
-
-  ASSERT_EQ(serial.size(), threaded.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].scheme, threaded[i].scheme);
-    EXPECT_EQ(serial[i].ncl_count, threaded[i].ncl_count);
-    EXPECT_EQ(serial[i].success_ratio, threaded[i].success_ratio);
-    EXPECT_EQ(serial[i].delay_hours, threaded[i].delay_hours);
-    EXPECT_EQ(serial[i].copies_per_item, threaded[i].copies_per_item);
-    EXPECT_EQ(serial[i].replacement_overhead, threaded[i].replacement_overhead);
-    EXPECT_EQ(serial[i].queries, threaded[i].queries);
-  }
 }
 
 TEST(Determinism, AllPairsPathsMatchesSerialConstruction) {
@@ -197,29 +142,6 @@ TEST(Determinism, ExperimentRepetitionsMatchAcrossThreadCounts) {
     EXPECT_EQ(a.gigabytes_transferred.mean(), b.gigabytes_transferred.mean());
     EXPECT_EQ(a.duplicate_deliveries.mean(), b.duplicate_deliveries.mean());
   }
-}
-
-TEST(Determinism, ProgressIsMonotoneAndCompleteUnderThreads) {
-  const ContactTrace trace = small_trace();
-  SweepConfig config = base_sweep();
-  config.schemes = {SchemeKind::kNoCache};
-  config.lifetimes = {hours(12), days(1)};
-  config.ncl_counts = {1, 2};
-  config.threads = 8;
-
-  std::vector<std::pair<std::size_t, std::size_t>> calls;
-  run_sweep(trace, config, [&](std::size_t done, std::size_t total) {
-    calls.emplace_back(done, total);
-  });
-  // One call per cell; `done` counts completed cells 1..total in order
-  // even when cells complete out of order, and the last call says
-  // done == total.
-  ASSERT_EQ(calls.size(), 4u);
-  for (std::size_t i = 0; i < calls.size(); ++i) {
-    EXPECT_EQ(calls[i].first, i + 1);
-    EXPECT_EQ(calls[i].second, 4u);
-  }
-  EXPECT_EQ(calls.back().first, calls.back().second);
 }
 
 }  // namespace

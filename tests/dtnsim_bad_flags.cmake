@@ -12,14 +12,14 @@ endif()
 set(small --trace infocom05 --days 0.5 --scheme nocache --threads 1)
 
 # "--scheme ," and "--scheme ncl,,nocache" hold an empty scheme name. The
-# last seven are deleted flags: a script that still passes one must fail
+# last eight are deleted flags: a script that still passes one must fail
 # instead of running.
 foreach(bad IN ITEMS "--reps 0" "--k 0" "--k abc" "--reps 2x" "--threads abc"
                      "--days abc" "--seed abc" "--seed -1" "--zipf 1.0.0"
                      "--scheme ," "--scheme ncl,,nocache"
                      "--shards 2" "--metric-engine fast" "--landmarks 0"
                      "--weight-floor 0" "--metric-seed 1" "--no-trace-cache"
-                     "--nodes 10")
+                     "--nodes 10" "--trace-format csv")
   separate_arguments(args UNIX_COMMAND "${bad}")
   execute_process(COMMAND ${DTNSIM} ${small} ${args}
                   RESULT_VARIABLE code OUTPUT_QUIET ERROR_VARIABLE err)

@@ -7,7 +7,7 @@
 // claim only holds if the fast path consumes the RNG stream in exactly the
 // legacy order, so these tests pin raw-double metric equality (EXPECT_EQ,
 // no tolerances) across all four Table I trace presets and every scheme,
-// plus byte-identity of a full sweep's CSV — the same contract
+// plus every cell of a (K, T_L, scheme) grid — the same contract
 // tests/path_golden_test.cpp enforces for the path engine.
 #include <gtest/gtest.h>
 
@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "experiment/experiment.h"
-#include "experiment/sweep.h"
+#include "golden_grid.h"
 #include "trace/synthetic.h"
 
 namespace dtn {
@@ -138,21 +138,26 @@ TEST(EngineGolden, DynamicNclBitIdentical) {
 TEST(EngineGolden, SweepCsvByteIdenticalAcrossEngines) {
   const ContactTrace trace =
       generate_trace(infocom05_preset().with_duration(days(2)));
+  const std::vector<int> ks = {1, 2};
+  const std::vector<Time> lifetimes = {hours(12), hours(18)};
+  const std::vector<SchemeKind> schemes = {SchemeKind::kNclCache,
+                                           SchemeKind::kNoCache};
 
-  SweepConfig config;
-  config.base = golden_config();
-  config.schemes = {SchemeKind::kNclCache, SchemeKind::kNoCache};
-  config.lifetimes = {hours(12), hours(18)};
-  config.ncl_counts = {1, 2};
+  ExperimentConfig config = golden_config();
+  config.sim.sim_engine = SimEngine::kFast;
+  const std::vector<GridCell> fast =
+      run_grid(trace, config, ks, lifetimes, schemes);
 
-  config.base.sim.sim_engine = SimEngine::kFast;
-  const std::string csv_fast = sweep_to_csv(run_sweep(trace, config));
+  config.sim.sim_engine = SimEngine::kReference;
+  const std::vector<GridCell> ref =
+      run_grid(trace, config, ks, lifetimes, schemes);
 
-  config.base.sim.sim_engine = SimEngine::kReference;
-  const std::string csv_ref = sweep_to_csv(run_sweep(trace, config));
-
-  EXPECT_EQ(csv_fast, csv_ref);
-  EXPECT_FALSE(csv_fast.empty());
+  ASSERT_EQ(fast.size(), 8u);
+  ASSERT_EQ(ref.size(), fast.size());
+  for (std::size_t i = 0; i < fast.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_results_identical(fast[i].result, ref[i].result);
+  }
 }
 
 }  // namespace

@@ -141,7 +141,6 @@ SimConfig test_config() {
   SimConfig c;
   c.path_horizon = 600.0;
   c.maintenance_interval = 500.0;
-  c.min_contacts_for_rate = 1;
   return c;
 }
 
@@ -285,9 +284,6 @@ void expect_same_run(const RunResult& lane, const RunResult& solo) {
   EXPECT_EQ(x.delay_stats().variance(), y.delay_stats().variance());
   EXPECT_EQ(x.delay_stats().min(), y.delay_stats().min());
   EXPECT_EQ(x.delay_stats().max(), y.delay_stats().max());
-  for (double q : {0.0, 0.5, 0.9, 1.0}) {
-    EXPECT_EQ(x.delay_percentile(q), y.delay_percentile(q));
-  }
   EXPECT_EQ(x.mean_copies(), y.mean_copies());
   EXPECT_EQ(x.bytes_transferred(), y.bytes_transferred());
   EXPECT_EQ(x.replacement_overhead(), y.replacement_overhead());
@@ -491,8 +487,7 @@ std::vector<double> table_at_tick(const ContactTrace& trace, Time when,
   for (const ContactEvent& e : trace.events()) {
     if (e.start < when) estimator.record_contact(e.a, e.b, e.start);
   }
-  const ContactGraph graph =
-      estimator.snapshot(when, config.min_contacts_for_rate);
+  const ContactGraph graph = estimator.snapshot(when, kMinContactsForRate);
   const NodeId n = graph.node_count();
   std::vector<PathTable> tables;
   for (NodeId root = 0; root < n; ++root) {
@@ -577,27 +572,6 @@ TEST(MetricsCollector, DuplicateDeliveriesCountedSeparately) {
   EXPECT_EQ(m.queries_satisfied(), 1u);
   EXPECT_EQ(m.duplicate_deliveries(), 1u);
   EXPECT_DOUBLE_EQ(m.mean_delay(), 2.0);
-}
-
-TEST(MetricsCollector, DelayPercentiles) {
-  MetricsCollector m;
-  for (QueryId id = 0; id < 10; ++id) {
-    Query q;
-    q.id = id;
-    q.issued = 0.0;
-    q.expires = 1000.0;
-    m.on_query_issued(q);
-    m.on_delivery(q, static_cast<double>(id + 1) * 10.0);  // 10..100
-  }
-  EXPECT_DOUBLE_EQ(m.delay_percentile(0.0), 10.0);
-  EXPECT_DOUBLE_EQ(m.delay_percentile(1.0), 100.0);
-  EXPECT_DOUBLE_EQ(m.delay_percentile(0.5), 55.0);
-  EXPECT_DOUBLE_EQ(m.mean_delay(), 55.0);
-}
-
-TEST(MetricsCollector, DelayPercentileEmptyIsZero) {
-  MetricsCollector m;
-  EXPECT_EQ(m.delay_percentile(0.5), 0.0);
 }
 
 TEST(MetricsCollector, ReplacementOverheadNormalized) {

@@ -6,9 +6,9 @@
 // these fixtures pin both against *history* — any change to simulation
 // output (scheme logic, RNG consumption, workload generation, CSV
 // formatting) shows up as a byte diff here even if the two engines still
-// agree with each other. Because the sweep's determinism contract makes
-// the CSV byte-identical across thread counts and platforms, an exact
-// string compare is the right strength.
+// agree with each other. Every cell's result is bit-identical across
+// thread counts and platforms, so an exact string compare is the right
+// strength.
 //
 // To regenerate after an *intentional* output change:
 //   DTN_UPDATE_GOLDEN=1 ./build/tests/golden_test
@@ -21,7 +21,7 @@
 #include <string>
 
 #include "experiment/experiment.h"
-#include "experiment/sweep.h"
+#include "golden_grid.h"
 #include "trace/synthetic.h"
 
 namespace dtn {
@@ -45,19 +45,20 @@ std::string read_file(const std::string& path) {
 std::string golden_csv(const SyntheticTraceConfig& preset) {
   const ContactTrace trace = generate_trace(preset.with_duration(days(2)));
 
-  SweepConfig config;
-  config.base.avg_lifetime = hours(18);
-  config.base.avg_data_size = megabits(40);
-  config.base.ncl_count = 2;
-  config.base.repetitions = 2;
-  config.base.auto_horizon = false;
-  config.base.sim.path_horizon = hours(4);
-  config.base.sim.maintenance_interval = hours(12);
-  config.base.seed = 77;
-  config.schemes = {SchemeKind::kNclCache, SchemeKind::kNoCache,
-                    SchemeKind::kRandomCache, SchemeKind::kCacheData,
-                    SchemeKind::kBundleCache};
-  return sweep_to_csv(run_sweep(trace, config));
+  ExperimentConfig config;
+  config.avg_lifetime = hours(18);
+  config.avg_data_size = megabits(40);
+  config.ncl_count = 2;
+  config.repetitions = 2;
+  config.auto_horizon = false;
+  config.sim.path_horizon = hours(4);
+  config.sim.maintenance_interval = hours(12);
+  config.seed = 77;
+  return grid_csv(run_grid(trace, config, {config.ncl_count},
+                           {config.avg_lifetime},
+                           {SchemeKind::kNclCache, SchemeKind::kNoCache,
+                            SchemeKind::kRandomCache, SchemeKind::kCacheData,
+                            SchemeKind::kBundleCache}));
 }
 
 class GoldenFixture : public ::testing::TestWithParam<int> {};

@@ -32,7 +32,7 @@ TEST(InstrumentOffTest, CountNDoesNotEvaluateItsArgument) {
     ++evaluations;
     return 1;
   };
-  DTN_COUNT_N(kSweepCells, count_work());
+  DTN_COUNT_N(kExperimentRepetitions, count_work());
   // In this mode the macro erased the call above — count_work's only
   // remaining use is this direct one, proving the lambda itself works.
   EXPECT_EQ(evaluations, 0);
@@ -55,11 +55,12 @@ TEST(InstrumentOffTest, RegistryApiStillWorksDirectly) {
   // Tools (dtnsim --stats) and benches call the API unconditionally; only
   // the macro call sites are compiled out.
   const StageStats before = snapshot();
-  add(Counter::kSweepCells, 3);
-  add_time(Timer::kSweep, 42);
+  add(Counter::kExperimentRepetitions, 3);
+  add_time(Timer::kExperiment, 42);
   const StageStats delta = snapshot().delta_since(before);
-  EXPECT_EQ(delta.counter("sweep_cells"), 3u);
-  EXPECT_EQ(delta.timers[static_cast<std::size_t>(Timer::kSweep)].calls, 1u);
+  EXPECT_EQ(delta.counter("experiment_repetitions"), 3u);
+  const std::size_t idx = static_cast<std::size_t>(Timer::kExperiment);
+  EXPECT_EQ(delta.timers[idx].calls, 1u);
 }
 
 }  // namespace

@@ -51,10 +51,10 @@ TEST(InstrumentTest, NamesAreUniqueAndNonEmpty) {
 
 TEST(InstrumentTest, AddIsVisibleInSnapshotDelta) {
   const StageStats before = snapshot();
-  add(Counter::kSweepCells, 5);
-  add(Counter::kSweepCells, 2);
+  add(Counter::kExperimentRepetitions, 5);
+  add(Counter::kExperimentRepetitions, 2);
   const StageStats delta = snapshot().delta_since(before);
-  EXPECT_EQ(delta.counter("sweep_cells"), 7u);
+  EXPECT_EQ(delta.counter("experiment_repetitions"), 7u);
   EXPECT_EQ(delta.counter("no_such_counter"), 0u);
 }
 
@@ -81,15 +81,16 @@ TEST(InstrumentTest, AddTimeAccumulatesCallsAndNanos) {
 TEST(InstrumentTest, ScopedTimerChargesItsStage) {
   const StageStats before = snapshot();
   {
-    ScopedTimer timer(Timer::kSweep);
+    ScopedTimer timer(Timer::kExperiment);
   }
   const StageStats delta = snapshot().delta_since(before);
-  EXPECT_EQ(delta.timers[static_cast<std::size_t>(Timer::kSweep)].calls, 1u);
+  const std::size_t idx = static_cast<std::size_t>(Timer::kExperiment);
+  EXPECT_EQ(delta.timers[idx].calls, 1u);
 }
 
 TEST(InstrumentTest, ConcurrentAddsFromPoolWorkersAreExact) {
   // The counters' whole job is totalling work done inside parallel_for
-  // regions (per-root Dijkstra, sweep cells). Totals must be exact, not
+  // regions (per-root Dijkstra, scheme cells). Totals must be exact, not
   // approximate, whatever the interleaving.
   const StageStats before = snapshot();
   constexpr std::size_t kItems = 2000;
@@ -118,14 +119,14 @@ TEST(InstrumentTest, CountsOfExitedThreadsStayInSnapshot) {
 }
 
 TEST(InstrumentTest, ResetZeroesLiveAndExitedTotals) {
-  std::thread([] { add(Counter::kSweepCells, 4); }).join();
-  add(Counter::kSweepCells, 3);
+  std::thread([] { add(Counter::kExperimentRepetitions, 4); }).join();
+  add(Counter::kExperimentRepetitions, 3);
   reset();
-  EXPECT_EQ(snapshot().counter("sweep_cells"), 0u);
+  EXPECT_EQ(snapshot().counter("experiment_repetitions"), 0u);
   // Counting resumes from zero on both kinds of slot.
-  std::thread([] { add(Counter::kSweepCells, 2); }).join();
-  add(Counter::kSweepCells, 1);
-  EXPECT_EQ(snapshot().counter("sweep_cells"), 3u);
+  std::thread([] { add(Counter::kExperimentRepetitions, 2); }).join();
+  add(Counter::kExperimentRepetitions, 1);
+  EXPECT_EQ(snapshot().counter("experiment_repetitions"), 3u);
 }
 
 ContactTrace comparison_trace() {
@@ -237,15 +238,15 @@ TEST(InstrumentTest, ToStringListsOnlyNonZeroRows) {
   add(Counter::kKnapsackSolves, 12);
   const std::string report = snapshot().to_string();
   EXPECT_NE(report.find("knapsack_solves"), std::string::npos);
-  EXPECT_EQ(report.find("sweep_cells"), std::string::npos);
+  EXPECT_EQ(report.find("experiment_repetitions"), std::string::npos);
   reset();
   EXPECT_NE(snapshot().to_string().find("no instrumentation samples"),
             std::string::npos);
 }
 
 TEST(InstrumentTest, ResetZeroesEverything) {
-  add(Counter::kSweepCells, 9);
-  add_time(Timer::kSweep, 100);
+  add(Counter::kExperimentRepetitions, 9);
+  add_time(Timer::kExperiment, 100);
   reset();
   const StageStats stats = snapshot();
   for (const auto& row : stats.counters) EXPECT_EQ(row.value, 0u);

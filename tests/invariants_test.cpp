@@ -123,9 +123,7 @@ TEST_P(InvariantSweep, BaselinesStateConsistentAfterRun) {
   run_simulation(trace, workload, cache_data, sim);
   EXPECT_TRUE(cache_data.check_invariants(workload.registry()));
 
-  BundleCacheConfig bc;
-  bc.flooding = fc;
-  BundleCacheScheme bundle(bc);
+  BundleCacheScheme bundle(fc);
   run_simulation(trace, workload, bundle, sim);
   EXPECT_TRUE(bundle.check_invariants(workload.registry()));
 }

@@ -133,33 +133,6 @@ TEST(ParallelMap, WorksWithoutDefaultConstructor) {
   }
 }
 
-TEST(ParallelReduce, FoldsInIndexOrder) {
-  // Non-commutative fold (string concatenation) exposes any ordering
-  // violation immediately.
-  std::string serial;
-  for (int i = 0; i < 64; ++i) serial += std::to_string(i) + ",";
-  for (int trial = 0; trial < 5; ++trial) {
-    const std::string parallel = parallel_reduce(
-        8, 64, std::string(),
-        [](std::size_t i) { return std::to_string(i) + ","; },
-        [](std::string acc, std::string part) { return acc + part; });
-    EXPECT_EQ(parallel, serial);
-  }
-}
-
-TEST(ParallelReduce, FloatingPointSumMatchesSerialBitForBit) {
-  // Accumulating doubles is non-associative; the index-order fold must make
-  // the sum independent of thread count.
-  auto item = [](std::size_t i) {
-    Rng rng(derive_seed(42, i));
-    return rng.uniform() * 1e-3 + rng.uniform();
-  };
-  auto fold = [](double acc, double v) { return acc + v; };
-  const double serial = parallel_reduce(1, 2000, 0.0, item, fold);
-  const double threaded = parallel_reduce(8, 2000, 0.0, item, fold);
-  EXPECT_EQ(serial, threaded);
-}
-
 TEST(DeriveSeed, DistinctStreamsAndDeterministic) {
   EXPECT_EQ(derive_seed(7, 0), derive_seed(7, 0));
   EXPECT_NE(derive_seed(7, 0), derive_seed(7, 1));

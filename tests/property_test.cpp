@@ -157,13 +157,13 @@ TEST(Property, KnapsackWorkspaceMatchesConvenienceAndFeasible) {
 }
 
 // Shared generator for the two replacement properties: a pool of distinct
-// data ids with randomized sizes, popularities and holders, plus a full
-// randomized exchange configuration. Pools are zero-heavy like the ones
-// real exchanges build: Eq. 6 gives popularity exactly 0 to an item with
-// fewer than two recorded requests, so most of Algorithm 1's rounds have
-// no item with positive utility that fits, and the workspace planner stops
-// at the first such round. Exact 0 and 1 popularities and weights also hit
-// Rng::bernoulli's no-draw edges.
+// data ids with randomized sizes, popularities and holders, plus a
+// randomized exchange mode (probabilistic or pure knapsack). Pools are
+// zero-heavy like the ones real exchanges build: Eq. 6 gives popularity
+// exactly 0 to an item with fewer than two recorded requests, so most of
+// Algorithm 1's rounds have no item with positive utility that fits, and
+// the workspace planner stops at the first such round. Exact 0 and 1
+// popularities and weights also hit Rng::bernoulli's no-draw edges.
 struct ExchangeCase {
   std::vector<ReplacementItem> pool;
   Bytes capacity_a = 0;
@@ -197,8 +197,6 @@ ExchangeCase make_exchange_case(Rng& rng) {
   };
   c.weight_a = draw_weight();
   c.weight_b = draw_weight();
-  c.config.knapsack_unit = 1 << static_cast<int>(rng.uniform_int(17, 21));
-  c.config.max_rounds = static_cast<int>(rng.uniform_int(1, 5));
   c.config.probabilistic = rng.bernoulli(0.75);
   c.rng_seed = rng();
   return c;

@@ -155,16 +155,15 @@ TEST_F(StrategyTest, OversizedItemNeverAdmitted) {
 }
 
 TEST_F(StrategyTest, QueryTrackingBoundEvictsOldest) {
-  NclSchemeConfig c = config(CacheStrategy::kUtilityExchange, 1000);
-  c.max_tracked_queries = 8;
-  NclCachingScheme scheme(c);
+  NclCachingScheme scheme(config(CacheStrategy::kUtilityExchange, 1000));
   const DataItem item = add_data(3);  // central is the source: cached there
   scheme.on_data_generated(services_, item);
 
   // Flood the central with more distinct queries than it may track; the
   // scheme must keep functioning and stay bounded (no assertion failures,
   // responses still generated for fresh queries).
-  for (int i = 0; i < 50; ++i) {
+  const std::size_t queries = kMaxTrackedQueries + 50;
+  for (std::size_t i = 0; i < queries; ++i) {
     services_.set_now(services_.now() + 10.0);
     const Query q = make_query(0, item.id);
     scheme.on_query(services_, q);
@@ -172,7 +171,7 @@ TEST_F(StrategyTest, QueryTrackingBoundEvictsOldest) {
     contact(scheme, 1, 2);
     contact(scheme, 2, 3);
   }
-  EXPECT_GT(scheme.responses_sent(), 25u);
+  EXPECT_GT(scheme.responses_sent(), queries / 2);
   EXPECT_TRUE(scheme.check_invariants(registry_));
 }
 

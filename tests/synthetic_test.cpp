@@ -131,55 +131,6 @@ TEST(Synthetic, RejectsBadConfigs) {
   EXPECT_THROW(small_config().with_duration(-1.0), std::invalid_argument);
 }
 
-TEST(Synthetic, DiurnalCyclePreservesTotals) {
-  SyntheticTraceConfig c = small_config();
-  c.target_total_contacts = 20000;
-  c.duration = days(10);
-  SyntheticTraceConfig cyclic = c;
-  cyclic.diurnal_amplitude = 0.8;
-  const double flat = static_cast<double>(generate_trace(c).size());
-  const double modulated = static_cast<double>(generate_trace(cyclic).size());
-  // Thinning keeps the expectation; allow 6 sigma of Poisson noise.
-  EXPECT_NEAR(modulated, flat, 6.0 * std::sqrt(flat));
-}
-
-TEST(Synthetic, DiurnalCycleConcentratesContactsAtPeak) {
-  SyntheticTraceConfig c = small_config();
-  c.duration = days(10);
-  c.target_total_contacts = 20000;
-  c.diurnal_amplitude = 0.9;
-  c.diurnal_phase = 0.0;  // peak at 6h, trough at 18h (sin maximum/minimum)
-  const ContactTrace trace = generate_trace(c);
-  std::size_t first_half = 0, second_half = 0;
-  for (const auto& e : trace.events()) {
-    const double tod = std::fmod(e.start, 86400.0);
-    (tod < 43200.0 ? first_half : second_half) += 1;
-  }
-  // sin is positive over [0, 12h): that half of the day must dominate.
-  EXPECT_GT(static_cast<double>(first_half),
-            1.5 * static_cast<double>(second_half));
-}
-
-TEST(Synthetic, ZeroAmplitudeIsExactLegacyOutput) {
-  SyntheticTraceConfig c = small_config();
-  SyntheticTraceConfig zero = c;
-  zero.diurnal_amplitude = 0.0;
-  const ContactTrace a = generate_trace(c);
-  const ContactTrace b = generate_trace(zero);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.events()[i], b.events()[i]);
-  }
-}
-
-TEST(Synthetic, DiurnalValidation) {
-  SyntheticTraceConfig c = small_config();
-  c.diurnal_amplitude = 1.0;
-  EXPECT_THROW(generate_trace(c), std::invalid_argument);
-  c.diurnal_amplitude = -0.1;
-  EXPECT_THROW(generate_trace(c), std::invalid_argument);
-}
-
 TEST(Synthetic, PresetsMatchTableOne) {
   const auto presets = all_presets();
   ASSERT_EQ(presets.size(), 4u);

@@ -108,17 +108,6 @@ TEST(TraceioFixtures, FormatSniffingPicksTheRightReader) {
   EXPECT_STREQ(imote->format_name(), "imote");
 }
 
-TEST(TraceioFixtures, ForcedFormatOverridesSniffing) {
-  traceio::LoadOptions options;
-  options.format = "one";
-  // A CSV file parsed as a ONE report must fail loudly, not silently.
-  EXPECT_THROW(traceio::load_trace_any(kFixtures + "/sample.csv", options),
-               std::runtime_error);
-  options.format = "nonsense";
-  EXPECT_THROW(traceio::load_trace_any(kFixtures + "/sample.csv", options),
-               std::runtime_error);
-}
-
 // ---- strict mode and parse diagnostics -------------------------------
 
 TEST(TraceioStrict, OneReaderRejectsIrregularitiesWithLineContext) {
@@ -190,8 +179,7 @@ TEST(TraceioStrict, CsvRejectsOutOfOrderContactsOnlyInStrictMode) {
 // ---- loads: content decides the reader, and nothing is written -------
 
 TEST(TraceioLoad, ExtensionDoesNotChooseTheReader) {
-  // Only the content is sniffed: CSV bytes named *.dtntrace load as CSV,
-  // and "binary" is no format a caller can force.
+  // Only the content is sniffed: CSV bytes named *.dtntrace load as CSV.
   ScratchDir dir("extension");
   const std::string path = dir.file("trace.dtntrace");
   {
@@ -201,9 +189,6 @@ TEST(TraceioLoad, ExtensionDoesNotChooseTheReader) {
   const ContactTrace trace = traceio::load_trace_any(path);
   EXPECT_EQ(trace.name(), "trace");
   EXPECT_EQ(csv_bytes(trace), slurp(kFixtures + "/sample.csv"));
-  traceio::LoadOptions binary;
-  binary.format = "binary";
-  EXPECT_THROW(traceio::load_trace_any(path, binary), std::runtime_error);
 }
 
 TEST(TraceioLoad, LeavesTheInputDirectoryUnchanged) {

@@ -7,7 +7,7 @@ legacy determinism rules (rules_legacy.py) plus five flow-aware rules
 (rules_flow.py). See DESIGN.md §11.
 
 Run as `python3 tools/dtnlint` (the directory is executable via
-__main__.py); `--legacy` runs only the legacy rule subset.
+__main__.py).
 """
 
 __version__ = "1.0"

@@ -6,8 +6,6 @@ Usage:
   python3 tools/dtnlint --json PATH         also write a findings artifact
                                             (schema_version 1; '-' = stdout)
   python3 tools/dtnlint --rules a,b         run a subset of rules
-  python3 tools/dtnlint --legacy            run only the six legacy
-                                            determinism rules
   python3 tools/dtnlint --list-rules        print rule ids and exit
   python3 tools/dtnlint --self-test DIR     run the fixture self-test
                                             over DIR (tests/lint)
@@ -37,7 +35,6 @@ def main(argv: list[str]) -> int:
     json_out: str | None = None
     allowlist_path = engine.DEFAULT_ALLOWLIST
     rule_ids: list[str] | None = None
-    legacy_only = False
     audit = None  # tri-state: None = auto (full-tree runs only)
     self_test_dir: str | None = None
     timing = False
@@ -64,8 +61,6 @@ def main(argv: list[str]) -> int:
                       file=sys.stderr)
                 return 2
             rule_ids = [r.strip() for r in argv[i].split(",") if r.strip()]
-        elif arg == "--legacy":
-            legacy_only = True
         elif arg == "--list-rules":
             for rule in sorted(engine.all_rules(), key=lambda r: r.rule_id):
                 tag = " (legacy)" if rule.legacy else ""
@@ -95,13 +90,7 @@ def main(argv: list[str]) -> int:
     if self_test_dir is not None:
         return selftest.run(Path(self_test_dir))
 
-    if legacy_only and rule_ids is not None:
-        print("dtnlint: --legacy and --rules are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    if legacy_only:
-        rules = engine.legacy_rules()
-    elif rule_ids is not None:
+    if rule_ids is not None:
         rules = engine.rules_by_id(rule_ids)
     else:
         rules = engine.all_rules()

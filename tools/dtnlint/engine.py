@@ -97,7 +97,7 @@ class Rule:
     rule_id: str = ""
     message: str = ""
     #: the six line-regex determinism rules that predate the flow rules;
-    #: `--legacy` runs exactly this set.
+    #: the self-test checks exactly this set against the legacy fixtures.
     legacy: bool = False
 
     def applies_to(self, rel_path: str) -> bool:

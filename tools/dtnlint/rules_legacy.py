@@ -5,8 +5,9 @@ Behaviour is a superset-accurate re-implementation of the original
 line-regex rules with the regex failure modes removed: nothing here can
 fire inside a comment, a string/char literal, or a preprocessor line (the
 lexer never surfaces them), and the scope-based unordered-fold rule uses
-real brace structure instead of brace-counting heuristics. `dtnlint --legacy` runs exactly this set (Rule.legacy == True);
-`dtnlint --self-test` checks it against tests/lint/fixture_*.cpp.
+real brace structure instead of brace-counting heuristics. `dtnlint
+--self-test` checks exactly this set (Rule.legacy == True) against
+tests/lint/fixture_*.cpp.
 """
 
 from __future__ import annotations

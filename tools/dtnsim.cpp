@@ -34,7 +34,6 @@ namespace {
 
 struct CliOptions {
   std::string trace = "mitreality";
-  std::string trace_format;    // empty = sniff from content
   double days = 0.0;           // 0 = preset default
   std::vector<std::string> schemes{"all"};
   double tl_hours = 0.0;       // 0 = trace-dependent default
@@ -59,7 +58,6 @@ struct CliOptions {
       "  --trace NAME     infocom05|infocom06|mitreality|ucsd or a trace\n"
       "                   file (CSV, ONE report or iMote log; format\n"
       "                   auto-detected)\n"
-      "  --trace-format F force the trace file format: csv|one|imote\n"
       "  --days D         limit/define the trace duration in days\n"
       "  --scheme LIST    comma list of ncl,nocache,random,cachedata,bundle\n"
       "                   or 'all' (default)\n"
@@ -106,8 +104,6 @@ CliOptions parse(int argc, char** argv) {
     const std::string flag = argv[i];
     if (flag == "--trace") {
       options.trace = next_value(i);
-    } else if (flag == "--trace-format") {
-      options.trace_format = next_value(i);
     } else if (flag == "--days") {
       options.days = parse_number<double>(flag, next_value(i));
     } else if (flag == "--scheme") {
@@ -175,9 +171,7 @@ ContactTrace build_trace(const CliOptions& options) {
     if (limit > 0) *preset = preset->with_duration(days(limit));
     return generate_trace(*preset);
   }
-  traceio::LoadOptions load;
-  load.format = options.trace_format;
-  return traceio::load_trace_any(options.trace, load);
+  return traceio::load_trace_any(options.trace);
 }
 
 double default_lifetime_hours(const ContactTrace& trace) {

@@ -9,8 +9,9 @@
 //   --self-test            in-memory round-trip checks (registered in ctest)
 //
 // Input formats are sniffed from content (CSV, ONE connectivity report,
-// iMote pairwise log); --format forces one. Loading never writes a file, so
-// it is safe to point at read-only datasets.
+// iMote pairwise log). Loading never writes a file, so it is safe to point
+// at read-only datasets. An argument that starts with "--" and is not a
+// known flag exits 2, so a mistyped flag is never taken as a file name.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -40,7 +41,6 @@ namespace {
       "  tracetool validate <file>      strict parse, file:line diagnostics\n"
       "  tracetool --self-test          run built-in round-trip checks\n"
       "options:\n"
-      "  --format F   force the input format: csv|one|imote\n"
       "  --strict     strict parsing for stats/convert (validate always is)\n");
   std::exit(2);
 }
@@ -48,7 +48,6 @@ namespace {
 struct ToolOptions {
   std::string command;
   std::vector<std::string> paths;
-  std::string format;
   bool strict = false;
   bool pairs = false;
 };
@@ -57,16 +56,16 @@ ToolOptions parse_args(int argc, char** argv) {
   ToolOptions options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--format") {
-      if (i + 1 >= argc) usage();
-      options.format = argv[++i];
-    } else if (arg == "--strict") {
+    if (arg == "--strict") {
       options.strict = true;
     } else if (arg == "--pairs") {
       options.pairs = true;
     } else if (arg == "--self-test") {
       options.command = "self-test";
     } else if (arg == "--help" || arg == "-h") {
+      usage();
+    } else if (arg.starts_with("--")) {
+      std::fprintf(stderr, "tracetool: unknown option '%s'\n", arg.c_str());
       usage();
     } else if (options.command.empty()) {
       options.command = arg;
@@ -80,7 +79,6 @@ ToolOptions parse_args(int argc, char** argv) {
 
 ContactTrace load(const ToolOptions& options, const std::string& path) {
   traceio::LoadOptions load_options;
-  load_options.format = options.format;
   load_options.read.strict = options.strict;
   return traceio::load_trace_any(path, load_options);
 }

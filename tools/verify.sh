@@ -146,7 +146,7 @@ stage_tsan() {
   # Engine covers the lane replay's cells, Instrument the per-thread
   # registry.
   sanitizer_stage thread build-tsan \
-    'ResolveThreads|ParallelFor|ParallelMap|ParallelReduce|DeriveSeed|ThreadPool|Determinism|Sweep|PathGolden|EngineGolden|GoldenFixture|Daemon|Engine|Instrument'
+    'ResolveThreads|ParallelFor|ParallelMap|DeriveSeed|ThreadPool|Determinism|Sweep|PathGolden|EngineGolden|GoldenFixture|Daemon|Engine|Instrument'
 }
 
 stage_asan() { sanitizer_stage address build-asan; }
