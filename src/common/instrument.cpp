@@ -41,6 +41,7 @@ constexpr std::array<const char*, kCounterCount> kCounterNames = {
     "daemon_queries",
     "daemon_roots_local",
     "daemon_nodes_resettled",
+    "daemon_roots_grown",
 };
 
 constexpr std::array<const char*, kTimerCount> kTimerNames = {

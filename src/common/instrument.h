@@ -68,6 +68,7 @@ enum class Counter : int {
   kDaemonQueries,               ///< daemon queries answered from a snapshot
   kDaemonRootsLocal,            ///< repaired roots re-settled subtree-locally
   kDaemonNodesResettled,        ///< nodes those local repairs re-settled
+  kDaemonRootsGrown,            ///< local repairs that grew the re-settled set
   kCount
 };
 

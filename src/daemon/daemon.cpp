@@ -252,6 +252,7 @@ void Daemon::repair(Time batch_time) {
   const std::size_t n = tables_.size();
   std::vector<RootRepair> outcome(n, RootRepair::kUntouched);
   std::vector<std::size_t> resettled(n, 0);
+  std::vector<std::uint8_t> grew(n, 0);
   parallel_for(config_.threads, n, [&](std::size_t r) {
     const PathTable& old = *tables_[r];
     std::vector<NodeId> seeds;
@@ -262,6 +263,7 @@ void Daemon::repair(Time batch_time) {
         graph_, old, config_.max_hops, changed, seeds, ws, edge_exp_);
     if (local) {
       resettled[r] = local->resettled;
+      grew[r] = local->grown > 0;
       tables_[r] = std::make_shared<const PathTable>(std::move(local->table));
     } else {
       kind = RootRepair::kKernel;
@@ -276,21 +278,25 @@ void Daemon::repair(Time batch_time) {
   std::uint64_t repaired = 0;
   std::uint64_t local = 0;
   std::uint64_t local_faster = 0;
+  std::uint64_t local_grown = 0;
   std::uint64_t nodes = 0;
   for (std::size_t r = 0; r < n; ++r) {
     if (outcome[r] == RootRepair::kUntouched) continue;
     ++repaired;
     if (outcome[r] != RootRepair::kKernel) ++local;
     if (outcome[r] == RootRepair::kSpedUp) ++local_faster;
+    local_grown += grew[r];
     nodes += resettled[r];
   }
   stats_.roots_repaired += repaired;
   stats_.roots_local += local;
   stats_.roots_local_faster += local_faster;
+  stats_.roots_grown += local_grown;
   stats_.nodes_resettled += nodes;
   DTN_COUNT_N(kDaemonRootsRepaired, repaired);
   DTN_COUNT_N(kDaemonRootsLocal, local);
   DTN_COUNT_N(kDaemonNodesResettled, nodes);
+  DTN_COUNT_N(kDaemonRootsGrown, local_grown);
 
   if (config_.audit) audit_against_reference();
   publish_snapshot(batch_time);

@@ -26,9 +26,10 @@
 // A batch is one pass over the roots on the global thread pool (by
 // default): each task flags its root by those two tests, repairs it and
 // folds its Eq. 3 metric. A flagged root re-settles only the subtrees under
-// its changed tree edges and under the endpoints whose adoption test fired
-// (resettle_subtrees), which either yields the kernel's table or declines;
-// a declined root re-runs the single-root kernel a full rebuild would run.
+// its changed tree edges and under the endpoints whose adoption test fired,
+// grown by the kept subtrees its offers reach (resettle_subtrees), which
+// either yields the kernel's table or declines; a declined root re-runs the
+// single-root kernel a full rebuild would run.
 // Either way the tables are bit-identical to a rebuild for every thread
 // count; with `audit` on, every batch is DTN_CHECKed field for field against
 // a fresh per-root compute_opportunistic_paths_reference build.
@@ -193,6 +194,9 @@ class Daemon {
     /// The roots_local that an edge speed-up flagged: a faster tree edge
     /// or a fired adoption test.
     std::uint64_t roots_local_faster = 0;
+    /// The roots_local whose re-settle grew D over a kept node that an
+    /// offer from D reached.
+    std::uint64_t roots_grown = 0;
     std::uint64_t full_rebuilds = 0;   ///< warm start + first-build batches
     std::uint64_t audit_rebuilds = 0;
     std::uint64_t snapshots_published = 0;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <queue>
 #include <stdexcept>
 
@@ -338,6 +340,7 @@ std::optional<ResettledTable> resettle_subtrees(
     const std::vector<NodeId>& seeds, PathWorkspace& ws,
     const EdgeExpTable& edge_exp) {
   using Entry = PathTable::Entry;
+  using BoundaryEdge = PathWorkspace::BoundaryEdge;
   constexpr std::int32_t kInside = PathWorkspace::kUnreached;
   constexpr std::int32_t kOutside = PathWorkspace::kOutside;
   const NodeId root = old.root();
@@ -353,8 +356,8 @@ std::optional<ResettledTable> resettle_subtrees(
 
   // D starts at the child end of every changed tree edge and at every
   // seed, and takes every node below one. A node of D is kInside until the
-  // merge reaches it; a kept node is kOutside throughout. One pass over the
-  // old entries closes D and checks the strict chains.
+  // merge reaches it; a kept node is kOutside until D grows over it. One
+  // pass over the old entries closes D and checks the strict chains.
   std::vector<Entry> entries = old.entries();
   auto& slot_of = ws.slot_of;
   slot_of.assign(at(n), kOutside);
@@ -399,10 +402,12 @@ std::optional<ResettledTable> resettle_subtrees(
     DTN_COUNT_N(kDijkstraSettled, settled_count);
     DTN_COUNT_N(kDijkstraRelaxations, relaxations);
   };
-  // A kept node's key in the pop order; it pops before `item` when it
-  // outranks it.
+  // A node's key in the pop order: its entry's weight and its id.
   const auto key = [&](NodeId v) {
     return QueueItem{entries[at(v)].weight, v};
+  };
+  const auto pops_first = [](const BoundaryEdge& x, const BoundaryEdge& y) {
+    return outranks({x.weight, x.from}, {y.weight, y.from});
   };
 
   // A changed edge between two kept nodes: the one that pops first relaxes
@@ -426,41 +431,132 @@ std::optional<ResettledTable> resettle_subtrees(
     }
   }
 
-  // Every relaxation from a kept node into D, in the order the kept nodes
-  // pop. Only nodes below the hop cap relax.
+  // The key of the latest pop, kept or in D, and whether every pop so far
+  // ranked after the one before it: then key order is pop order.
+  QueueItem last{std::numeric_limits<double>::infinity(), root};
+  bool monotone = true;
+  const auto popped = [&](const QueueItem& item) {
+    if (!outranks(last, item)) monotone = false;
+    last = item;
+  };
+
+  // Queues every relaxation into D node d from a neighbour below the hop
+  // cap: onto `boundary` when it is a kept node still to pop, onto
+  // `replay` when it popped already, kept or in D. A node of D still to
+  // pop relaxes d when it pops.
   auto& boundary = ws.boundary;
+  auto& replay = ws.replay;
   boundary.clear();
-  for (NodeId d = 0; d < n; ++d) {
-    if (slot_of[at(d)] != kInside) continue;
+  replay.clear();
+  const auto queue_relaxations_into = [&](NodeId d) {
     const auto& neighbors = graph.neighbors(d);
     const auto& row = edge_exp.one_minus_exp[at(d)];
     for (std::size_t idx = 0; idx < neighbors.size(); ++idx) {
-      const NodeId b = neighbors[idx].node;
-      if (slot_of[at(b)] != kOutside) continue;
-      const Entry& eb = entries[at(b)];
-      if (!(eb.weight > 0.0) || eb.hops >= max_hops) continue;
-      boundary.push_back({eb.weight, b, d, neighbors[idx].rate, row[idx]});
+      const NodeId p = neighbors[idx].node;
+      const std::int32_t slot = slot_of[at(p)];
+      if (slot != kOutside && slot != PathWorkspace::kSettled) continue;
+      const Entry& ep = entries[at(p)];
+      if (!(ep.weight > 0.0) || ep.hops >= max_hops) continue;
+      const BoundaryEdge edge{ep.weight, p, d, neighbors[idx].rate, row[idx]};
+      if (slot == kOutside && !outranks(key(p), last)) {
+        boundary.push_back(edge);
+      } else {
+        replay.push_back(edge);
+      }
     }
+  };
+  for (NodeId d = 0; d < n; ++d) {
+    if (slot_of[at(d)] == kInside) queue_relaxations_into(d);
   }
-  std::sort(boundary.begin(), boundary.end(),
-            [](const PathWorkspace::BoundaryEdge& x,
-               const PathWorkspace::BoundaryEdge& y) {
-              return outranks({x.weight, x.from}, {y.weight, y.from});
-            });
+  std::sort(boundary.begin(), boundary.end(), pops_first);
+
+  // Moves kept node k, which the latest pop offered at least its weight,
+  // and every kept node below it into D, or returns false: when the pops
+  // so far did not run in key order, or when D would pass its share of the
+  // nodes. None of the nodes moved has popped: k ranks after the latest
+  // pop, and strict chains rank every node below k after k. Each takes
+  // again, in pop order, the offers of the neighbours that popped before
+  // it, the latest pop last; the relaxations from kept neighbours still to
+  // pop are sorted and merged into the rest of the boundary (one kept
+  // node's relaxations share its key, so they stay together).
+  const auto max_resettled =
+      static_cast<std::size_t>(kMaxResettledShare * static_cast<double>(n));
+  std::size_t grown = 0;
+  std::size_t next = 0;  // the boundary's first relaxation still to come
+  const auto grow = [&](NodeId k) {
+    if (!monotone) return false;
+    // The first pop is a kept node, which strict chains rank after the
+    // root unless it is the root, so every later pop ranks after the root
+    // too: the root counts as popped, and never grows.
+    DTN_CHECK(k != root, "a pop in key order offered the root");
+    auto& members = ws.grown;
+    members.assign(1, k);
+    const Entry& ek = entries[at(k)];
+    for (NodeId v = 0; ek.weight > 0.0 && v < n; ++v) {
+      const Entry& e = entries[at(v)];
+      if (slot_of[at(v)] != kOutside || !(e.weight > 0.0) ||
+          e.hops <= ek.hops) {
+        continue;
+      }
+      // A kept node's ancestors are kept: v is below k when its ancestor
+      // at k's depth is k. An unreached k has nothing below it.
+      NodeId a = v;
+      for (int h = e.hops; h > ek.hops; --h) a = entries[at(a)].next_hop;
+      if (a == k) members.push_back(v);
+    }
+    if (resettled + members.size() > max_resettled) return false;
+    for (const NodeId g : members) {
+      entries[at(g)] = Entry{};
+      slot_of[at(g)] = kInside;
+    }
+    resettled += members.size();
+    grown += members.size();
+    const std::size_t queued = boundary.size();
+    for (const NodeId g : members) queue_relaxations_into(g);
+    std::sort(replay.begin(), replay.end(), pops_first);
+    for (const BoundaryEdge& edge : replay) {
+      const Entry& ef = entries[at(edge.from)];
+      if (slot_of[at(edge.from)] == kOutside) {
+        chain_kept(ws, entries, edge.from, horizon);
+      }
+      ++relaxations;
+      offer(ws, entries, edge.from, ef.hops, edge.to, slot_of[at(edge.to)],
+            edge.rate, edge.term,
+            candidate_of(ws, edge.from, ef.weight, edge.rate, edge.term));
+      // An offer made before the latest pop's was a kept node's old one,
+      // at most the moved node's old weight, or passed the strict check
+      // against that weight, which ranks after the latest pop.
+      DTN_CHECK(edge.from == last.node || !outranks(key(edge.to), last),
+                "a grown node outranks the pop that grew it");
+    }
+    replay.clear();
+    std::sort(boundary.begin() + static_cast<std::ptrdiff_t>(queued),
+              boundary.end(), pops_first);
+    std::inplace_merge(boundary.begin() + static_cast<std::ptrdiff_t>(next),
+                       boundary.begin() + static_cast<std::ptrdiff_t>(queued),
+                       boundary.end(), pops_first);
+    return true;
+  };
 
   // The kernel's pops, restricted to D and the kept nodes next to it: at
   // each step the higher-ranked of D's frontier top and the next kept node.
-  std::size_t next = 0;
-  while (next < boundary.size() || !ws.heap.empty()) {
+  for (;;) {
+    // A kept node that joined D pops from D's frontier instead.
+    while (next < boundary.size() &&
+           slot_of[at(boundary[next].from)] != kOutside) {
+      ++next;
+    }
+    if (next == boundary.size() && ws.heap.empty()) break;
     if (next < boundary.size() &&
         (ws.heap.empty() ||
          outranks({boundary[next].weight, boundary[next].from},
                   ws.heap.front()))) {
       const NodeId b = boundary[next].from;
       const Entry& eb = entries[at(b)];
+      popped(key(b));
       chain_kept(ws, entries, b, horizon);
       for (; next < boundary.size() && boundary[next].from == b; ++next) {
-        const PathWorkspace::BoundaryEdge& edge = boundary[next];
+        const BoundaryEdge& edge = boundary[next];
         const std::int32_t slot = slot_of[at(edge.to)];
         if (slot == PathWorkspace::kSettled) continue;
         ++relaxations;
@@ -472,6 +568,7 @@ std::optional<ResettledTable> resettle_subtrees(
     const NodeId u = pop_top(ws);
     ++settled_count;
     const Entry& eu = entries[at(u)];
+    popped(key(u));
     if (eu.hops >= max_hops) continue;
     ws.chains.extend(at(u), at(eu.next_hop), eu.last_rate, ws.edge_term[at(u)]);
     const auto& neighbors = graph.neighbors(u);
@@ -490,8 +587,12 @@ std::optional<ResettledTable> resettle_subtrees(
               candidate);
         continue;
       }
-      // A kept node still to pop must keep its entry.
-      if (!(candidate < entries[at(nb.node)].weight)) {
+      // A kept node still to pop keeps its entry unless this offer
+      // reaches its weight; then it re-settles, and u's offers to it and
+      // the other moved nodes are the last the growth replays (u offers
+      // those later in its list again below, which changes nothing).
+      if (candidate < entries[at(nb.node)].weight) continue;
+      if (!grow(nb.node)) {
         flush_counts();
         return std::nullopt;
       }
@@ -499,7 +600,7 @@ std::optional<ResettledTable> resettle_subtrees(
   }
   flush_counts();
   return ResettledTable{PathTable(root, horizon, std::move(entries)),
-                        resettled};
+                        resettled, grown};
 }
 
 PathTable compute_opportunistic_paths_reference(const ContactGraph& graph,

@@ -44,12 +44,15 @@ namespace dtn {
 /// kUnreached / kSettled. A node whose label improves is sifted up in
 /// place, so the heap never holds a stale entry. resettle_subtrees marks
 /// the nodes it keeps kOutside, and keeps in `chained` which of them hold
-/// a chain state, in `walk` the ancestors it derives one for, and in
-/// `boundary` the relaxations from kept nodes into re-settled ones.
-/// `chain` and `hypoexp` serve rates_to_root and hypoexp_cdf. A workspace
-/// carries capacity, never results: reusing one across calls cannot change
-/// a table. Take it from thread_path_workspace() so each thread allocates
-/// it once; sharing one across concurrent calls is a data race.
+/// a chain state, in `walk` the ancestors it derives one for, in
+/// `boundary` the relaxations from kept nodes into re-settled ones that
+/// are still to come, in `grown` the kept nodes it is moving into the
+/// re-settled set, and in `replay` the offers they took from nodes that
+/// already popped. `chain` and `hypoexp` serve rates_to_root and
+/// hypoexp_cdf. A workspace carries capacity, never results: reusing one
+/// across calls cannot change a table. Take it from thread_path_workspace()
+/// so each thread allocates it once; sharing one across concurrent calls
+/// is a data race.
 struct PathWorkspace {
   struct QueueItem {
     double weight;
@@ -60,10 +63,11 @@ struct PathWorkspace {
       return node > other.node;
     }
   };
-  /// A kept node's relaxation into a re-settled one, over an edge of
-  /// `rate` whose 1 - e^{-rate T} term is `term`.
+  /// A relaxation into a re-settled node from a kept node or from one
+  /// that popped already, over an edge of `rate` whose 1 - e^{-rate T}
+  /// term is `term`.
   struct BoundaryEdge {
-    double weight;  ///< the kept node's weight: its place in the pop order
+    double weight;  ///< the relaxing node's weight: its place in the pop order
     NodeId from;
     NodeId to;
     double rate;
@@ -82,6 +86,8 @@ struct PathWorkspace {
   std::vector<std::uint8_t> chained;
   std::vector<NodeId> walk;
   std::vector<BoundaryEdge> boundary;
+  std::vector<NodeId> grown;
+  std::vector<BoundaryEdge> replay;
 };
 
 /// The calling thread's workspace. Every table build and weight
@@ -200,10 +206,21 @@ PathTable compute_opportunistic_paths(const ContactGraph& graph, NodeId root,
                                       PathWorkspace& ws,
                                       const EdgeExpTable& edge_exp);
 
-/// A table from resettle_subtrees and the number of nodes it re-settled.
+/// The share of a graph's nodes past which resettle_subtrees declines to
+/// grow the set it re-settles. A decline there runs the kernel and throws
+/// the re-settle so far away: on the benchmark's MIT input, shares of 1/3
+/// and below made the replay's repairs slower, and every share from 1/2
+/// up matched a re-settle that never declines to within the noise. 3/4
+/// still bounds a growth over nearly every node (DESIGN.md §13).
+inline constexpr double kMaxResettledShare = 0.75;
+
+/// A table from resettle_subtrees, the number of nodes it re-settled, and
+/// how many of those it moved into the re-settled set after its merge
+/// began (0 when every offer to a kept node fell short).
 struct ResettledTable {
   PathTable table;
   std::size_t resettled = 0;
+  std::size_t grown = 0;
 };
 
 /// One-step adoption test for the edge (from, to) of `table`'s graph, new
@@ -227,15 +244,25 @@ bool adoption_fires(const PathTable& table, NodeId from, NodeId to,
 /// relaxations, merged with a replay of the kept nodes next to D in
 /// (weight desc, id asc) order. That replay is the kernel's pop order
 /// when every node's weight is strictly below its parent's, so the table
-/// equals the kernel's, field for field, provided no kept entry changes.
-/// Whether a changed edge got slower or faster does not matter. Returns
-/// nullopt, and the caller must run the kernel, when either of these is
-/// not shown:
+/// equals the kernel's, field for field, as long as no kept entry
+/// changes. Whether a changed edge got slower or faster does not matter.
+///
+/// When a node u of D offers a kept node k that has not popped yet at
+/// least k's weight, D grows instead: k and every kept node below it in
+/// `old` join D with reset entries (none of them has popped: they rank
+/// after u), take again, in pop order, the offers of every neighbour that
+/// popped before them (kept, in D, and u last), and their kept neighbours
+/// still to pop are merged into the replay of kept nodes. Returns nullopt,
+/// and the caller must run the kernel, when one of these fails:
 ///   * strict chains: in `old`, every reached node's weight is strictly
 ///     below its parent's (saturated weights tie at 1.0, for example);
-///   * kept entries stay: every relaxation that reaches a kept node not
-///     yet popped, from a re-settled node or across a changed edge, gives
-///     a candidate strictly below that node's weight.
+///   * changed kept edges: across each changed edge between two kept
+///     nodes, the one that pops first offers the other strictly less
+///     than its weight;
+///   * growth: the pops so far ran strictly down the (weight desc, id
+///     asc) order, which makes it their pop order and ranks the root
+///     before all of them, and D stays within kMaxResettledShare of the
+///     nodes.
 /// Every relaxation it evaluates runs the kernel's probability and
 /// relaxation checks. Seeding the `to` end of each faster off-tree edge
 /// whose adoption_fires turns the changed-edge decline into a re-settle.

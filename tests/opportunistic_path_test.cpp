@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "graph/hypoexp.h"
@@ -129,6 +132,67 @@ TEST(OpportunisticPath, ApproximateSymmetryOnUndirectedGraph) {
           << root << "<->" << other;
     }
   }
+}
+
+/// Root 0 reaches node 3 directly at rate 1 and node 2 through node 1,
+/// over an edge (1, 2) of rate 1. Speeding that edge up to 10 re-settles
+/// node 2, whose offer then beats node 3's direct link, so 3 and the
+/// `below` nodes hanging off it re-settle too, although no changed edge
+/// is above them. The horizon is 1.
+struct GrowCase {
+  ContactGraph old_graph;
+  ContactGraph graph;
+  std::vector<std::pair<NodeId, NodeId>> changed{{1, 2}};
+};
+
+GrowCase grow_case(int below) {
+  GrowCase c{ContactGraph(4 + below), ContactGraph(4 + below)};
+  c.old_graph.set_rate(0, 1, 5.0);
+  c.old_graph.set_rate(1, 2, 1.0);
+  c.old_graph.set_rate(0, 3, 1.0);
+  c.old_graph.set_rate(2, 3, 3.0);
+  for (NodeId v = 4; v < 4 + below; ++v) c.old_graph.set_rate(3, v, 2.0);
+  c.graph = c.old_graph;
+  c.graph.set_rate(1, 2, 10.0);
+  return c;
+}
+
+TEST(ResettleSubtrees, GrowsOverAKeptNodeItsOfferReaches) {
+  const Time horizon = 1.0;
+  const GrowCase c = grow_case(1);
+  const PathTable old = compute_opportunistic_paths(c.old_graph, 0, horizon);
+  ASSERT_EQ(old.entry(3).next_hop, 0);
+  ASSERT_EQ(old.entry(4).next_hop, 3);
+  ASSERT_EQ(old.tree_child(1, 2), 2);
+  const std::optional<ResettledTable> got = resettle_subtrees(
+      c.graph, old, 8, c.changed, {}, thread_path_workspace(),
+      build_edge_exp_table(c.graph, horizon));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->resettled, 3u);  // 2, then 3 and 4
+  EXPECT_EQ(got->grown, 2u);
+  const PathTable want =
+      compute_opportunistic_paths_reference(c.graph, 0, horizon);
+  EXPECT_EQ(want.entry(3).next_hop, 2);  // the growth changed 3's parent
+  for (NodeId v = 0; v < c.graph.node_count(); ++v) {
+    const PathTable::Entry& g = got->table.entry(v);
+    const PathTable::Entry& w = want.entry(v);
+    EXPECT_EQ(g.weight, w.weight) << v;
+    EXPECT_EQ(g.last_rate, w.last_rate) << v;
+    EXPECT_EQ(g.next_hop, w.next_hop) << v;
+    EXPECT_EQ(g.hops, w.hops) << v;
+  }
+}
+
+TEST(ResettleSubtrees, DeclinesAGrowthPastTheShareCap) {
+  // The same growth with six nodes below node 3 would re-settle 8 of 10.
+  const Time horizon = 1.0;
+  const GrowCase c = grow_case(6);
+  ASSERT_GT(8.0, kMaxResettledShare * 10.0);
+  const PathTable old = compute_opportunistic_paths(c.old_graph, 0, horizon);
+  EXPECT_FALSE(resettle_subtrees(c.graph, old, 8, c.changed, {},
+                                 thread_path_workspace(),
+                                 build_edge_exp_table(c.graph, horizon))
+                   .has_value());
 }
 
 // Property: the greedy label-setting construction matches brute-force

@@ -855,12 +855,15 @@ ResettleBatch draw_batch(Rng& rng, const ResettleGraph& g,
 
 TEST(Property, SubtreeResettleMatchesReferenceOrDeclines) {
   // resettle_subtrees keeps every entry outside the subtrees under the
-  // changed tree edges and re-settles those subtrees. On every root of
-  // random graphs, after 1-3 of its tree edges and up to two other edges
-  // were slowed or removed, it must either decline or return the
-  // reference's table on the new graph, field for field.
+  // changed tree edges and re-settles those subtrees, grown by the kept
+  // subtrees their offers reach. On every root of random graphs, after
+  // 1-3 of its tree edges and up to two other edges were slowed or
+  // removed, it must either decline or return the reference's table on
+  // the new graph, field for field, and some of those tables must have
+  // grown.
   std::uint64_t local = 0;
   std::uint64_t declined = 0;
+  std::uint64_t local_grown = 0;
   run_property("subtree_resettle", 120, [&](Rng& rng, int) {
     const ResettleGraph g = resettle_graph(rng);
     const NodeId n = g.graph.node_count();
@@ -881,6 +884,7 @@ TEST(Property, SubtreeResettleMatchesReferenceOrDeclines) {
           continue;
         }
         ++local;
+        if (got->grown > 0) ++local_grown;
         ASSERT_NO_FATAL_FAILURE(
             expect_reference_table(got->table, batch.graph, max_hops));
       }
@@ -888,6 +892,71 @@ TEST(Property, SubtreeResettleMatchesReferenceOrDeclines) {
   });
   EXPECT_GT(local, 0u);
   EXPECT_GT(declined, 0u);
+  EXPECT_GT(local_grown, 0u);
+}
+
+/// What the seeded re-settle cases saw.
+struct SeededResettleCounts {
+  std::uint64_t local = 0;
+  std::uint64_t declined = 0;
+  std::uint64_t local_tree_faster = 0;  ///< re-settled a faster tree edge
+  std::uint64_t local_adopted = 0;      ///< re-settled a fired adoption
+  std::uint64_t local_grown = 0;        ///< grew D over a kept subtree
+};
+
+/// One case of the seeded re-settle property: a graph drawn from `rng`,
+/// and on every root and hop cap a batch of slowed, removed, faster and
+/// new edges with seeds drawn by dtnd's rule or at random. Every table
+/// resettle_subtrees does not decline must be the reference's.
+void seeded_resettle_case(Rng& rng, SeededResettleCounts& counts) {
+  const ResettleGraph g = resettle_graph(rng);
+  const NodeId n = g.graph.node_count();
+  for (int cap = 1; cap <= 9; ++cap) {
+    const int max_hops = resettle_cap(rng, cap, n);
+    for (NodeId root = 0; root < n; ++root) {
+      const PathTable old =
+          compute_opportunistic_paths(g.graph, root, g.horizon, max_hops);
+      const std::vector<NodeId> reached = reached_nodes(old);
+      if (reached.empty()) continue;
+      const ResettleBatch batch = draw_batch(rng, g, old, reached, true);
+
+      std::vector<NodeId> seeds;
+      const bool by_rule = rng.bernoulli(0.5);
+      if (by_rule) {
+        PathWorkspace& ws = thread_path_workspace();
+        for (const ResettleBatch::FasterEdge& e : batch.faster_off_tree) {
+          if (adoption_fires(old, e.u, e.v, e.rate, max_hops, ws)) {
+            seeds.push_back(e.v);
+          }
+          if (adoption_fires(old, e.v, e.u, e.rate, max_hops, ws)) {
+            seeds.push_back(e.u);
+          }
+        }
+      } else {
+        const int count = static_cast<int>(rng.uniform_int(0, 3));
+        for (int i = 0; i < count; ++i) {
+          NodeId seed = static_cast<NodeId>(rng.uniform_int(0, n - 2));
+          if (seed >= root) ++seed;
+          seeds.push_back(seed);
+        }
+      }
+
+      const std::optional<ResettledTable> got = resettle_subtrees(
+          batch.graph, old, max_hops, batch.changed, seeds,
+          thread_path_workspace(),
+          build_edge_exp_table(batch.graph, g.horizon));
+      if (!got) {
+        ++counts.declined;
+        continue;
+      }
+      ++counts.local;
+      if (batch.tree_faster) ++counts.local_tree_faster;
+      if (by_rule && !seeds.empty()) ++counts.local_adopted;
+      if (got->grown > 0) ++counts.local_grown;
+      ASSERT_NO_FATAL_FAILURE(
+          expect_reference_table(got->table, batch.graph, max_hops));
+    }
+  }
 }
 
 TEST(Property, SeededResettleMatchesReferenceOrDeclines) {
@@ -898,64 +967,28 @@ TEST(Property, SeededResettleMatchesReferenceOrDeclines) {
   // edges among them, and D is seeded by dtnd's rule (the end of each
   // faster off-tree edge whose adoption test fires) or with random
   // non-root nodes. Every table that does not decline must be the
-  // reference's on the new graph, field for field.
-  std::uint64_t local = 0;
-  std::uint64_t declined = 0;
-  std::uint64_t local_tree_faster = 0;  ///< re-settled a faster tree edge
-  std::uint64_t local_adopted = 0;      ///< re-settled a fired adoption
+  // reference's on the new graph, field for field, grown ones among them.
+  SeededResettleCounts counts;
   run_property("seeded_resettle", 120, [&](Rng& rng, int) {
-    const ResettleGraph g = resettle_graph(rng);
-    const NodeId n = g.graph.node_count();
-    for (int cap = 1; cap <= 9; ++cap) {
-      const int max_hops = resettle_cap(rng, cap, n);
-      for (NodeId root = 0; root < n; ++root) {
-        const PathTable old =
-            compute_opportunistic_paths(g.graph, root, g.horizon, max_hops);
-        const std::vector<NodeId> reached = reached_nodes(old);
-        if (reached.empty()) continue;
-        const ResettleBatch batch = draw_batch(rng, g, old, reached, true);
-
-        std::vector<NodeId> seeds;
-        const bool by_rule = rng.bernoulli(0.5);
-        if (by_rule) {
-          PathWorkspace& ws = thread_path_workspace();
-          for (const ResettleBatch::FasterEdge& e : batch.faster_off_tree) {
-            if (adoption_fires(old, e.u, e.v, e.rate, max_hops, ws)) {
-              seeds.push_back(e.v);
-            }
-            if (adoption_fires(old, e.v, e.u, e.rate, max_hops, ws)) {
-              seeds.push_back(e.u);
-            }
-          }
-        } else {
-          const int count = static_cast<int>(rng.uniform_int(0, 3));
-          for (int i = 0; i < count; ++i) {
-            NodeId seed = static_cast<NodeId>(rng.uniform_int(0, n - 2));
-            if (seed >= root) ++seed;
-            seeds.push_back(seed);
-          }
-        }
-
-        const std::optional<ResettledTable> got = resettle_subtrees(
-            batch.graph, old, max_hops, batch.changed, seeds,
-            thread_path_workspace(),
-            build_edge_exp_table(batch.graph, g.horizon));
-        if (!got) {
-          ++declined;
-          continue;
-        }
-        ++local;
-        if (batch.tree_faster) ++local_tree_faster;
-        if (by_rule && !seeds.empty()) ++local_adopted;
-        ASSERT_NO_FATAL_FAILURE(
-            expect_reference_table(got->table, batch.graph, max_hops));
-      }
-    }
+    seeded_resettle_case(rng, counts);
   });
-  EXPECT_GT(local, 0u);
-  EXPECT_GT(declined, 0u);
-  EXPECT_GT(local_tree_faster, 0u);
-  EXPECT_GT(local_adopted, 0u);
+  EXPECT_GT(counts.local, 0u);
+  EXPECT_GT(counts.declined, 0u);
+  EXPECT_GT(counts.local_tree_faster, 0u);
+  EXPECT_GT(counts.local_adopted, 0u);
+  EXPECT_GT(counts.local_grown, 0u);
+}
+
+TEST(Property, SeededResettleCaseWithGrowthAfterOutOfOrderPops) {
+  // Base seed 4's case 9 of the property above. On some of its roots the
+  // pops leave the (weight desc, id asc) order before an offer reaches a
+  // kept node, the root among the nodes so offered. A growth there would
+  // replay past offers out of pop order and return a table that is not
+  // the reference's, so resettle_subtrees must decline it.
+  SeededResettleCounts counts;
+  Rng rng(14647597899418332194ULL);
+  seeded_resettle_case(rng, counts);
+  EXPECT_GT(counts.declined, 0u);
 }
 
 // ---- malformed untrusted input -----------------------------------------
