@@ -1,7 +1,8 @@
 // Serving-daemon bench (src/daemon/, DESIGN.md §13): the same contact
 // replay processed two ways — the daemon's incremental path-table repair
-// (drift scan -> parent-pointer tree scan + one-step endpoint test ->
-// re-settle the subtrees a stale root's changes reach, or re-run the root)
+// (drift scan -> per root, re-settle the subtrees the changed edges reach,
+// or re-run the root when the re-settle declines, or keep its table when
+// no change reaches it)
 // and a rebuild-everything strawman that answers every batch boundary with
 // a fresh full AllPairsPaths build from the same estimator. The work unit
 // is contacts ingested; both sides run serial repair (threads=1) so the

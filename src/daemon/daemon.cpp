@@ -179,41 +179,6 @@ std::vector<Daemon::EdgeChange> Daemon::collect_drifted_edges() {
   return changes;
 }
 
-Daemon::RootRepair Daemon::classify(const PathTable& table,
-                                    const std::vector<EdgeChange>& changes,
-                                    std::vector<NodeId>& seeds) const {
-  // A changed tree edge flags the root, and resettle_subtrees re-settles
-  // the subtree under it. A faster off-tree edge flags it only when one of
-  // its endpoints may adopt the other over it (adoption_fires, against the
-  // root's CURRENT table); that endpoint seeds a re-settled subtree. A
-  // slower off-tree edge changes nothing: every candidate through it got
-  // strictly worse.
-  PathWorkspace& ws = thread_path_workspace();
-  seeds.clear();
-  RootRepair kind = RootRepair::kUntouched;
-  for (const EdgeChange& change : changes) {
-    const bool faster = change.new_rate > change.old_rate;
-    if (table.tree_child(change.u, change.v) != kNoNode) {
-      if (faster) {
-        kind = RootRepair::kSpedUp;
-      } else if (kind == RootRepair::kUntouched) {
-        kind = RootRepair::kSlowed;
-      }
-      continue;
-    }
-    if (!faster) continue;
-    if (adoption_fires(table, change.u, change.v, change.new_rate,
-                       config_.max_hops, ws)) {
-      seeds.push_back(change.v);
-    }
-    if (adoption_fires(table, change.v, change.u, change.new_rate,
-                       config_.max_hops, ws)) {
-      seeds.push_back(change.u);
-    }
-  }
-  return seeds.empty() ? kind : RootRepair::kSpedUp;
-}
-
 void Daemon::repair(Time batch_time) {
   DTN_SCOPED_TIMER(kDaemonRepair);
   ++stats_.repair_batches;
@@ -232,7 +197,6 @@ void Daemon::repair(Time batch_time) {
   }
 
   // Apply the rate updates and refresh the changed endpoints' edge terms.
-  // Classification reads only the OLD tables and the change list.
   std::vector<std::pair<NodeId, NodeId>> changed;
   changed.reserve(changes.size());
   for (const EdgeChange& change : changes) {
@@ -248,49 +212,48 @@ void Daemon::repair(Time batch_time) {
   stats_.edge_updates += changes.size();
   DTN_COUNT_N(kDaemonEdgeUpdates, changes.size());
 
-  // One pass: each root's task reads and replaces only its own slots.
+  // One pass: each root's task reads and replaces only its own slots. A
+  // root no change reaches keeps its table object.
+  struct Outcome {
+    bool repaired = false;
+    bool local = false;
+    bool grown = false;
+    std::size_t resettled = 0;
+  };
   const std::size_t n = tables_.size();
-  std::vector<RootRepair> outcome(n, RootRepair::kUntouched);
-  std::vector<std::size_t> resettled(n, 0);
-  std::vector<std::uint8_t> grew(n, 0);
+  std::vector<Outcome> outcome(n);
   parallel_for(config_.threads, n, [&](std::size_t r) {
-    const PathTable& old = *tables_[r];
-    std::vector<NodeId> seeds;
-    RootRepair kind = classify(old, changes, seeds);
-    if (kind == RootRepair::kUntouched) return;
     PathWorkspace& ws = thread_path_workspace();
     std::optional<ResettledTable> local = resettle_subtrees(
-        graph_, old, config_.max_hops, changed, seeds, ws, edge_exp_);
+        graph_, *tables_[r], config_.max_hops, changed, ws, edge_exp_);
+    if (local && !local->table) return;
+    Outcome& o = outcome[r];
+    o.repaired = true;
     if (local) {
-      resettled[r] = local->resettled;
-      grew[r] = local->grown > 0;
-      tables_[r] = std::make_shared<const PathTable>(std::move(local->table));
+      o.local = true;
+      o.grown = local->grown > 0;
+      o.resettled = local->resettled;
+      tables_[r] = std::make_shared<const PathTable>(std::move(*local->table));
     } else {
-      kind = RootRepair::kKernel;
       tables_[r] = std::make_shared<const PathTable>(
           compute_opportunistic_paths(graph_, static_cast<NodeId>(r),
                                       config_.horizon, config_.max_hops, ws,
                                       edge_exp_));
     }
     metric_[r] = ncl_metric(*tables_[r]);
-    outcome[r] = kind;
   });
   std::uint64_t repaired = 0;
   std::uint64_t local = 0;
-  std::uint64_t local_faster = 0;
   std::uint64_t local_grown = 0;
   std::uint64_t nodes = 0;
-  for (std::size_t r = 0; r < n; ++r) {
-    if (outcome[r] == RootRepair::kUntouched) continue;
-    ++repaired;
-    if (outcome[r] != RootRepair::kKernel) ++local;
-    if (outcome[r] == RootRepair::kSpedUp) ++local_faster;
-    local_grown += grew[r];
-    nodes += resettled[r];
+  for (const Outcome& o : outcome) {
+    repaired += o.repaired;
+    local += o.local;
+    local_grown += o.grown;
+    nodes += o.resettled;
   }
   stats_.roots_repaired += repaired;
   stats_.roots_local += local;
-  stats_.roots_local_faster += local_faster;
   stats_.roots_grown += local_grown;
   stats_.nodes_resettled += nodes;
   DTN_COUNT_N(kDaemonRootsRepaired, repaired);

@@ -5,34 +5,25 @@
 // contacts one at a time (dtnd replays them from a ReplayFeed, script.h),
 // maintains per-pair meeting-rate estimates online (EwmaRateEstimator),
 // and keeps the path tables continuously correct through **incremental
-// repair** — when an edge's estimated rate drifts past a configurable
-// relative threshold, only the roots whose trees that edge can affect are
-// repaired (the subtrees the change can reach re-settled, or the root re-run
-// through single-root Dijkstra), instead of rebuilding all pairs.
+// repair**: when an edge's estimated rate drifts past a configurable
+// relative threshold, only the roots that edge can reach are repaired
+// (the subtrees the change reaches re-settled, or the root re-run through
+// single-root Dijkstra), instead of rebuilding all pairs.
 //
-// Repair soundness (DESIGN.md §13 has the full argument): a path-weight
-// candidate is strictly increasing in every chain rate, so
-//   * a rate DECREASE can only change tables whose tree uses the edge —
-//     every candidate through the edge got strictly worse, so relaxations
-//     that lost before still lose. A scan of the parent pointers the
-//     tables already store finds exactly those roots: root r's tree uses
-//     (u, v) iff u's next hop is v or v's next hop is u in r's table.
-//   * a rate INCREASE (or a brand-new edge) can additionally pull the edge
-//     into a tree, but only by one of its endpoints adopting it as the
-//     final hop — and the first adoption relaxes from a chain that avoids
-//     the edge, i.e. the endpoint's unchanged current chain. Re-evaluating
-//     that one-step candidate against the endpoint's current weight is
-//     therefore a sound stale-root detector (>= flags conservatively).
 // A batch is one pass over the roots on the global thread pool (by
-// default): each task flags its root by those two tests, repairs it and
-// folds its Eq. 3 metric. A flagged root re-settles only the subtrees under
-// its changed tree edges and under the endpoints whose adoption test fired,
-// grown by the kept subtrees its offers reach (resettle_subtrees), which
-// either yields the kernel's table or declines; a declined root re-runs the
-// single-root kernel a full rebuild would run.
-// Either way the tables are bit-identical to a rebuild for every thread
-// count; with `audit` on, every batch is DTN_CHECKed field for field against
-// a fresh per-root compute_opportunistic_paths_reference build.
+// default), and resettle_subtrees alone decides what each root repairs
+// (DESIGN.md §13 has the argument). The set D it re-settles starts at the
+// child end of every changed tree edge, and at the end of any other
+// changed edge that the other end's old chain now offers at least its
+// weight (the first adoption of an edge extends a chain that avoids it).
+// An empty D means no change reaches the root, which keeps its table
+// object. Otherwise D, grown by the kept subtrees its offers reach, is
+// re-settled into the kernel's table, or the re-settle declines and the
+// root re-runs the single-root kernel a full rebuild would run; either way
+// the task folds the root's Eq. 3 metric. The tables are bit-identical to
+// a rebuild for every thread count; with `audit` on, every batch is
+// DTN_CHECKed field for field against a fresh per-root
+// compute_opportunistic_paths_reference build.
 //
 // Concurrency: ONE writer thread calls warm_start/ingest/repair_now; any
 // number of reader threads call snapshot()/ncl_set()/path_weight()/
@@ -191,9 +182,6 @@ class Daemon {
     /// subtrees held (both included in roots_repaired's work).
     std::uint64_t roots_local = 0;
     std::uint64_t nodes_resettled = 0;
-    /// The roots_local that an edge speed-up flagged: a faster tree edge
-    /// or a fired adoption test.
-    std::uint64_t roots_local_faster = 0;
     /// The roots_local whose re-settle grew D over a kept node that an
     /// offer from D reached.
     std::uint64_t roots_grown = 0;
@@ -228,32 +216,14 @@ class Daemon {
     double new_rate = 0.0;
   };
 
-  /// How a batch's changes reach one root's table, and how it was
-  /// repaired: untouched; re-settled locally after slowed or removed tree
-  /// edges only, or after an edge sped up too (a faster tree edge or a
-  /// fired adoption test); or rebuilt by the kernel because
-  /// resettle_subtrees declined.
-  enum class RootRepair : std::uint8_t {
-    kUntouched,
-    kSlowed,
-    kSpedUp,
-    kKernel
-  };
-
   void publish(std::shared_ptr<const Snapshot> next);
   void publish_snapshot(Time batch_time);
   QueryInfo query_info(const Snapshot& snap) const;
 
-  /// Drift scan -> one pass over the roots (classify, repair, fold the
-  /// metric) -> publish.
+  /// Drift scan -> one pass over the roots (repair what the changes
+  /// reach, fold the metric) -> publish.
   void repair(Time batch_time);
   std::vector<EdgeChange> collect_drifted_edges();
-  /// Flags a root as untouched, kSlowed or kSpedUp against its old table,
-  /// and gives the nodes resettle_subtrees must re-settle besides the
-  /// changed tree edges' subtrees.
-  RootRepair classify(const PathTable& table,
-                      const std::vector<EdgeChange>& changes,
-                      std::vector<NodeId>& seeds) const;
   void full_build(Time batch_time);
   void audit_against_reference();
 

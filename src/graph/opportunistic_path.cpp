@@ -300,9 +300,11 @@ PathTable compute_opportunistic_paths(const ContactGraph& graph, NodeId root,
 
 namespace {
 
-// Gives kept node `node` the chain state the kernel gave it, deriving the
-// states of its ancestors that lack one first (the root always has one).
-// Every ancestor of a kept node is kept, with its old entry.
+// Gives `node` the chain state the kernel gave it in the old table,
+// deriving the states of its ancestors that lack one first (the root always
+// has one). `node` and its ancestors hold their old entries in `entries`:
+// before D is known every node does, and every ancestor of a kept node is
+// kept.
 void chain_kept(PathWorkspace& ws, const std::vector<PathTable::Entry>& entries,
                 NodeId node, Time horizon) {
   ws.walk.clear();
@@ -322,22 +324,9 @@ void chain_kept(PathWorkspace& ws, const std::vector<PathTable::Entry>& entries,
 
 }  // namespace
 
-bool adoption_fires(const PathTable& table, NodeId from, NodeId to,
-                    double rate, int max_hops, PathWorkspace& ws) {
-  if (to == table.root()) return false;  // the root never adopts a parent
-  const PathTable::Entry& ef = table.entry(from);
-  if (!(ef.weight > 0.0) || ef.hops >= max_hops) return false;  // never relaxes
-  table.rates_to_root(from, ws.chain);
-  ws.chain.push_back(rate);
-  const double candidate = hypoexp_cdf(ws.chain, table.horizon(), ws.hypoexp);
-  DTN_CHECK_PROB(candidate);
-  return candidate >= table.entry(to).weight;
-}
-
 std::optional<ResettledTable> resettle_subtrees(
     const ContactGraph& graph, const PathTable& old, int max_hops,
-    const std::vector<std::pair<NodeId, NodeId>>& changed,
-    const std::vector<NodeId>& seeds, PathWorkspace& ws,
+    const std::vector<std::pair<NodeId, NodeId>>& changed, PathWorkspace& ws,
     const EdgeExpTable& edge_exp) {
   using Entry = PathTable::Entry;
   using BoundaryEdge = PathWorkspace::BoundaryEdge;
@@ -354,47 +343,10 @@ std::optional<ResettledTable> resettle_subtrees(
             "edge-exp table built for a different graph");
   const auto at = [](NodeId v) { return static_cast<std::size_t>(v); };
 
-  // D starts at the child end of every changed tree edge and at every
-  // seed, and takes every node below one. A node of D is kInside until the
-  // merge reaches it; a kept node is kOutside until D grows over it. One
-  // pass over the old entries closes D and checks the strict chains.
-  std::vector<Entry> entries = old.entries();
-  auto& slot_of = ws.slot_of;
-  slot_of.assign(at(n), kOutside);
-  for (const auto& [u, v] : changed) {
-    const NodeId child = old.tree_child(u, v);
-    if (child != kNoNode) slot_of[at(child)] = kInside;
-  }
-  for (const NodeId seed : seeds) {
-    DTN_CHECK(seed >= 0 && seed < n && seed != root,
-              "a seed must be a non-root node of the graph");
-    slot_of[at(seed)] = kInside;
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    const Entry& e = entries[at(v)];
-    if (v == root || !(e.weight > 0.0)) continue;
-    if (!(e.weight < entries[at(e.next_hop)].weight)) return std::nullopt;
-    if (slot_of[at(v)] == kInside) continue;
-    for (NodeId u = e.next_hop; u != root; u = entries[at(u)].next_hop) {
-      if (slot_of[at(u)] == kInside) {
-        slot_of[at(v)] = kInside;
-        break;
-      }
-    }
-  }
-  std::size_t resettled = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    if (slot_of[at(v)] != kInside) continue;
-    entries[at(v)] = Entry{};
-    ++resettled;
-  }
-
   ws.chains.prepare(at(n), std::min(at(max_hops), at(n - 1)), horizon);
-  ws.edge_term.resize(at(n));
   ws.chained.assign(at(n), 0);
   ws.chains.set_empty(at(root));
   ws.chained[at(root)] = 1;
-  ws.heap.clear();
   [[maybe_unused]] std::uint64_t settled_count = 0;
   [[maybe_unused]] std::uint64_t relaxations = 0;
   const auto flush_counts = [&] {
@@ -402,6 +354,70 @@ std::optional<ResettledTable> resettle_subtrees(
     DTN_COUNT_N(kDijkstraSettled, settled_count);
     DTN_COUNT_N(kDijkstraRelaxations, relaxations);
   };
+
+  // D starts at the child end of every changed tree edge. Across any other
+  // changed edge still in the graph, the kernel's first adoption of it
+  // would extend the old chain of the end that offers, so the other end
+  // joins D when that offer reaches its weight. A node of D is kInside
+  // until the merge reaches it; a kept node is kOutside until D grows over
+  // it.
+  const std::vector<Entry>& old_entries = old.entries();
+  auto& slot_of = ws.slot_of;
+  slot_of.assign(at(n), kOutside);
+  bool d_empty = true;
+  const auto join = [&](NodeId v) {
+    slot_of[at(v)] = kInside;
+    d_empty = false;
+  };
+  for (const auto& [a, b] : changed) {
+    const NodeId child = old.tree_child(a, b);
+    if (child != kNoNode) {
+      join(child);
+      continue;
+    }
+    const double rate = graph.rate(a, b);
+    if (!(rate > 0.0)) continue;  // removed: nothing relaxes over it
+    for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+      const Entry& ef = old_entries[at(from)];
+      if (to == root || !(ef.weight > 0.0) || ef.hops >= max_hops) continue;
+      chain_kept(ws, old_entries, from, horizon);
+      ++relaxations;
+      const double candidate =
+          candidate_of(ws, from, ef.weight, rate, stage_cdf(rate, horizon));
+      if (candidate >= old_entries[at(to)].weight) join(to);
+    }
+  }
+  if (d_empty) {
+    flush_counts();
+    return ResettledTable{};
+  }
+
+  // One pass over the old entries closes D and checks the strict chains.
+  for (NodeId v = 0; v < n; ++v) {
+    const Entry& e = old_entries[at(v)];
+    if (v == root || !(e.weight > 0.0)) continue;
+    if (!(e.weight < old_entries[at(e.next_hop)].weight)) {
+      flush_counts();
+      return std::nullopt;
+    }
+    if (slot_of[at(v)] == kInside) continue;
+    for (NodeId u = e.next_hop; u != root; u = old_entries[at(u)].next_hop) {
+      if (slot_of[at(u)] == kInside) {
+        slot_of[at(v)] = kInside;
+        break;
+      }
+    }
+  }
+  std::vector<Entry> entries = old_entries;
+  std::size_t resettled = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    if (slot_of[at(v)] != kInside) continue;
+    entries[at(v)] = Entry{};
+    ++resettled;
+  }
+
+  ws.edge_term.resize(at(n));
+  ws.heap.clear();
   // A node's key in the pop order: its entry's weight and its id.
   const auto key = [&](NodeId v) {
     return QueueItem{entries[at(v)].weight, v};
@@ -409,27 +425,6 @@ std::optional<ResettledTable> resettle_subtrees(
   const auto pops_first = [](const BoundaryEdge& x, const BoundaryEdge& y) {
     return outranks({x.weight, x.from}, {y.weight, y.from});
   };
-
-  // A changed edge between two kept nodes: the one that pops first relaxes
-  // the other, from a chain and over a rate the old table never combined.
-  for (const auto& [a, b] : changed) {
-    if (slot_of[at(a)] != kOutside || slot_of[at(b)] != kOutside) continue;
-    const double rate = graph.rate(a, b);
-    if (!(rate > 0.0)) continue;  // removed: nothing relaxes over it
-    const bool a_first = outranks(key(a), key(b));
-    const NodeId from = a_first ? a : b;
-    const NodeId to = a_first ? b : a;
-    const Entry& ef = entries[at(from)];
-    if (!(ef.weight > 0.0) || ef.hops >= max_hops) continue;  // never relaxes
-    chain_kept(ws, entries, from, horizon);
-    ++relaxations;
-    const double candidate =
-        candidate_of(ws, from, ef.weight, rate, stage_cdf(rate, horizon));
-    if (!(candidate < entries[at(to)].weight)) {
-      flush_counts();
-      return std::nullopt;
-    }
-  }
 
   // The key of the latest pop, kept or in D, and whether every pop so far
   // ranked after the one before it: then key order is pop order.
@@ -523,9 +518,11 @@ std::optional<ResettledTable> resettle_subtrees(
       offer(ws, entries, edge.from, ef.hops, edge.to, slot_of[at(edge.to)],
             edge.rate, edge.term,
             candidate_of(ws, edge.from, ef.weight, edge.rate, edge.term));
-      // An offer made before the latest pop's was a kept node's old one,
-      // at most the moved node's old weight, or passed the strict check
-      // against that weight, which ranks after the latest pop.
+      // An offer made before the latest pop's came from a kept node, at
+      // most the moved node's old weight (below it across a changed edge,
+      // or the node would have joined D at the start), or passed the
+      // strict check against that weight, which ranks after the latest
+      // pop.
       DTN_CHECK(edge.from == last.node || !outranks(key(edge.to), last),
                 "a grown node outranks the pop that grew it");
     }

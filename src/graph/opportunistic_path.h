@@ -43,8 +43,8 @@ namespace dtn {
 /// by (weight desc, node asc), and `slot_of[v]` is v's index in it, or
 /// kUnreached / kSettled. A node whose label improves is sifted up in
 /// place, so the heap never holds a stale entry. resettle_subtrees marks
-/// the nodes it keeps kOutside, and keeps in `chained` which of them hold
-/// a chain state, in `walk` the ancestors it derives one for, in
+/// the nodes it keeps kOutside, and keeps in `chained` which nodes it gave
+/// their old chain's state, in `walk` the ancestors it derives one for, in
 /// `boundary` the relaxations from kept nodes into re-settled ones that
 /// are still to come, in `grown` the kept nodes it is moving into the
 /// re-settled set, and in `replay` the offers they took from nodes that
@@ -214,33 +214,30 @@ PathTable compute_opportunistic_paths(const ContactGraph& graph, NodeId root,
 /// still bounds a growth over nearly every node (DESIGN.md §13).
 inline constexpr double kMaxResettledShare = 0.75;
 
-/// A table from resettle_subtrees, the number of nodes it re-settled, and
-/// how many of those it moved into the re-settled set after its merge
-/// began (0 when every offer to a kept node fell short).
+/// What resettle_subtrees did to one root: the re-settled table, or none
+/// when no change reaches the root; the number of nodes it re-settled (0
+/// then); and how many of those it moved into the re-settled set after its
+/// merge began (0 when every offer to a kept node fell short).
 struct ResettledTable {
-  PathTable table;
+  std::optional<PathTable> table;
   std::size_t resettled = 0;
   std::size_t grown = 0;
 };
-
-/// One-step adoption test for the edge (from, to) of `table`'s graph, new
-/// or sped up to `rate` and not in `table`'s tree: whether `to` may adopt
-/// `from` as its parent over it on the new graph. The first such adoption
-/// extends a chain that avoids the edge, i.e. `from`'s chain in `table`,
-/// so the test evaluates that one candidate against `to`'s weight, and
-/// fires on a tie. It never fires for the root as `to`, for an unreached
-/// `from` or for a `from` at `max_hops`. Runs on `ws`' chain scratch.
-bool adoption_fires(const PathTable& table, NodeId from, NodeId to,
-                    double rate, int max_hops, PathWorkspace& ws);
 
 /// Subtree-local repair: the table compute_opportunistic_paths would build
 /// for old.root() on `graph`, where `old` was built at `max_hops` on a
 /// graph that differs from `graph` only in the undirected edges `changed`
 /// (new rates, new edges or removed edges). `edge_exp` must match `graph`.
 ///
-/// Let D be the subtrees in `old` under the changed tree edges (their
-/// child ends) and under `seeds`, which may be any non-root nodes. Every
-/// entry outside D is kept, and D is re-settled by the kernel's own
+/// The set D it re-settles starts at the child end of every changed tree
+/// edge of `old`. Across every other changed edge still in `graph`, each
+/// end's old chain offers the other end a candidate, and the other end
+/// joins D when that candidate reaches its weight (the root never joins):
+/// the kernel's first adoption of the edge would extend that chain. D
+/// then takes every node below one of its nodes. An empty D means no
+/// change reaches the root: the result holds no table, and `old` stands.
+///
+/// Every entry outside D is kept, and D is re-settled by the kernel's own
 /// relaxations, merged with a replay of the kept nodes next to D in
 /// (weight desc, id asc) order. That replay is the kernel's pop order
 /// when every node's weight is strictly below its parent's, so the table
@@ -256,20 +253,15 @@ bool adoption_fires(const PathTable& table, NodeId from, NodeId to,
 /// and the caller must run the kernel, when one of these fails:
 ///   * strict chains: in `old`, every reached node's weight is strictly
 ///     below its parent's (saturated weights tie at 1.0, for example);
-///   * changed kept edges: across each changed edge between two kept
-///     nodes, the one that pops first offers the other strictly less
-///     than its weight;
 ///   * growth: the pops so far ran strictly down the (weight desc, id
 ///     asc) order, which makes it their pop order and ranks the root
 ///     before all of them, and D stays within kMaxResettledShare of the
 ///     nodes.
 /// Every relaxation it evaluates runs the kernel's probability and
-/// relaxation checks. Seeding the `to` end of each faster off-tree edge
-/// whose adoption_fires turns the changed-edge decline into a re-settle.
+/// relaxation checks, the changed edges' candidates included.
 std::optional<ResettledTable> resettle_subtrees(
     const ContactGraph& graph, const PathTable& old, int max_hops,
-    const std::vector<std::pair<NodeId, NodeId>>& changed,
-    const std::vector<NodeId>& seeds, PathWorkspace& ws,
+    const std::vector<std::pair<NodeId, NodeId>>& changed, PathWorkspace& ws,
     const EdgeExpTable& edge_exp);
 
 /// The legacy construction: embedded rate chains copied on every

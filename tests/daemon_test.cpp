@@ -1,16 +1,16 @@
 // Serving daemon suite (src/daemon/, DESIGN.md §13).
 //
 // The headline contract is equivalence: a daemon that repairs its path
-// tables incrementally (parent-pointer tree scan + one-step endpoint
-// drift detector + per-root subtree re-settles or re-runs) must end every
-// batch with tables bit-identical to a from-scratch rebuild of its own
-// graph by the reference construction (compute_opportunistic_paths_reference)
-// — across drift thresholds, traces, and thread counts. The suite pins
-// that from four directions: estimator unit behavior, the per-batch count
-// of roots the scan selects and of those re-settled locally, the
-// audit-equivalence matrix (3 thresholds x 2 traces, EXPECT_EQ on every
-// entry field plus the NCL set), and byte-identical ingest->query script
-// output across runs and thread counts. A TSan-facing test runs query
+// tables incrementally (per root, a subtree re-settle of what the changed
+// edges reach, or a re-run) must end every batch with tables bit-identical
+// to a from-scratch rebuild of its own graph by the reference construction
+// (compute_opportunistic_paths_reference) — across drift thresholds,
+// traces, and thread counts. The suite pins that from four directions:
+// estimator unit behavior, the per-batch count of roots repaired and of
+// those re-settled locally (and that only those get new table objects),
+// the audit-equivalence matrix (3 thresholds x 2 traces, EXPECT_EQ on
+// every entry field plus the NCL set), and byte-identical ingest->query
+// script output across runs and thread counts. A TSan-facing test runs query
 // threads concurrently with the ingest loop at both repair paths (serial
 // and pool): readers must see only whole published snapshots.
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cmath>
 #include <latch>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -324,9 +325,9 @@ BatchCounts per_batch_counts(const ContactTrace& trace) {
 }
 
 TEST(DaemonRepair, RootSelectionMatchesRecordedPerBatchCounts) {
-  // Recorded with the reverse edge->roots index the parent-pointer scan
-  // replaced: the scan must flag exactly the roots the index flagged, and
-  // the one-pass batch that classifies each root must re-run the same.
+  // Recorded with the reverse edge->roots index that the per-root
+  // decision in resettle_subtrees replaced: the roots a batch's changes
+  // reach must be exactly the roots the index flagged.
   const BatchCounts a = per_batch_counts(small_trace(3));
   EXPECT_EQ(a.roots, (std::vector<std::uint64_t>{10, 19, 0, 0, 13, 17, 19,
                                                  17, 20, 19, 19, 7}));
@@ -340,9 +341,9 @@ TEST(DaemonRepair, RootSelectionMatchesRecordedPerBatchCounts) {
   EXPECT_EQ(b.edges, (std::vector<std::uint64_t>{0, 2, 2, 5, 4, 1, 0, 2, 2, 2,
                                                  5, 2, 6, 1, 3, 4, 0, 3}));
 
-  // Of those roots, the ones that re-settled only the subtrees under their
-  // changed tree edges and fired adoption tests, grown by the kept nodes
-  // their offers reached, and the nodes those subtrees held.
+  // Of those roots, the ones that re-settled only the subtrees their
+  // changed edges reach, grown by the kept nodes their offers reached, and
+  // the nodes those subtrees held.
   EXPECT_EQ(a.local, (std::vector<std::uint64_t>{10, 17, 0, 0, 13, 17, 18, 16,
                                                  20, 18, 18, 7}));
   EXPECT_EQ(a.resettled, 303u);
@@ -350,6 +351,44 @@ TEST(DaemonRepair, RootSelectionMatchesRecordedPerBatchCounts) {
                                                  5, 10, 2, 16, 0, 13, 12, 0,
                                                  11}));
   EXPECT_EQ(b.resettled, 316u);
+}
+
+TEST(DaemonRepair, OnlyRepairedRootsGetNewTables) {
+  // A root that no change of a batch reaches keeps its table object: the
+  // snapshot the batch publishes shares it with the one before, which the
+  // test still holds. Every repaired root gets a new one.
+  const ContactTrace trace = small_trace(3);
+  DaemonConfig config = test_config();
+  config.drift_threshold = 0.5;
+  Daemon d(trace.node_count(), config);
+  const std::size_t split = trace.size() / 2;
+  std::vector<ContactEvent> warm(trace.events().begin(),
+                                 trace.events().begin() +
+                                     static_cast<std::ptrdiff_t>(split));
+  d.warm_start(ContactTrace(trace.node_count(), warm, "warm"));
+
+  std::shared_ptr<const daemon::Snapshot> previous = d.snapshot();
+  std::uint64_t partial_batches = 0;  // some roots repaired, some not
+  const auto step = [&](const auto& feed) {
+    const Daemon::Stats before = d.stats();
+    feed();
+    const Daemon::Stats& after = d.stats();
+    if (after.repair_batches == before.repair_batches) return;
+    const std::shared_ptr<const daemon::Snapshot> snap = d.snapshot();
+    std::uint64_t replaced = 0;
+    for (std::size_t r = 0; r < snap->tables.size(); ++r) {
+      replaced += &snap->tables[r] != &previous->tables[r];
+    }
+    const std::uint64_t repaired = after.roots_repaired - before.roots_repaired;
+    EXPECT_EQ(replaced, repaired) << "batch " << after.repair_batches;
+    partial_batches += repaired > 0 && repaired < snap->tables.size();
+    previous = snap;
+  };
+  for (std::size_t i = split; i < trace.size(); ++i) {
+    step([&] { d.ingest(trace.events()[i]); });
+  }
+  step([&] { d.repair_now(); });
+  EXPECT_GT(partial_batches, 0u);
 }
 
 /// Contact stream for the expiry tests: pair 0-1 meets three times early

@@ -134,6 +134,18 @@ TEST(OpportunisticPath, ApproximateSymmetryOnUndirectedGraph) {
   }
 }
 
+/// EXPECT_EQs every entry field of `got` against `want`'s.
+void expect_same_entries(const PathTable& got, const PathTable& want) {
+  for (NodeId v = 0; v < want.node_count(); ++v) {
+    const PathTable::Entry& g = got.entry(v);
+    const PathTable::Entry& w = want.entry(v);
+    EXPECT_EQ(g.weight, w.weight) << v;
+    EXPECT_EQ(g.last_rate, w.last_rate) << v;
+    EXPECT_EQ(g.next_hop, w.next_hop) << v;
+    EXPECT_EQ(g.hops, w.hops) << v;
+  }
+}
+
 /// Root 0 reaches node 3 directly at rate 1 and node 2 through node 1,
 /// over an edge (1, 2) of rate 1. Speeding that edge up to 10 re-settles
 /// node 2, whose offer then beats node 3's direct link, so 3 and the
@@ -164,23 +176,17 @@ TEST(ResettleSubtrees, GrowsOverAKeptNodeItsOfferReaches) {
   ASSERT_EQ(old.entry(3).next_hop, 0);
   ASSERT_EQ(old.entry(4).next_hop, 3);
   ASSERT_EQ(old.tree_child(1, 2), 2);
-  const std::optional<ResettledTable> got = resettle_subtrees(
-      c.graph, old, 8, c.changed, {}, thread_path_workspace(),
-      build_edge_exp_table(c.graph, horizon));
+  const std::optional<ResettledTable> got =
+      resettle_subtrees(c.graph, old, 8, c.changed, thread_path_workspace(),
+                        build_edge_exp_table(c.graph, horizon));
   ASSERT_TRUE(got.has_value());
+  ASSERT_TRUE(got->table.has_value());
   EXPECT_EQ(got->resettled, 3u);  // 2, then 3 and 4
   EXPECT_EQ(got->grown, 2u);
   const PathTable want =
       compute_opportunistic_paths_reference(c.graph, 0, horizon);
   EXPECT_EQ(want.entry(3).next_hop, 2);  // the growth changed 3's parent
-  for (NodeId v = 0; v < c.graph.node_count(); ++v) {
-    const PathTable::Entry& g = got->table.entry(v);
-    const PathTable::Entry& w = want.entry(v);
-    EXPECT_EQ(g.weight, w.weight) << v;
-    EXPECT_EQ(g.last_rate, w.last_rate) << v;
-    EXPECT_EQ(g.next_hop, w.next_hop) << v;
-    EXPECT_EQ(g.hops, w.hops) << v;
-  }
+  expect_same_entries(*got->table, want);
 }
 
 TEST(ResettleSubtrees, DeclinesAGrowthPastTheShareCap) {
@@ -189,10 +195,65 @@ TEST(ResettleSubtrees, DeclinesAGrowthPastTheShareCap) {
   const GrowCase c = grow_case(6);
   ASSERT_GT(8.0, kMaxResettledShare * 10.0);
   const PathTable old = compute_opportunistic_paths(c.old_graph, 0, horizon);
-  EXPECT_FALSE(resettle_subtrees(c.graph, old, 8, c.changed, {},
+  EXPECT_FALSE(resettle_subtrees(c.graph, old, 8, c.changed,
                                  thread_path_workspace(),
                                  build_edge_exp_table(c.graph, horizon))
                    .has_value());
+}
+
+/// Root 0 reaches node 1 directly at rate 5, node 2 directly at rate 1
+/// and node 3 through node 2. The edge (1, 2), of rate 0.1, is in no tree
+/// path, and the horizon is 1.
+ContactGraph kept_pair_graph() {
+  ContactGraph g(4);
+  g.set_rate(0, 1, 5.0);
+  g.set_rate(0, 2, 1.0);
+  g.set_rate(1, 2, 0.1);
+  g.set_rate(2, 3, 2.0);
+  return g;
+}
+
+TEST(ResettleSubtrees, FasterEdgeBetweenKeptNodesResettlesTheFarSubtree) {
+  // Sped up to 10, the edge (1, 2) carries node 1's offer past node 2's
+  // direct link, although no tree edge changed: node 2 and node 3 below
+  // it re-settle, and node 1 keeps its entry.
+  const Time horizon = 1.0;
+  const ContactGraph old_graph = kept_pair_graph();
+  ContactGraph graph = old_graph;
+  graph.set_rate(1, 2, 10.0);
+  const PathTable old = compute_opportunistic_paths(old_graph, 0, horizon);
+  ASSERT_EQ(old.entry(2).next_hop, 0);
+  ASSERT_EQ(old.tree_child(1, 2), kNoNode);
+  const std::optional<ResettledTable> got =
+      resettle_subtrees(graph, old, 8, {{1, 2}}, thread_path_workspace(),
+                        build_edge_exp_table(graph, horizon));
+  ASSERT_TRUE(got.has_value());
+  ASSERT_TRUE(got->table.has_value());
+  EXPECT_EQ(got->resettled, 2u);
+  EXPECT_EQ(got->grown, 0u);
+  const PathTable want =
+      compute_opportunistic_paths_reference(graph, 0, horizon);
+  EXPECT_EQ(want.entry(2).next_hop, 1);
+  EXPECT_EQ(want.entry(3).next_hop, 2);
+  expect_same_entries(*got->table, want);
+}
+
+TEST(ResettleSubtrees, ChangedEdgeWhoseOffersFallShortLeavesTheRoot) {
+  // Sped up only to 0.2, the edge (1, 2) offers neither end its weight, so
+  // no change reaches root 0: no table, and nothing re-settled.
+  const Time horizon = 1.0;
+  const ContactGraph old_graph = kept_pair_graph();
+  ContactGraph graph = old_graph;
+  graph.set_rate(1, 2, 0.2);
+  const PathTable old = compute_opportunistic_paths(old_graph, 0, horizon);
+  const std::optional<ResettledTable> got =
+      resettle_subtrees(graph, old, 8, {{1, 2}}, thread_path_workspace(),
+                        build_edge_exp_table(graph, horizon));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_FALSE(got->table.has_value());
+  EXPECT_EQ(got->resettled, 0u);
+  expect_same_entries(old,
+                      compute_opportunistic_paths_reference(graph, 0, horizon));
 }
 
 // Property: the greedy label-setting construction matches brute-force

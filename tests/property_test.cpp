@@ -28,8 +28,7 @@
 //    tier reached;
 //  * the subtree-local re-settle of a root after some of its tree edges
 //    were slowed or removed, and after batches that also speed up or add
-//    edges, with extra subtrees seeded by dtnd's adoption rule or at
-//    random — it declines or returns the reference's table on the new
+//    edges — it declines or returns the reference's table on the new
 //    graph, field for field, on saturating, tie-heavy and
 //    continuous-rate graphs;
 //  * seeded byte-, token- and line-level mutants of every untrusted input
@@ -62,6 +61,7 @@
 #include "daemon/daemon.h"
 #include "daemon/script.h"
 #include "experiment/experiment.h"
+#include "graph/hypoexp.h"
 #include "graph/ncl.h"
 #include "graph/opportunistic_path.h"
 #include "net/buffer.h"
@@ -876,7 +876,7 @@ TEST(Property, SubtreeResettleMatchesReferenceOrDeclines) {
         if (reached.empty()) continue;
         const ResettleBatch batch = draw_batch(rng, g, old, reached, false);
         const std::optional<ResettledTable> got = resettle_subtrees(
-            batch.graph, old, max_hops, batch.changed, {},
+            batch.graph, old, max_hops, batch.changed,
             thread_path_workspace(),
             build_edge_exp_table(batch.graph, g.horizon));
         if (!got) {
@@ -885,8 +885,9 @@ TEST(Property, SubtreeResettleMatchesReferenceOrDeclines) {
         }
         ++local;
         if (got->grown > 0) ++local_grown;
+        ASSERT_TRUE(got->table.has_value());  // a tree edge changed
         ASSERT_NO_FATAL_FAILURE(
-            expect_reference_table(got->table, batch.graph, max_hops));
+            expect_reference_table(*got->table, batch.graph, max_hops));
       }
     }
   });
@@ -900,14 +901,30 @@ struct SeededResettleCounts {
   std::uint64_t local = 0;
   std::uint64_t declined = 0;
   std::uint64_t local_tree_faster = 0;  ///< re-settled a faster tree edge
-  std::uint64_t local_adopted = 0;      ///< re-settled a fired adoption
+  std::uint64_t local_off_tree = 0;     ///< re-settled an offer over a
+                                        ///< faster or new off-tree edge
   std::uint64_t local_grown = 0;        ///< grew D over a kept subtree
 };
 
+/// Whether `from`'s chain in `old`, extended over an edge of `rate`,
+/// offers `to` at least its weight in `old`: then the kernel may adopt
+/// that edge on the new graph. The root adopts nothing, and `from` offers
+/// nothing when it is unreached or at the hop cap.
+bool offer_reaches(const PathTable& old, NodeId from, NodeId to, double rate,
+                   int max_hops) {
+  if (to == old.root() || !old.reachable(from) ||
+      old.entry(from).hops >= max_hops) {
+    return false;
+  }
+  std::vector<double> chain = old.rates(from);
+  chain.push_back(rate);
+  return hypoexp_cdf(chain, old.horizon()) >= old.weight(to);
+}
+
 /// One case of the seeded re-settle property: a graph drawn from `rng`,
 /// and on every root and hop cap a batch of slowed, removed, faster and
-/// new edges with seeds drawn by dtnd's rule or at random. Every table
-/// resettle_subtrees does not decline must be the reference's.
+/// new edges. Every table resettle_subtrees does not decline must be the
+/// reference's.
 void seeded_resettle_case(Rng& rng, SeededResettleCounts& counts) {
   const ResettleGraph g = resettle_graph(rng);
   const NodeId n = g.graph.node_count();
@@ -919,31 +936,8 @@ void seeded_resettle_case(Rng& rng, SeededResettleCounts& counts) {
       const std::vector<NodeId> reached = reached_nodes(old);
       if (reached.empty()) continue;
       const ResettleBatch batch = draw_batch(rng, g, old, reached, true);
-
-      std::vector<NodeId> seeds;
-      const bool by_rule = rng.bernoulli(0.5);
-      if (by_rule) {
-        PathWorkspace& ws = thread_path_workspace();
-        for (const ResettleBatch::FasterEdge& e : batch.faster_off_tree) {
-          if (adoption_fires(old, e.u, e.v, e.rate, max_hops, ws)) {
-            seeds.push_back(e.v);
-          }
-          if (adoption_fires(old, e.v, e.u, e.rate, max_hops, ws)) {
-            seeds.push_back(e.u);
-          }
-        }
-      } else {
-        const int count = static_cast<int>(rng.uniform_int(0, 3));
-        for (int i = 0; i < count; ++i) {
-          NodeId seed = static_cast<NodeId>(rng.uniform_int(0, n - 2));
-          if (seed >= root) ++seed;
-          seeds.push_back(seed);
-        }
-      }
-
       const std::optional<ResettledTable> got = resettle_subtrees(
-          batch.graph, old, max_hops, batch.changed, seeds,
-          thread_path_workspace(),
+          batch.graph, old, max_hops, batch.changed, thread_path_workspace(),
           build_edge_exp_table(batch.graph, g.horizon));
       if (!got) {
         ++counts.declined;
@@ -951,23 +945,32 @@ void seeded_resettle_case(Rng& rng, SeededResettleCounts& counts) {
       }
       ++counts.local;
       if (batch.tree_faster) ++counts.local_tree_faster;
-      if (by_rule && !seeds.empty()) ++counts.local_adopted;
+      if (std::any_of(batch.faster_off_tree.begin(),
+                      batch.faster_off_tree.end(),
+                      [&](const ResettleBatch::FasterEdge& e) {
+                        return offer_reaches(old, e.u, e.v, e.rate,
+                                             max_hops) ||
+                               offer_reaches(old, e.v, e.u, e.rate, max_hops);
+                      })) {
+        ++counts.local_off_tree;
+      }
       if (got->grown > 0) ++counts.local_grown;
+      ASSERT_TRUE(got->table.has_value());  // a tree edge changed
       ASSERT_NO_FATAL_FAILURE(
-          expect_reference_table(got->table, batch.graph, max_hops));
+          expect_reference_table(*got->table, batch.graph, max_hops));
     }
   }
 }
 
 TEST(Property, SeededResettleMatchesReferenceOrDeclines) {
   // The argument behind resettle_subtrees never uses the direction of a
-  // change: for any D that holds the changed tree edges' child ends and
-  // every node below a node of D, a table its checks pass is the
-  // kernel's. Batches here mix slowed, removed, faster and new edges, tree
-  // edges among them, and D is seeded by dtnd's rule (the end of each
-  // faster off-tree edge whose adoption test fires) or with random
-  // non-root nodes. Every table that does not decline must be the
-  // reference's on the new graph, field for field, grown ones among them.
+  // change: for any D that holds the changed tree edges' child ends, the
+  // far end of every other changed edge whose near end's old chain now
+  // reaches it, and every node below a node of D, a table its checks pass
+  // is the kernel's. Batches here mix slowed, removed, faster and new
+  // edges, tree edges among them. Every table that does not decline must
+  // be the reference's on the new graph, field for field, after faster
+  // tree edges, after offers over faster or new off-tree edges, and grown.
   SeededResettleCounts counts;
   run_property("seeded_resettle", 120, [&](Rng& rng, int) {
     seeded_resettle_case(rng, counts);
@@ -975,7 +978,7 @@ TEST(Property, SeededResettleMatchesReferenceOrDeclines) {
   EXPECT_GT(counts.local, 0u);
   EXPECT_GT(counts.declined, 0u);
   EXPECT_GT(counts.local_tree_faster, 0u);
-  EXPECT_GT(counts.local_adopted, 0u);
+  EXPECT_GT(counts.local_off_tree, 0u);
   EXPECT_GT(counts.local_grown, 0u);
 }
 

@@ -150,7 +150,6 @@ std::string stats_json(const daemon::Daemon& daemon) {
       << "  \"edge_updates\": " << s.edge_updates << ",\n"
       << "  \"roots_repaired\": " << s.roots_repaired << ",\n"
       << "  \"roots_local\": " << s.roots_local << ",\n"
-      << "  \"roots_local_faster\": " << s.roots_local_faster << ",\n"
       << "  \"roots_grown\": " << s.roots_grown << ",\n"
       << "  \"nodes_resettled\": " << s.nodes_resettled << ",\n"
       << "  \"full_rebuilds\": " << s.full_rebuilds << ",\n"
@@ -164,8 +163,8 @@ void print_stats(const daemon::Daemon& daemon) {
   const daemon::Daemon::Stats& s = daemon.stats();
   std::printf(
       "daemon: epoch %llu, %llu contacts, %llu batches (%llu full), "
-      "%llu edge updates, %llu roots repaired (%llu local, %llu of them "
-      "after a speed-up, %llu grown), %llu audits\n",
+      "%llu edge updates, %llu roots repaired (%llu local, %llu grown), "
+      "%llu audits\n",
       static_cast<unsigned long long>(daemon.snapshot()->epoch),
       static_cast<unsigned long long>(s.contacts_ingested),
       static_cast<unsigned long long>(s.repair_batches),
@@ -173,7 +172,6 @@ void print_stats(const daemon::Daemon& daemon) {
       static_cast<unsigned long long>(s.edge_updates),
       static_cast<unsigned long long>(s.roots_repaired),
       static_cast<unsigned long long>(s.roots_local),
-      static_cast<unsigned long long>(s.roots_local_faster),
       static_cast<unsigned long long>(s.roots_grown),
       static_cast<unsigned long long>(s.audit_rebuilds));
 }
